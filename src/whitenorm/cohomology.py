@@ -203,7 +203,7 @@ def d2_poly() -> LaurentPoly:
 
 @lru_cache(maxsize=1)
 def _d2_roots() -> tuple[complex, ...]:
-    return tuple(r.value for r in find_roots(d2_poly().to_complex()))
+    return tuple(r.value for r in find_roots(d2_poly()))
 
 
 def d2_check(p: int, q: int, tol: Tolerances = TOL) -> float:

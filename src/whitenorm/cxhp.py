@@ -1,10 +1,17 @@
-"""Fixed-point complex arithmetic on plain python ints.
+"""Fixed-point complex arithmetic on plain python ints: the package's one
+implementation of it.
 
 A value is (re, im) scaled by 2^BITS.  768 fraction bits (~230 decimal
 digits) cover the worst amplification met in this package: verifying the
 filling relation multiplies entries of size |s|^p ~ 1e48, whose products
 cancel down to ~1e-14, and certifying root symmetry classes needs to beat
 condition numbers beyond 1e13.
+
+Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
+`hp_float`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples
+and serves the hot loops: root refinement and Newton steps on integer
+polynomials.  `HPComplex` wraps the same kernel in operators for the
+matrix code.
 
 Only ring operations, division and square root are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -18,6 +25,52 @@ import math
 BITS = 768
 _ONE = 1 << BITS
 
+HP = tuple[int, int]
+
+
+# ---------------------------------------------------------------------------
+# raw (re, im) kernel
+
+
+def hp(z: complex) -> HP:
+    return round(z.real * _ONE), round(z.imag * _ONE)
+
+
+def hp_int(n: int) -> HP:
+    return n << BITS, 0
+
+
+def hp_float(v: HP) -> complex:
+    return complex(v[0] / _ONE, v[1] / _ONE)
+
+
+def hp_mul(u: HP, v: HP) -> HP:
+    a, b = u
+    c, d = v
+    return (a * c - b * d) >> BITS, (a * d + b * c) >> BITS
+
+
+def hp_div(u: HP, v: HP) -> HP:
+    a, b = u
+    c, d = v
+    den = c * c + d * d
+    if den == 0:
+        raise ZeroDivisionError("division by zero in fixed-point complex")
+    return ((a * c + b * d) << BITS) // den, ((b * c - a * d) << BITS) // den
+
+
+def hp_horner(int_coeffs: list[int], z: HP) -> HP:
+    """Value at z of the polynomial with ascending integer coefficients."""
+    acc = (0, 0)
+    for c in reversed(int_coeffs):
+        acc = hp_mul(acc, z)
+        acc = (acc[0] + (c << BITS), acc[1])
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# operator wrapper
+
 
 class HPComplex:
     __slots__ = ("re", "im")
@@ -30,15 +83,14 @@ class HPComplex:
 
     @classmethod
     def from_complex(cls, z) -> "HPComplex":
-        z = complex(z)
-        return cls(round(z.real * _ONE), round(z.imag * _ONE))
+        return cls(*hp(complex(z)))
 
     @classmethod
     def from_int(cls, n: int) -> "HPComplex":
-        return cls(n << BITS, 0)
+        return cls(*hp_int(n))
 
     def to_complex(self) -> complex:
-        return complex(self.re / _ONE, self.im / _ONE)
+        return hp_float((self.re, self.im))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -47,7 +99,7 @@ class HPComplex:
         if isinstance(other, HPComplex):
             return other
         if isinstance(other, int):
-            return HPComplex(other << BITS, 0)
+            return HPComplex.from_int(other)
         return HPComplex.from_complex(other)
 
     def __add__(self, other):
@@ -69,22 +121,13 @@ class HPComplex:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return HPComplex(
-            (self.re * o.re - self.im * o.im) >> BITS,
-            (self.re * o.im + self.im * o.re) >> BITS,
-        )
+        return HPComplex(*hp_mul((self.re, self.im), (o.re, o.im)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero in fixed-point complex")
-        return HPComplex(
-            ((self.re * o.re + self.im * o.im) << BITS) // den,
-            ((self.im * o.re - self.re * o.im) << BITS) // den,
-        )
+        return HPComplex(*hp_div((self.re, self.im), (o.re, o.im)))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -111,17 +154,6 @@ class HPComplex:
         return self.re == 0 and self.im == 0
 
     # -- functions ------------------------------------------------------------
-
-    def powi(self, n: int) -> "HPComplex":
-        base = self if n >= 0 else HPComplex.from_int(1) / self
-        n = abs(n)
-        out = HPComplex.from_int(1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def sqrt(self) -> "HPComplex":
         if self.is_zero():

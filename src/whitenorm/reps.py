@@ -10,11 +10,10 @@ spellings which are evaluated redundantly to catch transcription slips.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from .config import TOL, Tolerances
-from .cxhp import HPComplex
+from .cxhp import HPComplex, hp_div, hp_horner
 from .errors import (
     AmbiguousT,
     CountMismatch,
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .respq import build_res
 from .roots import RootSet, nontrivial_roots, reference_quadratic_roots, resultant_roots
+from .slopes import validate_filling
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +110,6 @@ class GroupWord:
         for gen, exp in self.letters:
             out = out @ gens[gen].power(exp)
         return out
-
-
-def evaluate_word(w: GroupWord, m0: Mat2, m1: Mat2) -> Mat2:
-    return w.evaluate(m0, m1)
 
 
 # relation: m0 m1 m0^-1 m1^-1 m0^-1 m1 m0 m1  =  m1 m0 m1 m0^-1 m1^-1 m0^-1 m1 m0
@@ -291,24 +287,19 @@ def _solve_t_hp(s: HPComplex, seed: complex) -> HPComplex:
     return t1 if abs(t1.to_complex() - seed) <= abs(t2.to_complex() - seed) else t2
 
 
-def _hp_poly_eval(coeffs: list[int], z: HPComplex) -> HPComplex:
-    acc = HPComplex.from_int(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComplex:
     """Newton-refine z on an exact integer polynomial; refuse to move farther
     than guard from the start (the input must already be a root)."""
     der = [i * c for i, c in enumerate(coeffs)][1:]
     start = z.to_complex()
+    v = (z.re, z.im)
     for _ in range(10):
-        val = _hp_poly_eval(coeffs, z)
-        dv = _hp_poly_eval(der, z)
-        if dv.is_zero():
+        dv = hp_horner(der, v)
+        if dv == (0, 0):
             break
-        z = z - val / dv
+        step = hp_div(hp_horner(coeffs, v), dv)
+        v = (v[0] - step[0], v[1] - step[1])
+    z = HPComplex(*v)
     if abs(z.to_complex() - start) > guard * (1 + abs(start)):
         raise ValidationError(
             f"{start} is not a root of the expected polynomial (moved by more than {guard})"
@@ -516,8 +507,7 @@ def count_prep_classes(p: int, q: int, tol: Tolerances = TOL,
     root and raises; for p even (where simplicity is not settled) the gap
     is only reported via attains_bound.
     """
-    if math.gcd(abs(p), abs(q)) != 1 or q <= 0:
-        raise ValidationError(f"({p}, {q}) must be coprime with q > 0")
+    validate_filling(p, q)
     if p == 0 or p == 4 * q:
         raise ValidationError("p/q in {0, 4} is outside the counting range")
     rs = rootset if rootset is not None else resultant_roots(p, q, tol)
@@ -535,9 +525,10 @@ def count_prep_classes(p: int, q: int, tol: Tolerances = TOL,
 
 
 def all_prep_classes(p: int, q: int, tol: Tolerances = TOL) -> list[PRep]:
-    """One verified representation per conjugacy class: roots are taken up to
-    s ~ 1/s (the representative with |s| >= 1, breaking ties by Im >= 0),
-    each with both signs of the meridian trace."""
+    """One verified representation per conjugacy class, each with both signs
+    of the meridian trace.  Roots are taken up to s ~ 1/s: of each pair the
+    member met first in the root set's (re, im) order represents it, so |s|
+    may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i)."""
     rs = nontrivial_roots(resultant_roots(p, q, tol))
     chosen: list[complex] = []
     for root in rs:

@@ -11,7 +11,6 @@ every seed.  The winning convention is recorded on each ResPoly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +24,7 @@ from .laurent import (
     peripheral_quadric,
     sylvester_resultant_t,
 )
+from .slopes import validate_filling
 
 # Candidate substitutions for y(s), as Laurent polynomials over Fraction.
 Y_CANDIDATES: dict[str, LaurentPoly] = {
@@ -98,14 +98,11 @@ class ResPoly:
 
 
 def _validate(p: int, q: int) -> None:
-    if not isinstance(p, int) or not isinstance(q, int):
-        raise ValidationError("p and q must be integers")
-    if q < 0:
-        raise ValidationError("q must be non-negative (fix signs with the q > 0 convention)")
-    if q == 0 and abs(p) != 1:
-        raise ValidationError("q = 0 is only meaningful for the formal slope (+-1, 0)")
-    if math.gcd(abs(p), q) != 1:
-        raise ValidationError(f"({p}, {q}) must be coprime")
+    """validate_filling, plus the formal slope (+-1, 0) that res defines by
+    convention."""
+    if isinstance(p, int) and isinstance(q, int) and q == 0 and abs(p) == 1:
+        return
+    validate_filling(p, q)
 
 
 @lru_cache(maxsize=256)

@@ -1,13 +1,16 @@
 """Complex root extraction with multiplicity clustering and the
 classification of resultant roots (real / imaginary / unit circle).
 
-Pipeline: a deterministic double-precision simultaneous iteration
-(Aberth-Ehrlich, Newton-polygon starting radii, golden-angle phases) finds
-a backward-stable root multiset; for exact integer input the multiset is
-then refined by Gauss-Seidel Aberth sweeps in fixed-point high precision
-(plain python ints, ~230 decimal digits).  The refinement matters:
-resultant roots packed near the unit circle reach condition numbers beyond
-1e13, so double precision alone cannot certify symmetry classes at 1e-8.
+One pipeline, for polynomials with integer coefficients (find_roots): a
+deterministic double-precision simultaneous iteration (Aberth-Ehrlich,
+Newton-polygon starting radii, golden-angle phases) gives a start; it is
+refined by Gauss-Seidel Aberth sweeps in fixed-point high precision on the
+exact coefficients (plain python ints, ~230 decimal digits, see cxhp), and
+the refined multiset must rebuild those coefficients.  There is no
+double-precision polish.  The refinement matters: resultant roots packed
+near the unit circle reach condition numbers beyond 1e13, so double
+precision alone cannot certify symmetry classes at 1e-8.  Resultant root
+sets split the trivial roots +-1 off exactly first.
 
 No randomness anywhere; repeated runs emit identical bytes.
 """
@@ -17,10 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL, Tolerances
+from .cxhp import BITS, HP, hp, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import (
     ConvergenceFailure,
     ClassificationViolation,
@@ -160,25 +165,6 @@ def _aberth(coeffs: np.ndarray, attempt: int, max_iter: int = 2000) -> np.ndarra
     raise ConvergenceFailure(f"no convergence after {max_iter} iterations on degree {n}")
 
 
-def _poly_from_roots(raw: list[complex]) -> np.ndarray:
-    out = np.array([1.0 + 0.0j])
-    for r in raw:
-        out = np.concatenate([out, [0.0]])
-        out[1:] -= r * out[:-1]
-    return out[::-1]  # ascending
-
-
-def _verify_multiset(coeffs: np.ndarray, raw: list[complex]) -> None:
-    """Reject configurations where iterates doubled up on one root and missed
-    another: the monic polynomial rebuilt from the multiset must reproduce
-    the coefficients."""
-    rebuilt = _poly_from_roots(raw)
-    scale = float(np.abs(coeffs).max())
-    err = float(np.abs(rebuilt - coeffs).max()) / scale
-    if err > 1e-6:
-        raise ConvergenceFailure(f"root multiset reproduces coefficients to {err:.2e} only")
-
-
 def _cluster(points: list[complex], rel: float) -> list[list[int]]:
     """Index groups of the connected components of the 'closer than
     rel*(1+|z|)' graph."""
@@ -204,59 +190,89 @@ def _cluster(points: list[complex], rel: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _polish(coeffs: np.ndarray, center: complex, mult: int, steps: int = 8) -> complex:
-    """Multiplicity-aware Newton: z -= m f/f'; quadratic at an m-fold root."""
-    n = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    z = center
-    for _ in range(steps):
-        pv = complex(_horner(coeffs, np.array([z]))[0])
-        dv = complex(_horner(dcoeffs, np.array([z]))[0])
-        if dv == 0:
-            break
-        step = mult * pv / dv
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z
+# ---------------------------------------------------------------------------
+# fixed-point high-precision refinement (raw cxhp kernel in the hot loop)
 
 
-def _package(
-    coeffs: np.ndarray,
-    raw: list[complex],
-    span: int,
-    tol: Tolerances,
-    pq: tuple[int, int] | None = None,
-    polish: bool = True,
-) -> RootSet:
-    """Cluster raw approximations (optionally polishing cluster centers in
-    double precision) and package them with flags and residuals.
+def _refine_hp(
+    int_coeffs: list[int], raw: list[complex], sweeps: int = 40
+) -> tuple[list[complex], list[HP]]:
+    """Gauss-Seidel Aberth sweeps in fixed point with exact integer
+    coefficients.  Warm-started from the double-precision multiset, this
+    pushes every root to ~2^-200 regardless of its condition number, and
+    lets badly assigned iterates migrate to uncovered roots.  Returns the
+    double roundings and the fixed-point values."""
+    n = len(int_coeffs) - 1
+    dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
+    z = [hp(v) for v in raw]
+    one = hp_int(1)
+    # stop once steps drop below ~2^-95; multiple roots stall near 2^-104
+    tiny = 1 << (BITS - 95)
+    for _ in range(sweeps):
+        max_step = 0
+        for k in range(n):
+            pv = hp_horner(int_coeffs, z[k])
+            dv = hp_horner(dcoeffs, z[k])
+            if dv == (0, 0):
+                continue
+            newton = hp_div(pv, dv)
+            rep = (0, 0)
+            for j in range(n):
+                if j == k:
+                    continue
+                dz = (z[k][0] - z[j][0], z[k][1] - z[j][1])
+                if dz == (0, 0):
+                    continue
+                inv = hp_div(one, dz)
+                rep = (rep[0] + inv[0], rep[1] + inv[1])
+            nr = hp_mul(newton, rep)
+            den = (one[0] - nr[0], -nr[1])
+            if den == (0, 0):
+                den = one
+            step = hp_div(newton, den)
+            z[k] = (z[k][0] - step[0], z[k][1] - step[1])
+            max_step = max(max_step, abs(step[0]), abs(step[1]))
+        if max_step < tiny:
+            break
+    else:
+        raise ConvergenceFailure("high-precision sweeps did not settle")
+    return [hp_float(v) for v in z], z
 
-    Clustering and polishing alternate: iterates stall at distance
-    eps^(1/m) around an m-fold root, which exceeds the cluster tolerance
-    for m >= 3 until a polishing pass has pulled them together."""
-    points = list(raw)
-    weights = [1] * len(points)
-    stable_rounds = 0
-    for _ in range(6):
-        clusters = _cluster(points, tol.cluster_rel)
-        merged = len(clusters) < len(points)
-        new_points, new_weights = [], []
-        for idxs in clusters:
-            mult = sum(weights[i] for i in idxs)
-            center = sum(points[i] * weights[i] for i in idxs) / mult
-            z = complex(_polish(coeffs, center, mult)) if polish else complex(center)
-            new_points.append(z)
-            new_weights.append(mult)
-        points, weights = new_points, new_weights
-        stable_rounds = 0 if merged else stable_rounds + 1
-        if not polish and not merged:
-            break
-        if stable_rounds >= 2:
-            break
+
+def _verify_multiset_hp(int_coeffs: list[int], z: list[HP]) -> None:
+    """Exact-grade multiset check: rebuild prod (x - z_i) in fixed point and
+    compare with the integer coefficients.  A missing or doubled root shows
+    up at O(1); a correct refined multiset agrees to ~1e-40."""
+    poly = [hp_int(int_coeffs[-1])]
+    for r in z:
+        poly.append((0, 0))
+        for i in range(len(poly) - 1, 0, -1):
+            m = hp_mul(poly[i - 1], r)
+            poly[i] = (poly[i][0] - m[0], poly[i][1] - m[1])
+    worst = 0.0
+    scale = float(max(abs(c) for c in int_coeffs))
+    for built, want in zip(poly[::-1], int_coeffs):
+        diff = hp_float((built[0] - hp_int(want)[0], built[1]))
+        worst = max(worst, abs(diff) / scale)
+    if worst > 1e-20:
+        raise ConvergenceFailure(
+            f"refined multiset reproduces coefficients to {worst:.2e} only"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the root pipeline
+
+
+def _package(coeffs: np.ndarray, raw: list[complex], span: int, tol: Tolerances) -> RootSet:
+    """Merge approximations closer than tol.cluster_rel into one root whose
+    multiplicity is the cluster size, and package the roots, sorted by
+    (re, im), with flags and backward errors."""
     roots = []
     residuals = []
-    for z, mult in zip(points, weights):
+    for idxs in _cluster(raw, tol.cluster_rel):
+        mult = len(idxs)
+        z = complex(sum(raw[i] for i in idxs) / mult)
         err = _backward_error(coeffs, z)
         if err > tol.root_residual:
             raise ConvergenceFailure(
@@ -269,144 +285,44 @@ def _package(
         roots=tuple(roots[i] for i in order),
         span=span,
         tol=tol,
-        pq=pq,
         residuals=tuple(residuals[i] for i in order),
     )
 
 
 def find_roots(f: LaurentPoly, tol: Tolerances = TOL) -> RootSet:
-    """Roots (with multiplicities) of the non-zero Laurent polynomial f.
+    """Roots (with multiplicities) of the non-zero Laurent polynomial f with
+    integer coefficients.
 
     Exponent units s^k are stripped first, so only non-zero roots exist and
-    their count equals the span.  Residual acceptance uses the backward
-    error |f(z)| / sum_i |c_i||z|^i.
-
-    Multiplicities up to 2 resolve reliably; an m-fold root smears over a
-    radius ~eps^(1/m) in double precision, beyond the cluster tolerance for
-    m >= 3.  The resultant pipeline never needs more: its only multiple
-    roots sit at +-1 and are removed by exact deflation first.
+    their count equals the span.  A double-precision Aberth pass gives the
+    start, fixed-point sweeps on the exact coefficients refine it, and the
+    refined multiset must rebuild the coefficients; three start
+    configurations are tried in turn.  Roots closer than tol.cluster_rel
+    merge into one of higher multiplicity.  Residual acceptance uses the
+    backward error |f(z)| / sum_i |c_i||z|^i.
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
     span = f.span
     if span == 0:
         return RootSet(roots=(), span=0, tol=tol)
-    dense, _ = f.shift(-f.mindeg).dense()
-    coeffs = np.asarray([complex(c) for c in dense], dtype=complex)
+    int_coeffs, _ = f.shift(-f.mindeg).dense()
+    if not all(isinstance(c, int) for c in int_coeffs):
+        raise ValidationError("find_roots needs a polynomial with int coefficients")
+    coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
     coeffs = coeffs / coeffs[-1]
     failure: Exception | None = None
     for attempt in range(3):
         try:
             raw = [complex(z) for z in _aberth(coeffs, attempt)]
-            _verify_multiset(coeffs, raw)
-            return _package(coeffs, raw, span, tol)
+            # no double-precision polish after refinement: at condition
+            # numbers ~1e13 a double Newton step would re-smear the root
+            refined, fixed = _refine_hp(int_coeffs, raw)
+            _verify_multiset_hp(int_coeffs, fixed)
+            return _package(coeffs, refined, span, tol)
         except ConvergenceFailure as exc:
             failure = exc
     raise ConvergenceFailure(f"all start configurations failed on degree {span}: {failure}")
-
-
-# ---------------------------------------------------------------------------
-# fixed-point high-precision refinement (plain python ints; raw tuples in the
-# hot loop, same scale as cxhp.HPComplex)
-
-from .cxhp import BITS as _HP_BITS  # noqa: E402
-
-
-def _hp(z: complex) -> tuple[int, int]:
-    return round(z.real * (1 << _HP_BITS)), round(z.imag * (1 << _HP_BITS))
-
-
-def _hp_float(v: tuple[int, int]) -> complex:
-    return complex(v[0] / (1 << _HP_BITS), v[1] / (1 << _HP_BITS))
-
-
-def _hp_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    a, b = u
-    c, d = v
-    return (a * c - b * d) >> _HP_BITS, (a * d + b * c) >> _HP_BITS
-
-
-def _hp_div(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    a, b = u
-    c, d = v
-    den = c * c + d * d
-    if den == 0:
-        raise ZeroDivisionError
-    return ((a * c + b * d) << _HP_BITS) // den, ((b * c - a * d) << _HP_BITS) // den
-
-
-def _hp_horner(int_coeffs: list[int], z: tuple[int, int]) -> tuple[int, int]:
-    acc = (0, 0)
-    for c in reversed(int_coeffs):
-        acc = _hp_mul(acc, z)
-        acc = (acc[0] + (c << _HP_BITS), acc[1])
-    return acc
-
-
-def _refine_hp(int_coeffs: list[int], raw: list[complex], sweeps: int = 40) -> list[complex]:
-    """Gauss-Seidel Aberth sweeps in fixed point with exact integer
-    coefficients.  Warm-started from the double-precision multiset, this
-    pushes every root to ~2^-200 regardless of its condition number, and
-    lets badly assigned iterates migrate to uncovered roots."""
-    n = len(int_coeffs) - 1
-    dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
-    z = [_hp(v) for v in raw]
-    one = (1 << _HP_BITS, 0)
-    # stop once steps drop below ~2^-95; multiple roots stall near 2^-104
-    tiny = 1 << (_HP_BITS - 95)
-    for _ in range(sweeps):
-        max_step = 0
-        for k in range(n):
-            pv = _hp_horner(int_coeffs, z[k])
-            dv = _hp_horner(dcoeffs, z[k])
-            if dv == (0, 0):
-                continue
-            newton = _hp_div(pv, dv)
-            rep = (0, 0)
-            for j in range(n):
-                if j == k:
-                    continue
-                dz = (z[k][0] - z[j][0], z[k][1] - z[j][1])
-                if dz == (0, 0):
-                    continue
-                inv = _hp_div(one, dz)
-                rep = (rep[0] + inv[0], rep[1] + inv[1])
-            nr = _hp_mul(newton, rep)
-            den = (one[0] - nr[0], -nr[1])
-            if den == (0, 0):
-                den = one
-            step = _hp_div(newton, den)
-            z[k] = (z[k][0] - step[0], z[k][1] - step[1])
-            max_step = max(max_step, abs(step[0]), abs(step[1]))
-        if max_step < tiny:
-            break
-    else:
-        raise ConvergenceFailure("high-precision sweeps did not settle")
-    return [_hp_float(v) for v in z], z
-
-
-def _verify_multiset_hp(int_coeffs: list[int], z: list[tuple[int, int]]) -> None:
-    """Exact-grade multiset check: rebuild prod (x - z_i) in fixed point and
-    compare with the integer coefficients.  A missing or doubled root shows
-    up at O(1); a correct refined multiset agrees to ~1e-40."""
-    lead = int_coeffs[-1]
-    poly = [(lead << _HP_BITS, 0)]
-    for r in z:
-        poly.append((0, 0))
-        for i in range(len(poly) - 1, 0, -1):
-            m = _hp_mul(poly[i - 1], r)
-            poly[i] = (poly[i][0] - m[0], poly[i][1] - m[1])
-    worst = 0.0
-    scale = float(max(abs(c) for c in int_coeffs))
-    for built, want in zip(poly[::-1], int_coeffs):
-        diff = complex(
-            (built[0] - (want << _HP_BITS)) / (1 << _HP_BITS), built[1] / (1 << _HP_BITS)
-        )
-        worst = max(worst, abs(diff) / scale)
-    if worst > 1e-20:
-        raise ConvergenceFailure(
-            f"refined multiset reproduces coefficients to {worst:.2e} only"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +338,14 @@ def _deflate_at(poly: LaurentPoly, x: int, order: int) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=256)
 def resultant_roots(p: int, q: int, tol: Tolerances = TOL) -> RootSet:
     """RootSet of res_{p,q}: trivial roots at +-1 split off exactly, the
-    deflated part solved numerically and refined in high precision."""
+    deflated part solved by find_roots.
+
+    Cached like build_res, so each filling is solved once per process.
+    RootSet is frozen, so sharing it is safe.  The cache keys a keyword
+    tol= apart from a positional one: pass tol positionally."""
     return resultant_rootset_of(build_res(p, q), tol)
 
 
@@ -437,29 +358,7 @@ def resultant_rootset_of(r: ResPoly, tol: Tolerances = TOL) -> RootSet:
         deflated = _deflate_at(deflated, 1, o1)
     if om1:
         deflated = _deflate_at(deflated, -1, om1)
-    if deflated.span:
-        int_coeffs, _ = deflated.shift(-deflated.mindeg).dense()
-        coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
-        coeffs = coeffs / coeffs[-1]
-        failure: Exception | None = None
-        inner = None
-        for attempt in range(3):
-            try:
-                raw = [complex(z) for z in _aberth(coeffs, attempt)]
-                refined, fixed = _refine_hp(int_coeffs, raw)
-                _verify_multiset_hp(int_coeffs, fixed)
-                # no double-precision polish after refinement: at condition
-                # numbers ~1e13 a double Newton step would re-smear the root
-                inner = _package(coeffs, refined, deflated.span, tol, polish=False)
-                break
-            except ConvergenceFailure as exc:
-                failure = exc
-        if inner is None:
-            raise ConvergenceFailure(
-                f"all start configurations failed on degree {deflated.span}: {failure}"
-            )
-    else:
-        inner = RootSet((), 0, tol)
+    inner = find_roots(deflated, tol)
     roots = list(inner.roots)
     residuals = list(inner.residuals)
     for x, order in ((1, o1), (-1, om1)):

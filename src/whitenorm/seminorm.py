@@ -21,15 +21,21 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPoly
-from .reps import expected_class_total, reducible_class_count
-from .slopes import INFINITY, BoundaryTriple, Slope, SlopeRange, boundary_slopes, classify_range, distance
+from .reps import expected_class_total
+from .slopes import (
+    INFINITY,
+    BoundaryTriple,
+    Slope,
+    SlopeRange,
+    boundary_slopes,
+    classify_range,
+    distance,
+    validate_filling,
+)
 
 
 def _require_scope(p: int, q: int) -> SlopeRange:
-    if not isinstance(p, int) or not isinstance(q, int) or q <= 0:
-        raise ValidationError(f"need integers with q > 0, got ({p}, {q})")
-    if math.gcd(abs(p), q) != 1:
-        raise ValidationError(f"({p}, {q}) must be coprime")
+    validate_filling(p, q)
     if p % 2 == 0:
         raise ScopeError("the seminorm closed forms cover p odd only")
     if p == 3 * q:
@@ -359,17 +365,3 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
             f"{(prof.a, prof.s_min)}"
         )
     return LinearSystemResult(p, q, a, s_min, rank, z, candidates, reduction, matches)
-
-
-# ---------------------------------------------------------------------------
-# cross-module consistency helpers used by the verification suites
-
-
-def class_count_identity(p: int, q: int) -> dict:
-    """Closed-form side of 'minimal norm = number of parabolic classes'."""
-    prof = seminorm_profile(p, q)
-    return {
-        "s_min": prof.s_min,
-        "expected_classes": expected_class_total(p, q),
-        "reducible_classes": reducible_class_count(p),
-    }

@@ -120,7 +120,9 @@ def classify_range(r: Slope) -> SlopeRange:
     return SlopeRange.FOUR_INF
 
 
-def _validate_filling(p: int, q: int) -> None:
+def validate_filling(p: int, q: int) -> None:
+    """Raise ValidationError unless (p, q) names a filling: integers with
+    q > 0 and gcd(p, q) = 1."""
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError(f"filling coefficients must be integers, got ({p!r}, {q!r})")
     if q <= 0:
@@ -157,7 +159,7 @@ def boundary_slopes(p: int, q: int) -> BoundaryTriple:
     and 4q/(p-2q) on [4,inf); at the endpoints the adjacent formulas agree
     as slope classes and the lower range's formula is used.
     """
-    _validate_filling(p, q)
+    validate_filling(p, q)
     rng = classify_range(Slope.of(p, q))
     if rng in (SlopeRange.NEG_INF_0, SlopeRange.AT_0):
         raw = (4 * q, p)

@@ -5,14 +5,13 @@ skipped(scope)."""
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 from . import cohomology, reps, respq, seminorm
 from .config import TOL, Tolerances
 from .errors import ScopeError, ValidationError, WhitenormError
 from .roots import classify, nontrivial_roots, resultant_roots
-from .slopes import INFINITY, Slope
+from .slopes import INFINITY, Slope, validate_filling
 
 SUITES = ("resultant", "symmetries", "roots", "preps", "seifert", "linear", "cohomology")
 
@@ -218,8 +217,7 @@ _NEEDS_ODD_P = {"seifert", "linear"}
 
 
 def run_verify(p: int, q: int, suites: tuple[str, ...], tol: Tolerances = TOL) -> VerificationReport:
-    if q <= 0 or math.gcd(abs(p), q) != 1:
-        raise ValidationError(f"({p}, {q}) must be coprime with q > 0")
+    validate_filling(p, q)
     results = []
     for name in suites:
         if name not in _SUITE_FUNCS:

@@ -105,7 +105,7 @@ def test_d2_detects_planted_collision(monkeypatch):
     import whitenorm.cohomology as co
 
     # plant the characterization roots directly onto d2 roots
-    d2_roots = [r.value for r in co.find_roots(d2_poly().to_complex())]
+    d2_roots = [r.value for r in co.find_roots(d2_poly())]
 
     class FakeRoot:
         def __init__(self, v):

@@ -36,6 +36,13 @@ def test_zero_polynomial_rejected():
         find_roots(LaurentPoly())
 
 
+def test_non_integer_coefficients_rejected():
+    with pytest.raises(ValidationError):
+        find_roots(LaurentPoly({2: 1, 0: 0.5}))
+    with pytest.raises(ValidationError):
+        find_roots(LaurentPoly({2: 1, 0: -1}).to_complex())
+
+
 def test_resultant_2_1_roots_exact():
     rs = resultant_roots(2, 1)
     expected = sorted([-(SQ2 + 1), -(SQ2 - 1), SQ2 - 1, SQ2 + 1])
@@ -118,6 +125,8 @@ def test_multiplicity_sum_property(pq):
 
 def test_deterministic_output():
     a = resultant_roots(7, 2)
+    resultant_roots.cache_clear()  # solve again rather than share the cached set
     b = resultant_roots(7, 2)
+    assert a is not b
     assert a.values == b.values
     assert a.residuals == b.residuals

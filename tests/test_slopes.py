@@ -12,6 +12,7 @@ from whitenorm.slopes import (
     classify_range,
     distance,
     distance_row,
+    validate_filling,
 )
 
 
@@ -74,6 +75,14 @@ def test_classify_range():
     assert classify_range(Slope(7, 2)) is SlopeRange.TWO_4
     with pytest.raises(ValidationError):
         classify_range(INFINITY)
+
+
+def test_validate_filling():
+    validate_filling(-5, 3)
+    validate_filling(0, 1)
+    for p, q in ((6, 2), (1, 0), (1, -1), (1.0, 1), ("1", 1)):
+        with pytest.raises(ValidationError):
+            validate_filling(p, q)
 
 
 def test_boundary_slopes_examples():

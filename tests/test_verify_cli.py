@@ -1,10 +1,17 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from whitenorm.cli import main
 from whitenorm.errors import ValidationError
+from whitenorm.roots import resultant_roots
 from whitenorm.verify import SUITES, run_verify
+
+DIGESTS = Path(__file__).resolve().parents[1] / "benchmark" / "digests.json"
 
 
 def test_run_verify_all_pass():
@@ -111,6 +118,7 @@ def test_cli_verify_exit_two_on_failure(capsys, monkeypatch):
 def test_cli_deterministic_output(capsys):
     assert main(["roots", "7", "2"]) == 0
     first = capsys.readouterr().out
+    resultant_roots.cache_clear()  # solve again rather than print the cached set
     assert main(["roots", "7", "2"]) == 0
     second = capsys.readouterr().out
     assert first == second
@@ -135,3 +143,24 @@ def test_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
     header2 = out2.read_text().splitlines()
     assert len(header2) == 1 and header2[0].startswith("p,q,range")
+
+
+def test_one_root_solve_per_filling(capsys):
+    resultant_roots.cache_clear()
+    assert run_verify(5, 1, SUITES).ok
+    assert resultant_roots.cache_info().misses == 1
+    resultant_roots.cache_clear()
+    assert main(["preps", "5", "1"]) == 0
+    capsys.readouterr()
+    assert resultant_roots.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["roots 5 1", "roots -5 3", "verify 5 1 --suite all", "verify -5 3 --suite all"]
+)
+def test_cli_output_matches_benchmark_digest(command):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(command.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == expected
