@@ -17,11 +17,10 @@ import math
 import sys
 
 from . import reps, seminorm
-from .config import TOL, Tolerances
 from .errors import ScopeError, ValidationError, WhitenormError
 from .respq import build_res
 from .roots import resultant_roots
-from .slopes import INFINITY, Slope
+from .slopes import INFINITY, Slope, validate_filling
 from .verify import SUITES, run_verify
 
 
@@ -31,13 +30,6 @@ def _emit(payload: dict) -> None:
 
 def _c(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
-
-
-def _tol(args) -> Tolerances:
-    return TOL.with_overrides(
-        root_residual=getattr(args, "root_tol", None),
-        residual=getattr(args, "residual_tol", None),
-    )
 
 
 def cmd_norm(args) -> int:
@@ -80,8 +72,7 @@ def cmd_respq(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    tol = _tol(args)
-    rs = resultant_roots(args.p, args.q, tol)
+    rs = resultant_roots(args.p, args.q)
     payload = {
         "schema": 1,
         "p": args.p,
@@ -112,9 +103,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_preps(args) -> int:
-    tol = _tol(args)
-    count = reps.count_prep_classes(args.p, args.q, tol)
-    classes = reps.all_prep_classes(args.p, args.q, tol)
+    count = reps.count_prep_classes(args.p, args.q)
+    classes = reps.all_prep_classes(args.p, args.q)
     payload = {
         "schema": 1,
         "p": args.p,
@@ -152,8 +142,7 @@ def _parse_suites(items: list[str]) -> tuple[str, ...]:
 
 
 def cmd_verify(args) -> int:
-    tol = _tol(args)
-    report = run_verify(args.p, args.q, _parse_suites(args.suite), tol)
+    report = run_verify(args.p, args.q, _parse_suites(args.suite))
     _emit(
         {
             "schema": 1,
@@ -170,7 +159,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = _tol(args)
     suites = _parse_suites(args.suite)
     header = [
         "p", "q", "range", "beta1", "beta2", "beta3",
@@ -186,7 +174,7 @@ def cmd_sweep(args) -> int:
                 continue
             prof = seminorm.seminorm_profile(p, q)
             norms = seminorm.seifert_norms(p, q)
-            report = run_verify(p, q, suites, tol)
+            report = run_verify(p, q, suites)
             status = {r.suite: r.status for r in report.results}
             rows.append(
                 [p, q, prof.range_tag.value]
@@ -212,13 +200,6 @@ def _add_pq(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("q", type=int, help="filling denominator (q > 0)")
 
 
-def _add_tols(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--root-tol", type=float, default=None,
-                        help="backward-error bound for accepted roots")
-    parser.add_argument("--residual-tol", type=float, default=None,
-                        help="bound for representation residuals")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="whitenorm",
@@ -240,19 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="roots of the characterization polynomial")
     _add_pq(p_roots)
     p_roots.add_argument("--plot-csv", default=None, help="write re,im scatter data here")
-    _add_tols(p_roots)
     p_roots.set_defaults(func=cmd_roots)
 
     p_preps = sub.add_parser("preps", help="reconstructed parabolic representations")
     _add_pq(p_preps)
-    _add_tols(p_preps)
     p_preps.set_defaults(func=cmd_preps)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     _add_pq(p_verify)
     p_verify.add_argument("--suite", action="append", default=[],
                           help=f"comma list from {', '.join(SUITES)}; default all")
-    _add_tols(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV over a (p, q) range (p odd)")
@@ -262,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--suite", action="append", default=[],
                          help="suites to run per cell; default all")
-    _add_tols(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return ap
 
@@ -274,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if "p" in vars(args):
+            validate_filling(args.p, args.q)
         return args.func(args)
     except ScopeError as exc:
         print(f"scope: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import (
     ClosedFormMismatch,
     CommonRootSuspected,
@@ -36,11 +36,11 @@ class NumMatrix:
     def shape(self):
         return self.data.shape
 
-    def rank(self, tol: Tolerances = TOL) -> int:
+    def rank(self) -> int:
         sv = np.linalg.svd(self.data, compute_uv=False)
         if sv.size == 0 or sv[0] == 0:
             return 0
-        return int((sv > tol.rank_rel * sv[0]).sum())
+        return int((sv > TOL.rank_rel * sv[0]).sum())
 
 
 def coboundary_matrix(s: complex, a: complex) -> NumMatrix:
@@ -125,14 +125,14 @@ def det_p_closed_form(s: complex, p: int, q: int) -> complex:
     return (4 * p / q) * (s2 - 1) ** 2 * (s2 * s2 - 2 * s2 + 2) / (s2 * s2)
 
 
-def det_P_reducible(s: complex, p: int, q: int, tol: Tolerances = TOL) -> complex:
+def det_P_reducible(s: complex, p: int, q: int) -> complex:
     """Numeric determinant of the extended matrix, checked against the
     closed form to relative tolerance."""
     m = trace_pairing_matrix(s, p, q)
     det = complex(np.linalg.det(m.data))
     closed = det_p_closed_form(s, p, q)
     scale = max(abs(det), abs(closed), 1e-300)
-    if abs(det - closed) > tol.det_rel * scale:
+    if abs(det - closed) > TOL.det_rel * scale:
         raise ClosedFormMismatch(
             f"det = {det} but closed form = {closed} at s={s}, (p,q)=({p},{q})"
         )
@@ -175,7 +175,7 @@ def d1_roots(p: int, q: int) -> tuple[complex, complex, complex, complex]:
     return tuple(out)
 
 
-def d1_classification(p: int, q: int, tol: Tolerances = TOL) -> str:
+def d1_classification(p: int, q: int) -> str:
     """'real' or 'imaginary' according to the range of p/q, with the roots
     checked against that class."""
     roots = d1_roots(p, q)
@@ -206,17 +206,17 @@ def _d2_roots() -> tuple[complex, ...]:
     return tuple(r.value for r in find_roots(d2_poly()))
 
 
-def d2_check(p: int, q: int, tol: Tolerances = TOL) -> float:
+def d2_check(p: int, q: int) -> float:
     """Minimal distance between the roots of d2 and the non-trivial roots of
     the characterization polynomial; they must stay separated (d2 is not
     monic, so its roots are never algebraic integers, while the resultant
     is monic)."""
     d2_roots = _d2_roots()
-    res_roots = nontrivial_roots(resultant_roots(p, q, tol)).values
+    res_roots = nontrivial_roots(resultant_roots(p, q)).values
     if not res_roots:
         return math.inf
     dist = min(abs(a - b) for a in d2_roots for b in res_roots)
-    if dist <= tol.root_avoid:
+    if dist <= TOL.root_avoid:
         raise CommonRootSuspected(
             f"d2 and the ({p},{q}) characterization polynomial have roots within {dist:.2e}"
         )

@@ -1,10 +1,10 @@
 """Numeric tolerances used across the package.
 
-All thresholds live in one frozen dataclass so a CLI flag can override a
-value once and every downstream check sees it.
+The fields of the one frozen instance TOL are the package's fixed
+thresholds; every check reads its threshold from TOL at the point of use.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,10 @@ class Tolerances:
     det_one: float = 1e-10         # |det - 1| for constructed matrices
     t_match: float = 1e-7          # |s^p t^q - 1| selecting the t branch
     faithful_defect: float = 1e-3  # filling defect required at s = +-1
-    char_pair: float = 1e-7        # trace agreement between s and 1/s reps
     # linear algebra
     rank_rel: float = 1e-8         # singular values below rank_rel*smax -> 0
     det_rel: float = 1e-8          # relative determinant agreement
     root_avoid: float = 1e-3       # min distance between disjoint root sets
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 TOL = Tolerances()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .cxhp import HPComplex, hp_div, hp_horner
 from .errors import (
     AmbiguousT,
@@ -209,17 +209,17 @@ def _power(base: complex, n: int) -> complex:
     return out
 
 
-def solve_t(s: complex, p: int, q: int, tol: Tolerances = TOL) -> complex:
+def solve_t(s: complex, p: int, q: int) -> complex:
     """The unique longitude eigenvalue t over a resultant root s: of the two
     quadric branches exactly one satisfies s^p t^q = 1."""
     a, b, c = peripheral_quadric_at(s)
     t1, t2 = reference_quadratic_roots(a, b, c)
     sp = _power(s, p)
-    candidates = [t for t in (t1, t2) if abs(sp * _power(t, q) - 1) <= tol.t_match]
+    candidates = [t for t in (t1, t2) if abs(sp * _power(t, q) - 1) <= TOL.t_match]
     if not candidates:
         raise NoT(f"no quadric branch satisfies the filling relation at s={s}")
     # near a double root the "two" branches differ only by sqrt-of-eps noise;
-    # genuinely distinct branches that both pass would sit ~tol/|q| apart
+    # genuinely distinct branches that both pass would sit ~TOL.t_match/|q| apart
     if len(candidates) == 2 and abs(t1 - t2) > 1e-5 * (1 + abs(t1) + abs(t2)):
         raise AmbiguousT(f"both quadric branches satisfy the filling relation at s={s}")
     return candidates[0]
@@ -308,7 +308,7 @@ def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComp
 
 
 def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
-            m0: Mat2, m1: Mat2, tol: Tolerances) -> PRep:
+            m0: Mat2, m1: Mat2) -> PRep:
     """Residual checks, all carried out in fixed-point high precision: the
     filling product multiplies entries of size |s|^p, so double precision
     could not certify 1e-8 there."""
@@ -333,9 +333,9 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
         residuals["v_entry"] = abs(l1.a + 1)
     failing = {
         k: r for k, r in residuals.items()
-        if r > (tol.trace if k == "trace_mu1" else tol.residual)
+        if r > (TOL.trace if k == "trace_mu1" else TOL.residual)
     }
-    if det_gap > tol.det_one:
+    if det_gap > TOL.det_one:
         failing["det"] = det_gap
     if failing:
         raise VerificationFailure(f"({p},{q}) s={s.to_complex()}: residuals over tolerance: {failing}")
@@ -343,7 +343,7 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
     return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
 
 
-def reconstruct_prep(s: complex, sign_u: int, p: int, q: int, tol: Tolerances = TOL) -> PRep:
+def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
     """Build and verify the parabolic representation attached to s.
 
     For s^p = 1 (s != +-1) the representation is non-abelian reducible with
@@ -359,14 +359,14 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int, tol: Tolerances = 
             "s in {0, +1, -1} never yields a representation of the filled manifold"
         )
     s_hp = HPComplex.from_complex(s)
-    if abs(_power(s, p) - 1) <= tol.t_match:
+    if abs(_power(s, p) - 1) <= TOL.t_match:
         # root of unity: sharpen on x^|p| - 1 so the filling check is exact-grade
         unity = [0] * (abs(p) + 1)
         unity[0], unity[-1] = -1, 1
         s_hp = _refine_on_int_poly(unity, s_hp, 1e-6)
         m0, m1 = _hp_normal_form(s_hp, sign_u, HPComplex.from_int(0))
-        return _verify(p, q, "reducible", sign_u, s_hp, HPComplex.from_int(1), m0, m1, tol)
-    t_seed = solve_t(s, p, q, tol)
+        return _verify(p, q, "reducible", sign_u, s_hp, HPComplex.from_int(1), m0, m1)
+    t_seed = solve_t(s, p, q)
     # the double-rounded s costs half the digits wherever the quadric branches
     # collide; re-converge it on the exact resultant first
     res_dense, _ = build_res(p, q).poly.dense()
@@ -379,13 +379,13 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int, tol: Tolerances = 
         raise SingularPoint("inverse parametrization undefined at s = +-1, s^2 = u^2")
     c_hp = (s2 * (t_hp - 1) + (1 - HPComplex.from_int(-1))) / ((s2 - 1) / (s_hp * u_hp))
     m0, m1 = _hp_normal_form(s_hp, sign_u, c_hp)
-    prep = _verify(p, q, "irreducible", sign_u, s_hp, t_hp, m0, m1, tol)
+    prep = _verify(p, q, "irreducible", sign_u, s_hp, t_hp, m0, m1)
     # cross-checks on the variety equations (double precision is plenty here)
     e = prep.eigen
     h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(e.s, e.t, complex(sign_u), -1))
     fval = slice_f(e.s, complex(sign_u), c_hp.to_complex())
     worst = max(abs(h1), abs(h2), abs(h3), abs(g1), abs(g2), abs(g3))
-    if worst > tol.residual or abs(fval) > tol.residual:
+    if worst > TOL.residual or abs(fval) > TOL.residual:
         raise VerificationFailure(
             f"({p},{q}) s={s}: variety residuals h/g={worst:.2e} f={abs(fval):.2e}"
         )
@@ -498,8 +498,7 @@ def expected_class_total(p: int, q: int) -> int:
     return 3 * ap - 4 * aq - 2
 
 
-def count_prep_classes(p: int, q: int, tol: Tolerances = TOL,
-                       rootset: RootSet | None = None) -> PrepCount:
+def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCount:
     """Count conjugacy classes of parabolic representations: the reducible
     closed form plus the number of distinct non-trivial resultant roots.
 
@@ -510,7 +509,7 @@ def count_prep_classes(p: int, q: int, tol: Tolerances = TOL,
     validate_filling(p, q)
     if p == 0 or p == 4 * q:
         raise ValidationError("p/q in {0, 4} is outside the counting range")
-    rs = rootset if rootset is not None else resultant_roots(p, q, tol)
+    rs = rootset if rootset is not None else resultant_roots(p, q)
     irreducible = len(nontrivial_roots(rs))
     reducible = reducible_class_count(p)
     total = reducible + irreducible
@@ -524,12 +523,12 @@ def count_prep_classes(p: int, q: int, tol: Tolerances = TOL,
     return PrepCount(p, q, reducible, irreducible, total, expected, attains)
 
 
-def all_prep_classes(p: int, q: int, tol: Tolerances = TOL) -> list[PRep]:
+def all_prep_classes(p: int, q: int) -> list[PRep]:
     """One verified representation per conjugacy class, each with both signs
     of the meridian trace.  Roots are taken up to s ~ 1/s: of each pair the
     member met first in the root set's (re, im) order represents it, so |s|
     may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i)."""
-    rs = nontrivial_roots(resultant_roots(p, q, tol))
+    rs = nontrivial_roots(resultant_roots(p, q))
     chosen: list[complex] = []
     for root in rs:
         z = root.value
@@ -540,7 +539,7 @@ def all_prep_classes(p: int, q: int, tol: Tolerances = TOL) -> list[PRep]:
     reps = []
     for z in chosen:
         for sign in (1, -1):
-            reps.append(reconstruct_prep(z, sign, p, q, tol))
+            reps.append(reconstruct_prep(z, sign, p, q))
     for k in range(1, abs(p)):
         s = cmath.exp(2j * cmath.pi * k / abs(p))
         if abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
@@ -548,5 +547,5 @@ def all_prep_classes(p: int, q: int, tol: Tolerances = TOL) -> list[PRep]:
         if any(abs(s - 1 / r.eigen.s) < 1e-9 for r in reps if r.kind == "reducible"):
             continue
         for sign in (1, -1):
-            reps.append(reconstruct_prep(s, sign, p, q, tol))
+            reps.append(reconstruct_prep(s, sign, p, q))
     return reps

@@ -24,13 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .cxhp import BITS, HP, hp, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import (
     ConvergenceFailure,
     ClassificationViolation,
     TrivialRootMismatch,
     ValidationError,
+    WhitenormError,
 )
 from .laurent import LaurentPoly
 from .respq import ResPoly, build_res, trivial_root_orders
@@ -61,7 +62,6 @@ class Root:
 class RootSet:
     roots: tuple[Root, ...]
     span: int
-    tol: Tolerances
     pq: tuple[int, int] | None = None
     residuals: tuple[float, ...] = field(default=())
 
@@ -79,14 +79,14 @@ class RootSet:
         return sum(r.multiplicity for r in self.roots)
 
 
-def _classify_value(z: complex, tol: Tolerances) -> RootFlags:
+def _classify_value(z: complex) -> RootFlags:
     scale = 1.0 + abs(z)
-    trivial = abs(z - 1.0) <= tol.cluster_rel * 2 or abs(z + 1.0) <= tol.cluster_rel * 2
+    trivial = abs(z - 1.0) <= TOL.cluster_rel * 2 or abs(z + 1.0) <= TOL.cluster_rel * 2
     return RootFlags(
         trivial_pm1=bool(trivial),
-        real=bool(abs(z.imag) <= tol.classify_rel * scale),
-        imaginary=bool(abs(z.real) <= tol.classify_rel * scale),
-        unit_circle=bool(abs(abs(z) - 1.0) <= tol.unit_circle),
+        real=bool(abs(z.imag) <= TOL.classify_rel * scale),
+        imaginary=bool(abs(z.real) <= TOL.classify_rel * scale),
+        unit_circle=bool(abs(abs(z) - 1.0) <= TOL.unit_circle),
     )
 
 
@@ -264,32 +264,31 @@ def _verify_multiset_hp(int_coeffs: list[int], z: list[HP]) -> None:
 # the root pipeline
 
 
-def _package(coeffs: np.ndarray, raw: list[complex], span: int, tol: Tolerances) -> RootSet:
-    """Merge approximations closer than tol.cluster_rel into one root whose
+def _package(coeffs: np.ndarray, raw: list[complex], span: int) -> RootSet:
+    """Merge approximations closer than TOL.cluster_rel into one root whose
     multiplicity is the cluster size, and package the roots, sorted by
     (re, im), with flags and backward errors."""
     roots = []
     residuals = []
-    for idxs in _cluster(raw, tol.cluster_rel):
+    for idxs in _cluster(raw, TOL.cluster_rel):
         mult = len(idxs)
         z = complex(sum(raw[i] for i in idxs) / mult)
         err = _backward_error(coeffs, z)
-        if err > tol.root_residual:
+        if err > TOL.root_residual:
             raise ConvergenceFailure(
-                f"root {z} has backward error {err:.3e} > {tol.root_residual:.1e}"
+                f"root {z} has backward error {err:.3e} > {TOL.root_residual:.1e}"
             )
-        roots.append(Root(z, mult, _classify_value(z, tol)))
+        roots.append(Root(z, mult, _classify_value(z)))
         residuals.append(err)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
     return RootSet(
         roots=tuple(roots[i] for i in order),
         span=span,
-        tol=tol,
         residuals=tuple(residuals[i] for i in order),
     )
 
 
-def find_roots(f: LaurentPoly, tol: Tolerances = TOL) -> RootSet:
+def find_roots(f: LaurentPoly) -> RootSet:
     """Roots (with multiplicities) of the non-zero Laurent polynomial f with
     integer coefficients.
 
@@ -297,7 +296,7 @@ def find_roots(f: LaurentPoly, tol: Tolerances = TOL) -> RootSet:
     their count equals the span.  A double-precision Aberth pass gives the
     start, fixed-point sweeps on the exact coefficients refine it, and the
     refined multiset must rebuild the coefficients; three start
-    configurations are tried in turn.  Roots closer than tol.cluster_rel
+    configurations are tried in turn.  Roots closer than TOL.cluster_rel
     merge into one of higher multiplicity.  Residual acceptance uses the
     backward error |f(z)| / sum_i |c_i||z|^i.
     """
@@ -305,7 +304,7 @@ def find_roots(f: LaurentPoly, tol: Tolerances = TOL) -> RootSet:
         raise ValidationError("cannot take roots of the zero polynomial")
     span = f.span
     if span == 0:
-        return RootSet(roots=(), span=0, tol=tol)
+        return RootSet(roots=(), span=0)
     int_coeffs, _ = f.shift(-f.mindeg).dense()
     if not all(isinstance(c, int) for c in int_coeffs):
         raise ValidationError("find_roots needs a polynomial with int coefficients")
@@ -319,7 +318,7 @@ def find_roots(f: LaurentPoly, tol: Tolerances = TOL) -> RootSet:
             # numbers ~1e13 a double Newton step would re-smear the root
             refined, fixed = _refine_hp(int_coeffs, raw)
             _verify_multiset_hp(int_coeffs, fixed)
-            return _package(coeffs, refined, span, tol)
+            return _package(coeffs, refined, span)
         except ConvergenceFailure as exc:
             failure = exc
     raise ConvergenceFailure(f"all start configurations failed on degree {span}: {failure}")
@@ -339,26 +338,40 @@ def _deflate_at(poly: LaurentPoly, x: int, order: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=256)
-def resultant_roots(p: int, q: int, tol: Tolerances = TOL) -> RootSet:
+def _solve(p: int, q: int) -> RootSet | WhitenormError:
+    # lru_cache keeps no exceptions, so a failure is returned as a value
+    try:
+        return resultant_rootset_of(build_res(p, q))
+    except WhitenormError as exc:
+        return exc
+
+
+def resultant_roots(p: int, q: int) -> RootSet:
     """RootSet of res_{p,q}: trivial roots at +-1 split off exactly, the
     deflated part solved by find_roots.
 
-    Cached like build_res, so each filling is solved once per process.
-    RootSet is frozen, so sharing it is safe.  The cache keys a keyword
-    tol= apart from a positional one: pass tol positionally."""
-    return resultant_rootset_of(build_res(p, q), tol)
+    Cached like build_res, failures included, so each filling is solved
+    once per process.  RootSet is frozen, so sharing it is safe."""
+    out = _solve(p, q)
+    if isinstance(out, WhitenormError):
+        raise out
+    return out
 
 
-def resultant_rootset_of(r: ResPoly, tol: Tolerances = TOL) -> RootSet:
+resultant_roots.cache_info = _solve.cache_info
+resultant_roots.cache_clear = _solve.cache_clear
+
+
+def resultant_rootset_of(r: ResPoly) -> RootSet:
     if r.is_degenerate:
-        return RootSet(roots=(), span=0, tol=tol, pq=(r.p, r.q))
+        return RootSet(roots=(), span=0, pq=(r.p, r.q))
     o1, om1 = trivial_root_orders(r)
     deflated = r.poly
     if o1:
         deflated = _deflate_at(deflated, 1, o1)
     if om1:
         deflated = _deflate_at(deflated, -1, om1)
-    inner = find_roots(deflated, tol)
+    inner = find_roots(deflated)
     roots = list(inner.roots)
     residuals = list(inner.residuals)
     for x, order in ((1, o1), (-1, om1)):
@@ -370,7 +383,6 @@ def resultant_rootset_of(r: ResPoly, tol: Tolerances = TOL) -> RootSet:
     return RootSet(
         roots=tuple(roots[i] for i in order_ix),
         span=r.span,
-        tol=tol,
         pq=(r.p, r.q),
         residuals=tuple(residuals[i] for i in order_ix),
     )
@@ -385,8 +397,8 @@ def nontrivial_roots(rs: RootSet) -> RootSet:
     if rs.span == 0:
         return rs
     o1, om1 = trivial_root_orders(build_res(p, q))
-    seen1 = sum(r.multiplicity for r in rs.roots if abs(r.value - 1) <= rs.tol.cluster_rel * 2)
-    seenm1 = sum(r.multiplicity for r in rs.roots if abs(r.value + 1) <= rs.tol.cluster_rel * 2)
+    seen1 = sum(r.multiplicity for r in rs.roots if abs(r.value - 1) <= TOL.cluster_rel * 2)
+    seenm1 = sum(r.multiplicity for r in rs.roots if abs(r.value + 1) <= TOL.cluster_rel * 2)
     if (seen1, seenm1) != (o1, om1):
         raise TrivialRootMismatch(
             f"multiplicities at (+1, -1) are ({seen1}, {seenm1}), exact orders are ({o1}, {om1})"
@@ -394,9 +406,9 @@ def nontrivial_roots(rs: RootSet) -> RootSet:
     kept = tuple(
         r
         for r in rs.roots
-        if abs(r.value - 1) > rs.tol.cluster_rel * 2 and abs(r.value + 1) > rs.tol.cluster_rel * 2
+        if abs(r.value - 1) > TOL.cluster_rel * 2 and abs(r.value + 1) > TOL.cluster_rel * 2
     )
-    return RootSet(roots=kept, span=rs.span, tol=rs.tol, pq=rs.pq)
+    return RootSet(roots=kept, span=rs.span, pq=rs.pq)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,6 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     """Count real / pure imaginary / unit-circle roots among the non-trivial
     ones and compare against the closed-form expectations."""
     nt = nontrivial_roots(rs)
-    tol = rs.tol
     real = sum(r.multiplicity for r in nt if r.flags.real)
     imag = sum(r.multiplicity for r in nt if r.flags.imaginary)
     exp_real = _expected_real_count(p, q)
@@ -449,7 +460,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         )
     gaps = [abs(abs(r.value) - 1.0) for r in nt]
     min_gap = min(gaps) if gaps else math.inf
-    if min_gap <= tol.unit_circle_exclusion:
+    if min_gap <= TOL.unit_circle_exclusion:
         worst = min(nt.roots, key=lambda r: abs(abs(r.value) - 1.0))
         raise ClassificationViolation(
             f"({p},{q}): non-trivial root {worst.value} sits on the unit circle "

@@ -30,10 +30,6 @@ class SlopeRange(Enum):
     AT_2 = "2"
     AT_4 = "4"
 
-    @property
-    def is_endpoint(self) -> bool:
-        return self in (SlopeRange.AT_0, SlopeRange.AT_2, SlopeRange.AT_4)
-
 
 @dataclass(frozen=True, order=True)
 class Slope:

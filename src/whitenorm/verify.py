@@ -8,7 +8,7 @@ import cmath
 from dataclasses import dataclass, field
 
 from . import cohomology, reps, respq, seminorm
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import ScopeError, ValidationError, WhitenormError
 from .roots import classify, nontrivial_roots, resultant_roots
 from .slopes import INFINITY, Slope, validate_filling
@@ -41,7 +41,7 @@ def _degenerate(p: int, q: int) -> bool:
     return p == 0 or p == 4 * q
 
 
-def suite_resultant(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_resultant(p: int, q: int) -> SuiteResult:
     """Sylvester determinant vs closed form, palindromicity, monic lead."""
     r = respq.build_res(p, q)
     poly = r.poly
@@ -58,7 +58,7 @@ def suite_resultant(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     )
 
 
-def suite_symmetries(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_symmetries(p: int, q: int) -> SuiteResult:
     """Trivial-root orders and the four symmetry identities."""
     r = respq.build_res(p, q)
     if r.is_degenerate:
@@ -72,11 +72,11 @@ def suite_symmetries(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     )
 
 
-def suite_roots(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_roots(p: int, q: int) -> SuiteResult:
     """Root counts against the span bound, symmetry classes, circle gap."""
     if _degenerate(p, q):
         return SuiteResult("roots", p, q, "skipped", "degenerate constant, no roots")
-    rs = resultant_roots(p, q, tol)
+    rs = resultant_roots(p, q)
     rep = classify(rs, p, q)
     bound = respq.nontrivial_root_bound(p, q)
     if rep.n_nontrivial > bound:
@@ -87,7 +87,7 @@ def suite_roots(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
             "roots", p, q, "fail",
             f"p odd but bound {bound} not attained simply ({rep.n_nontrivial} roots)",
         )
-    if p % 2 == 1 and rep.min_separation <= tol.separation:
+    if p % 2 == 1 and rep.min_separation <= TOL.separation:
         return SuiteResult("roots", p, q, "fail", f"separation {rep.min_separation:.2e}")
     return SuiteResult(
         "roots", p, q, "pass",
@@ -96,15 +96,15 @@ def suite_roots(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     )
 
 
-def suite_preps(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_preps(p: int, q: int) -> SuiteResult:
     """Reconstruct one representation per class and check every residual."""
     if _degenerate(p, q):
         return SuiteResult(
             "preps", p, q, "skipped",
             "characterization polynomial is a unit: no irreducible classes",
         )
-    count = reps.count_prep_classes(p, q, tol)
-    classes = reps.all_prep_classes(p, q, tol)
+    count = reps.count_prep_classes(p, q)
+    classes = reps.all_prep_classes(p, q)
     if len(classes) != count.total:
         return SuiteResult(
             "preps", p, q, "fail", f"built {len(classes)} classes, counted {count.total}"
@@ -113,13 +113,13 @@ def suite_preps(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     for pr in classes:
         for k, v in pr.residuals.items():
             worst[k] = max(worst.get(k, 0.0), v)
-    over = {k: v for k, v in worst.items() if v > tol.residual}
+    over = {k: v for k, v in worst.items() if v > TOL.residual}
     if over:
         return SuiteResult("preps", p, q, "fail", f"residuals over tolerance: {over}")
     defect = min(
         reps.discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)
     )
-    if defect <= tol.faithful_defect:
+    if defect <= TOL.faithful_defect:
         return SuiteResult("preps", p, q, "fail", f"faithful point fills to {defect:.2e}")
     detail = (
         f"{count.reducible} reducible + {count.irreducible} irreducible classes"
@@ -137,7 +137,7 @@ def suite_preps(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     return SuiteResult("preps", p, q, "pass", detail)
 
 
-def suite_seifert(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_seifert(p: int, q: int) -> SuiteResult:
     """Seifert norms from three independent routes."""
     prof = seminorm.seminorm_profile(p, q)
     norms = seminorm.seifert_norms(p, q)
@@ -161,7 +161,7 @@ def suite_seifert(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     )
 
 
-def suite_linear(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_linear(p: int, q: int) -> SuiteResult:
     """Exact reconstruction of the coefficients from the norm system."""
     res = seminorm.solve_linear_system(p, q)
     extra = f" via {res.reduction_used}" if res.reduction_used else ""
@@ -172,33 +172,33 @@ def suite_linear(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
     )
 
 
-def suite_cohomology(p: int, q: int, tol: Tolerances = TOL) -> SuiteResult:
+def suite_cohomology(p: int, q: int) -> SuiteResult:
     """Coboundary and presentation ranks, determinant closed form, d1/d2."""
     checks = []
     if not _degenerate(p, q):
-        rs = nontrivial_roots(resultant_roots(p, q, tol))
+        rs = nontrivial_roots(resultant_roots(p, q))
         if rs.values:
             s0 = max(rs.values, key=abs)
-            pr = reps.reconstruct_prep(s0, 1, p, q, tol)
+            pr = reps.reconstruct_prep(s0, 1, p, q)
             sd, a, _ = reps.prep_to_partially_diagonal(pr)
-            rk = cohomology.coboundary_matrix(sd, a).rank(tol)
+            rk = cohomology.coboundary_matrix(sd, a).rank()
             if rk != 3:
                 return SuiteResult("cohomology", p, q, "fail", f"coboundary rank {rk} != 3")
             checks.append("coboundary rank 3 (irreducible)")
-    rk_red = cohomology.coboundary_matrix(cmath.exp(0.821j), 1.0).rank(tol)
+    rk_red = cohomology.coboundary_matrix(cmath.exp(0.821j), 1.0).rank()
     if rk_red != 3:
         return SuiteResult("cohomology", p, q, "fail", f"reducible coboundary rank {rk_red}")
     checks.append("coboundary rank 3 (reducible)")
     if abs(p) >= 3:
         s_unit = cmath.exp(2j * cmath.pi / abs(p))
         cohomology.reducible_presentation_matrix(s_unit, p, q)
-        cohomology.det_P_reducible(s_unit, p, q, tol)
+        cohomology.det_P_reducible(s_unit, p, q)
         checks.append("presentation rank 5, det P matches closed form")
     if p * (p - 4 * q) != 0:
-        cls = cohomology.d1_classification(p, q, tol)
+        cls = cohomology.d1_classification(p, q)
         checks.append(f"d1 roots all {cls}")
     if not _degenerate(p, q):
-        gap = cohomology.d2_check(p, q, tol)
+        gap = cohomology.d2_check(p, q)
         checks.append(f"d2 root gap {gap:.2e}")
     return SuiteResult("cohomology", p, q, "pass", "; ".join(checks))
 
@@ -216,7 +216,7 @@ _SUITE_FUNCS = {
 _NEEDS_ODD_P = {"seifert", "linear"}
 
 
-def run_verify(p: int, q: int, suites: tuple[str, ...], tol: Tolerances = TOL) -> VerificationReport:
+def run_verify(p: int, q: int, suites: tuple[str, ...]) -> VerificationReport:
     validate_filling(p, q)
     results = []
     for name in suites:
@@ -227,7 +227,7 @@ def run_verify(p: int, q: int, suites: tuple[str, ...], tol: Tolerances = TOL) -
             results.append(SuiteResult(name, p, q, "skipped", f"{reason}: outside the closed forms"))
             continue
         try:
-            results.append(_SUITE_FUNCS[name](p, q, tol))
+            results.append(_SUITE_FUNCS[name](p, q))
         except ScopeError as exc:
             results.append(SuiteResult(name, p, q, "skipped", str(exc)))
         except WhitenormError as exc:

@@ -115,6 +115,6 @@ def test_d2_detects_planted_collision(monkeypatch):
         values = [d2_roots[0]]
 
     monkeypatch.setattr(co, "nontrivial_roots", lambda rs: FakeSet)
-    monkeypatch.setattr(co, "resultant_roots", lambda p, q, tol: None)
+    monkeypatch.setattr(co, "resultant_roots", lambda p, q: None)
     with pytest.raises(CommonRootSuspected):
         co.d2_check(5, 1)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whitenorm.config import TOL
 from whitenorm.errors import ClassificationViolation, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.roots import (
@@ -96,7 +97,7 @@ def test_rootset_invariants(pq):
     p, q = pq
     rs = resultant_roots(p, q)
     assert rs.total_multiplicity() == rs.span
-    assert max(rs.residuals, default=0.0) <= rs.tol.root_residual
+    assert max(rs.residuals, default=0.0) <= TOL.root_residual
     values = nontrivial_roots(rs).values
     for v in values:
         assert min(abs(v - w) for w in values) == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from whitenorm.cli import main
-from whitenorm.errors import ValidationError
+from whitenorm.errors import ConvergenceFailure, ValidationError
 from whitenorm.roots import resultant_roots
 from whitenorm.verify import SUITES, run_verify
 
@@ -60,6 +60,9 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["norm", "6", "2"]) == 1      # not coprime
     capsys.readouterr()
+    assert main(["roots", "1", "0"]) == 1     # q = 0 is no filling
+    assert main(["respq", "1", "0"]) == 1
+    assert capsys.readouterr().out == ""
     assert main(["sweep", "--p-min", "1", "--p-max", "1", "--q-max", "1",
                  "--out", "/nonexistent/dir/x.csv"]) == 4
     capsys.readouterr()
@@ -106,7 +109,7 @@ def test_cli_verify_exit_zero(capsys):
 def test_cli_verify_exit_two_on_failure(capsys, monkeypatch):
     import whitenorm.verify as verify_mod
 
-    def broken(p, q, tol):
+    def broken(p, q):
         return verify_mod.SuiteResult("linear", p, q, "fail", "planted failure")
 
     monkeypatch.setitem(verify_mod._SUITE_FUNCS, "linear", broken)
@@ -153,6 +156,26 @@ def test_one_root_solve_per_filling(capsys):
     assert main(["preps", "5", "1"]) == 0
     capsys.readouterr()
     assert resultant_roots.cache_info().misses == 1
+
+
+def test_root_solve_failure_is_cached(monkeypatch):
+    import whitenorm.roots as roots_mod
+
+    calls = []
+
+    def failing(f):
+        calls.append(f)
+        raise ConvergenceFailure("planted failure")
+
+    monkeypatch.setattr(roots_mod, "find_roots", failing)
+    resultant_roots.cache_clear()
+    try:
+        report = run_verify(5, 1, SUITES)
+    finally:
+        resultant_roots.cache_clear()  # drop the planted failure
+    assert len(calls) == 1
+    status = {r.suite: r.status for r in report.results}
+    assert status["roots"] == status["preps"] == status["cohomology"] == "fail"
 
 
 @pytest.mark.parametrize(
