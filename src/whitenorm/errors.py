@@ -38,7 +38,9 @@ class SymmetryViolation(WhitenormError):
 
 
 class ConvergenceFailure(WhitenormError):
-    """Root iteration did not converge; carries iteration diagnostics."""
+    """Root iteration did not converge.  Carries only its message, which
+    names the check that failed and, where known, the degree, the iteration
+    count or the residual reached."""
 
 
 class TrivialRootMismatch(WhitenormError):

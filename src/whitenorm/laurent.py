@@ -423,11 +423,6 @@ def det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return total
 
 
-def sylvester_resultant_t(f: BivarPoly, g: BivarPoly, method: str = "bareiss") -> LaurentPoly:
+def sylvester_resultant_t(f: BivarPoly, g: BivarPoly) -> LaurentPoly:
     """Resultant of f and g with respect to t, exact over Z[s, 1/s]."""
-    matrix = sylvester_matrix_t(f, g)
-    if method == "bareiss":
-        return det_bareiss(matrix)
-    if method == "cofactor":
-        return det_cofactor(matrix)
-    raise ValidationError(f"unknown determinant method {method!r}")
+    return det_bareiss(sylvester_matrix_t(f, g))

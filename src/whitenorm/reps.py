@@ -5,12 +5,18 @@ The fundamental group of the unfilled two-bridge link exterior is generated
 by two meridians m0, m1 with a single 8-letter relation; filling adds
 m0^p l0^q = 1.  All words are stored once as data; the longitude l0 has two
 spellings which are evaluated redundantly to catch transcription slips.
+
+Each class is lifted once: s is refined in fixed point (on res, or on
+x^|p| - 1 if reducible) and t is chosen there as the quadric branch with
+s^p t^q = 1.  One representation per meridian trace sign u = +-1 is then
+built from the lift and verified.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import reduce
 
 from .config import TOL
 from .cxhp import HPComplex, hp_div, hp_horner
@@ -23,7 +29,7 @@ from .errors import (
     VerificationFailure,
 )
 from .respq import build_res
-from .roots import RootSet, nontrivial_roots, reference_quadratic_roots, resultant_roots
+from .roots import RootSet, nontrivial_roots, resultant_roots
 from .slopes import validate_filling
 
 
@@ -64,15 +70,17 @@ class Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
     def power(self, n: int) -> "Mat2":
+        # starts from the first factor and stops squaring after the top bit
         base = self if n >= 0 else self.inverse_sl2()
         n = abs(n)
-        out = Mat2.identity()
+        out = None
         while n:
             if n & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             n >>= 1
-        return out
+            if n:
+                base = base @ base
+        return Mat2.identity() if out is None else out
 
     def norm(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
@@ -105,11 +113,9 @@ class GroupWord:
         return cls(tuple(merged))
 
     def evaluate(self, m0: Mat2, m1: Mat2) -> Mat2:
-        out = Mat2.identity()
         gens = (m0, m1)
-        for gen, exp in self.letters:
-            out = out @ gens[gen].power(exp)
-        return out
+        factors = [gens[gen].power(exp) for gen, exp in self.letters]
+        return reduce(Mat2.__matmul__, factors) if factors else Mat2.identity()
 
 
 # relation: m0 m1 m0^-1 m1^-1 m0^-1 m1 m0 m1  =  m1 m0 m1 m0^-1 m1^-1 m0^-1 m1 m0
@@ -209,22 +215,6 @@ def _power(base: complex, n: int) -> complex:
     return out
 
 
-def solve_t(s: complex, p: int, q: int) -> complex:
-    """The unique longitude eigenvalue t over a resultant root s: of the two
-    quadric branches exactly one satisfies s^p t^q = 1."""
-    a, b, c = peripheral_quadric_at(s)
-    t1, t2 = reference_quadratic_roots(a, b, c)
-    sp = _power(s, p)
-    candidates = [t for t in (t1, t2) if abs(sp * _power(t, q) - 1) <= TOL.t_match]
-    if not candidates:
-        raise NoT(f"no quadric branch satisfies the filling relation at s={s}")
-    # near a double root the "two" branches differ only by sqrt-of-eps noise;
-    # genuinely distinct branches that both pass would sit ~TOL.t_match/|q| apart
-    if len(candidates) == 2 and abs(t1 - t2) > 1e-5 * (1 + abs(t1) + abs(t2)):
-        raise AmbiguousT(f"both quadric branches satisfy the filling relation at s={s}")
-    return candidates[0]
-
-
 def inverse_eigenvalue_map(e: EigenTuple) -> tuple[complex, complex, complex]:
     """Normal-form parameters (s, u, c) of the representation with the given
     peripheral eigenvalues; undefined at s = +-1 and s^2 = u^2."""
@@ -258,23 +248,15 @@ class PRep:
         return word.evaluate(self.m0, self.m1).trace()
 
 
-def _hp_normal_form(s: HPComplex, u: int, c: HPComplex) -> tuple[Mat2, Mat2]:
-    one = HPComplex.from_int(1)
-    zero = HPComplex.from_int(0)
-    return (
-        Mat2(s, c, zero, one / s),
-        Mat2(HPComplex.from_int(u), zero, one, HPComplex.from_int(u)),
-    )
-
-
 def _mat_to_complex(m: Mat2) -> Mat2:
     return Mat2(m.a.to_complex(), m.b.to_complex(), m.c.to_complex(), m.d.to_complex())
 
 
-def _solve_t_hp(s: HPComplex, seed: complex) -> HPComplex:
-    """The quadric branch nearest the double-precision seed, by the stable
-    quadratic formula in high precision.  (Newton would crawl where the two
-    branches collide, which happens at every root when p is even and q = 1.)"""
+def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
+    """The longitude eigenvalue t over a resultant root s: the one quadric
+    branch, by the stable quadratic formula in fixed point, with s^p t^q = 1.
+    (Newton would crawl where the two branches collide, which happens at
+    every root when p is even and q = 1.)"""
     s2 = s * s
     a = s2 * s2
     b = 4 * s2 - a - 1
@@ -284,7 +266,17 @@ def _solve_t_hp(s: HPComplex, seed: complex) -> HPComplex:
     u = (disc - b) / 2
     t1 = u / a
     t2 = HPComplex.from_int(1) / u if not u.is_zero() else t1
-    return t1 if abs(t1.to_complex() - seed) <= abs(t2.to_complex() - seed) else t2
+    sd = s.to_complex()
+    sp = _power(sd, p)
+    candidates = [t for t in (t1, t2) if abs(sp * _power(t.to_complex(), q) - 1) <= TOL.t_match]
+    if not candidates:
+        raise NoT(f"no quadric branch satisfies the filling relation at s={sd}")
+    # Collided branches differ by the square root of the fixed-point rounding,
+    # far below 1e-5.  Distinct branches that both pass have t1/t2 a q-th root
+    # of unity, so they sit ~2*pi/|q| apart relative to |t|, far above 1e-5.
+    if len(candidates) == 2 and abs(t1 - t2) > 1e-5 * (1 + abs(t1) + abs(t2)):
+        raise AmbiguousT(f"both quadric branches satisfy the filling relation at s={sd}")
+    return candidates[0]
 
 
 def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComplex:
@@ -343,6 +335,61 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
     return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
 
 
+def _lift(s: complex, p: int, q: int) -> tuple[str, HPComplex, HPComplex]:
+    """The sign-independent half of a reconstruction: the kind of the class
+    at s, s refined in fixed point, and the longitude eigenvalue t."""
+    s = complex(s)
+    # Non-trivial resultant roots and the roots of unity used here stay at
+    # least ~2*pi/|p| from +-1, so 1e-9 only rejects +-1 up to rounding.
+    if abs(s) == 0 or abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
+        raise ValidationError(
+            "s in {0, +1, -1} never yields a representation of the filled manifold"
+        )
+    # The guard of both refinements below: s is the double rounding of a
+    # root, so Newton moves it by ~1e-16 relative; a move of 1e-6, ten orders
+    # more, means s was no root.
+    s_hp = HPComplex.from_complex(s)
+    if abs(_power(s, p) - 1) <= TOL.t_match:
+        # root of unity: sharpen on x^|p| - 1 so the filling check is exact-grade
+        unity = [0] * (abs(p) + 1)
+        unity[0], unity[-1] = -1, 1
+        return "reducible", _refine_on_int_poly(unity, s_hp, 1e-6), HPComplex.from_int(1)
+    # the double-rounded s costs half the digits of t wherever the quadric
+    # branches collide; re-converge it on the exact resultant first
+    res_dense, _ = build_res(p, q).poly.dense()
+    s_hp = _refine_on_int_poly(res_dense, s_hp, 1e-6)
+    # c below divides by s^2 - 1; a res root this close to +-1 would have been
+    # split off as trivial (TOL.cluster_rel), so 1e-12 only guards the division
+    if abs((s_hp * s_hp - 1).to_complex()) < 1e-12:
+        raise SingularPoint("inverse parametrization undefined at s = +-1, s^2 = u^2")
+    return "irreducible", s_hp, _solve_t_hp(s_hp, p, q)
+
+
+def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -> PRep:
+    """The normal-form representation with meridian trace 2*sign_u over a
+    lifted class, verified in fixed point and, if irreducible, on the
+    variety equations."""
+    zero, one, u = HPComplex.from_int(0), HPComplex.from_int(1), HPComplex.from_int(sign_u)
+    c = zero
+    if kind == "irreducible":
+        # inverse parametrization c = (s^2(t-1) + u^2(1-v)) / (s^-1 u^-1 (s^2-u^2))
+        s2 = s * s
+        c = (s2 * (t - 1) + (1 - HPComplex.from_int(-1))) / ((s2 - 1) / (s * u))
+    prep = _verify(p, q, kind, sign_u, s, t, Mat2(s, c, zero, one / s), Mat2(u, zero, one, u))
+    if kind == "reducible":
+        return prep
+    # cross-checks on the variety equations (double precision is plenty here)
+    e = prep.eigen
+    h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(e.s, e.t, complex(sign_u), -1))
+    fval = slice_f(e.s, complex(sign_u), c.to_complex())
+    worst = max(abs(h1), abs(h2), abs(h3), abs(g1), abs(g2), abs(g3))
+    if worst > TOL.residual or abs(fval) > TOL.residual:
+        raise VerificationFailure(
+            f"({p},{q}) s={e.s}: variety residuals h/g={worst:.2e} f={abs(fval):.2e}"
+        )
+    return prep
+
+
 def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
     """Build and verify the parabolic representation attached to s.
 
@@ -353,43 +400,7 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
     """
     if sign_u not in (1, -1):
         raise ValidationError("sign_u must be +-1")
-    s = complex(s)
-    if abs(s) == 0 or abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
-        raise ValidationError(
-            "s in {0, +1, -1} never yields a representation of the filled manifold"
-        )
-    s_hp = HPComplex.from_complex(s)
-    if abs(_power(s, p) - 1) <= TOL.t_match:
-        # root of unity: sharpen on x^|p| - 1 so the filling check is exact-grade
-        unity = [0] * (abs(p) + 1)
-        unity[0], unity[-1] = -1, 1
-        s_hp = _refine_on_int_poly(unity, s_hp, 1e-6)
-        m0, m1 = _hp_normal_form(s_hp, sign_u, HPComplex.from_int(0))
-        return _verify(p, q, "reducible", sign_u, s_hp, HPComplex.from_int(1), m0, m1)
-    t_seed = solve_t(s, p, q)
-    # the double-rounded s costs half the digits wherever the quadric branches
-    # collide; re-converge it on the exact resultant first
-    res_dense, _ = build_res(p, q).poly.dense()
-    s_hp = _refine_on_int_poly(res_dense, s_hp, 1e-6)
-    t_hp = _solve_t_hp(s_hp, t_seed)
-    u_hp = HPComplex.from_int(sign_u)
-    # inverse parametrization c = (s^2(t-1) + u^2(1-v)) / (s^-1 u^-1 (s^2-u^2))
-    s2 = s_hp * s_hp
-    if abs((s2 - 1).to_complex()) < 1e-12 or abs((s2 - u_hp * u_hp).to_complex()) < 1e-12:
-        raise SingularPoint("inverse parametrization undefined at s = +-1, s^2 = u^2")
-    c_hp = (s2 * (t_hp - 1) + (1 - HPComplex.from_int(-1))) / ((s2 - 1) / (s_hp * u_hp))
-    m0, m1 = _hp_normal_form(s_hp, sign_u, c_hp)
-    prep = _verify(p, q, "irreducible", sign_u, s_hp, t_hp, m0, m1)
-    # cross-checks on the variety equations (double precision is plenty here)
-    e = prep.eigen
-    h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(e.s, e.t, complex(sign_u), -1))
-    fval = slice_f(e.s, complex(sign_u), c_hp.to_complex())
-    worst = max(abs(h1), abs(h2), abs(h3), abs(g1), abs(g2), abs(g3))
-    if worst > TOL.residual or abs(fval) > TOL.residual:
-        raise VerificationFailure(
-            f"({p},{q}) s={s}: variety residuals h/g={worst:.2e} f={abs(fval):.2e}"
-        )
-    return prep
+    return _build(p, q, sign_u, *_lift(s, p, q))
 
 
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
@@ -536,16 +547,12 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
         if partner_present:
             continue
         chosen.append(z)
+    # the reducible classes: s = e^(2 pi i k/|p|) up to s ~ 1/s, i.e. k ~ |p| - k,
+    # without k = 0 and k = |p|/2 (s = +-1)
+    chosen += [cmath.exp(2j * cmath.pi * k / abs(p)) for k in range(1, (abs(p) - 1) // 2 + 1)]
     reps = []
     for z in chosen:
+        lift = _lift(z, p, q)
         for sign in (1, -1):
-            reps.append(reconstruct_prep(z, sign, p, q))
-    for k in range(1, abs(p)):
-        s = cmath.exp(2j * cmath.pi * k / abs(p))
-        if abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
-            continue
-        if any(abs(s - 1 / r.eigen.s) < 1e-9 for r in reps if r.kind == "reducible"):
-            continue
-        for sign in (1, -1):
-            reps.append(reconstruct_prep(s, sign, p, q))
+            reps.append(_build(p, q, sign, *lift))
     return reps

@@ -105,7 +105,8 @@ def _validate(p: int, q: int) -> None:
     validate_filling(p, q)
 
 
-@lru_cache(maxsize=256)
+# typed, so that (5.0, 1) misses the cached (5, 1) and is validated
+@lru_cache(maxsize=256, typed=True)
 def build_res(p: int, q: int) -> ResPoly:
     """Construct res for the p/q filling from both routes and check they agree."""
     _validate(p, q)

@@ -17,7 +17,6 @@ No randomness anywhere; repeated runs emit identical bytes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -337,9 +336,10 @@ def _deflate_at(poly: LaurentPoly, x: int, order: int) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _solve(p: int, q: int) -> RootSet | WhitenormError:
-    # lru_cache keeps no exceptions, so a failure is returned as a value
+    # lru_cache keeps no exceptions, so a failure is returned as a value;
+    # typed, so that (5.0, 1) misses the cached (5, 1) and is validated
     try:
         return resultant_rootset_of(build_res(p, q))
     except WhitenormError as exc:
@@ -482,15 +482,3 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         all_simple=all_simple,
         min_separation=min_sep,
     )
-
-
-def reference_quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    """Numerically stable roots of a z^2 + b z + c."""
-    disc = cmath.sqrt(b * b - 4 * a * c)
-    if (b.conjugate() * disc).real > 0:
-        disc = -disc
-    u = (-b + disc) / 2
-    if u == 0:
-        z = -b / (2 * a)
-        return z, z
-    return u / a, c / u

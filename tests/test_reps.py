@@ -21,7 +21,6 @@ from whitenorm.reps import (
     prep_to_partially_diagonal,
     reconstruct_prep,
     slice_f,
-    solve_t,
 )
 from whitenorm.roots import nontrivial_roots, resultant_roots
 
@@ -39,6 +38,7 @@ def test_word_normalization_and_identity():
 def test_mat2_power_and_inverse():
     m = Mat2(2, 1, 0, 0.5)
     assert (m.power(3) @ m.power(-3) - Mat2.identity()).norm() < 1e-12
+    assert m.power(0) == Mat2.identity() and m.power(1) == m and m.power(-1) == m.inverse_sl2()
     assert abs(m.inverse_sl2().det() - 1) < 1e-15
 
 
@@ -115,25 +115,27 @@ def test_eigenvariety_at_special_points():
 
 
 def test_solve_t():
+    from whitenorm.reps import peripheral_quadric_at
+
+    # at s = 1 + sqrt 2 the quadric branches collide (2/1); the branch is
+    # chosen in fixed point, so t keeps its full double precision
     s = SQ2 + 1
-    t = solve_t(s, 2, 1)
-    # at this s the quadric branches collide, so the double-precision value
-    # carries sqrt(eps) noise; the reconstruction path re-solves in high
-    # precision
-    assert t == pytest.approx(3 - 2 * SQ2, abs=1e-7)
-    assert t == pytest.approx(s**-2, abs=1e-7)
-    # s = 1 formal case (q even): the quadric forces t = -1
-    assert solve_t(1.0, 1, 2) == pytest.approx(-1.0)
+    t = reconstruct_prep(s, 1, 2, 1).eigen.t
+    assert t == pytest.approx(3 - 2 * SQ2, abs=1e-12)
+    assert t == pytest.approx(s**-2, abs=1e-12)
+    # s = 1 formal case: the quadric is (t + 1)^2, which forces t = -1
+    assert peripheral_quadric_at(1) == (1, 2, 1)
     # conjugation symmetry
     rs = nontrivial_roots(resultant_roots(-1, 1))
     z = next(v for v in rs.values if v.imag > 0)
-    assert solve_t(z.conjugate(), -1, 1) == pytest.approx(solve_t(z, -1, 1).conjugate())
+    t_z = reconstruct_prep(z, 1, -1, 1).eigen.t
+    assert reconstruct_prep(z.conjugate(), 1, -1, 1).eigen.t == pytest.approx(t_z.conjugate())
 
 
 def test_inverse_eigenvalue_map():
     s = 0.7 + 0.2j
     assert inverse_eigenvalue_map(EigenTuple(s, 1, 1, 1))[2] == 0
-    t = solve_t(SQ2 + 1, 2, 1)
+    t = reconstruct_prep(SQ2 + 1, 1, 2, 1).eigen.t
     _, _, c = inverse_eigenvalue_map(EigenTuple(SQ2 + 1, t, 1, -1))
     s0 = SQ2 + 1
     assert c == pytest.approx((s0 * s0 * (t - 1) + 2) * s0 / (s0 * s0 - 1), abs=1e-9)
@@ -217,6 +219,23 @@ def test_all_prep_classes_5_1():
     assert kinds.count("reducible") == 4 and kinds.count("irreducible") == 4
     for pr in classes:
         assert abs(pr.m0.det() - 1) <= 1e-10 and abs(pr.m1.det() - 1) <= 1e-10
+
+
+def test_all_prep_classes_lifts_each_class_once(monkeypatch):
+    import whitenorm.reps as reps_mod
+
+    calls = []
+    refine = reps_mod._refine_on_int_poly
+
+    def counting(coeffs, z, guard):
+        calls.append(z.to_complex())
+        return refine(coeffs, z, guard)
+
+    monkeypatch.setattr(reps_mod, "_refine_on_int_poly", counting)
+    classes = all_prep_classes(5, 1)
+    # 2 irreducible + 2 reducible classes, each lifted once for both signs
+    assert len(classes) == 8
+    assert len(calls) == 4
 
 
 def test_partially_diagonal_slice():

@@ -58,6 +58,17 @@ def test_validation():
         build_res(1, -1)
 
 
+def test_cached_filling_does_not_admit_float_twin():
+    from whitenorm.roots import resultant_roots
+
+    build_res(5, 1)
+    resultant_roots(5, 1)
+    with pytest.raises(ValidationError):
+        build_res(5.0, 1)
+    with pytest.raises(ValidationError):
+        resultant_roots(5.0, 1)
+
+
 def test_trivial_root_orders():
     assert trivial_root_orders(build_res(-1, 1)) == (0, 2)
     assert trivial_root_orders(build_res(1, 2)) == (2, 0)
