@@ -2,7 +2,7 @@
 suites for Dehn fillings of the Whitehead link exterior."""
 
 from .config import TOL, Tolerances
-from .laurent import BivarPoly, LaurentPoly, chebyshev_T, chebyshev_U, sylvester_resultant_t
+from .laurent import BivarPoly, LaurentPoly, sylvester_resultant_t
 from .reps import (
     EigenTuple,
     GroupWord,
@@ -30,8 +30,6 @@ __all__ = [
     "Tolerances",
     "LaurentPoly",
     "BivarPoly",
-    "chebyshev_T",
-    "chebyshev_U",
     "sylvester_resultant_t",
     "ResPoly",
     "build_res",

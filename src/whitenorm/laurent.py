@@ -1,9 +1,7 @@
 """Exact Laurent polynomial arithmetic and the Sylvester resultant.
 
-LaurentPoly maps integer exponents to coefficients; the coefficient domain
-is whatever the caller puts in (python ints for the exact path, Fraction,
-or complex for the numeric path).  Zero coefficients are never stored, so
-the empty map is the zero polynomial.
+LaurentPoly maps integer exponents to python int coefficients.  Zero
+coefficients are never stored, so the empty map is the zero polynomial.
 
 BivarPoly is the same idea in two variables s, t with integer coefficients;
 its only job is to feed the Sylvester matrix in t whose determinant is the
@@ -13,18 +11,14 @@ elimination over the Laurent ring.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
-
 from .errors import DegenerateInput, InexactDivision, ValidationError
 
 
 class LaurentPoly:
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self.coeffs = {int(e): c for e, c in items if c != 0}
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        self.coeffs = {e: c for e, c in coeffs.items() if c != 0} if coeffs else {}
 
     # -- constructors -------------------------------------------------------
 
@@ -35,10 +29,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
         return cls({0: c})
-
-    @classmethod
-    def monomial(cls, c, e: int) -> "LaurentPoly":
-        return cls({e: c})
 
     @classmethod
     def variable(cls) -> "LaurentPoly":
@@ -104,7 +94,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        out: dict[int, object] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
@@ -114,11 +104,6 @@ class LaurentPoly:
                 else:
                     out[e] = v
         return LaurentPoly(out)
-
-    def scale(self, c) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly()
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit s^k."""
@@ -187,32 +172,13 @@ class LaurentPoly:
         if self.is_zero:
             raise ValueError("the zero polynomial has no unit normalization")
         shifted = self.shift(-self.mindeg)
-        lead = shifted[shifted.maxdeg]
-        if isinstance(lead, complex):
-            raise ValidationError("unit normalization is for real-coefficient polynomials")
-        return -shifted if lead < 0 else shifted
+        return -shifted if shifted[shifted.maxdeg] < 0 else shifted
 
     def unit_equal(self, other: "LaurentPoly") -> bool:
         """Equality up to multiplication by +-s^k."""
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         return self.normalize_unit() == other.normalize_unit()
-
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
-
-    def to_complex(self) -> "LaurentPoly":
-        return self.map_coeffs(complex)
-
-    def to_int(self) -> "LaurentPoly":
-        out = {}
-        for e, c in self.coeffs.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InexactDivision(f"coefficient {c} at exponent {e} is not integral")
-                c = c.numerator
-            out[e] = int(c)
-        return LaurentPoly(out)
 
     # -- division -----------------------------------------------------------
 
@@ -234,7 +200,7 @@ class LaurentPoly:
             top = num[i + len(den) - 1]
             if top == 0:
                 continue
-            q, r = divmod(top, lead) if isinstance(top, int) and isinstance(lead, int) else (top / lead, 0)
+            q, r = divmod(top, lead)
             if r != 0:
                 raise InexactDivision(f"leading coefficient {top} not divisible by {lead}")
             quot[i] = q
@@ -251,7 +217,7 @@ class LaurentPoly:
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
     @classmethod
-    def from_json_coeffs(cls, data: Mapping[str, str]) -> "LaurentPoly":
+    def from_json_coeffs(cls, data: dict[str, str]) -> "LaurentPoly":
         return cls({int(e): int(c) for e, c in data.items()})
 
     def pretty(self, var: str = "s") -> str:
@@ -260,8 +226,8 @@ class LaurentPoly:
         parts = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
-            sign = "- " if (not isinstance(c, complex) and c < 0) else "+ "
-            mag = -c if (not isinstance(c, complex) and c < 0) else c
+            sign = "- " if c < 0 else "+ "
+            mag = -c if c < 0 else c
             if e == 0:
                 term = f"{mag}"
             else:
@@ -278,53 +244,12 @@ class LaurentPoly:
         return f"LaurentPoly({self.pretty()})"
 
 
-def chebyshev_T(q: int) -> LaurentPoly:
-    """First-kind Chebyshev polynomial in y: T0=1, T1=y, T_{k+1}=2y*T_k - T_{k-1}."""
-    if q < 0:
-        raise ValidationError("Chebyshev index must be non-negative")
-    t0, t1 = LaurentPoly.constant(1), LaurentPoly.variable()
-    if q == 0:
-        return t0
-    two_y = LaurentPoly.monomial(2, 1)
-    for _ in range(q - 1):
-        t0, t1 = t1, two_y * t1 - t0
-    return t1
-
-
-def chebyshev_U(q: int) -> LaurentPoly:
-    """Second-kind Chebyshev polynomial in y: U0=1, U1=2y, same recurrence."""
-    if q < 0:
-        raise ValidationError("Chebyshev index must be non-negative")
-    u0, u1 = LaurentPoly.constant(1), LaurentPoly.monomial(2, 1)
-    if q == 0:
-        return u0
-    two_y = LaurentPoly.monomial(2, 1)
-    for _ in range(q - 1):
-        u0, u1 = u1, two_y * u1 - u0
-    return u1
-
-
-def compose(outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:
-    """outer(inner) by Horner over the Laurent ring; outer must have mindeg >= 0."""
-    if outer.is_zero:
-        return LaurentPoly()
-    if outer.mindeg < 0:
-        raise ValidationError("composition needs an ordinary polynomial outside")
-    acc = LaurentPoly()
-    for e in range(outer.maxdeg, -1, -1):
-        acc = acc * inner
-        c = outer[e]
-        if c != 0:
-            acc = acc + LaurentPoly.constant(c)
-    return acc
-
-
 class BivarPoly:
     """Integer polynomial in s (Laurent) and t (ordinary), as {(es, et): c}."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int]):
+    def __init__(self, coeffs: dict[tuple[int, int], int]):
         self.coeffs = {(int(es), int(et)): int(c) for (es, et), c in coeffs.items() if c != 0}
 
     @property

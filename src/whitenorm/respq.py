@@ -1,70 +1,62 @@
 """The one-variable Laurent polynomial whose non-trivial roots parametrize
 eigenvalues of irreducible parabolic representations of the filled manifold.
 
-Closed form:  s^(p-2q) + (-1)^(q+1) * 2 T_q(y(s)) + s^(-p+2q),  up to units.
-
-Two inequivalent substitutions y(s) circulate for the same display; the
-Sylvester elimination determinant is the ground truth, so at import time we
-test both candidates against it on a seed set and keep the one that matches
-every seed.  The winning convention is recorded on each ResPoly.
+Closed form:  s^(p-2q) + (-1)^(q+1) * 2 T_q(y(s)) + s^(-p+2q),  up to units,
+with y = (-s^2 + 4 - s^-2)/2.  Since 2 T_q(y) = D_q(2y) for the Dickson
+polynomial D_q (D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}), the closed form
+is built as s^(p-2q) + (-1)^(q+1) D_q(-s^2 + 4 - s^-2) + s^(-p+2q), over the
+integers.  No convention is chosen at run time: build_res checks the closed
+form against the Sylvester elimination determinant for every filling with
+q > 0, and the convention name is recorded on each ResPoly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResultantIdentityMismatch, SymmetryViolation, ValidationError
 from .laurent import (
     LaurentPoly,
-    chebyshev_T,
-    compose,
     filling_eigenvalue_poly,
     peripheral_quadric,
     sylvester_resultant_t,
 )
 from .slopes import validate_filling
 
-# Candidate substitutions for y(s), as Laurent polynomials over Fraction.
-Y_CANDIDATES: dict[str, LaurentPoly] = {
-    "y = (-s^2 + 4 - s^-2)/2": LaurentPoly(
-        {2: Fraction(-1, 2), 0: Fraction(4, 2), -2: Fraction(-1, 2)}
-    ),
-    "y = -s^2 + 2 - s^-2": LaurentPoly({2: Fraction(-1), 0: Fraction(2), -2: Fraction(-1)}),
-}
+Y_CONVENTION = "y = (-s^2 + 4 - s^-2)/2"
 
-_Y_SEEDS = ((1, 1), (-1, 1), (2, 1), (3, 2), (5, 3))
+# w = 2y, the argument of the Dickson polynomial
+_W = LaurentPoly({2: -1, 0: 4, -2: -1})
 
 
-def _closed_form(p: int, q: int, y_sub: LaurentPoly) -> LaurentPoly:
-    """s^(p-2q) + (-1)^(q+1) 2 T_q(y(s)) + s^(-p+2q) with exact coefficients."""
-    middle = compose(chebyshev_T(q).map_coeffs(Fraction), y_sub).scale(
-        Fraction(2 * (-1) ** (q + 1))
-    )
-    ends = LaurentPoly({p - 2 * q: Fraction(1)}) + LaurentPoly({-p + 2 * q: Fraction(1)})
-    if p - 2 * q == 0:
-        ends = LaurentPoly({0: Fraction(2)})
-    return (middle + ends).to_int()
+def _dickson(q: int, w: LaurentPoly) -> LaurentPoly:
+    """D_q(w): D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}; 2 T_q(w/2)."""
+    # start at (D_-1, D_0) = (w, 2), so that q steps give D_q
+    d_prev, d = w, LaurentPoly({0: 2})
+    for _ in range(q):
+        d_prev, d = d, w * d - d_prev
+    return d
+
+
+def _closed_form(p: int, q: int) -> LaurentPoly:
+    """s^(p-2q) + (-1)^(q+1) D_q(w) + s^(-p+2q), with w = -s^2 + 4 - s^-2.
+
+    At p = 2q the two ends add up to the constant 2."""
+    middle = _dickson(q, _W)
+    if q % 2 == 0:
+        middle = -middle
+    return middle + LaurentPoly({p - 2 * q: 1}) + LaurentPoly({-p + 2 * q: 1})
 
 
 def _oracle(p: int, q: int) -> LaurentPoly:
     return sylvester_resultant_t(peripheral_quadric(), filling_eigenvalue_poly(p, q))
 
 
-@lru_cache(maxsize=1)
 def resolve_y_convention() -> str:
-    """Pick the y(s) substitution that reproduces the Sylvester determinant
-    on the seed set.  Exactly one candidate may survive."""
-    survivors = []
-    for name, sub in Y_CANDIDATES.items():
-        if all(_closed_form(p, q, sub).unit_equal(_oracle(p, q)) for p, q in _Y_SEEDS):
-            survivors.append(name)
-    if len(survivors) != 1:
-        raise ResultantIdentityMismatch(
-            f"y-convention resolution found {len(survivors)} matching candidates: {survivors}"
-        )
-    return survivors[0]
+    """The y(s) substitution of the closed form; build_res certifies it
+    against the Sylvester determinant filling by filling."""
+    return Y_CONVENTION
 
 
 @dataclass(frozen=True)
@@ -110,20 +102,18 @@ def _validate(p: int, q: int) -> None:
 def build_res(p: int, q: int) -> ResPoly:
     """Construct res for the p/q filling from both routes and check they agree."""
     _validate(p, q)
-    convention = resolve_y_convention()
-    y_sub = Y_CANDIDATES[convention]
-    closed = _closed_form(p, q, y_sub).normalize_unit()
+    closed = _closed_form(p, q).normalize_unit()
     if q == 0:
         # No elimination to run: the t-degree of s^p - 1 is zero.  The closed
         # form itself is the defining convention here ((s-1)^2 up to units).
-        return ResPoly(p, q, closed, closed, convention, formal=True)
+        return ResPoly(p, q, closed, closed, Y_CONVENTION, formal=True)
     oracle = _oracle(p, q).normalize_unit()
     if closed != oracle:
         raise ResultantIdentityMismatch(
             f"closed form and Sylvester determinant disagree for ({p}, {q}) "
-            f"under {convention}"
+            f"under {Y_CONVENTION}"
         )
-    return ResPoly(p, q, closed, oracle, convention)
+    return ResPoly(p, q, closed, oracle, Y_CONVENTION)
 
 
 def trivial_root_orders(r: ResPoly) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from whitenorm.reps import (
     eigenvariety_polys,
     slice_f,
 )
-from whitenorm.respq import Y_CANDIDATES, _closed_form, build_res, check_symmetries, resolve_y_convention, trivial_root_orders
+from whitenorm.respq import _closed_form, build_res, check_symmetries, trivial_root_orders
 from whitenorm.roots import classify, nontrivial_roots, resultant_roots
 from whitenorm.seminorm import (
     evaluate_norm,
@@ -49,12 +49,11 @@ def _ok(criterion: int, message: str) -> None:
 
 def test_criterion_01_resultant_identity():
     """Exact Sylvester determinant == closed form on the full (p, q) sweep."""
-    convention = Y_CANDIDATES[resolve_y_convention()]
     start = time.monotonic()
     count = 0
     for p, q in _coprime_sweep():
         oracle = sylvester_resultant_t(peripheral_quadric(), filling_eigenvalue_poly(p, q))
-        closed = _closed_form(p, q, convention)
+        closed = _closed_form(p, q)
         assert oracle.normalize_unit() == closed.normalize_unit(), (p, q)
         count += 1
     elapsed = time.monotonic() - start

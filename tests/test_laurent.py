@@ -1,4 +1,3 @@
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +6,6 @@ from whitenorm.errors import DegenerateInput, InexactDivision
 from whitenorm.laurent import (
     BivarPoly,
     LaurentPoly,
-    chebyshev_T,
-    chebyshev_U,
     det_bareiss,
     det_cofactor,
     filling_eigenvalue_poly,
@@ -64,23 +61,6 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-def test_chebyshev_bases():
-    assert chebyshev_T(0) == ONE
-    assert chebyshev_T(1) == S
-    assert chebyshev_T(2) == LaurentPoly({2: 2, 0: -1})
-    assert chebyshev_U(0) == ONE
-    assert chebyshev_U(1) == LaurentPoly({1: 2})
-    assert chebyshev_U(2) == LaurentPoly({2: 4, 0: -1})
-
-
-def test_chebyshev_cosine_identity():
-    for q in range(13):
-        Tq = chebyshev_T(q)
-        for k in range(17):
-            theta = 0.17 + 6.0 * k / 17
-            assert Tq(math.cos(theta)) == pytest.approx(math.cos(q * theta), abs=1e-12)
 
 
 def test_exact_division():

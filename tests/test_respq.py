@@ -3,10 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitenorm.errors import ValidationError
+from whitenorm import respq
+from whitenorm.errors import ResultantIdentityMismatch, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.respq import (
-    Y_CANDIDATES,
+    _dickson,
     build_res,
     check_symmetries,
     nontrivial_root_bound,
@@ -25,7 +26,6 @@ def coprime_pairs(pmax=12, qmax=5):
 def test_y_convention_resolved_by_oracle():
     name = resolve_y_convention()
     assert name == "y = (-s^2 + 4 - s^-2)/2"
-    assert name in Y_CANDIDATES
     r = build_res(3, 2)
     assert r.y_convention == name
     assert r.closed_form == r.oracle_form
@@ -130,10 +130,40 @@ def test_structure_properties(pq):
 
 
 def test_wrong_convention_fails_identity():
-    wrong = Y_CANDIDATES["y = -s^2 + 2 - s^-2"]
     from whitenorm.respq import _closed_form, _oracle
 
-    assert not _closed_form(1, 1, wrong).unit_equal(_oracle(1, 1))
+    # y = -s^2 + 2 - s^-2 at 1/1: s^-1 + 2 T_1(y) + s = s^-1 + 2y + s
+    wrong = LaurentPoly({2: -2, 1: 1, 0: 4, -1: 1, -2: -2})
+    assert not wrong.unit_equal(_oracle(1, 1))
+    assert _closed_form(1, 1).unit_equal(_oracle(1, 1))
+
+
+def test_build_res_rejects_tampered_closed_form(monkeypatch):
+    honest = respq._closed_form
+    monkeypatch.setattr(respq, "_closed_form", lambda p, q: honest(p, q) + LaurentPoly({0: 1}))
+    build_res.cache_clear()
+    try:
+        with pytest.raises(ResultantIdentityMismatch):
+            build_res(5, 1)
+    finally:
+        build_res.cache_clear()
+
+
+def test_dickson_bases():
+    x = LaurentPoly({1: 1})
+    assert _dickson(0, x) == LaurentPoly({0: 2})
+    assert _dickson(1, x) == x
+    assert _dickson(2, x) == LaurentPoly({2: 1, 0: -2})
+    assert _dickson(3, x) == LaurentPoly({3: 1, 1: -3})
+
+
+def test_dickson_cosine_identity():
+    x = LaurentPoly({1: 1})
+    for q in range(13):
+        dq = _dickson(q, x)
+        for k in range(17):
+            theta = 0.17 + 6.0 * k / 17
+            assert dq(2 * math.cos(theta)) == pytest.approx(2 * math.cos(q * theta), abs=2e-12)
 
 
 def test_symmetry_checker_catches_tampering():

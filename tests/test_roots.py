@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitenorm.config import TOL
-from whitenorm.errors import ClassificationViolation, ValidationError
+from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.roots import (
+    _refine_hp,
     classify,
     find_roots,
     nontrivial_roots,
@@ -41,7 +42,13 @@ def test_non_integer_coefficients_rejected():
     with pytest.raises(ValidationError):
         find_roots(LaurentPoly({2: 1, 0: 0.5}))
     with pytest.raises(ValidationError):
-        find_roots(LaurentPoly({2: 1, 0: -1}).to_complex())
+        find_roots(LaurentPoly({2: 1 + 0j, 0: -1 + 0j}))
+
+
+def test_refine_failure_names_degree_and_step():
+    # one sweep from a start far off +-sqrt(2) cannot reach a 2^-95 step
+    with pytest.raises(ConvergenceFailure, match=r"degree 2 in 1 sweeps: .* 2\^-\d+$"):
+        _refine_hp([-2, 0, 1], [1 + 0.5j, -1 - 0.3j], sweeps=1)
 
 
 def test_resultant_2_1_roots_exact():
