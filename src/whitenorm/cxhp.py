@@ -1,17 +1,20 @@
 """Fixed-point complex arithmetic on plain python ints: the package's one
 implementation of it.
 
-A value is (re, im) scaled by 2^BITS.  768 fraction bits (~230 decimal
-digits) cover the worst amplification met in this package: verifying the
-filling relation multiplies entries of size |s|^p ~ 1e48, whose products
-cancel down to ~1e-14, and certifying root symmetry classes needs to beat
-condition numbers beyond 1e13.
+A value is (re, im) scaled by 2^bits.  BITS = 768 fraction bits (~230
+decimal digits) cover the worst amplification met in this package:
+verifying the filling relation multiplies entries of size |s|^p ~ 1e48,
+whose products cancel down to ~1e-14, and certifying root symmetry classes
+needs to beat condition numbers beyond 1e13.  768 bits is also the top
+rung of the root refinement's precision ladder (roots._RUNGS), whose lower
+rungs run the same kernel at 128, 256 and 512 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
-`hp_float`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples
-and serves the hot loops: root refinement and Newton steps on integer
-polynomials.  `HPComplex` wraps the same kernel in operators for the
-matrix code.
+`hp_float`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
+takes the fraction bits as its last argument (default BITS), and serves
+the hot loops: root refinement and Newton steps on integer polynomials.
+`HPComplex` wraps the same kernel at BITS in operators for the matrix
+code.
 
 Only ring operations, division and square root are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -32,39 +35,44 @@ HP = tuple[int, int]
 # raw (re, im) kernel
 
 
-def hp(z: complex) -> HP:
-    return round(z.real * _ONE), round(z.imag * _ONE)
+def hp(z: complex, bits: int = BITS) -> HP:
+    return round(math.ldexp(z.real, bits)), round(math.ldexp(z.imag, bits))
 
 
-def hp_int(n: int) -> HP:
-    return n << BITS, 0
+def hp_int(n: int, bits: int = BITS) -> HP:
+    return n << bits, 0
 
 
-def hp_float(v: HP) -> complex:
-    return complex(v[0] / _ONE, v[1] / _ONE)
+def hp_float(v: HP, bits: int = BITS) -> complex:
+    one = 1 << bits
+    return complex(v[0] / one, v[1] / one)
 
 
-def hp_mul(u: HP, v: HP) -> HP:
+def hp_mul(u: HP, v: HP, bits: int = BITS) -> HP:
     a, b = u
     c, d = v
-    return (a * c - b * d) >> BITS, (a * d + b * c) >> BITS
+    return (a * c - b * d) >> bits, (a * d + b * c) >> bits
 
 
-def hp_div(u: HP, v: HP) -> HP:
+def hp_div(u: HP, v: HP, bits: int = BITS) -> HP:
     a, b = u
     c, d = v
     den = c * c + d * d
     if den == 0:
         raise ZeroDivisionError("division by zero in fixed-point complex")
-    return ((a * c + b * d) << BITS) // den, ((b * c - a * d) << BITS) // den
+    return ((a * c + b * d) << bits) // den, ((b * c - a * d) << bits) // den
 
 
-def hp_horner(int_coeffs: list[int], z: HP) -> HP:
-    """Value at z of the polynomial with ascending integer coefficients."""
+def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
+    """Value at z of the polynomial with ascending integer coefficients.
+
+    Each product truncates both parts by less than one unit of 2^-bits, so
+    the value is off by less than sqrt(2) * sum_{k<n} |z|^k units, n the
+    degree (see roots._inclusion_discs)."""
     acc = (0, 0)
     for c in reversed(int_coeffs):
-        acc = hp_mul(acc, z)
-        acc = (acc[0] + (c << BITS), acc[1])
+        acc = hp_mul(acc, z, bits)
+        acc = (acc[0] + (c << bits), acc[1])
     return acc
 
 

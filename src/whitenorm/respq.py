@@ -156,7 +156,6 @@ class SymmetryReport:
     negation_invariant: bool      # s -> -s identity; holds iff p is even
     negation_expected: bool
     mirror_pair_equal: bool       # res_{p,q} = res_{-p+4q,q} up to units
-    real_coefficients: bool
 
 
 def check_symmetries(r: ResPoly) -> SymmetryReport:
@@ -179,8 +178,7 @@ def check_symmetries(r: ResPoly) -> SymmetryReport:
         mirror_ok = mirror.poly.unit_equal(poly)
     if not mirror_ok:
         raise SymmetryViolation(f"p -> -p+4q mirror identity fails for ({r.p}, {r.q})")
-    real_ok = all(not isinstance(c, complex) for c in poly.coeffs.values())
-    return SymmetryReport(r.p, r.q, inv_ok, neg_holds, neg_expected, mirror_ok, real_ok)
+    return SymmetryReport(r.p, r.q, inv_ok, neg_holds, neg_expected, mirror_ok)
 
 
 def nontrivial_root_bound(p: int, q: int) -> int:

@@ -4,15 +4,22 @@ classification of resultant roots (real / imaginary / unit circle).
 One pipeline, for polynomials with integer coefficients (find_roots): a
 deterministic double-precision simultaneous iteration (Aberth-Ehrlich,
 Newton-polygon starting radii, golden-angle phases) gives a start; it is
-refined by Gauss-Seidel Aberth sweeps in fixed-point high precision on the
-exact coefficients (plain python ints, ~230 decimal digits, see cxhp), and
-the refined multiset must rebuild those coefficients.  There is no
-double-precision polish.  The refinement matters: resultant roots packed
-near the unit circle reach condition numbers beyond 1e13, so double
-precision alone cannot certify symmetry classes at 1e-8.  Resultant root
-sets split the trivial roots +-1 off exactly first.
+refined by Gauss-Seidel Aberth sweeps in fixed point on the exact
+coefficients (plain python ints, see cxhp), on a ladder of 128, 256, 512
+and 768 fraction bits whose top rung is cxhp.BITS.  The ladder stops when
+Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
+refined multiset must rebuild the coefficients, and each connected
+component of discs must be one root cluster.  A disc whose mirror image
+meets no other disc holds a real root (or a pure imaginary one, when the
+exponents all have one parity), whose zero coordinate is then written as
+an exact 0.0.  There is no double-precision polish.  The refinement
+matters: resultant roots packed near the unit circle reach condition
+numbers beyond 1e13, so double precision alone cannot certify symmetry
+classes at 1e-8.  Resultant root sets split the trivial roots +-1 off
+exactly first.
 
-No randomness anywhere; repeated runs emit identical bytes.
+No randomness anywhere; repeated runs emit identical bytes, whatever rung
+the ladder stopped at.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ class RootSet:
     span: int
     pq: tuple[int, int] | None = None
     residuals: tuple[float, ...] = field(default=())
+    radii: tuple[float, ...] = field(default=())
 
     def __iter__(self):
         return iter(self.roots)
@@ -76,6 +84,17 @@ class RootSet:
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
+
+    def disc_overlaps(self) -> list[tuple[int, int]]:
+        """Index pairs of roots whose inclusion discs D(value, radius)
+        meet.  Distinct roots of a certified set have disjoint discs."""
+        pts = list(zip(self.values, self.radii))
+        return [
+            (i, j)
+            for i, (a, ra) in enumerate(pts)
+            for j, (b, rb) in enumerate(pts[i + 1 :], i + 1)
+            if abs(a - b) <= ra + rb
+        ]
 
 
 def _classify_value(z: complex) -> RootFlags:
@@ -167,13 +186,14 @@ def _aberth(coeffs: np.ndarray, attempt: int, max_iter: int = 2000) -> np.ndarra
         scale = np.sum(np.abs(coeffs) * np.abs(z[:, None]) ** exponents[None, :], axis=1)
         if (np.abs(_horner(coeffs, z)) <= 1e-13 * scale).all():
             return z
-    raise ConvergenceFailure(f"no convergence after {max_iter} iterations on degree {n}")
+    raise ConvergenceFailure(
+        f"no convergence after {max_iter} iterations on degree {n}", stage="aberth", degree=n
+    )
 
 
-def _cluster(points: list[complex], rel: float) -> list[list[int]]:
-    """Index groups of the connected components of the 'closer than
-    rel*(1+|z|)' graph."""
-    n = len(points)
+def _components(n: int, linked) -> list[list[int]]:
+    """Index groups, each in increasing order, of the connected components
+    of the graph on range(n) with an edge wherever linked(i, j), i < j."""
     parent = list(range(n))
 
     def find(i):
@@ -184,8 +204,7 @@ def _cluster(points: list[complex], rel: float) -> list[list[int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            lim = rel * (1.0 + max(abs(points[i]), abs(points[j])))
-            if abs(points[i] - points[j]) <= lim:
+            if linked(i, j):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -195,79 +214,213 @@ def _cluster(points: list[complex], rel: float) -> list[list[int]]:
     return list(groups.values())
 
 
+def _cluster(points: list[complex], rel: float) -> list[list[int]]:
+    """Index groups of the connected components of the 'closer than
+    rel*(1+|z|)' graph."""
+    return _components(
+        len(points),
+        lambda i, j: abs(points[i] - points[j]) <= rel * (1.0 + max(abs(points[i]), abs(points[j]))),
+    )
+
+
 # ---------------------------------------------------------------------------
-# fixed-point high-precision refinement (raw cxhp kernel in the hot loop)
+# fixed-point refinement on a precision ladder (raw cxhp kernel in the hot loop)
+
+# Fraction bits of the refinement rungs.  The top rung is the kernel's BITS,
+# so a filling that settled at that precision before the ladder existed
+# still has the same room.
+_RUNGS = (128, 256, 512, BITS)
+# The ladder stops once every inclusion radius is below 2^-100 (1 + |z|):
+# 47 bits past double precision, so the double rounding of a disc's centre
+# is that of its root unless the root lies within 2^-100 of a rounding
+# boundary.
+_CERTIFY_BITS = 100
+# Relative error bound of one _absf value (shift, int-to-float, hypot) and
+# of one float product, with room.
+_REL = 2.0**-50
+
+
+def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> int:
+    """One Gauss-Seidel Aberth sweep over z in place, at `bits` fraction
+    bits; returns the largest step component in units of 2^-bits."""
+    one = hp_int(1, bits)
+    max_step = 0
+    for k in range(len(z)):
+        pv = hp_horner(int_coeffs, z[k], bits)
+        dv = hp_horner(dcoeffs, z[k], bits)
+        if dv == (0, 0):
+            continue
+        newton = hp_div(pv, dv, bits)
+        rep = (0, 0)
+        for j in range(len(z)):
+            if j == k:
+                continue
+            dz = (z[k][0] - z[j][0], z[k][1] - z[j][1])
+            if dz == (0, 0):
+                continue
+            inv = hp_div(one, dz, bits)
+            rep = (rep[0] + inv[0], rep[1] + inv[1])
+        nr = hp_mul(newton, rep, bits)
+        den = (one[0] - nr[0], -nr[1])
+        if den == (0, 0):
+            den = one
+        step = hp_div(newton, den, bits)
+        z[k] = (z[k][0] - step[0], z[k][1] - step[1])
+        max_step = max(max_step, abs(step[0]), abs(step[1]))
+    return max_step
 
 
 def _refine_hp(
-    int_coeffs: list[int], raw: list[complex], sweeps: int = 40
-) -> tuple[list[complex], list[HP]]:
+    int_coeffs: list[int], raw: list[complex], sweeps: int = 48
+) -> tuple[list[HP], int, list[float], list[list[int]]]:
     """Gauss-Seidel Aberth sweeps in fixed point with exact integer
-    coefficients.  Warm-started from the double-precision multiset, this
-    pushes every root to ~2^-200 regardless of its condition number, and
-    lets badly assigned iterates migrate to uncovered roots.  Returns the
-    double roundings and the fixed-point values."""
+    coefficients, on the precision ladder _RUNGS, warm-started from the
+    double-precision multiset; badly assigned iterates migrate to uncovered
+    roots on the way.
+
+    The inclusion discs are computed after a sweep whose largest step is
+    below 2^(-bits/2), the rung's floor (Aberth's method converges
+    cubically on simple roots, so the iterates are then as good as the rung
+    makes them); below 2^(-bits/4) and no smaller than the sweep before,
+    a stall; or below 2^-100.  The ladder stops once every radius is below
+    2^-100 (1 + |z_i|).  Otherwise it climbs a rung at a floor or a stall,
+    and sweeps on after a small step alone: a multiple root converges
+    linearly, about two bits a sweep.  At the top rung it sweeps on until
+    the discs certify.  After `sweeps` sweeps in all it raises
+    ConvergenceFailure; the 48 of the default take a double root from its
+    ~2^-22 double start to the ~2^-105 steps at which its discs certify.
+
+    Returns the fixed-point centres, the fraction bits of the rung they
+    are at, their inclusion radii and the connected components of the
+    discs (see _inclusion_discs)."""
     n = len(int_coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
-    z = [hp(v) for v in raw]
-    one = hp_int(1)
-    # stop once steps drop below ~2^-95; multiple roots stall near 2^-104
-    tiny = 1 << (BITS - 95)
+    rung = 0
+    bits = _RUNGS[rung]
+    z = [hp(v, bits) for v in raw]
+    steps: list[int] = []
+    first = 0  # the rung's first sweep
     for _ in range(sweeps):
-        max_step = 0
-        for k in range(n):
-            pv = hp_horner(int_coeffs, z[k])
-            dv = hp_horner(dcoeffs, z[k])
-            if dv == (0, 0):
-                continue
-            newton = hp_div(pv, dv)
-            rep = (0, 0)
-            for j in range(n):
-                if j == k:
-                    continue
-                dz = (z[k][0] - z[j][0], z[k][1] - z[j][1])
-                if dz == (0, 0):
-                    continue
-                inv = hp_div(one, dz)
-                rep = (rep[0] + inv[0], rep[1] + inv[1])
-            nr = hp_mul(newton, rep)
-            den = (one[0] - nr[0], -nr[1])
-            if den == (0, 0):
-                den = one
-            step = hp_div(newton, den)
-            z[k] = (z[k][0] - step[0], z[k][1] - step[1])
-            max_step = max(max_step, abs(step[0]), abs(step[1]))
-        if max_step < tiny:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"high-precision sweeps did not settle on degree {n} in {sweeps} sweeps: "
-            f"the last sweep's largest step was 2^{max_step.bit_length() - 1 - BITS}"
-        )
-    return [hp_float(v) for v in z], z
+        steps.append(_sweep(int_coeffs, dcoeffs, z, bits).bit_length() - 1 - bits)
+        # at the floor, or stalled short of it; a start still migrating
+        # takes large steps that need not shrink
+        floor = steps[-1] < -(bits // 2)
+        stalled = steps[-1] < -(bits // 4) and len(steps) > first + 1 and steps[-1] >= steps[-2]
+        # a multiple root converges linearly, with no floor or stall in sight
+        if not (floor or stalled or steps[-1] < -_CERTIFY_BITS):
+            continue
+        radii, groups = _inclusion_discs(int_coeffs, z, bits)
+        if all(r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)):
+            return z, bits, radii, groups
+        if (floor or stalled) and rung + 1 < len(_RUNGS):
+            rung += 1
+            up = _RUNGS[rung] - bits
+            bits = _RUNGS[rung]
+            z = [(re << up, im << up) for re, im in z]
+            first = len(steps)
+    raise ConvergenceFailure(
+        f"high-precision sweeps did not settle on degree {n} in {sweeps} sweeps: "
+        f"the last sweep's largest step was 2^{steps[-1]}",
+        stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
+    )
 
 
-def _verify_multiset_hp(int_coeffs: list[int], z: list[HP]) -> None:
-    """Exact-grade multiset check: rebuild prod (x - z_i) in fixed point and
-    compare with the integer coefficients.  A missing or doubled root shows
-    up at O(1); a correct refined multiset agrees to 1e-120 or better on
-    the benchmark's fillings, up to degree 192."""
-    poly = [hp_int(int_coeffs[-1])]
+def _absf(re: int, im: int, bits: int) -> float:
+    """|re + i im| / 2^bits as a float, to a relative error below _REL."""
+    shift = max(re.bit_length(), im.bit_length()) - 62
+    if shift <= 0:
+        return math.ldexp(math.hypot(re, im), -bits)
+    return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
+
+
+def _inclusion_discs(
+    int_coeffs: list[int], z: list[HP], bits: int
+) -> tuple[list[float], list[list[int]]]:
+    """Gerschgorin-Weierstrass inclusion discs D(z_i, r_i) about the
+    fixed-point centres z_i, with
+
+        r_i = n |f(z_i)| / |a_n prod_{j != i} (z_i - z_j)|,
+
+    rounded outward.  The union of the discs holds every root of f, and
+    each connected component of m discs holds exactly m roots counted
+    with multiplicity (Bini & Fiorentino, Numer. Algorithms 23 (2000);
+    Neumaier, J. Comput. Appl. Math. 156 (2003)).
+
+    |f(z_i)| is the fixed-point Horner value plus its truncation bound
+    (cxhp.hp_horner); the denominator is a float product whose rounding is
+    covered by a relative factor.  Returns the radii and the components,
+    as index groups; coincident centres give infinite radii."""
+    n = len(z)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = _absf(z[i][0] - z[j][0], z[i][1] - z[j][1], bits)
+    lead_m, lead_e = math.frexp(float(abs(int_coeffs[-1])))
+    # n + 1 rounded factors and products of at most _REL each in the
+    # denominator, and three roundings after it
+    slack = 1.0 + 2 * (n + 2) * _REL
+    radii = []
+    for i, zi in enumerate(z):
+        az = _absf(zi[0], zi[1], bits) * (1.0 + _REL)
+        # hp_horner is off by less than sqrt(2) sum_{k<n} |z|^k units of 2^-bits
+        t = math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits
+        num = _absf(*hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + 2.0 ** min(t, 1000.0)
+        m, e = lead_m, lead_e
+        for j in range(n):
+            if j != i:
+                m, k = math.frexp(m * dist[i][j])
+                e += k
+        if m == 0.0 or math.frexp(num)[1] - e > 1000:
+            radii.append(math.inf)
+            continue
+        # below 2^-1022 a float loses relative precision; clamp outward
+        radii.append(max(math.ldexp(n * num / m * slack, -e), 2.0**-1022))
+    groups = _components(
+        n, lambda i, j: dist[i][j] * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL)
+    )
+    return radii, groups
+
+
+def _on_axis(z: list[HP], bits: int, radii: list[float], i: int, sign: int) -> bool:
+    """Whether D(z_i, r_i) meets the real (sign +1) or imaginary (sign -1)
+    axis and its mirror D(sign * conj(z_i), r_i) meets no disc but
+    D(z_i, r_i).  With sign +1 that certifies a real root in D(z_i, r_i)
+    when f is real; with sign -1 a pure imaginary one when moreover all
+    exponents of f have one parity: the mirror of the root is a root, it
+    lies in no other disc, and D(z_i, r_i) holds one root only."""
+    re, im = z[i]
+    if abs(im if sign == 1 else re) > math.ldexp(radii[i], bits):
+        return False
+    mre, mim = sign * re, -sign * im
+    for j, (zr, zim) in enumerate(z):
+        if j != i and _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL):
+            return False
+    return True
+
+
+def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
+    """Exact-grade multiset check, run at the rung where the ladder stopped:
+    rebuild prod (x - z_i) in fixed point and compare with the integer
+    coefficients.  A missing or doubled root shows up at O(1); a certified
+    multiset agrees to 4e-37 or better on the benchmark's fillings, up to
+    degree 192, at 128 bits (and to 2e-69 at 65/23, which stops at 256)."""
+    poly = [hp_int(int_coeffs[-1], bits)]
     for r in z:
         poly.append((0, 0))
         for i in range(len(poly) - 1, 0, -1):
-            m = hp_mul(poly[i - 1], r)
+            m = hp_mul(poly[i - 1], r, bits)
             poly[i] = (poly[i][0] - m[0], poly[i][1] - m[1])
     worst = 0.0
     scale = float(max(abs(c) for c in int_coeffs))
     for built, want in zip(poly[::-1], int_coeffs):
-        diff = hp_float((built[0] - hp_int(want)[0], built[1]))
+        diff = hp_float((built[0] - hp_int(want, bits)[0], built[1]), bits)
         worst = max(worst, abs(diff) / scale)
-    # far from both outcomes above, and above the 2^-95 (~2.5e-29) step at
-    # which the sweeps stop
+    # far from both outcomes above, and above the error that radii below
+    # 2^-100 (1 + |z|) leave in the rebuilt coefficients
     if worst > 1e-20:
         raise ConvergenceFailure(
-            f"refined multiset reproduces coefficients to {worst:.2e} only"
+            f"refined multiset reproduces coefficients to {worst:.2e} only",
+            stage="multiset", degree=len(z), bits=bits,
         )
 
 
@@ -275,41 +428,75 @@ def _verify_multiset_hp(int_coeffs: list[int], z: list[HP]) -> None:
 # the root pipeline
 
 
-def _package(coeffs: np.ndarray, raw: list[complex], span: int) -> RootSet:
-    """Merge approximations closer than TOL.cluster_rel into one root whose
-    multiplicity is the cluster size, and package the roots, sorted by
-    (re, im), with flags and backward errors."""
+def _package(
+    coeffs: np.ndarray, z: list[HP], bits: int, radii: list[float],
+    groups: list[list[int]], parity: bool, span: int,
+) -> RootSet:
+    """Round the certified centres to doubles, with an exact 0.0 for the
+    zero coordinate of a certified real or imaginary root: an isolated
+    disc whose mirror meets no other disc (_on_axis).  Then merge
+    approximations closer than TOL.cluster_rel into one root whose
+    multiplicity is the cluster size; the clusters must be the components
+    of the discs.  The roots are sorted by (re, im) and carry flags,
+    backward errors and radii: for a cluster, the radius of the disc about
+    its mean that covers its members' discs."""
+    raw = [hp_float(v, bits) for v in z]
+    for idxs in groups:
+        if len(idxs) != 1:
+            continue
+        i = idxs[0]
+        if _on_axis(z, bits, radii, i, 1):
+            raw[i] = complex(raw[i].real, 0.0)
+        elif parity and _on_axis(z, bits, radii, i, -1):
+            raw[i] = complex(0.0, raw[i].imag)
+    clusters = _cluster(raw, TOL.cluster_rel)
+    if sorted(clusters) != sorted(groups):
+        raise ConvergenceFailure(
+            f"{len(groups)} disc components on degree {len(z)} do not match "
+            f"{len(clusters)} root clusters",
+            stage="discs", degree=len(z), bits=bits,
+        )
     roots = []
     residuals = []
-    for idxs in _cluster(raw, TOL.cluster_rel):
+    cover = []
+    for idxs in clusters:
         mult = len(idxs)
-        z = complex(sum(raw[i] for i in idxs) / mult)
-        err = _backward_error(coeffs, z)
+        value = complex(sum(raw[i] for i in idxs) / mult)
+        err = _backward_error(coeffs, value)
         if err > TOL.root_residual:
             raise ConvergenceFailure(
-                f"root {z} has backward error {err:.3e} > {TOL.root_residual:.1e}"
+                f"root {value} has backward error {err:.3e} > {TOL.root_residual:.1e}",
+                stage="residual", degree=len(z), bits=bits,
             )
-        roots.append(Root(z, mult, _classify_value(z)))
+        roots.append(Root(value, mult, _classify_value(value)))
         residuals.append(err)
+        if mult == 1:
+            cover.append(radii[idxs[0]])
+        else:
+            cover.append(max(abs(raw[i] - value) + radii[i] for i in idxs) * (1.0 + _REL))
     order = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
     return RootSet(
         roots=tuple(roots[i] for i in order),
         span=span,
         residuals=tuple(residuals[i] for i in order),
+        radii=tuple(cover[i] for i in order),
     )
 
 
 def find_roots(f: LaurentPoly) -> RootSet:
     """Roots (with multiplicities) of the non-zero Laurent polynomial f with
-    integer coefficients.
+    integer coefficients, each with a certified inclusion disc.
 
     Exponent units s^k are stripped first, so only non-zero roots exist and
     their count equals the span.  A double-precision Aberth pass gives the
-    start, fixed-point sweeps on the exact coefficients refine it, and the
-    refined multiset must rebuild the coefficients; three start
-    configurations are tried in turn.  Roots closer than TOL.cluster_rel
-    merge into one of higher multiplicity.  Residual acceptance uses the
-    backward error |f(z)| / sum_i |c_i||z|^i.
+    start; fixed-point sweeps on the exact coefficients refine it on a
+    precision ladder until Gerschgorin-Weierstrass inclusion discs certify
+    every root; the refined multiset must rebuild the coefficients, and
+    each connected component of discs must be one root cluster.  Three
+    start configurations are tried in turn.  Roots closer than
+    TOL.cluster_rel merge into one of higher multiplicity.  Residual
+    acceptance uses the backward error |f(z)| / sum_i |c_i||z|^i.  A
+    failure raises ConvergenceFailure with the fields of the last attempt.
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
@@ -319,20 +506,26 @@ def find_roots(f: LaurentPoly) -> RootSet:
     int_coeffs, _ = f.shift(-f.mindeg).dense()
     if not all(isinstance(c, int) for c in int_coeffs):
         raise ValidationError("find_roots needs a polynomial with int coefficients")
+    coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
+    # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
+    parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
     coeffs = coeffs / coeffs[-1]
-    failure: Exception | None = None
+    failure: ConvergenceFailure | None = None
     for attempt in range(3):
         try:
             raw = [complex(z) for z in _aberth(coeffs, attempt)]
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
-            refined, fixed = _refine_hp(int_coeffs, raw)
-            _verify_multiset_hp(int_coeffs, fixed)
-            return _package(coeffs, refined, span)
+            z, bits, radii, groups = _refine_hp(int_coeffs, raw)
+            _verify_multiset_hp(int_coeffs, z, bits)
+            return _package(coeffs, z, bits, radii, groups, parity, span)
         except ConvergenceFailure as exc:
+            exc.attempt, exc.coeff_bits = attempt, coeff_bits
             failure = exc
-    raise ConvergenceFailure(f"all start configurations failed on degree {span}: {failure}")
+    raise ConvergenceFailure(
+        f"all start configurations failed on degree {span}: {failure}", **failure.fields()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +579,20 @@ def resultant_rootset_of(r: ResPoly) -> RootSet:
     inner = find_roots(deflated)
     roots = list(inner.roots)
     residuals = list(inner.residuals)
+    radii = list(inner.radii)
     for x, order in ((1, o1), (-1, om1)):
         if order:
             flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
             roots.append(Root(complex(x), order, flags))
             residuals.append(0.0)
+            radii.append(0.0)  # exact
     order_ix = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
     return RootSet(
         roots=tuple(roots[i] for i in order_ix),
         span=r.span,
         pq=(r.p, r.q),
         residuals=tuple(residuals[i] for i in order_ix),
+        radii=tuple(radii[i] for i in order_ix),
     )
 
 
@@ -415,12 +611,18 @@ def nontrivial_roots(rs: RootSet) -> RootSet:
         raise TrivialRootMismatch(
             f"multiplicities at (+1, -1) are ({seen1}, {seenm1}), exact orders are ({o1}, {om1})"
         )
-    kept = tuple(
-        r
-        for r in rs.roots
+    kept = [
+        i
+        for i, r in enumerate(rs.roots)
         if abs(r.value - 1) > TOL.cluster_rel * 2 and abs(r.value + 1) > TOL.cluster_rel * 2
+    ]
+    return RootSet(
+        roots=tuple(rs.roots[i] for i in kept),
+        span=rs.span,
+        pq=rs.pq,
+        residuals=tuple(rs.residuals[i] for i in kept),
+        radii=tuple(rs.radii[i] for i in kept),
     )
-    return RootSet(roots=kept, span=rs.span, pq=rs.pq)
 
 
 # ---------------------------------------------------------------------------

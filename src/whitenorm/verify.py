@@ -73,10 +73,20 @@ def suite_symmetries(p: int, q: int) -> SuiteResult:
 
 
 def suite_roots(p: int, q: int) -> SuiteResult:
-    """Root counts against the span bound, symmetry classes, circle gap."""
+    """Disjoint inclusion discs, root counts against the span bound,
+    symmetry classes, circle gap."""
     if _degenerate(p, q):
         return SuiteResult("roots", p, q, "skipped", "degenerate constant, no roots")
     rs = resultant_roots(p, q)
+    if len(rs.radii) != len(rs):
+        return SuiteResult("roots", p, q, "fail", "roots carry no inclusion discs")
+    met = rs.disc_overlaps()
+    if met:
+        i, j = met[0]
+        return SuiteResult(
+            "roots", p, q, "fail",
+            f"inclusion discs about {rs.values[i]} and {rs.values[j]} overlap",
+        )
     rep = classify(rs, p, q)
     bound = respq.nontrivial_root_bound(p, q)
     if rep.n_nontrivial > bound:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from whitenorm.config import TOL
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly
+from whitenorm.respq import build_res
 from whitenorm.roots import (
     _refine_hp,
     classify,
@@ -49,6 +51,57 @@ def test_refine_failure_names_degree_and_step():
     # one sweep from a start far off +-sqrt(2) cannot reach a 2^-95 step
     with pytest.raises(ConvergenceFailure, match=r"degree 2 in 1 sweeps: .* 2\^-\d+$"):
         _refine_hp([-2, 0, 1], [1 + 0.5j, -1 - 0.3j], sweeps=1)
+
+
+def test_forced_refine_failure_names_stage_degree_and_step(monkeypatch):
+    import whitenorm.roots as roots_mod
+
+    monkeypatch.setattr(roots_mod, "_refine_hp", functools.partial(roots_mod._refine_hp, sweeps=1))
+    f = build_res(5, 1).poly
+    with pytest.raises(ConvergenceFailure) as info:
+        find_roots(f)
+    exc = info.value
+    assert (exc.stage, exc.degree, exc.sweeps, exc.bits, exc.attempt) == ("refine", f.span, 1, 128, 2)
+    assert exc.coeff_bits == max(abs(c) for c in f.coeffs.values()).bit_length()
+    assert len(exc.steps) == 1 and str(exc).endswith(f"largest step was 2^{exc.steps[-1]}")
+
+
+ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
+
+
+@pytest.mark.parametrize("pq", ROOTS_GRID)
+def test_rootset_carries_disjoint_discs(pq):
+    rs = resultant_roots(*pq)
+    assert len(rs.radii) == len(rs)
+    assert rs.disc_overlaps() == []
+    for root, radius in zip(rs, rs.radii):
+        assert 0 <= radius < 2.0**-100 * (1 + abs(root.value))
+    nt = nontrivial_roots(rs)
+    assert len(nt.radii) == len(nt.residuals) == len(nt)
+
+
+def test_near_double_root_climbs_past_128_bits(monkeypatch):
+    import whitenorm.roots as roots_mod
+
+    rungs = []
+    certify = roots_mod._inclusion_discs
+
+    def spy(int_coeffs, z, bits):
+        rungs.append(bits)
+        return certify(int_coeffs, z, bits)
+
+    monkeypatch.setattr(roots_mod, "_inclusion_discs", spy)
+    # 1 - 2 s^12 (10 - s)^2 (Mignotte's construction) has two real roots
+    # 10 -+ 7.07e-7, apart by more than the clustering tolerance 1.1e-6
+    # there; the factor 100 s - 1001 puts a third root 1e-2 away
+    mignotte = LaurentPoly({0: 1}) - LaurentPoly({12: 2}) * LaurentPoly({1: -1, 0: 10}) ** 2
+    rs = find_roots(mignotte * LaurentPoly({1: 100, 0: -1001}))
+    assert rungs[0] == 128 and max(rungs) > 128
+    assert rs.total_multiplicity() == 15 and all(r.multiplicity == 1 for r in rs)
+    near = [r.value for r in rs if abs(r.value - 10) < 1e-3]
+    assert len(near) == 2 and all(v.imag == 0.0 for v in near)
+    assert abs(near[1].real - near[0].real - 2 / math.sqrt(2e12)) < 1e-10
+    assert rs.disc_overlaps() == []
 
 
 def test_resultant_2_1_roots_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -183,8 +184,12 @@ PREPS_DIGESTS = {
     "preps 5 1": "c41cef04c2859181c1a34a6036509eb43e3068d7d4ec1615d4b17a2b5402aea9",
     "preps -5 3": "9c7b2c70a3fabe727fa6cd19691b000eec2f557309a67ea9e110b2d75dd1619b",
     "preps 2 1": "4c437182a1fdcac8779c229fc8ccb059165463b9000494b442ad0d6b9ed27ef3",
-    "preps 8 1": "33472928b95c988bed404079e41d040a41a3a61dca88d3de0b193ea5e52b1c5d",
+    "preps 8 1": "09ec5237aabeafd7e80df61c34e6878c76223bb46b1592c752a1e7f05ebe453d",
     "preps 7 2": "09379f19ee6595fa24755b6d35dc038a79acbd8f91108173ffbdeeac1278dc1b",
+    # certified zero coordinates print as 0.0 (imaginary roots at 8/1,
+    # real ones at 7/2)
+    "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
+    "roots 7 2": "4cbf3b8b7fcf3a2238c90ee34d9fd83439d1641042687b1f6e61d702fe6b3efb",
 }
 
 
@@ -198,3 +203,47 @@ def test_cli_output_matches_benchmark_digest(command):
     with redirect_stdout(out):
         assert main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == expected
+
+
+def test_certified_zero_coordinates_print_exactly(capsys):
+    assert main(["roots", "65", "23"]) == 0
+    roots = json.loads(capsys.readouterr().out)["roots"]
+    real = [r for r in roots if r["flags"]["real"] and not r["flags"]["trivial_pm1"]]
+    assert len(real) == 2 and all(r["im"] == 0.0 for r in real)
+    assert main(["roots", "8", "1"]) == 0
+    out = capsys.readouterr().out
+    imag = [r for r in json.loads(out)["roots"] if r["flags"]["imaginary"]]
+    assert len(imag) == 4 and all(r["re"] == 0.0 for r in imag)
+    assert [r["im"] for r in imag] == sorted(r["im"] for r in imag)
+    assert out.count('"re": 0.0,') == 4
+
+
+def test_overlapping_discs_fail_roots_suite(monkeypatch, capsys):
+    import whitenorm.roots as roots_mod
+
+    certify = roots_mod._inclusion_discs
+
+    def one_component(int_coeffs, z, bits):
+        radii, groups = certify(int_coeffs, z, bits)
+        return radii, [sorted(i for g in groups for i in g)]
+
+    monkeypatch.setattr(roots_mod, "_inclusion_discs", one_component)
+    resultant_roots.cache_clear()
+    try:
+        assert main(["verify", "5", "1", "--suite", "roots"]) == 2
+    finally:
+        resultant_roots.cache_clear()  # drop the planted failure
+    suite = json.loads(capsys.readouterr().out)["suites"][0]
+    assert suite["status"] == "fail"
+    assert "disc components" in suite["details"]
+
+
+def test_overlapping_radii_fail_roots_suite(monkeypatch, capsys):
+    import whitenorm.verify as verify_mod
+
+    rs = resultant_roots(5, 1)
+    wide = dataclasses.replace(rs, radii=(1.0,) * len(rs))
+    monkeypatch.setattr(verify_mod, "resultant_roots", lambda p, q: wide)
+    assert main(["verify", "5", "1", "--suite", "roots"]) == 2
+    suite = json.loads(capsys.readouterr().out)["suites"][0]
+    assert suite["status"] == "fail" and "overlap" in suite["details"]
