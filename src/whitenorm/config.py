@@ -2,6 +2,9 @@
 
 The fields of the one frozen instance TOL are the package's fixed
 thresholds; every check reads its threshold from TOL at the point of use.
+A root's multiplicity, its realness, whether it is a trivial root +-1 and
+whether it meets the unit circle take no threshold: they are read off its
+certified inclusion disc (see roots).
 """
 
 from dataclasses import dataclass
@@ -11,12 +14,7 @@ from dataclasses import dataclass
 class Tolerances:
     # root finding
     root_residual: float = 1e-10   # backward error |f(s)| / sum |c_i||s|^i
-    cluster_rel: float = 1e-7      # relative distance merging root clusters
     separation: float = 1e-6       # minimal distance between simple roots
-    # root classification
-    classify_rel: float = 1e-8     # |Im| resp. |Re| <= classify_rel*(1+|s|)
-    unit_circle: float = 1e-8      # ||s|-1| threshold
-    unit_circle_exclusion: float = 1e-6  # non-trivial roots must stay this far
     # representation residuals
     residual: float = 1e-8         # relator / filling / variety residuals
     trace: float = 1e-9            # |tr rho(mu1) -+ 2|

@@ -155,9 +155,6 @@ class HPComplex:
             return math.hypot(float(x), float(y)) * 2.0**shift / _ONE
         return math.hypot(self.re / _ONE, self.im / _ONE)
 
-    def conjugate(self) -> "HPComplex":
-        return HPComplex(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -23,10 +23,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "LaurentPoly":
         return cls({0: c})
 

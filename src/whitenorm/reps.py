@@ -358,8 +358,8 @@ def _lift(s: complex, p: int, q: int) -> tuple[str, HPComplex, HPComplex]:
     # branches collide; re-converge it on the exact resultant first
     res_dense, _ = build_res(p, q).poly.dense()
     s_hp = _refine_on_int_poly(res_dense, s_hp, 1e-6)
-    # c below divides by s^2 - 1; a res root this close to +-1 would have been
-    # split off as trivial (TOL.cluster_rel), so 1e-12 only guards the division
+    # c below divides by s^2 - 1; the exact trivial-root orders split +-1 off
+    # res before its roots are solved, so 1e-12 only guards the division
     if abs((s_hp * s_hp - 1).to_complex()) < 1e-12:
         raise SingularPoint("inverse parametrization undefined at s = +-1, s^2 = u^2")
     return "irreducible", s_hp, _solve_t_hp(s_hp, p, q)

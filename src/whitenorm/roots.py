@@ -1,4 +1,4 @@
-"""Complex root extraction with multiplicity clustering and the
+"""Complex root extraction with certified multiplicities and the
 classification of resultant roots (real / imaginary / unit circle).
 
 One pipeline, for polynomials with integer coefficients (find_roots): a
@@ -8,15 +8,13 @@ refined by Gauss-Seidel Aberth sweeps in fixed point on the exact
 coefficients (plain python ints, see cxhp), on a ladder of 128, 256, 512
 and 768 fraction bits whose top rung is cxhp.BITS.  The ladder stops when
 Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
-refined multiset must rebuild the coefficients, and each connected
-component of discs must be one root cluster.  A disc whose mirror image
-meets no other disc holds a real root (or a pure imaginary one, when the
-exponents all have one parity), whose zero coordinate is then written as
-an exact 0.0.  There is no double-precision polish.  The refinement
-matters: resultant roots packed near the unit circle reach condition
-numbers beyond 1e13, so double precision alone cannot certify symmetry
-classes at 1e-8.  Resultant root sets split the trivial roots +-1 off
-exactly first.
+refined multiset must rebuild the coefficients.  Every fact about a root
+is read off the discs (see _package): its multiplicity, realness, whether
+it is +-1 and whether it meets the unit circle.  There is no
+double-precision polish.  The refinement matters: resultant roots packed
+near the unit circle reach condition numbers beyond 1e13, so double
+precision alone cannot certify symmetry classes at 1e-8.  Resultant root
+sets split the trivial roots +-1 off exactly first.
 
 No randomness anywhere; repeated runs emit identical bytes, whatever rung
 the ladder stopped at.
@@ -97,17 +95,6 @@ class RootSet:
         ]
 
 
-def _classify_value(z: complex) -> RootFlags:
-    scale = 1.0 + abs(z)
-    trivial = abs(z - 1.0) <= TOL.cluster_rel * 2 or abs(z + 1.0) <= TOL.cluster_rel * 2
-    return RootFlags(
-        trivial_pm1=bool(trivial),
-        real=bool(abs(z.imag) <= TOL.classify_rel * scale),
-        imaginary=bool(abs(z.real) <= TOL.classify_rel * scale),
-        unit_circle=bool(abs(abs(z) - 1.0) <= TOL.unit_circle),
-    )
-
-
 # ---------------------------------------------------------------------------
 # double-precision stage
 
@@ -151,6 +138,9 @@ def _initial_points(coeffs: np.ndarray, attempt: int) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
+# a start that overflows or divides by zero ends in its ConvergenceFailure,
+# which is all a caller can act on; numpy's warnings would only add noise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth(coeffs: np.ndarray, attempt: int, max_iter: int = 2000) -> np.ndarray:
     """One simultaneous-iteration pass.  Stops when corrections hit machine
     level, or when every iterate is backward-stable and corrections are
@@ -212,15 +202,6 @@ def _components(n: int, linked) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def _cluster(points: list[complex], rel: float) -> list[list[int]]:
-    """Index groups of the connected components of the 'closer than
-    rel*(1+|z|)' graph."""
-    return _components(
-        len(points),
-        lambda i, j: abs(points[i] - points[j]) <= rel * (1.0 + max(abs(points[i]), abs(points[j]))),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +362,34 @@ def _inclusion_discs(
     return radii, groups
 
 
-def _on_axis(z: list[HP], bits: int, radii: list[float], i: int, sign: int) -> bool:
-    """Whether D(z_i, r_i) meets the real (sign +1) or imaginary (sign -1)
-    axis and its mirror D(sign * conj(z_i), r_i) meets no disc but
-    D(z_i, r_i).  With sign +1 that certifies a real root in D(z_i, r_i)
-    when f is real; with sign -1 a pure imaginary one when moreover all
-    exponents of f have one parity: the mirror of the root is a root, it
-    lies in no other disc, and D(z_i, r_i) holds one root only."""
-    re, im = z[i]
-    if abs(im if sign == 1 else re) > math.ldexp(radii[i], bits):
+def _on_axis(z: list[HP], bits: int, radii: list[float], group: list[int], sign: int) -> bool:
+    """Whether the discs D(z_i, r_i) of the component `group` meet the real
+    (sign +1) or imaginary (sign -1) axis and their mirrors
+    D(sign * conj(z_i), r_i) meet no disc outside it.  With sign +1 the
+    mirror of each root in the component, a root when f is real, then lies
+    in the component again; with sign -1 likewise when moreover all
+    exponents of f have one parity.  So the component's root, of the
+    component's multiplicity, lies on the axis."""
+    inside = set(group)
+    if all(abs(z[i][1] if sign == 1 else z[i][0]) > math.ldexp(radii[i], bits) for i in group):
         return False
-    mre, mim = sign * re, -sign * im
-    for j, (zr, zim) in enumerate(z):
-        if j != i and _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL):
-            return False
+    for i in group:
+        mre, mim = sign * z[i][0], -sign * z[i][1]
+        for j, (zr, zim) in enumerate(z):
+            if j not in inside and _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL):
+                return False
     return True
+
+
+def _reach(value: complex, radius: float) -> float:
+    """The radius of a root's disc about its double `value`, rounded outward
+    over the rounding of its fixed-point centre and of a distance to it."""
+    return radius + _REL * (1.0 + abs(value))
+
+
+def _meets_unit_circle(value: complex, radius: float) -> bool:
+    """Whether a root's disc meets |s| = 1: its flag, and classify's check."""
+    return abs(abs(value) - 1.0) <= _reach(value, radius)
 
 
 def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
@@ -429,55 +423,69 @@ def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
 
 
 def _package(
-    coeffs: np.ndarray, z: list[HP], bits: int, radii: list[float],
-    groups: list[list[int]], parity: bool, span: int,
+    int_coeffs: list[int], coeffs: np.ndarray, z: list[HP], bits: int,
+    radii: list[float], groups: list[list[int]],
 ) -> RootSet:
-    """Round the certified centres to doubles, with an exact 0.0 for the
-    zero coordinate of a certified real or imaginary root: an isolated
-    disc whose mirror meets no other disc (_on_axis).  Then merge
-    approximations closer than TOL.cluster_rel into one root whose
-    multiplicity is the cluster size; the clusters must be the components
-    of the discs.  The roots are sorted by (re, im) and carry flags,
-    backward errors and radii: for a cluster, the radius of the disc about
-    its mean that covers its members' discs."""
+    """One root per connected component of the inclusion discs, its size
+    the multiplicity, at the double rounding of its centres' mean; a
+    component wider than a chain of its discs reaches raises.  A component
+    whose mirror meets no other disc holds a real or (when the exponents of
+    f all have one parity) a pure imaginary root (_on_axis), whose zero
+    coordinate is then an exact 0.0.  A root is on the unit circle when its
+    disc meets |s| = 1, and trivial when f(+-1) = 0 and its disc holds +-1.
+    The roots are sorted by (re, im) and carry flags, backward errors and
+    radii: for a cluster, that of the disc about its mean covering its
+    members' discs."""
+    n = len(z)
+    # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
+    parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
+    pm1 = [x for x in (1, -1) if sum(c * x**k for k, c in enumerate(int_coeffs)) == 0]
     raw = [hp_float(v, bits) for v in z]
-    for idxs in groups:
-        if len(idxs) != 1:
-            continue
-        i = idxs[0]
-        if _on_axis(z, bits, radii, i, 1):
-            raw[i] = complex(raw[i].real, 0.0)
-        elif parity and _on_axis(z, bits, radii, i, -1):
-            raw[i] = complex(0.0, raw[i].imag)
-    clusters = _cluster(raw, TOL.cluster_rel)
-    if sorted(clusters) != sorted(groups):
-        raise ConvergenceFailure(
-            f"{len(groups)} disc components on degree {len(z)} do not match "
-            f"{len(clusters)} root clusters",
-            stage="discs", degree=len(z), bits=bits,
-        )
     roots = []
     residuals = []
     cover = []
-    for idxs in clusters:
+    for idxs in groups:
         mult = len(idxs)
+        # linked discs D(z_i, r_i) keep any two centres within 2 sum r_i;
+        # the factor covers the roundings of both sides
+        chain = 2.0 * sum(radii[i] for i in idxs) * (1.0 + (mult + 4) * _REL)
+        width = max(_absf(z[i][0] - z[j][0], z[i][1] - z[j][1], bits) for i in idxs for j in idxs)
+        if width * (1.0 - _REL) > chain:
+            raise ConvergenceFailure(
+                f"one of {len(groups)} disc components on degree {n} spans {width:.2e}, "
+                f"beyond the {chain:.2e} its {mult} discs can chain",
+                stage="discs", degree=n, bits=bits,
+            )
         value = complex(sum(raw[i] for i in idxs) / mult)
+        real = _on_axis(z, bits, radii, idxs, 1)
+        imaginary = not real and parity and _on_axis(z, bits, radii, idxs, -1)
+        if real:
+            value = complex(value.real, 0.0)
+        elif imaginary:
+            value = complex(0.0, value.imag)
         err = _backward_error(coeffs, value)
         if err > TOL.root_residual:
             raise ConvergenceFailure(
                 f"root {value} has backward error {err:.3e} > {TOL.root_residual:.1e}",
-                stage="residual", degree=len(z), bits=bits,
+                stage="residual", degree=n, bits=bits,
             )
-        roots.append(Root(value, mult, _classify_value(value)))
-        residuals.append(err)
         if mult == 1:
-            cover.append(radii[idxs[0]])
+            radius = radii[idxs[0]]
         else:
-            cover.append(max(abs(raw[i] - value) + radii[i] for i in idxs) * (1.0 + _REL))
+            radius = max(abs(raw[i] - value) + radii[i] for i in idxs) * (1.0 + _REL)
+        flags = RootFlags(
+            trivial_pm1=any(abs(value - x) <= _reach(value, radius) for x in pm1),
+            real=real,
+            imaginary=imaginary,
+            unit_circle=_meets_unit_circle(value, radius),
+        )
+        roots.append(Root(value, mult, flags))
+        residuals.append(err)
+        cover.append(radius)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
     return RootSet(
         roots=tuple(roots[i] for i in order),
-        span=span,
+        span=n,
         residuals=tuple(residuals[i] for i in order),
         radii=tuple(cover[i] for i in order),
     )
@@ -491,12 +499,12 @@ def find_roots(f: LaurentPoly) -> RootSet:
     their count equals the span.  A double-precision Aberth pass gives the
     start; fixed-point sweeps on the exact coefficients refine it on a
     precision ladder until Gerschgorin-Weierstrass inclusion discs certify
-    every root; the refined multiset must rebuild the coefficients, and
-    each connected component of discs must be one root cluster.  Three
-    start configurations are tried in turn.  Roots closer than
-    TOL.cluster_rel merge into one of higher multiplicity.  Residual
-    acceptance uses the backward error |f(z)| / sum_i |c_i||z|^i.  A
-    failure raises ConvergenceFailure with the fields of the last attempt.
+    every root; the refined multiset must rebuild the coefficients.  Each
+    connected component of discs is one root, its size the multiplicity,
+    and the root's flags come from its disc (_package).  Three start
+    configurations are tried in turn.  Residual acceptance uses the
+    backward error |f(z)| / sum_i |c_i||z|^i.  A failure raises
+    ConvergenceFailure with the fields of the last attempt.
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
@@ -507,8 +515,6 @@ def find_roots(f: LaurentPoly) -> RootSet:
     if not all(isinstance(c, int) for c in int_coeffs):
         raise ValidationError("find_roots needs a polynomial with int coefficients")
     coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
-    # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
-    parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
     coeffs = coeffs / coeffs[-1]
     failure: ConvergenceFailure | None = None
@@ -519,7 +525,7 @@ def find_roots(f: LaurentPoly) -> RootSet:
             # numbers ~1e13 a double Newton step would re-smear the root
             z, bits, radii, groups = _refine_hp(int_coeffs, raw)
             _verify_multiset_hp(int_coeffs, z, bits)
-            return _package(coeffs, z, bits, radii, groups, parity, span)
+            return _package(int_coeffs, coeffs, z, bits, radii, groups)
         except ConvergenceFailure as exc:
             exc.attempt, exc.coeff_bits = attempt, coeff_bits
             failure = exc
@@ -597,25 +603,22 @@ def resultant_rootset_of(r: ResPoly) -> RootSet:
 
 
 def nontrivial_roots(rs: RootSet) -> RootSet:
-    """Drop the clusters at +-1 after checking their multiplicities against
-    the exact vanishing orders."""
+    """Drop the roots flagged trivial_pm1 after checking their
+    multiplicities at +1 and -1 against the exact vanishing orders."""
     if rs.pq is None:
         raise ValidationError("root set does not remember its (p, q) source")
     p, q = rs.pq
     if rs.span == 0:
         return rs
     o1, om1 = trivial_root_orders(build_res(p, q))
-    seen1 = sum(r.multiplicity for r in rs.roots if abs(r.value - 1) <= TOL.cluster_rel * 2)
-    seenm1 = sum(r.multiplicity for r in rs.roots if abs(r.value + 1) <= TOL.cluster_rel * 2)
+    trivial = [r for r in rs.roots if r.flags.trivial_pm1]
+    seen1 = sum(r.multiplicity for r in trivial if r.value.real > 0)
+    seenm1 = sum(r.multiplicity for r in trivial if r.value.real < 0)
     if (seen1, seenm1) != (o1, om1):
         raise TrivialRootMismatch(
             f"multiplicities at (+1, -1) are ({seen1}, {seenm1}), exact orders are ({o1}, {om1})"
         )
-    kept = [
-        i
-        for i, r in enumerate(rs.roots)
-        if abs(r.value - 1) > TOL.cluster_rel * 2 and abs(r.value + 1) > TOL.cluster_rel * 2
-    ]
+    kept = [i for i, r in enumerate(rs.roots) if not r.flags.trivial_pm1]
     return RootSet(
         roots=tuple(rs.roots[i] for i in kept),
         span=rs.span,
@@ -657,8 +660,11 @@ def _expected_imaginary_count(p: int, q: int) -> int:
 
 
 def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
-    """Count real / pure imaginary / unit-circle roots among the non-trivial
-    ones and compare against the closed-form expectations."""
+    """Count the real and pure imaginary roots among the non-trivial ones,
+    from their certified flags, and compare against the closed-form
+    expectations; fail when the disc of a non-trivial root meets |s| = 1
+    (_meets_unit_circle on RootSet.values and radii).  The report's circle
+    gap and separation are those of the printed values."""
     nt = nontrivial_roots(rs)
     real = sum(r.multiplicity for r in nt if r.flags.real)
     imag = sum(r.multiplicity for r in nt if r.flags.imaginary)
@@ -672,15 +678,16 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         raise ClassificationViolation(
             f"({p},{q}): found {imag} imaginary non-trivial roots, expected {exp_imag}"
         )
-    gaps = [abs(abs(r.value) - 1.0) for r in nt]
-    min_gap = min(gaps) if gaps else math.inf
-    if min_gap <= TOL.unit_circle_exclusion:
-        worst = min(nt.roots, key=lambda r: abs(abs(r.value) - 1.0))
-        raise ClassificationViolation(
-            f"({p},{q}): non-trivial root {worst.value} sits on the unit circle "
-            f"(gap {min_gap:.2e})"
-        )
     values = nt.values
+    gaps = [abs(abs(v) - 1.0) for v in values]
+    min_gap = min(gaps) if gaps else math.inf
+    met = [v for v, r in zip(values, nt.radii) if _meets_unit_circle(v, r)]
+    if met:
+        worst = min(met, key=lambda v: abs(abs(v) - 1.0))
+        raise ClassificationViolation(
+            f"({p},{q}): non-trivial root {worst} sits on the unit circle "
+            f"(gap {abs(abs(worst) - 1.0):.2e})"
+        )
     seps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]]
     min_sep = min(seps) if seps else math.inf
     all_simple = all(r.multiplicity == 1 for r in nt)

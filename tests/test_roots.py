@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,13 +28,20 @@ def test_quadratic_difference():
 
 
 def test_multiple_root_clustering():
-    # (s - 2)^2 (s + 1)^2 (s - 5); double roots sit at the eps^(1/2) stall,
-    # inside the cluster tolerance (triples would stall at eps^(1/3), beyond
-    # what double precision can merge)
+    # (s - 2)^2 (s + 1)^2 (s - 5); the two approximations of a double root
+    # converge together, so their inclusion discs form one component of two
     f = (LaurentPoly({1: 1, 0: -2}) ** 2) * (LaurentPoly({1: 1, 0: 1}) ** 2) * LaurentPoly({1: 1, 0: -5})
     rs = find_roots(f)
     got = sorted((round(r.value.real, 7), r.multiplicity) for r in rs)
     assert got == [(-1.0, 2), (2.0, 2), (5.0, 1)]
+
+
+def test_multiple_root_on_axis_prints_exact_zero():
+    # (s^2 - 4)^2 (s^2 + 9): a double root's component is mirrored onto
+    # itself like a simple root's disc, so +-2 print im 0.0 as +-3i print re 0.0
+    rs = find_roots(LaurentPoly({2: 1, 0: -4}) ** 2 * LaurentPoly({2: 1, 0: 9}))
+    assert [(r.value, r.multiplicity) for r in rs] == [(-2, 2), (-3j, 1), (3j, 1), (2, 2)]
+    assert [(r.flags.real, r.flags.imaginary) for r in rs] == [(1, 0), (0, 1), (0, 1), (1, 0)]
 
 
 def test_zero_polynomial_rejected():
@@ -66,16 +75,38 @@ def test_forced_refine_failure_names_stage_degree_and_step(monkeypatch):
     assert len(exc.steps) == 1 and str(exc).endswith(f"largest step was 2^{exc.steps[-1]}")
 
 
+def test_close_simple_roots_stay_apart():
+    # 3 and 3 + 1e-8 lie in disjoint discs: two simple real roots
+    rs = find_roots(LaurentPoly({1: 1, 0: -3}) * LaurentPoly({1: 10**8, 0: -3 * 10**8 - 1}))
+    assert [r.multiplicity for r in rs] == [1, 1]
+    assert [r.value for r in rs] == [3.0, (3 * 10**8 + 1) / 10**8]
+    assert all(r.flags.real and r.value.imag == 0.0 for r in rs)
+    assert rs.disc_overlaps() == []
+
+
+def test_failed_start_reports_only_its_failure():
+    # the coefficient 1e200 overflows the double-precision start
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceFailure) as info:
+            find_roots(LaurentPoly({2: 1, 1: -10**200, 0: 1}))
+    assert info.value.stage == "aberth"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
 
 
-@pytest.mark.parametrize("pq", ROOTS_GRID)
+@pytest.mark.parametrize("pq", [*ROOTS_GRID, (8, 1), (7, 2)])
 def test_rootset_carries_disjoint_discs(pq):
     rs = resultant_roots(*pq)
     assert len(rs.radii) == len(rs)
     assert rs.disc_overlaps() == []
     for root, radius in zip(rs, rs.radii):
         assert 0 <= radius < 2.0**-100 * (1 + abs(root.value))
+        assert root.flags.real == (root.value.imag == 0.0)
+        assert root.flags.imaginary == (root.value.real == 0.0)
+        assert root.flags.unit_circle == root.flags.trivial_pm1
     nt = nontrivial_roots(rs)
     assert len(nt.radii) == len(nt.residuals) == len(nt)
 
@@ -92,8 +123,8 @@ def test_near_double_root_climbs_past_128_bits(monkeypatch):
 
     monkeypatch.setattr(roots_mod, "_inclusion_discs", spy)
     # 1 - 2 s^12 (10 - s)^2 (Mignotte's construction) has two real roots
-    # 10 -+ 7.07e-7, apart by more than the clustering tolerance 1.1e-6
-    # there; the factor 100 s - 1001 puts a third root 1e-2 away
+    # 10 -+ 7.07e-7, whose discs come apart only past 128 bits; the factor
+    # 100 s - 1001 puts a third root 1e-2 away
     mignotte = LaurentPoly({0: 1}) - LaurentPoly({12: 2}) * LaurentPoly({1: -1, 0: 10}) ** 2
     rs = find_roots(mignotte * LaurentPoly({1: 100, 0: -1001}))
     assert rungs[0] == 128 and max(rungs) > 128
@@ -150,6 +181,16 @@ def test_classification_raises_on_planted_violation():
     rs = resultant_roots(2, 1)
     with pytest.raises(ClassificationViolation):
         classify(rs, 5, 1)  # wrong expectations for this root set
+
+
+def test_classification_rejects_disc_meeting_unit_circle():
+    rs = resultant_roots(5, 1)
+    i = next(k for k, r in enumerate(rs) if not r.flags.trivial_pm1)
+    radii = list(rs.radii)
+    radii[i] = abs(abs(rs.values[i]) - 1.0) * 1.001  # now reaches |s| = 1
+    with pytest.raises(ClassificationViolation, match="unit circle"):
+        classify(dataclasses.replace(rs, radii=tuple(radii)), 5, 1)
+    classify(rs, 5, 1)
 
 
 @pytest.mark.parametrize("pq", [(-1, 1), (1, 1), (5, 1), (7, 2), (-5, 3), (2, 1), (-4, 1), (8, 3)])
