@@ -2,9 +2,9 @@
 
 The fields of the one frozen instance TOL are the package's fixed
 thresholds; every check reads its threshold from TOL at the point of use.
-A root's multiplicity, its realness, whether it is a trivial root +-1 and
-whether it meets the unit circle take no threshold: they are read off its
-certified inclusion disc (see roots).
+A root's multiplicity, its realness and whether it meets the unit circle
+take no threshold: they are read off its certified inclusion disc (see
+roots).  Nor do the trivial roots +-1, which are split off exactly.
 """
 
 from dataclasses import dataclass

@@ -43,7 +43,8 @@ class ConvergenceFailure(WhitenormError):
     where the raiser does not know it:
 
     stage       "aberth", "refine", "multiset", "residual" or "discs"
-    degree      degree of the polynomial being solved
+    degree      degree of the polynomial being solved: in find_roots, the
+                one left after the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient
     attempt     start configuration, from 0
     bits        fraction bits of the last fixed-point rung
@@ -66,10 +67,6 @@ class ConvergenceFailure(WhitenormError):
 
     def fields(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-
-class TrivialRootMismatch(WhitenormError):
-    """Numeric multiplicity at s = +-1 disagrees with the exact order."""
 
 
 class ClassificationViolation(WhitenormError):

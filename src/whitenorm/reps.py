@@ -219,6 +219,10 @@ def inverse_eigenvalue_map(e: EigenTuple) -> tuple[complex, complex, complex]:
     """Normal-form parameters (s, u, c) of the representation with the given
     peripheral eigenvalues; undefined at s = +-1 and s^2 = u^2."""
     s, t, u, v = e.s, e.t, e.u, e.v
+    # both guards reject the singular points themselves, up to the rounding
+    # of a double input, and nothing else: the s of every class the package
+    # reconstructs lies at least 2 sin(pi/|p|) from +-1 (a root of unity) or
+    # has a disc clear of |s| = 1 (a non-trivial root)
     if abs(s - 1) < 1e-12 or abs(s + 1) < 1e-12:
         raise SingularPoint("inverse parametrization undefined at s = +-1")
     if abs(s * s - u * u) < 1e-12:
@@ -466,6 +470,10 @@ def prep_to_partially_diagonal(prep: PRep) -> tuple[complex, complex, int]:
     conj = Mat2(1, x, 0, 1)
     m1 = conj @ prep.m1 @ conj.inverse_sl2()
     sign = 1 if abs(m1.trace() - 2) < abs(m1.trace() + 2) else -1
+    # an upper unipotent conjugator leaves the lower-left entry as it is, so
+    # m1.c is the normal form's 1 (exactly 1.0 on every class of 5/1, -5/3,
+    # 65/3, 65/16, 7/2, 2/1, 8/1, -1/1 and 12/5); 1e-9, the scale of
+    # TOL.trace, fails only a conjugation gone wrong at O(1)
     if abs(m1.c - 1) > 1e-9:
         raise VerificationFailure("slice conversion lost the unit corner entry")
     return s, m1.a, sign
@@ -543,6 +551,11 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     chosen: list[complex] = []
     for root in rs:
         z = root.value
+        # the double 1/z lies within 1e-15 of its certified partner (at most
+        # 8.9e-16 over the odd |p| <= 33, q <= 10 grid and the benchmark
+        # fillings), while any other root is at least 4.0e-3 away there;
+        # 1e-6 is TOL.separation, the least gap the roots suite allows
+        # between distinct roots of an odd-p filling
         partner_present = any(abs(w - 1 / z) <= 1e-6 for w in chosen)
         if partner_present:
             continue

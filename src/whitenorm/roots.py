@@ -1,20 +1,24 @@
 """Complex root extraction with certified multiplicities and the
 classification of resultant roots (real / imaginary / unit circle).
 
-One pipeline, for polynomials with integer coefficients (find_roots): a
-deterministic double-precision simultaneous iteration (Aberth-Ehrlich,
-Newton-polygon starting radii, golden-angle phases) gives a start; it is
-refined by Gauss-Seidel Aberth sweeps in fixed point on the exact
-coefficients (plain python ints, see cxhp), on a ladder of 128, 256, 512
-and 768 fraction bits whose top rung is cxhp.BITS.  The ladder stops when
-Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
-refined multiset must rebuild the coefficients.  Every fact about a root
-is read off the discs (see _package): its multiplicity, realness, whether
-it is +-1 and whether it meets the unit circle.  There is no
+One pipeline, for polynomials with integer coefficients (find_roots).  The
+trivial roots +-1 are split off exactly first: while f(x) = 0 for x = 1,
+then x = -1, f is divided by (s - x), and x becomes a root of that order
+with radius 0.  On the rest, a deterministic double-precision simultaneous
+iteration (Aberth-Ehrlich, Newton-polygon starting radii, golden-angle
+phases) gives a start; it is refined by Gauss-Seidel Aberth sweeps in fixed
+point on the exact coefficients (plain python ints, see cxhp), on a ladder
+of 128, 256, 512 and 768 fraction bits whose top rung is cxhp.BITS.  The
+ladder stops when Gerschgorin-Weierstrass inclusion discs certify every
+root to 2^-100; the refined multiset must rebuild the coefficients.  Every
+other fact about a root is read off the discs (see _package): its
+multiplicity, realness and whether it meets the unit circle.  There is no
 double-precision polish.  The refinement matters: resultant roots packed
 near the unit circle reach condition numbers beyond 1e13, so double
-precision alone cannot certify symmetry classes at 1e-8.  Resultant root
-sets split the trivial roots +-1 off exactly first.
+precision alone cannot certify symmetry classes at 1e-8.
+
+Each Root carries its own disc radius and backward error; a RootSet is the
+roots, sorted once by (re, im), and the span.
 
 No randomness anywhere; repeated runs emit identical bytes, whatever rung
 the ladder stopped at.
@@ -23,20 +27,14 @@ the ladder stopped at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL
 from .cxhp import BITS, HP, hp, hp_div, hp_float, hp_horner, hp_int, hp_mul
-from .errors import (
-    ConvergenceFailure,
-    ClassificationViolation,
-    TrivialRootMismatch,
-    ValidationError,
-    WhitenormError,
-)
+from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
 from .laurent import LaurentPoly
 from .respq import ResPoly, build_res, trivial_root_orders
 
@@ -60,15 +58,14 @@ class Root:
     value: complex
     multiplicity: int
     flags: RootFlags
+    radius: float    # of its inclusion disc about value; 0.0 for the exact +-1
+    residual: float  # backward error |f(value)| / sum_i |c_i||value|^i
 
 
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[Root, ...]
     span: int
-    pq: tuple[int, int] | None = None
-    residuals: tuple[float, ...] = field(default=())
-    radii: tuple[float, ...] = field(default=())
 
     def __iter__(self):
         return iter(self.roots)
@@ -86,12 +83,12 @@ class RootSet:
     def disc_overlaps(self) -> list[tuple[int, int]]:
         """Index pairs of roots whose inclusion discs D(value, radius)
         meet.  Distinct roots of a certified set have disjoint discs."""
-        pts = list(zip(self.values, self.radii))
+        rs = self.roots
         return [
             (i, j)
-            for i, (a, ra) in enumerate(pts)
-            for j, (b, rb) in enumerate(pts[i + 1 :], i + 1)
-            if abs(a - b) <= ra + rb
+            for i, a in enumerate(rs)
+            for j, b in enumerate(rs[i + 1 :], i + 1)
+            if abs(a.value - b.value) <= a.radius + b.radius
         ]
 
 
@@ -425,25 +422,22 @@ def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
 def _package(
     int_coeffs: list[int], coeffs: np.ndarray, z: list[HP], bits: int,
     radii: list[float], groups: list[list[int]],
-) -> RootSet:
+) -> list[Root]:
     """One root per connected component of the inclusion discs, its size
     the multiplicity, at the double rounding of its centres' mean; a
     component wider than a chain of its discs reaches raises.  A component
     whose mirror meets no other disc holds a real or (when the exponents of
     f all have one parity) a pure imaginary root (_on_axis), whose zero
     coordinate is then an exact 0.0.  A root is on the unit circle when its
-    disc meets |s| = 1, and trivial when f(+-1) = 0 and its disc holds +-1.
-    The roots are sorted by (re, im) and carry flags, backward errors and
-    radii: for a cluster, that of the disc about its mean covering its
-    members' discs."""
+    disc meets |s| = 1.  f has no root at +-1 (find_roots split them off),
+    so no root here is trivial.  Each root carries its backward error and
+    its radius: for a cluster, that of the disc about its mean covering its
+    members' discs.  Unsorted; find_roots sorts."""
     n = len(z)
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
-    pm1 = [x for x in (1, -1) if sum(c * x**k for k, c in enumerate(int_coeffs)) == 0]
     raw = [hp_float(v, bits) for v in z]
     roots = []
-    residuals = []
-    cover = []
     for idxs in groups:
         mult = len(idxs)
         # linked discs D(z_i, r_i) keep any two centres within 2 sum r_i;
@@ -474,21 +468,11 @@ def _package(
         else:
             radius = max(abs(raw[i] - value) + radii[i] for i in idxs) * (1.0 + _REL)
         flags = RootFlags(
-            trivial_pm1=any(abs(value - x) <= _reach(value, radius) for x in pm1),
-            real=real,
-            imaginary=imaginary,
+            trivial_pm1=False, real=real, imaginary=imaginary,
             unit_circle=_meets_unit_circle(value, radius),
         )
-        roots.append(Root(value, mult, flags))
-        residuals.append(err)
-        cover.append(radius)
-    order = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
-    return RootSet(
-        roots=tuple(roots[i] for i in order),
-        span=n,
-        residuals=tuple(residuals[i] for i in order),
-        radii=tuple(cover[i] for i in order),
-    )
+        roots.append(Root(value, mult, flags, radius, err))
+    return roots
 
 
 def find_roots(f: LaurentPoly) -> RootSet:
@@ -496,24 +480,47 @@ def find_roots(f: LaurentPoly) -> RootSet:
     integer coefficients, each with a certified inclusion disc.
 
     Exponent units s^k are stripped first, so only non-zero roots exist and
-    their count equals the span.  A double-precision Aberth pass gives the
-    start; fixed-point sweeps on the exact coefficients refine it on a
-    precision ladder until Gerschgorin-Weierstrass inclusion discs certify
-    every root; the refined multiset must rebuild the coefficients.  Each
-    connected component of discs is one root, its size the multiplicity,
-    and the root's flags come from its disc (_package).  Three start
-    configurations are tried in turn.  Residual acceptance uses the
-    backward error |f(z)| / sum_i |c_i||z|^i.  A failure raises
-    ConvergenceFailure with the fields of the last attempt.
+    their count equals the span.  The roots +-1 are split off exactly:
+    while f(x) = 0 for x = 1, then x = -1, f is divided by (s - x), and x
+    becomes a root of that order with radius 0, residual 0 and the
+    trivial_pm1 flag.  Only the rest is solved (_solve_rest).  A
+    double-precision Aberth pass gives its start; fixed-point sweeps on the
+    exact coefficients refine it on a precision ladder until
+    Gerschgorin-Weierstrass inclusion discs certify every root; the refined
+    multiset must rebuild the coefficients.  Each connected component of
+    discs is one root, its size the multiplicity, and the root's flags come
+    from its disc (_package).  Three start configurations are tried in
+    turn.  Residual acceptance uses the backward error
+    |f(z)| / sum_i |c_i||z|^i.  A failure raises ConvergenceFailure with
+    the fields of the last attempt, whose degree and coeff_bits are those
+    of the polynomial left after the split.  All roots are sorted once, by
+    (re, im).
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
     span = f.span
     if span == 0:
         return RootSet(roots=(), span=0)
-    int_coeffs, _ = f.shift(-f.mindeg).dense()
-    if not all(isinstance(c, int) for c in int_coeffs):
+    f = f.shift(-f.mindeg)
+    if not all(isinstance(c, int) for c in f.coeffs.values()):
         raise ValidationError("find_roots needs a polynomial with int coefficients")
+    roots = []
+    for x in (1, -1):
+        order = 0
+        while f.eval_at_int(x) == 0:
+            f = f.exact_div(LaurentPoly({1: 1, 0: -x}))
+            order += 1
+        if order:
+            flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
+            roots.append(Root(complex(x), order, flags, 0.0, 0.0))
+    if f.span:
+        roots += _solve_rest(f.dense()[0])
+    return RootSet(roots=tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag))), span=span)
+
+
+def _solve_rest(int_coeffs: list[int]) -> list[Root]:
+    """The roots of the polynomial with integer coefficients int_coeffs
+    (ascending, non-zero constant term and no root at +-1); see find_roots."""
     coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
     coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
     coeffs = coeffs / coeffs[-1]
@@ -530,21 +537,13 @@ def find_roots(f: LaurentPoly) -> RootSet:
             exc.attempt, exc.coeff_bits = attempt, coeff_bits
             failure = exc
     raise ConvergenceFailure(
-        f"all start configurations failed on degree {span}: {failure}", **failure.fields()
+        f"all start configurations failed on degree {len(int_coeffs) - 1}: {failure}",
+        **failure.fields(),
     )
 
 
 # ---------------------------------------------------------------------------
 # resultant root sets
-
-
-def _deflate_at(poly: LaurentPoly, x: int, order: int) -> LaurentPoly:
-    """Exact division by (s - x)^order over the integers."""
-    out = poly
-    factor = LaurentPoly({1: 1, 0: -x})
-    for _ in range(order):
-        out = out.exact_div(factor)
-    return out
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -558,8 +557,7 @@ def _solve(p: int, q: int) -> RootSet | WhitenormError:
 
 
 def resultant_roots(p: int, q: int) -> RootSet:
-    """RootSet of res_{p,q}: trivial roots at +-1 split off exactly, the
-    deflated part solved by find_roots.
+    """RootSet of res_{p,q} (resultant_rootset_of).
 
     Cached like build_res, failures included, so each filling is solved
     once per process.  RootSet is frozen, so sharing it is safe."""
@@ -574,58 +572,17 @@ resultant_roots.cache_clear = _solve.cache_clear
 
 
 def resultant_rootset_of(r: ResPoly) -> RootSet:
+    """find_roots of res, after trivial_root_orders has certified the
+    exact orders of +-1 against the parity pattern of (p, q)."""
     if r.is_degenerate:
-        return RootSet(roots=(), span=0, pq=(r.p, r.q))
-    o1, om1 = trivial_root_orders(r)
-    deflated = r.poly
-    if o1:
-        deflated = _deflate_at(deflated, 1, o1)
-    if om1:
-        deflated = _deflate_at(deflated, -1, om1)
-    inner = find_roots(deflated)
-    roots = list(inner.roots)
-    residuals = list(inner.residuals)
-    radii = list(inner.radii)
-    for x, order in ((1, o1), (-1, om1)):
-        if order:
-            flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
-            roots.append(Root(complex(x), order, flags))
-            residuals.append(0.0)
-            radii.append(0.0)  # exact
-    order_ix = sorted(range(len(roots)), key=lambda i: (roots[i].value.real, roots[i].value.imag))
-    return RootSet(
-        roots=tuple(roots[i] for i in order_ix),
-        span=r.span,
-        pq=(r.p, r.q),
-        residuals=tuple(residuals[i] for i in order_ix),
-        radii=tuple(radii[i] for i in order_ix),
-    )
+        return RootSet(roots=(), span=0)
+    trivial_root_orders(r)
+    return find_roots(r.poly)
 
 
 def nontrivial_roots(rs: RootSet) -> RootSet:
-    """Drop the roots flagged trivial_pm1 after checking their
-    multiplicities at +1 and -1 against the exact vanishing orders."""
-    if rs.pq is None:
-        raise ValidationError("root set does not remember its (p, q) source")
-    p, q = rs.pq
-    if rs.span == 0:
-        return rs
-    o1, om1 = trivial_root_orders(build_res(p, q))
-    trivial = [r for r in rs.roots if r.flags.trivial_pm1]
-    seen1 = sum(r.multiplicity for r in trivial if r.value.real > 0)
-    seenm1 = sum(r.multiplicity for r in trivial if r.value.real < 0)
-    if (seen1, seenm1) != (o1, om1):
-        raise TrivialRootMismatch(
-            f"multiplicities at (+1, -1) are ({seen1}, {seenm1}), exact orders are ({o1}, {om1})"
-        )
-    kept = [i for i, r in enumerate(rs.roots) if not r.flags.trivial_pm1]
-    return RootSet(
-        roots=tuple(rs.roots[i] for i in kept),
-        span=rs.span,
-        pq=rs.pq,
-        residuals=tuple(rs.residuals[i] for i in kept),
-        radii=tuple(rs.radii[i] for i in kept),
-    )
+    """The roots other than the +-1 that find_roots split off exactly."""
+    return RootSet(roots=tuple(r for r in rs if not r.flags.trivial_pm1), span=rs.span)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +620,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     """Count the real and pure imaginary roots among the non-trivial ones,
     from their certified flags, and compare against the closed-form
     expectations; fail when the disc of a non-trivial root meets |s| = 1
-    (_meets_unit_circle on RootSet.values and radii).  The report's circle
+    (_meets_unit_circle on each Root's value and radius).  The report's circle
     gap and separation are those of the printed values."""
     nt = nontrivial_roots(rs)
     real = sum(r.multiplicity for r in nt if r.flags.real)
@@ -681,7 +638,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     values = nt.values
     gaps = [abs(abs(v) - 1.0) for v in values]
     min_gap = min(gaps) if gaps else math.inf
-    met = [v for v, r in zip(values, nt.radii) if _meets_unit_circle(v, r)]
+    met = [r.value for r in nt if _meets_unit_circle(r.value, r.radius)]
     if met:
         worst = min(met, key=lambda v: abs(abs(v) - 1.0))
         raise ClassificationViolation(

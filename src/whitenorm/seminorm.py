@@ -222,6 +222,9 @@ def nonabelian_reducible_u2(p: int, q: int) -> tuple[complex, complex]:
     poly = twisted_alexander(p, q, True)
     for u2 in (u2a, u2b):
         val = sum(c * u2**e for e, c in poly.coeffs.items())
+        # scaled by the size of the terms; the quadratic formula in double
+        # leaves at most 7e-15 over all coprime |p| <= 200, q < 60, and a
+        # wrong root leaves O(1)
         if abs(val) > 1e-9 * (1 + abs(u2)) ** 2 * (abs(p) + abs(q)):
             raise SystemInconsistent(f"u^2 = {u2} is not a root of {poly.pretty('t')}")
     return u2a, u2b

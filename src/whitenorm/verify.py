@@ -78,8 +78,6 @@ def suite_roots(p: int, q: int) -> SuiteResult:
     if _degenerate(p, q):
         return SuiteResult("roots", p, q, "skipped", "degenerate constant, no roots")
     rs = resultant_roots(p, q)
-    if len(rs.radii) != len(rs):
-        return SuiteResult("roots", p, q, "fail", "roots carry no inclusion discs")
     met = rs.disc_overlaps()
     if met:
         i, j = met[0]

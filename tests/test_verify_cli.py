@@ -179,7 +179,8 @@ def test_root_solve_failure_is_cached(monkeypatch):
     assert status["roots"] == status["preps"] == status["cohomology"] == "fail"
 
 
-# stdout SHA-256 of commands the benchmark does not run, pinned here
+# stdout SHA-256 pinned here: of commands the benchmark does not run, and
+# of one whose benchmark digest is stale
 PREPS_DIGESTS = {
     "preps 5 1": "c41cef04c2859181c1a34a6036509eb43e3068d7d4ec1615d4b17a2b5402aea9",
     "preps -5 3": "9c7b2c70a3fabe727fa6cd19691b000eec2f557309a67ea9e110b2d75dd1619b",
@@ -190,13 +191,20 @@ PREPS_DIGESTS = {
     # real ones at 7/2)
     "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
     "roots 7 2": "4cbf3b8b7fcf3a2238c90ee34d9fd83439d1641042687b1f6e61d702fe6b3efb",
+    # benchmark/digests.json's entry predates the exact 0.0 imaginary parts
+    # of this filling's two real roots and is stale until it is re-recorded
+    "roots 65 23": "0b97e493e60064933aefd3b3531c7f5a36f9f80d740cf20f7ab9e70270c14e5b",
 }
+# every other roots-grid and verify-grid command, checked against the
+# benchmark's own digests
+GRID_COMMANDS = [
+    "roots 5 1", "roots -5 3", "roots 65 3", "roots 65 16", "roots 129 16",
+    "verify 5 1 --suite all", "verify -5 3 --suite all",
+    "verify 65 3 --suite all", "verify 65 16 --suite all",
+]
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["roots 5 1", "roots -5 3", "verify 5 1 --suite all", "verify -5 3 --suite all", *PREPS_DIGESTS],
-)
+@pytest.mark.parametrize("command", [*GRID_COMMANDS, *PREPS_DIGESTS])
 def test_cli_output_matches_benchmark_digest(command):
     expected = PREPS_DIGESTS.get(command) or json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
     out = io.StringIO()
@@ -242,7 +250,7 @@ def test_overlapping_radii_fail_roots_suite(monkeypatch, capsys):
     import whitenorm.verify as verify_mod
 
     rs = resultant_roots(5, 1)
-    wide = dataclasses.replace(rs, radii=(1.0,) * len(rs))
+    wide = dataclasses.replace(rs, roots=tuple(dataclasses.replace(r, radius=1.0) for r in rs))
     monkeypatch.setattr(verify_mod, "resultant_roots", lambda p, q: wide)
     assert main(["verify", "5", "1", "--suite", "roots"]) == 2
     suite = json.loads(capsys.readouterr().out)["suites"][0]
