@@ -38,35 +38,29 @@ class SymmetryViolation(WhitenormError):
 
 
 class ConvergenceFailure(WhitenormError):
-    """Root iteration did not converge.  The message names the check that
-    failed; the fields say where, at what size and how close, each None
-    where the raiser does not know it:
+    """Root iteration did not converge.  find_roots makes one start and
+    raises the failure of the first stage that fails.  The message names
+    the check that failed; the attributes say where, at what size and how
+    close, each None where the raiser does not know it:
 
     stage       "aberth", "refine", "multiset", "residual" or "discs"
     degree      degree of the polynomial being solved: in find_roots, the
                 one left after the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient
-    attempt     start configuration, from 0
     bits        fraction bits of the last fixed-point rung
     sweeps      fixed-point sweeps made
     steps       base-2 exponent of each sweep's largest step
     """
 
-    FIELDS = ("stage", "degree", "coeff_bits", "attempt", "bits", "sweeps", "steps")
-
     def __init__(self, message: str, *, stage=None, degree=None, coeff_bits=None,
-                 attempt=None, bits=None, sweeps=None, steps=()):
+                 bits=None, sweeps=None, steps=()):
         super().__init__(message)
         self.stage = stage
         self.degree = degree
         self.coeff_bits = coeff_bits
-        self.attempt = attempt
         self.bits = bits
         self.sweeps = sweeps
         self.steps = tuple(steps)
-
-    def fields(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 class ClassificationViolation(WhitenormError):

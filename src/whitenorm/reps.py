@@ -197,7 +197,8 @@ def eigenvariety_polys(e: EigenTuple) -> tuple[complex, complex, complex, comple
 
 
 def peripheral_quadric_at(s: complex) -> tuple[complex, complex, complex]:
-    """Coefficients (a, b, c) of the t-quadric at a fixed s."""
+    """Coefficients (a, b, c) of the t-quadric at a fixed s, complex or
+    HPComplex (c is the constant 1 either way)."""
     s2 = s * s
     s4 = s2 * s2
     return s4, -s4 + 4 * s2 - 1, 1 + 0j
@@ -217,7 +218,8 @@ def _power(base: complex, n: int) -> complex:
 
 def inverse_eigenvalue_map(e: EigenTuple) -> tuple[complex, complex, complex]:
     """Normal-form parameters (s, u, c) of the representation with the given
-    peripheral eigenvalues; undefined at s = +-1 and s^2 = u^2."""
+    peripheral eigenvalues, complex or HPComplex entries; undefined (raises
+    SingularPoint) at s = +-1 and s^2 = u^2."""
     s, t, u, v = e.s, e.t, e.u, e.v
     # both guards reject the singular points themselves, up to the rounding
     # of a double input, and nothing else: the s of every class the package
@@ -261,9 +263,7 @@ def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
     branch, by the stable quadratic formula in fixed point, with s^p t^q = 1.
     (Newton would crawl where the two branches collide, which happens at
     every root when p is even and q = 1.)"""
-    s2 = s * s
-    a = s2 * s2
-    b = 4 * s2 - a - 1
+    a, b, _ = peripheral_quadric_at(s)
     disc = (b * b - 4 * a).sqrt()
     if (b.to_complex().conjugate() * disc.to_complex()).real > 0:
         disc = -disc
@@ -362,10 +362,6 @@ def _lift(s: complex, p: int, q: int) -> tuple[str, HPComplex, HPComplex]:
     # branches collide; re-converge it on the exact resultant first
     res_dense, _ = build_res(p, q).poly.dense()
     s_hp = _refine_on_int_poly(res_dense, s_hp, 1e-6)
-    # c below divides by s^2 - 1; the exact trivial-root orders split +-1 off
-    # res before its roots are solved, so 1e-12 only guards the division
-    if abs((s_hp * s_hp - 1).to_complex()) < 1e-12:
-        raise SingularPoint("inverse parametrization undefined at s = +-1, s^2 = u^2")
     return "irreducible", s_hp, _solve_t_hp(s_hp, p, q)
 
 
@@ -376,9 +372,7 @@ def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -
     zero, one, u = HPComplex.from_int(0), HPComplex.from_int(1), HPComplex.from_int(sign_u)
     c = zero
     if kind == "irreducible":
-        # inverse parametrization c = (s^2(t-1) + u^2(1-v)) / (s^-1 u^-1 (s^2-u^2))
-        s2 = s * s
-        c = (s2 * (t - 1) + (1 - HPComplex.from_int(-1))) / ((s2 - 1) / (s * u))
+        _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, -1))
     prep = _verify(p, q, kind, sign_u, s, t, Mat2(s, c, zero, one / s), Mat2(u, zero, one, u))
     if kind == "reducible":
         return prep

@@ -109,9 +109,10 @@ def _backward_error(coeffs: np.ndarray, z: complex) -> float:
     return num / den if den else num
 
 
-def _initial_points(coeffs: np.ndarray, attempt: int) -> np.ndarray:
+def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     """One starting radius per edge of the upper Newton polygon of
-    (i, log|c_i|), phases from the golden-ratio sequence."""
+    (i, log|c_i|), phases from the golden-ratio sequence: the one start of
+    MPSolve (Bini & Fiorentino, Numer. Algorithms 23 (2000))."""
     n = len(coeffs) - 1
     pts = [(i, math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
     hull: list[tuple[int, float]] = []
@@ -129,24 +130,27 @@ def _initial_points(coeffs: np.ndarray, attempt: int) -> np.ndarray:
         r = math.exp((y1 - y2) / (i2 - i1))
         radii[pos : pos + (i2 - i1)] = r
         pos += i2 - i1
-    radii *= 1.0 + 0.23 * attempt
     k = np.arange(n)
-    angles = 2.0 * math.pi * ((k * _GOLDEN + 0.29 + 0.11 * attempt) % 1.0)
+    angles = 2.0 * math.pi * ((k * _GOLDEN + 0.29) % 1.0)
     return radii * np.exp(1j * angles)
+
+
+# the iteration budget of the one double-precision pass
+_ABERTH_ITERATIONS = 2000
 
 
 # a start that overflows or divides by zero ends in its ConvergenceFailure,
 # which is all a caller can act on; numpy's warnings would only add noise
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _aberth(coeffs: np.ndarray, attempt: int, max_iter: int = 2000) -> np.ndarray:
-    """One simultaneous-iteration pass.  Stops when corrections hit machine
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
+    """The simultaneous-iteration pass.  Stops when corrections hit machine
     level, or when every iterate is backward-stable and corrections are
     small (the stall of ill-conditioned or multiple roots)."""
     n = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     exponents = np.arange(len(coeffs))
-    z = _initial_points(coeffs, attempt)
-    for _ in range(max_iter):
+    z = _initial_points(coeffs)
+    for _ in range(_ABERTH_ITERATIONS):
         pv = _horner(coeffs, z)
         dv = _horner(dcoeffs, z)
         newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
@@ -174,7 +178,8 @@ def _aberth(coeffs: np.ndarray, attempt: int, max_iter: int = 2000) -> np.ndarra
         if (np.abs(_horner(coeffs, z)) <= 1e-13 * scale).all():
             return z
     raise ConvergenceFailure(
-        f"no convergence after {max_iter} iterations on degree {n}", stage="aberth", degree=n
+        f"no convergence after {_ABERTH_ITERATIONS} iterations on degree {n}",
+        stage="aberth", degree=n,
     )
 
 
@@ -428,7 +433,9 @@ def _package(
     component wider than a chain of its discs reaches raises.  A component
     whose mirror meets no other disc holds a real or (when the exponents of
     f all have one parity) a pure imaginary root (_on_axis), whose zero
-    coordinate is then an exact 0.0.  A root is on the unit circle when its
+    coordinate is then an exact 0.0.  The converse holds for real roots
+    only: with mixed parities a centre may land on re = 0 exactly, and the
+    root is not flagged imaginary.  A root is on the unit circle when its
     disc meets |s| = 1.  f has no root at +-1 (find_roots split them off),
     so no root here is trivial.  Each root carries its backward error and
     its radius: for a cluster, that of the disc about its mean covering its
@@ -483,18 +490,17 @@ def find_roots(f: LaurentPoly) -> RootSet:
     their count equals the span.  The roots +-1 are split off exactly:
     while f(x) = 0 for x = 1, then x = -1, f is divided by (s - x), and x
     becomes a root of that order with radius 0, residual 0 and the
-    trivial_pm1 flag.  Only the rest is solved (_solve_rest).  A
-    double-precision Aberth pass gives its start; fixed-point sweeps on the
-    exact coefficients refine it on a precision ladder until
+    trivial_pm1 flag.  Only the rest is solved, from one start: a
+    double-precision Aberth pass from the Newton-polygon radii; fixed-point
+    sweeps on the exact coefficients refine it on a precision ladder until
     Gerschgorin-Weierstrass inclusion discs certify every root; the refined
     multiset must rebuild the coefficients.  Each connected component of
     discs is one root, its size the multiplicity, and the root's flags come
-    from its disc (_package).  Three start configurations are tried in
-    turn.  Residual acceptance uses the backward error
-    |f(z)| / sum_i |c_i||z|^i.  A failure raises ConvergenceFailure with
-    the fields of the last attempt, whose degree and coeff_bits are those
-    of the polynomial left after the split.  All roots are sorted once, by
-    (re, im).
+    from its disc (_package).  Residual acceptance uses the backward error
+    |f(z)| / sum_i |c_i||z|^i.  A failure of any of these raises the
+    stage's ConvergenceFailure, with coeff_bits set; its degree and
+    coeff_bits are those of the polynomial left after the split.  All
+    roots are sorted once, by (re, im).
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
@@ -514,32 +520,20 @@ def find_roots(f: LaurentPoly) -> RootSet:
             flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
             roots.append(Root(complex(x), order, flags, 0.0, 0.0))
     if f.span:
-        roots += _solve_rest(f.dense()[0])
-    return RootSet(roots=tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag))), span=span)
-
-
-def _solve_rest(int_coeffs: list[int]) -> list[Root]:
-    """The roots of the polynomial with integer coefficients int_coeffs
-    (ascending, non-zero constant term and no root at +-1); see find_roots."""
-    coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
-    coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
-    coeffs = coeffs / coeffs[-1]
-    failure: ConvergenceFailure | None = None
-    for attempt in range(3):
+        int_coeffs = f.dense()[0]
+        coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
+        coeffs = coeffs / coeffs[-1]
         try:
-            raw = [complex(z) for z in _aberth(coeffs, attempt)]
+            raw = [complex(z) for z in _aberth(coeffs)]
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
             z, bits, radii, groups = _refine_hp(int_coeffs, raw)
             _verify_multiset_hp(int_coeffs, z, bits)
-            return _package(int_coeffs, coeffs, z, bits, radii, groups)
+            roots += _package(int_coeffs, coeffs, z, bits, radii, groups)
         except ConvergenceFailure as exc:
-            exc.attempt, exc.coeff_bits = attempt, coeff_bits
-            failure = exc
-    raise ConvergenceFailure(
-        f"all start configurations failed on degree {len(int_coeffs) - 1}: {failure}",
-        **failure.fields(),
-    )
+            exc.coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
+            raise
+    return RootSet(roots=tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag))), span=span)
 
 
 # ---------------------------------------------------------------------------

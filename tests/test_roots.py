@@ -72,9 +72,28 @@ def test_forced_refine_failure_names_stage_degree_and_step(monkeypatch):
     exc = info.value
     # only s^4 - 3s^3 + 5s^2 - 3s + 1, left after the double root -1 is
     # split off, reaches the sweeps
-    assert (exc.stage, exc.degree, exc.sweeps, exc.bits, exc.attempt) == ("refine", 4, 1, 128, 2)
+    assert (exc.stage, exc.degree, exc.sweeps, exc.bits) == ("refine", 4, 1, 128)
     assert exc.coeff_bits == 3
     assert len(exc.steps) == 1 and str(exc).endswith(f"largest step was 2^{exc.steps[-1]}")
+
+
+def test_failing_solve_makes_one_start(monkeypatch):
+    import whitenorm.roots as roots_mod
+
+    starts = []
+    aberth = roots_mod._aberth
+
+    def spy(coeffs, *args):
+        starts.append(len(coeffs) - 1)
+        return aberth(coeffs, *args)
+
+    monkeypatch.setattr(roots_mod, "_aberth", spy)
+    monkeypatch.setattr(roots_mod, "_refine_hp", functools.partial(roots_mod._refine_hp, sweeps=1))
+    with pytest.raises(ConvergenceFailure) as info:
+        find_roots(build_res(5, 1).poly)
+    # the refinement's own failure is raised, with no second start
+    assert starts == [4]
+    assert str(info.value).startswith("high-precision sweeps did not settle on degree 4")
 
 
 @pytest.mark.parametrize(
@@ -89,6 +108,20 @@ def test_multiple_pm1_roots_split_exactly(other, order):
     assert [(r.value, r.multiplicity, r.radius) for r in one] == [(1, order, 0.0)]
     assert rs.total_multiplicity() == rs.span == order + other.span
     assert nontrivial_roots(rs).total_multiplicity() == other.span
+
+
+def test_imaginary_flag_needs_one_exponent_parity():
+    # (s - 2)^2 (s^2 + 1) mixes exponent parities, so +-i are never
+    # certified imaginary, although the centre of +i may land on re = 0.0;
+    # an exact zero coordinate still follows from the flag, not conversely
+    rs = find_roots(LaurentPoly({1: 1, 0: -2}) ** 2 * LaurentPoly({2: 1, 0: 1}))
+    assert sorted((round(r.value.real, 7), round(r.value.imag, 7), r.multiplicity) for r in rs) == [
+        (0.0, -1.0, 1), (0.0, 1.0, 1), (2.0, 0.0, 2)
+    ]
+    for r in rs:
+        assert r.flags.real == (r.value.imag == 0.0)
+        assert not r.flags.imaginary or r.value.real == 0.0
+    assert not any(r.flags.imaginary for r in rs)
 
 
 def test_close_simple_roots_stay_apart():
