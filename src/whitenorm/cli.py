@@ -18,7 +18,7 @@ import sys
 
 from . import reps, seminorm
 from .errors import ScopeError, ValidationError, WhitenormError
-from .respq import build_res
+from .respq import Y_CONVENTION, build_res
 from .roots import resultant_roots
 from .slopes import INFINITY, Slope, validate_filling
 from .verify import SUITES, run_verify
@@ -55,7 +55,7 @@ def cmd_respq(args) -> int:
     r = build_res(args.p, args.q)
     if args.format == "text":
         print(f"res[{args.p}/{args.q}] = {r.poly.pretty()}")
-        print(f"span {r.span}; convention {r.y_convention}; degenerate {r.is_degenerate}")
+        print(f"span {r.span}; convention {Y_CONVENTION}; degenerate {r.is_degenerate}")
         return 0
     _emit(
         {
@@ -64,7 +64,7 @@ def cmd_respq(args) -> int:
             "q": args.q,
             "span": r.span,
             "degenerate": r.is_degenerate,
-            "y_convention": r.y_convention,
+            "y_convention": Y_CONVENTION,
             "coefficients": r.poly.to_json_coeffs(),
         }
     )

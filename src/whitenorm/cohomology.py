@@ -30,7 +30,6 @@ from .roots import find_roots, nontrivial_roots, resultant_roots
 @dataclass(frozen=True)
 class NumMatrix:
     data: np.ndarray
-    provenance: str
 
     @property
     def shape(self):
@@ -55,7 +54,7 @@ def coboundary_matrix(s: complex, a: complex) -> NumMatrix:
         [0, 0, 0, 2 * (a - 1) ** 2, -2 * a * (a - 1) ** 2, 2 * (a - 2)],
         [0, 0, 1 - si2, (2 - a) * (a - 1) ** 2, (a - 1) ** 4, -(a - 1) * (a - 3)],
     ]
-    return NumMatrix(np.array(rows, dtype=complex), "coboundary")
+    return NumMatrix(np.array(rows, dtype=complex))
 
 
 def _relation_cocycle_vector(s: complex) -> list[complex]:
@@ -88,7 +87,7 @@ def reducible_presentation_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [0, 2 * (1 - s2), 0, 2 * (-s2 * s2 + 2 * s2 - 1) / s2, (s2 * s2 - s2 - 1) * (s2 - 1) ** 2 / s2, 0],
         [p / q, 0, 0, 0, (s2 * s2 - 1) / s2, 0],
     ]
-    m = NumMatrix(np.array(rows, dtype=complex), "reducible_presentation")
+    m = NumMatrix(np.array(rows, dtype=complex))
     # callers pass s = +-1 or s = e^(2 pi i k/|p|), at least 2 sin(pi/|p|)
     # from +-1; 1e-9 tells the two apart up to the rounding of s
     if abs(s - 1) > 1e-9 and abs(s + 1) > 1e-9:
@@ -119,7 +118,7 @@ def trace_pairing_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [p / q, 0, 0, 0, (s2 * s2 - 1) / s2, 0],
         [0, 0, 0, 0, 1, 0],
     ]
-    return NumMatrix(np.array(rows, dtype=complex), "trace_pairing_extension")
+    return NumMatrix(np.array(rows, dtype=complex))
 
 
 def det_p_closed_form(s: complex, p: int, q: int) -> complex:

@@ -6,8 +6,8 @@ with y = (-s^2 + 4 - s^-2)/2.  Since 2 T_q(y) = D_q(2y) for the Dickson
 polynomial D_q (D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}), the closed form
 is built as s^(p-2q) + (-1)^(q+1) D_q(-s^2 + 4 - s^-2) + s^(-p+2q), over the
 integers.  No convention is chosen at run time: build_res checks the closed
-form against the Sylvester elimination determinant for every filling with
-q > 0, and the convention name is recorded on each ResPoly.
+form against the Sylvester elimination determinant for every filling, and
+the convention's name is the module constant Y_CONVENTION.
 """
 
 from __future__ import annotations
@@ -61,59 +61,37 @@ def resolve_y_convention() -> str:
 
 @dataclass(frozen=True)
 class ResPoly:
-    """Characterization polynomial for one filling, in both constructions.
-
-    closed_form and oracle_form are unit-normalized and must be equal; the
-    redundancy is the transcription check.  span = 0 signals the degenerate
-    fillings p/q in {0, 4} where the polynomial is a nonzero constant and
-    there are no irreducible parabolic classes.
+    """Characterization polynomial for one filling, unit-normalized and
+    certified equal to the Sylvester determinant.  span = 0 signals the
+    degenerate fillings p/q in {0, 4} where the polynomial is a nonzero
+    constant and there are no irreducible parabolic classes.
     """
 
     p: int
     q: int
-    closed_form: LaurentPoly
-    oracle_form: LaurentPoly
-    y_convention: str
-    formal: bool = False  # the q = 0 case (+-1, 0), defined by convention
-
-    @property
-    def poly(self) -> LaurentPoly:
-        return self.closed_form
+    poly: LaurentPoly
 
     @property
     def span(self) -> int:
-        return self.closed_form.span
+        return self.poly.span
 
     @property
     def is_degenerate(self) -> bool:
         return self.span == 0
 
 
-def _validate(p: int, q: int) -> None:
-    """validate_filling, plus the formal slope (+-1, 0) that res defines by
-    convention."""
-    if isinstance(p, int) and isinstance(q, int) and q == 0 and abs(p) == 1:
-        return
-    validate_filling(p, q)
-
-
 # typed, so that (5.0, 1) misses the cached (5, 1) and is validated
 @lru_cache(maxsize=256, typed=True)
 def build_res(p: int, q: int) -> ResPoly:
     """Construct res for the p/q filling from both routes and check they agree."""
-    _validate(p, q)
+    validate_filling(p, q)
     closed = _closed_form(p, q).normalize_unit()
-    if q == 0:
-        # No elimination to run: the t-degree of s^p - 1 is zero.  The closed
-        # form itself is the defining convention here ((s-1)^2 up to units).
-        return ResPoly(p, q, closed, closed, Y_CONVENTION, formal=True)
-    oracle = _oracle(p, q).normalize_unit()
-    if closed != oracle:
+    if closed != _oracle(p, q).normalize_unit():
         raise ResultantIdentityMismatch(
             f"closed form and Sylvester determinant disagree for ({p}, {q}) "
             f"under {Y_CONVENTION}"
         )
-    return ResPoly(p, q, closed, oracle, Y_CONVENTION)
+    return ResPoly(p, q, closed)
 
 
 def trivial_root_orders(r: ResPoly) -> tuple[int, int]:
@@ -148,21 +126,12 @@ def trivial_root_orders(r: ResPoly) -> tuple[int, int]:
     return orders
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    p: int
-    q: int
-    inverse_invariant: bool       # s -> 1/s fixes the root set (exact identity)
-    negation_invariant: bool      # s -> -s identity; holds iff p is even
-    negation_expected: bool
-    mirror_pair_equal: bool       # res_{p,q} = res_{-p+4q,q} up to units
-
-
-def check_symmetries(r: ResPoly) -> SymmetryReport:
-    """Assert the exact symmetry identities of res; raise naming any failure."""
+def check_symmetries(r: ResPoly) -> bool:
+    """Assert the exact symmetry identities of res, raising naming any
+    failure: s -> 1/s fixes res, s -> -s fixes it iff p is even, and
+    res_{p,q} = res_{-p+4q,q} up to units.  Returns whether s -> -s fixes res."""
     poly = r.poly
-    inv_ok = poly.substitute_inv().unit_equal(poly)
-    if not inv_ok:
+    if not poly.substitute_inv().unit_equal(poly):
         raise SymmetryViolation(f"s -> 1/s invariance fails for ({r.p}, {r.q})")
     neg_holds = poly.substitute_neg().unit_equal(poly)
     neg_expected = r.p % 2 == 0
@@ -171,22 +140,15 @@ def check_symmetries(r: ResPoly) -> SymmetryReport:
             f"s -> -s invariance is {neg_holds} but p parity predicts {neg_expected} "
             f"for ({r.p}, {r.q})"
         )
-    if r.q == 0:
-        mirror_ok = True  # -p+4q = -p; (s-1)^2 is inversion-symmetric already
-    else:
-        mirror = build_res(-r.p + 4 * r.q, r.q)
-        mirror_ok = mirror.poly.unit_equal(poly)
-    if not mirror_ok:
+    if not build_res(-r.p + 4 * r.q, r.q).poly.unit_equal(poly):
         raise SymmetryViolation(f"p -> -p+4q mirror identity fails for ({r.p}, {r.q})")
-    return SymmetryReport(r.p, r.q, inv_ok, neg_holds, neg_expected, mirror_ok)
+    return neg_holds
 
 
 def nontrivial_root_bound(p: int, q: int) -> int:
     """Number of distinct roots off {0, +-1}, assuming simplicity: the span
-    minus the multiplicities at +-1."""
-    _validate(p, q)
-    if q > 0 and (p == 0 or p == 4 * q):
-        raise ValidationError("p/q in {0, 4} has no non-trivial roots")
+    minus the multiplicities at +-1.  build_res validates (p, q), and
+    trivial_root_orders rejects p/q in {0, 4}, which has no roots."""
     r = build_res(p, q)
     o1, om1 = trivial_root_orders(r)
     return r.span - o1 - om1

@@ -52,9 +52,6 @@ class SeminormProfile:
     a: tuple[int, int, int]
     s_min: int
 
-    def norm(self, gamma: Slope) -> int:
-        return sum(aj * distance(gamma, bj) for aj, bj in zip(self.a, self.betas))
-
 
 def _table_coeffs(p: int, q: int, rng: SlopeRange) -> tuple[tuple[int, int, int], int]:
     if rng is SlopeRange.NEG_INF_0:
@@ -77,7 +74,7 @@ def seminorm_profile(p: int, q: int) -> SeminormProfile:
 
 
 def evaluate_norm(profile: SeminormProfile, gamma: Slope) -> int:
-    return profile.norm(gamma)
+    return sum(aj * distance(gamma, bj) for aj, bj in zip(profile.a, profile.betas))
 
 
 def detected_slopes(p: int, q: int) -> dict:
@@ -302,12 +299,11 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
     rng = _require_scope(p, q)
     prof = seminorm_profile(p, q)
     betas = boundary_slopes(p, q)
-    seifert = [Slope(1, 1), Slope(2, 1), Slope(3, 1)]
     rows = []
     rhs = []
-    for slope, weight, cone in zip(seifert, (2, 3, 4), (6, 4, 3)):
-        rows.append([Fraction(distance(slope, b)) for b in betas] + [Fraction(-1)])
-        rhs.append(Fraction(weight * (abs(p - cone * q) - 1)))
+    for sig in (1, 2, 3):  # the Seifert slope sigma/1
+        rows.append([Fraction(distance(Slope(sig, 1), b)) for b in betas] + [Fraction(-1)])
+        rhs.append(Fraction(_SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1)))
     rows.append([Fraction(distance(INFINITY, b)) for b in betas] + [Fraction(-1)])
     rhs.append(Fraction(0))
 

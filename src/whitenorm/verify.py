@@ -43,8 +43,7 @@ def _degenerate(p: int, q: int) -> bool:
 
 def suite_resultant(p: int, q: int) -> SuiteResult:
     """Sylvester determinant vs closed form, palindromicity, monic lead."""
-    r = respq.build_res(p, q)
-    poly = r.poly
+    poly = respq.build_res(p, q).poly
     if not poly.substitute_inv().unit_equal(poly):
         return SuiteResult("resultant", p, q, "fail", "not inversion-symmetric")
     if poly.span and poly[poly.maxdeg] != 1:
@@ -54,7 +53,7 @@ def suite_resultant(p: int, q: int) -> SuiteResult:
         return SuiteResult("resultant", p, q, "fail", f"span {poly.span} != {expected_span}")
     return SuiteResult(
         "resultant", p, q, "pass",
-        f"span {poly.span}, oracle == closed form under convention '{r.y_convention}'",
+        f"span {poly.span}, oracle == closed form under convention '{respq.Y_CONVENTION}'",
     )
 
 
@@ -64,11 +63,11 @@ def suite_symmetries(p: int, q: int) -> SuiteResult:
     if r.is_degenerate:
         return SuiteResult("symmetries", p, q, "skipped", "degenerate constant, no roots")
     orders = respq.trivial_root_orders(r)
-    rep = respq.check_symmetries(r)
+    negation_invariant = respq.check_symmetries(r)
     return SuiteResult(
         "symmetries", p, q, "pass",
         f"orders(+1,-1)={orders}, inversion/parity/mirror identities exact "
-        f"(s->-s invariant: {rep.negation_invariant})",
+        f"(s->-s invariant: {negation_invariant})",
     )
 
 

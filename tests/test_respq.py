@@ -24,20 +24,15 @@ def coprime_pairs(pmax=12, qmax=5):
 
 
 def test_y_convention_resolved_by_oracle():
-    name = resolve_y_convention()
-    assert name == "y = (-s^2 + 4 - s^-2)/2"
-    r = build_res(3, 2)
-    assert r.y_convention == name
-    assert r.closed_form == r.oracle_form
+    assert resolve_y_convention() == respq.Y_CONVENTION == "y = (-s^2 + 4 - s^-2)/2"
 
 
-def test_formal_slope():
-    r = build_res(1, 0)
-    assert r.formal
-    assert r.poly == LaurentPoly({2: 1, 1: -2, 0: 1})  # (s-1)^2
-    assert build_res(-1, 0).poly == LaurentPoly({2: 1, 1: -2, 0: 1})
+def test_q_zero_is_no_filling():
+    for p in (1, -1, 3):
+        with pytest.raises(ValidationError):
+            build_res(p, 0)
     with pytest.raises(ValidationError):
-        build_res(3, 0)
+        nontrivial_root_bound(1, 0)
 
 
 def test_degenerate_fillings_are_units():
@@ -78,11 +73,9 @@ def test_trivial_root_orders():
 
 
 def test_symmetries():
-    rep = check_symmetries(build_res(2, 1))
-    assert rep.negation_invariant and rep.negation_expected
-    rep = check_symmetries(build_res(1, 1))
-    assert not rep.negation_invariant
-    assert check_symmetries(build_res(5, 1)).mirror_pair_equal
+    assert check_symmetries(build_res(2, 1)) is True    # s -> -s fixes res iff p even
+    assert check_symmetries(build_res(1, 1)) is False
+    check_symmetries(build_res(5, 1))                   # mirror pair 5/1 and -1/1
     assert build_res(5, 1).poly.unit_equal(build_res(-1, 1).poly)
 
 
@@ -172,6 +165,6 @@ def test_symmetry_checker_catches_tampering():
     from whitenorm.errors import SymmetryViolation
 
     good = build_res(5, 1)
-    tampered = dataclasses.replace(good, closed_form=good.poly + LaurentPoly({1: 1}))
+    tampered = dataclasses.replace(good, poly=good.poly + LaurentPoly({1: 1}))
     with pytest.raises(SymmetryViolation):
         check_symmetries(tampered)

@@ -194,6 +194,14 @@ PREPS_DIGESTS = {
     # benchmark/digests.json's entry predates the exact 0.0 imaginary parts
     # of this filling's two real roots and is stale until it is re-recorded
     "roots 65 23": "0b97e493e60064933aefd3b3531c7f5a36f9f80d740cf20f7ab9e70270c14e5b",
+    # the y-convention of respq and of the resultant suite, and the s -> -s
+    # flag of the symmetries suite, on odd, even and degenerate fillings
+    "respq 5 1": "ebed83cde0c469dd046f05308fbbd9a49c155f74f7cead296a38d70f696b979e",
+    "respq 5 1 --format text": "33b25f07b42f995d33743458530a3a9f8c29b0164021cc56bd0aa4fa5537aa80",
+    "respq 4 1": "38c6cdb9552199501362cfdfc388db895e3226ef8d94fac3ce99eb1a684973ca",
+    "verify 2 1 --suite all": "1c27dad16340c1681901551302761eafbb0e224276870804a066271e80c5b239",
+    "verify 3 1 --suite all": "f6e8cbb5bb8a344ff78ab4daefdc31ebca5126ce05f4713078e4212e8715d928",
+    "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
 }
 # every other roots-grid and verify-grid command, checked against the
 # benchmark's own digests
