@@ -2,9 +2,10 @@
 
 The fields of the one frozen instance TOL are the package's fixed
 thresholds; every check reads its threshold from TOL at the point of use.
-A root's multiplicity, its realness and whether it meets the unit circle
-take no threshold: they are read off its certified inclusion disc (see
-roots).  Nor do the trivial roots +-1, which are split off exactly.
+A root's realness and whether it meets the unit circle take no
+threshold: they are read off its certified inclusion disc (see roots),
+and every root off +-1 is simple, by an exact squarefree test.  Nor do
+the trivial roots +-1, which are split off exactly with their orders.
 """
 
 from dataclasses import dataclass

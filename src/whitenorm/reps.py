@@ -294,6 +294,9 @@ def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComp
         if dv == (0, 0):
             break
         step = hp_div(hp_horner(coeffs, v), dv)
+        # a zero step leaves v a fixed point: every later step is zero too
+        if step == (0, 0):
+            break
         v = (v[0] - step[0], v[1] - step[1])
     z = HPComplex(*v)
     if abs(z.to_complex() - start) > guard * (1 + abs(start)):
@@ -484,8 +487,6 @@ class PrepCount:
     reducible: int
     irreducible: int
     total: int
-    expected_total: int
-    attains_bound: bool
 
 
 def reducible_class_count(p: int) -> int:
@@ -495,8 +496,8 @@ def reducible_class_count(p: int) -> int:
 
 
 def expected_class_total(p: int, q: int) -> int:
-    """Closed-form class count (reducible + irreducible), valid when all
-    non-trivial roots are simple."""
+    """Closed-form class count (reducible + irreducible), valid because
+    all non-trivial roots are simple (find_roots certifies it)."""
     ap, aq = abs(p), abs(q)
     if p % 2:
         if p < 0:
@@ -513,11 +514,9 @@ def expected_class_total(p: int, q: int) -> int:
 
 def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCount:
     """Count conjugacy classes of parabolic representations: the reducible
-    closed form plus the number of distinct non-trivial resultant roots.
-
-    For p odd a disagreement with the closed-form total signals a multiple
-    root and raises; for p even (where simplicity is not settled) the gap
-    is only reported via attains_bound.
+    closed form plus the number of non-trivial resultant roots, each
+    simple (find_roots certifies it).  A disagreement with the closed-form
+    total, for any p, raises.
     """
     validate_filling(p, q)
     if p == 0 or p == 4 * q:
@@ -527,13 +526,11 @@ def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCo
     reducible = reducible_class_count(p)
     total = reducible + irreducible
     expected = expected_class_total(p, q)
-    attains = total == expected
-    if not attains and p % 2 == 1:
+    if total != expected:
         raise CountMismatch(
-            f"({p},{q}): {total} classes found but the closed form gives {expected}; "
-            "a non-trivial root must be multiple"
+            f"({p},{q}): {total} classes found but the closed form gives {expected}"
         )
-    return PrepCount(p, q, reducible, irreducible, total, expected, attains)
+    return PrepCount(p, q, reducible, irreducible, total)
 
 
 def all_prep_classes(p: int, q: int) -> list[PRep]:

@@ -1,18 +1,20 @@
-"""Complex root extraction with certified multiplicities and the
+"""Complex root extraction with certified inclusion discs and the
 classification of resultant roots (real / imaginary / unit circle).
 
 One pipeline, for polynomials with integer coefficients (find_roots).  The
 trivial roots +-1 are split off exactly first: while f(x) = 0 for x = 1,
 then x = -1, f is divided by (s - x), and x becomes a root of that order
-with radius 0.  On the rest, a deterministic double-precision simultaneous
-iteration (Aberth-Ehrlich, Newton-polygon starting radii, golden-angle
-phases) gives a start; it is refined by Gauss-Seidel Aberth sweeps in fixed
-point on the exact coefficients (plain python ints, see cxhp), on a ladder
-of 128, 256, 512 and 768 fraction bits whose top rung is cxhp.BITS.  The
-ladder stops when Gerschgorin-Weierstrass inclusion discs certify every
-root to 2^-100; the refined multiset must rebuild the coefficients.  Every
-other fact about a root is read off the discs (see _package): its
-multiplicity, realness and whether it meets the unit circle.  There is no
+with radius 0.  The rest must be certified squarefree exactly (_squarefree),
+so every other root is simple.  On it, a deterministic double-precision
+simultaneous iteration (Aberth-Ehrlich, Newton-polygon starting radii,
+golden-angle phases) gives a start; it is refined by Gauss-Seidel Aberth
+sweeps in fixed point on the exact coefficients (plain python ints, see
+cxhp), on a ladder of 128, 256, 512 and 768 fraction bits whose top rung
+is cxhp.BITS.  The ladder stops when pairwise disjoint
+Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
+refined multiset must rebuild the coefficients.  Each disc then holds one
+simple root, and every other fact about it is read off its disc (see
+_package): its realness and whether it meets the unit circle.  There is no
 double-precision polish.  The refinement matters: resultant roots packed
 near the unit circle reach condition numbers beyond 1e13, so double
 precision alone cannot certify symmetry classes at 1e-8.
@@ -56,7 +58,7 @@ class RootFlags:
 @dataclass(frozen=True)
 class Root:
     value: complex
-    multiplicity: int
+    multiplicity: int  # the exact order of +-1; every other root is simple
     flags: RootFlags
     radius: float    # of its inclusion disc about value; 0.0 for the exact +-1
     residual: float  # backward error |f(value)| / sum_i |c_i||value|^i
@@ -145,7 +147,7 @@ _ABERTH_ITERATIONS = 2000
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """The simultaneous-iteration pass.  Stops when corrections hit machine
     level, or when every iterate is backward-stable and corrections are
-    small (the stall of ill-conditioned or multiple roots)."""
+    small (the stall of ill-conditioned roots)."""
     n = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     exponents = np.arange(len(coeffs))
@@ -183,27 +185,37 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def _components(n: int, linked) -> list[list[int]]:
-    """Index groups, each in increasing order, of the connected components
-    of the graph on range(n) with an edge wherever linked(i, j), i < j."""
-    parent = list(range(n))
+# ---------------------------------------------------------------------------
+# exact squarefree test
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+# a prime of 61 bits: residues stay small ints, and a squarefree f fails the
+# test only when the prime divides its discriminant
+_PRIME = (1 << 61) - 1
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if linked(i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+
+def _squarefree(int_coeffs: list[int]) -> bool:
+    """Whether gcd(f, f') = 1 modulo the prime 2^61 - 1 for the integer
+    polynomial f = sum_i int_coeffs[i] s^i, and the prime does not divide
+    its leading coefficient.  Then f is squarefree over Q: a square factor
+    g^2 of f over Z keeps its degree modulo the prime and would divide both
+    f and f' there.  False proves nothing over Q: the prime may divide the
+    discriminant of a squarefree f."""
+    # leading coefficient first; each pass divides a by b, leaving b and the
+    # remainder with its leading zeros dropped
+    a = [c % _PRIME for c in reversed(int_coeffs)]
+    b = [i * c % _PRIME for i, c in enumerate(int_coeffs)][:0:-1]
+    if a[0] == 0:
+        return False
+    while True:
+        while b and b[0] == 0:
+            b.pop(0)
+        if not b:
+            return len(a) == 1
+        inv = pow(b[0], -1, _PRIME)
+        for k in range(len(a) - len(b) + 1):
+            m = a[k] * inv % _PRIME
+            a[k : k + len(b)] = [(x - m * y) % _PRIME for x, y in zip(a[k : k + len(b)], b)]
+        a, b = b, a[len(a) - len(b) + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +267,25 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
 
 def _refine_hp(
     int_coeffs: list[int], raw: list[complex], sweeps: int = 48
-) -> tuple[list[HP], int, list[float], list[list[int]]]:
+) -> tuple[list[HP], int, list[float]]:
     """Gauss-Seidel Aberth sweeps in fixed point with exact integer
     coefficients, on the precision ladder _RUNGS, warm-started from the
     double-precision multiset; badly assigned iterates migrate to uncovered
-    roots on the way.
+    roots on the way.  f must be squarefree.
 
     The inclusion discs are computed after a sweep whose largest step is
     below 2^(-bits/2), the rung's floor (Aberth's method converges
     cubically on simple roots, so the iterates are then as good as the rung
     makes them); below 2^(-bits/4) and no smaller than the sweep before,
-    a stall; or below 2^-100.  The ladder stops once every radius is below
-    2^-100 (1 + |z_i|).  Otherwise it climbs a rung at a floor or a stall,
-    and sweeps on after a small step alone: a multiple root converges
-    linearly, about two bits a sweep.  At the top rung it sweeps on until
-    the discs certify.  After `sweeps` sweeps in all it raises
-    ConvergenceFailure; the 48 of the default take a double root from its
-    ~2^-22 double start to the ~2^-105 steps at which its discs certify.
+    a stall; or below 2^-100, which may certify before the floor of a rung
+    of 256 bits or more is reached.  The ladder stops once every radius is
+    below 2^-100 (1 + |z_i|) and the discs are pairwise disjoint.
+    Otherwise it climbs a rung at a floor or a stall, and sweeps on after a
+    small step alone.  At the top rung it sweeps on until the discs
+    certify.  After `sweeps` sweeps in all it raises ConvergenceFailure.
 
     Returns the fixed-point centres, the fraction bits of the rung they
-    are at, their inclusion radii and the connected components of the
-    discs (see _inclusion_discs)."""
+    are at and their inclusion radii (see _inclusion_discs)."""
     n = len(int_coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
     rung = 0
@@ -289,12 +299,13 @@ def _refine_hp(
         # takes large steps that need not shrink
         floor = steps[-1] < -(bits // 2)
         stalled = steps[-1] < -(bits // 4) and len(steps) > first + 1 and steps[-1] >= steps[-2]
-        # a multiple root converges linearly, with no floor or stall in sight
         if not (floor or stalled or steps[-1] < -_CERTIFY_BITS):
             continue
-        radii, groups = _inclusion_discs(int_coeffs, z, bits)
-        if all(r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)):
-            return z, bits, radii, groups
+        radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
+        if disjoint and all(
+            r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)
+        ):
+            return z, bits, radii
         if (floor or stalled) and rung + 1 < len(_RUNGS):
             rung += 1
             up = _RUNGS[rung] - bits
@@ -316,9 +327,7 @@ def _absf(re: int, im: int, bits: int) -> float:
     return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
 
 
-def _inclusion_discs(
-    int_coeffs: list[int], z: list[HP], bits: int
-) -> tuple[list[float], list[list[int]]]:
+def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[list[float], bool]:
     """Gerschgorin-Weierstrass inclusion discs D(z_i, r_i) about the
     fixed-point centres z_i, with
 
@@ -327,12 +336,13 @@ def _inclusion_discs(
     rounded outward.  The union of the discs holds every root of f, and
     each connected component of m discs holds exactly m roots counted
     with multiplicity (Bini & Fiorentino, Numer. Algorithms 23 (2000);
-    Neumaier, J. Comput. Appl. Math. 156 (2003)).
+    Neumaier, J. Comput. Appl. Math. 156 (2003)).  So when the discs are
+    pairwise disjoint, each holds exactly one root, a simple one.
 
     |f(z_i)| is the fixed-point Horner value plus its truncation bound
     (cxhp.hp_horner); the denominator is a float product whose rounding is
-    covered by a relative factor.  Returns the radii and the components,
-    as index groups; coincident centres give infinite radii."""
+    covered by a relative factor.  Returns the radii, infinite for
+    coincident centres, and whether the discs are pairwise disjoint."""
     n = len(z)
     dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -358,29 +368,29 @@ def _inclusion_discs(
             continue
         # below 2^-1022 a float loses relative precision; clamp outward
         radii.append(max(math.ldexp(n * num / m * slack, -e), 2.0**-1022))
-    groups = _components(
-        n, lambda i, j: dist[i][j] * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL)
+    disjoint = all(
+        dist[i][j] * (1.0 - _REL) > (radii[i] + radii[j]) * (1.0 + _REL)
+        for i in range(n)
+        for j in range(i + 1, n)
     )
-    return radii, groups
+    return radii, disjoint
 
 
-def _on_axis(z: list[HP], bits: int, radii: list[float], group: list[int], sign: int) -> bool:
-    """Whether the discs D(z_i, r_i) of the component `group` meet the real
-    (sign +1) or imaginary (sign -1) axis and their mirrors
-    D(sign * conj(z_i), r_i) meet no disc outside it.  With sign +1 the
-    mirror of each root in the component, a root when f is real, then lies
-    in the component again; with sign -1 likewise when moreover all
-    exponents of f have one parity.  So the component's root, of the
-    component's multiplicity, lies on the axis."""
-    inside = set(group)
-    if all(abs(z[i][1] if sign == 1 else z[i][0]) > math.ldexp(radii[i], bits) for i in group):
+def _on_axis(z: list[HP], bits: int, radii: list[float], i: int, sign: int) -> bool:
+    """Whether the disc D(z_i, r_i) meets the real (sign +1) or imaginary
+    (sign -1) axis and its mirror D(sign * conj(z_i), r_i) meets no other
+    disc.  With sign +1 the mirror of the disc's root, a root when f is
+    real, then lies in the disc again; with sign -1 likewise when moreover
+    all exponents of f have one parity.  The disc holds one root, so that
+    root is its own mirror and lies on the axis."""
+    if abs(z[i][1] if sign == 1 else z[i][0]) > math.ldexp(radii[i], bits):
         return False
-    for i in group:
-        mre, mim = sign * z[i][0], -sign * z[i][1]
-        for j, (zr, zim) in enumerate(z):
-            if j not in inside and _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) <= (radii[i] + radii[j]) * (1.0 + _REL):
-                return False
-    return True
+    mre, mim = sign * z[i][0], -sign * z[i][1]
+    return all(
+        j == i
+        or _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) > (radii[i] + radii[j]) * (1.0 + _REL)
+        for j, (zr, zim) in enumerate(z)
+    )
 
 
 def _reach(value: complex, radius: float) -> float:
@@ -425,41 +435,26 @@ def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
 
 
 def _package(
-    int_coeffs: list[int], coeffs: np.ndarray, z: list[HP], bits: int,
-    radii: list[float], groups: list[list[int]],
+    int_coeffs: list[int], coeffs: np.ndarray, z: list[HP], bits: int, radii: list[float]
 ) -> list[Root]:
-    """One root per connected component of the inclusion discs, its size
-    the multiplicity, at the double rounding of its centres' mean; a
-    component wider than a chain of its discs reaches raises.  A component
-    whose mirror meets no other disc holds a real or (when the exponents of
-    f all have one parity) a pure imaginary root (_on_axis), whose zero
-    coordinate is then an exact 0.0.  The converse holds for real roots
-    only: with mixed parities a centre may land on re = 0 exactly, and the
-    root is not flagged imaginary.  A root is on the unit circle when its
-    disc meets |s| = 1.  f has no root at +-1 (find_roots split them off),
-    so no root here is trivial.  Each root carries its backward error and
-    its radius: for a cluster, that of the disc about its mean covering its
-    members' discs.  Unsorted; find_roots sorts."""
+    """One simple root per inclusion disc, at the double rounding of its
+    centre.  A disc whose mirror meets no other disc holds a real or (when
+    the exponents of f all have one parity) a pure imaginary root
+    (_on_axis), whose zero coordinate is then an exact 0.0.  The converse
+    holds for real roots only: with mixed parities a centre may land on
+    re = 0 exactly, and the root is not flagged imaginary.  A root is on
+    the unit circle when its disc meets |s| = 1.  f has no root at +-1
+    (find_roots split them off), so no root here is trivial.  Each root
+    carries its backward error and its disc's radius.  Unsorted;
+    find_roots sorts."""
     n = len(z)
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
-    raw = [hp_float(v, bits) for v in z]
     roots = []
-    for idxs in groups:
-        mult = len(idxs)
-        # linked discs D(z_i, r_i) keep any two centres within 2 sum r_i;
-        # the factor covers the roundings of both sides
-        chain = 2.0 * sum(radii[i] for i in idxs) * (1.0 + (mult + 4) * _REL)
-        width = max(_absf(z[i][0] - z[j][0], z[i][1] - z[j][1], bits) for i in idxs for j in idxs)
-        if width * (1.0 - _REL) > chain:
-            raise ConvergenceFailure(
-                f"one of {len(groups)} disc components on degree {n} spans {width:.2e}, "
-                f"beyond the {chain:.2e} its {mult} discs can chain",
-                stage="discs", degree=n, bits=bits,
-            )
-        value = complex(sum(raw[i] for i in idxs) / mult)
-        real = _on_axis(z, bits, radii, idxs, 1)
-        imaginary = not real and parity and _on_axis(z, bits, radii, idxs, -1)
+    for i, radius in enumerate(radii):
+        value = hp_float(z[i], bits)
+        real = _on_axis(z, bits, radii, i, 1)
+        imaginary = not real and parity and _on_axis(z, bits, radii, i, -1)
         if real:
             value = complex(value.real, 0.0)
         elif imaginary:
@@ -470,37 +465,35 @@ def _package(
                 f"root {value} has backward error {err:.3e} > {TOL.root_residual:.1e}",
                 stage="residual", degree=n, bits=bits,
             )
-        if mult == 1:
-            radius = radii[idxs[0]]
-        else:
-            radius = max(abs(raw[i] - value) + radii[i] for i in idxs) * (1.0 + _REL)
         flags = RootFlags(
             trivial_pm1=False, real=real, imaginary=imaginary,
             unit_circle=_meets_unit_circle(value, radius),
         )
-        roots.append(Root(value, mult, flags, radius, err))
+        roots.append(Root(value, 1, flags, radius, err))
     return roots
 
 
 def find_roots(f: LaurentPoly) -> RootSet:
-    """Roots (with multiplicities) of the non-zero Laurent polynomial f with
-    integer coefficients, each with a certified inclusion disc.
+    """Roots of the non-zero Laurent polynomial f with integer
+    coefficients, each with a certified inclusion disc.
 
     Exponent units s^k are stripped first, so only non-zero roots exist and
-    their count equals the span.  The roots +-1 are split off exactly:
-    while f(x) = 0 for x = 1, then x = -1, f is divided by (s - x), and x
-    becomes a root of that order with radius 0, residual 0 and the
-    trivial_pm1 flag.  Only the rest is solved, from one start: a
-    double-precision Aberth pass from the Newton-polygon radii; fixed-point
-    sweeps on the exact coefficients refine it on a precision ladder until
-    Gerschgorin-Weierstrass inclusion discs certify every root; the refined
-    multiset must rebuild the coefficients.  Each connected component of
-    discs is one root, its size the multiplicity, and the root's flags come
-    from its disc (_package).  Residual acceptance uses the backward error
-    |f(z)| / sum_i |c_i||z|^i.  A failure of any of these raises the
-    stage's ConvergenceFailure, with coeff_bits set; its degree and
-    coeff_bits are those of the polynomial left after the split.  All
-    roots are sorted once, by (re, im).
+    their count, with multiplicity, equals the span.  The roots +-1 are
+    split off exactly: while f(x) = 0 for x = 1, then x = -1, f is divided
+    by (s - x), and x becomes a root of that order (its multiplicity) with
+    radius 0, residual 0 and the trivial_pm1 flag.  The rest must be
+    certified squarefree (_squarefree), or ValidationError is raised: the
+    test is modular, so that refusal does not by itself prove a repeated
+    root.  Only then is it solved, from one start: a double-precision
+    Aberth pass from the Newton-polygon radii; fixed-point sweeps on the
+    exact coefficients refine it on a precision ladder until pairwise
+    disjoint Gerschgorin-Weierstrass inclusion discs certify every root;
+    the refined multiset must rebuild the coefficients.  Each disc is one
+    simple root, whose flags come from its disc (_package).  Residual
+    acceptance uses the backward error |f(z)| / sum_i |c_i||z|^i.  A
+    failure of any of these raises the stage's ConvergenceFailure, with
+    coeff_bits set; its degree and coeff_bits are those of the polynomial
+    left after the split.  All roots are sorted once, by (re, im).
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
@@ -521,15 +514,20 @@ def find_roots(f: LaurentPoly) -> RootSet:
             roots.append(Root(complex(x), order, flags, 0.0, 0.0))
     if f.span:
         int_coeffs = f.dense()[0]
+        if not _squarefree(int_coeffs):
+            raise ValidationError(
+                f"the degree-{f.span} polynomial left after the +-1 split is not certified "
+                "squarefree: gcd(f, f') != 1 modulo 2^61 - 1"
+            )
         coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
         coeffs = coeffs / coeffs[-1]
         try:
             raw = [complex(z) for z in _aberth(coeffs)]
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
-            z, bits, radii, groups = _refine_hp(int_coeffs, raw)
+            z, bits, radii = _refine_hp(int_coeffs, raw)
             _verify_multiset_hp(int_coeffs, z, bits)
-            roots += _package(int_coeffs, coeffs, z, bits, radii, groups)
+            roots += _package(int_coeffs, coeffs, z, bits, radii)
         except ConvergenceFailure as exc:
             exc.coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
             raise
@@ -593,7 +591,6 @@ class ClassificationReport:
     imaginary_count: int
     expected_imaginary: int
     min_unit_circle_gap: float
-    all_simple: bool
     min_separation: float
 
 
@@ -617,8 +614,8 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     (_meets_unit_circle on each Root's value and radius).  The report's circle
     gap and separation are those of the printed values."""
     nt = nontrivial_roots(rs)
-    real = sum(r.multiplicity for r in nt if r.flags.real)
-    imag = sum(r.multiplicity for r in nt if r.flags.imaginary)
+    real = sum(r.flags.real for r in nt)
+    imag = sum(r.flags.imaginary for r in nt)
     exp_real = _expected_real_count(p, q)
     exp_imag = _expected_imaginary_count(p, q)
     if real != exp_real:
@@ -641,7 +638,6 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         )
     seps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]]
     min_sep = min(seps) if seps else math.inf
-    all_simple = all(r.multiplicity == 1 for r in nt)
     return ClassificationReport(
         p=p,
         q=q,
@@ -651,6 +647,5 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         imaginary_count=imag,
         expected_imaginary=exp_imag,
         min_unit_circle_gap=min_gap,
-        all_simple=all_simple,
         min_separation=min_sep,
     )

@@ -88,11 +88,10 @@ def suite_roots(p: int, q: int) -> SuiteResult:
     bound = respq.nontrivial_root_bound(p, q)
     if rep.n_nontrivial > bound:
         return SuiteResult("roots", p, q, "fail", f"{rep.n_nontrivial} roots over bound {bound}")
-    attained = rep.n_nontrivial == bound
-    if p % 2 == 1 and not (attained and rep.all_simple):
+    if p % 2 == 1 and rep.n_nontrivial != bound:
         return SuiteResult(
             "roots", p, q, "fail",
-            f"p odd but bound {bound} not attained simply ({rep.n_nontrivial} roots)",
+            f"p odd but bound {bound} not attained ({rep.n_nontrivial} roots)",
         )
     if p % 2 == 1 and rep.min_separation <= TOL.separation:
         return SuiteResult("roots", p, q, "fail", f"separation {rep.min_separation:.2e}")
@@ -139,8 +138,6 @@ def suite_preps(p: int, q: int) -> SuiteResult:
                 "preps", p, q, "fail", f"minimal norm {s_min} != class count {count.total}"
             )
         detail += f", classes == minimal norm {s_min}"
-    elif not count.attains_bound:
-        detail += " (span bound not attained; simplicity open for p even)"
     return SuiteResult("preps", p, q, "pass", detail)
 
 

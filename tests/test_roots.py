@@ -2,16 +2,19 @@ import dataclasses
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from whitenorm.cohomology import d2_poly
 from whitenorm.config import TOL
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.respq import build_res
 from whitenorm.roots import (
     _refine_hp,
+    _squarefree,
     classify,
     find_roots,
     nontrivial_roots,
@@ -28,20 +31,18 @@ def test_quadratic_difference():
 
 
 def test_multiple_root_clustering():
-    # (s - 2)^2 (s + 1)^2 (s - 5); the two approximations of a double root
-    # converge together, so their inclusion discs form one component of two
+    # (s - 2)^2 (s + 1)^2 (s - 5): the double root -1 is split off exactly,
+    # and the double root 2 left after it is refused before any sweep
     f = (LaurentPoly({1: 1, 0: -2}) ** 2) * (LaurentPoly({1: 1, 0: 1}) ** 2) * LaurentPoly({1: 1, 0: -5})
-    rs = find_roots(f)
-    got = sorted((round(r.value.real, 7), r.multiplicity) for r in rs)
-    assert got == [(-1.0, 2), (2.0, 2), (5.0, 1)]
+    with pytest.raises(ValidationError, match="degree-3 polynomial .* not certified squarefree"):
+        find_roots(f)
 
 
 def test_multiple_root_on_axis_prints_exact_zero():
-    # (s^2 - 4)^2 (s^2 + 9): a double root's component is mirrored onto
-    # itself like a simple root's disc, so +-2 print im 0.0 as +-3i print re 0.0
-    rs = find_roots(LaurentPoly({2: 1, 0: -4}) ** 2 * LaurentPoly({2: 1, 0: 9}))
-    assert [(r.value, r.multiplicity) for r in rs] == [(-2, 2), (-3j, 1), (3j, 1), (2, 2)]
-    assert [(r.flags.real, r.flags.imaginary) for r in rs] == [(1, 0), (0, 1), (0, 1), (1, 0)]
+    # (s^2 - 4)^2 (s^2 + 9): the double roots +-2 are refused, so no disc
+    # ever holds more than one root
+    with pytest.raises(ValidationError, match="not certified squarefree"):
+        find_roots(LaurentPoly({2: 1, 0: -4}) ** 2 * LaurentPoly({2: 1, 0: 9}))
 
 
 def test_zero_polynomial_rejected():
@@ -111,17 +112,79 @@ def test_multiple_pm1_roots_split_exactly(other, order):
 
 
 def test_imaginary_flag_needs_one_exponent_parity():
-    # (s - 2)^2 (s^2 + 1) mixes exponent parities, so +-i are never
-    # certified imaginary, although the centre of +i may land on re = 0.0;
+    # (s - a)(s^2 + 1) mixes exponent parities, so +-i are never certified
+    # imaginary, although a centre may land on re = 0.0 (both do at a = -3);
     # an exact zero coordinate still follows from the flag, not conversely
-    rs = find_roots(LaurentPoly({1: 1, 0: -2}) ** 2 * LaurentPoly({2: 1, 0: 1}))
-    assert sorted((round(r.value.real, 7), round(r.value.imag, 7), r.multiplicity) for r in rs) == [
-        (0.0, -1.0, 1), (0.0, 1.0, 1), (2.0, 0.0, 2)
+    for a in (2, -3):
+        rs = find_roots(LaurentPoly({1: 1, 0: -a}) * LaurentPoly({2: 1, 0: 1}))
+        assert sorted((round(r.value.real, 7), round(r.value.imag, 7), r.multiplicity) for r in rs) == sorted(
+            [(0.0, -1.0, 1), (0.0, 1.0, 1), (a, 0.0, 1)]
+        )
+        for r in rs:
+            assert r.flags.real == (r.value.imag == 0.0)
+            assert not r.flags.imaginary or r.value.real == 0.0
+        assert not any(r.flags.imaginary for r in rs)
+    assert [r.value for r in rs] == [-3, -1j, 1j]
+
+
+def _split_pm1(f: LaurentPoly) -> list[int]:
+    """The dense integer coefficients of f with its roots +-1 divided out,
+    as find_roots splits them."""
+    f = f.shift(-f.mindeg)
+    for x in (1, -1):
+        while f.eval_at_int(x) == 0:
+            f = f.exact_div(LaurentPoly({1: 1, 0: -x}))
+    return f.dense()[0]
+
+
+def test_census_squarefree_after_pm1_split():
+    # every filling of the coprime |p| <= 33, q <= 10 grid, odd and even p,
+    # and the d2 obstruction polynomial: no repeated root off +-1
+    grid = [
+        (p, q) for p in range(-33, 34) for q in range(1, 11)
+        if math.gcd(abs(p), q) == 1 and p not in (0, 4 * q)
     ]
-    for r in rs:
-        assert r.flags.real == (r.value.imag == 0.0)
-        assert not r.flags.imaginary or r.value.real == 0.0
-    assert not any(r.flags.imaginary for r in rs)
+    assert len(grid) == 417
+    refused = [pq for pq in grid if not _squarefree(_split_pm1(build_res(*pq).poly))]
+    assert refused == []
+    assert _squarefree(_split_pm1(d2_poly()))
+
+
+def _rational_gcd_degree(coeffs: list[int]) -> int:
+    """deg gcd(f, f') over Q by Euclid's algorithm on Fractions
+    (coefficients constant first)."""
+    a = [Fraction(c) for c in coeffs]
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        while len(a) >= len(b):
+            m, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= m * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+# Degree <= 4 and |c_i| <= 5: by Hadamard's bound on the 7 x 7 Sylvester
+# matrix of f and f' (three rows of norm <= 5 sqrt 5, four of norm
+# <= 5 sqrt 30), a non-zero Res(f, f') = +-a_n disc(f) is below 8e8, far
+# below 2^61 - 1, and the prime cannot divide a_n.  So the test mod the
+# prime is exact here: it passes exactly when f is squarefree over Q.
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).flatmap(
+        lambda low: st.integers(-5, 5).filter(bool).map(lambda lead: [*low, lead])
+    )
+)
+@example([-2, 0, 1])      # s^2 - 2
+@example([4, 0, -3, 1])   # (s - 2)^2 (s + 1)
+@example([0, 0, 0, 0, 5])  # 5 s^4
+@settings(max_examples=200, deadline=None)
+def test_squarefree_agrees_with_rational_gcd(coeffs):
+    assert _squarefree(coeffs) == (_rational_gcd_degree(coeffs) == 0)
 
 
 def test_close_simple_roots_stay_apart():

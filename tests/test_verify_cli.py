@@ -202,6 +202,11 @@ PREPS_DIGESTS = {
     "verify 2 1 --suite all": "1c27dad16340c1681901551302761eafbb0e224276870804a066271e80c5b239",
     "verify 3 1 --suite all": "f6e8cbb5bb8a344ff78ab4daefdc31ebca5126ce05f4713078e4212e8715d928",
     "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
+    # even-p fillings: their class count is checked against the closed form
+    # and their roots are certified simple like those of odd p
+    "verify 8 1 --suite all": "8c096e90b60ddc0990acdb0ca7d54c5254b03ec20e31546a7f9bc7222822d2bf",
+    "verify 12 5 --suite all": "a308bab94f40aed85717621e148807331ff40d0bece0904c4adc3d91cf1944fd",
+    "verify 6 1 --suite all": "ee4efe552c2c9bd8b901fcf01136f724163cfd380964cd519acd5c7b0be321d9",
 }
 # every other roots-grid and verify-grid command, checked against the
 # benchmark's own digests
@@ -239,19 +244,20 @@ def test_overlapping_discs_fail_roots_suite(monkeypatch, capsys):
 
     certify = roots_mod._inclusion_discs
 
-    def one_component(int_coeffs, z, bits):
-        radii, groups = certify(int_coeffs, z, bits)
-        return radii, [sorted(i for g in groups for i in g)]
+    def overlapping(int_coeffs, z, bits):
+        radii, _ = certify(int_coeffs, z, bits)
+        return radii, False
 
-    monkeypatch.setattr(roots_mod, "_inclusion_discs", one_component)
+    monkeypatch.setattr(roots_mod, "_inclusion_discs", overlapping)
     resultant_roots.cache_clear()
     try:
         assert main(["verify", "5", "1", "--suite", "roots"]) == 2
     finally:
         resultant_roots.cache_clear()  # drop the planted failure
     suite = json.loads(capsys.readouterr().out)["suites"][0]
+    # discs never certified disjoint: the sweeps run out at the top rung
     assert suite["status"] == "fail"
-    assert "disc components" in suite["details"]
+    assert "high-precision sweeps did not settle on degree 4 in 48 sweeps" in suite["details"]
 
 
 def test_overlapping_radii_fail_roots_suite(monkeypatch, capsys):
