@@ -5,8 +5,9 @@ coefficients are never stored, so the empty map is the zero polynomial.
 
 BivarPoly is the same idea in two variables s, t with integer coefficients;
 its only job is to feed the Sylvester matrix in t whose determinant is the
-elimination resultant, computed exactly by fraction-free (Bareiss)
-elimination over the Laurent ring.
+elimination resultant, computed exactly over the Laurent ring: elimination
+on unit pivots +-s^e first, which divides exactly, then fraction-free
+(Bareiss) elimination on the block that has none.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @property
+    def is_unit(self) -> bool:
+        """Whether this is +-s^e, a unit of Z[s, 1/s]."""
+        return len(self.coeffs) == 1 and abs(next(iter(self.coeffs.values()))) == 1
 
     @property
     def mindeg(self) -> int:
@@ -300,16 +306,48 @@ def sylvester_matrix_t(f: BivarPoly, g: BivarPoly) -> list[list[LaurentPoly]]:
 
 
 def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix over the integer Laurent ring by
-    fraction-free elimination.  Row pivoting only; every interior division
-    is exact by the Sylvester identity."""
+    """Exact determinant of a square matrix over the integer Laurent ring,
+    with row pivoting only, in two phases.
+
+    Unit pivots first: while column k has an entry +-s^e in some row i >= k,
+    that row is swapped up and divided exactly into the rows below.  Only
+    the rows with a non-zero entry in column k, and only the pivot row's
+    non-zero columns, are touched.  On the Sylvester matrix of the
+    peripheral quadric, whose leading t-coefficient s^4 is a unit, this
+    leaves a 2 x 2 block.  Fraction-free (Bareiss) elimination then
+    finishes the trailing block; every interior division there is exact by
+    the Sylvester identity."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("determinant needs a square matrix")
     m = [row[:] for row in matrix]
     sign = 1
+    unit_exp = 0  # the unit pivots so far multiply to sign * s^unit_exp
+    start = 0
+    while start < n:
+        k = start
+        i = next((i for i in range(k, n) if m[i][k].is_unit), None)
+        if i is None:
+            break
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        ((e, c),) = m[k][k].coeffs.items()
+        sign *= c
+        unit_exp += e
+        cols = [j for j in range(k + 1, n) if not m[k][j].is_zero]
+        for i in range(k + 1, n):
+            if m[i][k].is_zero:
+                continue
+            mult = m[i][k].shift(-e)  # m[i][k] / (+-s^e), up to the sign c
+            if c < 0:
+                mult = -mult
+            for j in cols:
+                m[i][j] = m[i][j] - mult * m[k][j]
+            m[i][k] = LaurentPoly()
+        start += 1
     prev = LaurentPoly.constant(1)
-    for k in range(n - 1):
+    for k in range(start, n - 1):
         if m[k][k].is_zero:
             for i in range(k + 1, n):
                 if not m[i][k].is_zero:
@@ -324,7 +362,7 @@ def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
                 m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
             m[i][k] = LaurentPoly()
         prev = pivot
-    det = m[n - 1][n - 1]
+    det = m[n - 1][n - 1].shift(unit_exp) if start < n else LaurentPoly({unit_exp: 1})
     return -det if sign < 0 else det
 
 

@@ -194,6 +194,84 @@ def test_bareiss_zero_pivot_and_singular():
     assert det_cofactor(singular).is_zero
 
 
+def test_unit_pivot_after_row_swap():
+    # column 0 has its only unit s^2 in row 1: one swap, so the sign flips
+    two, three = LaurentPoly.constant(2), LaurentPoly.constant(3)
+    m = [[two, S], [S**2, three]]
+    assert det_bareiss(m) == det_cofactor(m) == LaurentPoly({0: 6, 3: -1})
+    m3 = [[two, S, ONE], [S**2, three, S + ONE], [S + ONE, LaurentPoly(), LaurentPoly({0: 5})]]
+    assert det_bareiss(m3) == det_cofactor(m3)
+
+
+def test_negative_unit_pivot():
+    m = [
+        [LaurentPoly({3: -1}), LaurentPoly({0: 2}), ONE],
+        [LaurentPoly({0: 4}), S + ONE, LaurentPoly()],
+        [S, LaurentPoly({0: 3}), LaurentPoly({-1: 2})],
+    ]
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+def test_no_unit_pivot_is_bareiss_only():
+    m = [
+        [LaurentPoly({0: 2}), S + ONE, LaurentPoly({1: 3})],
+        [S + LaurentPoly({0: 2}), LaurentPoly({0: 2}), LaurentPoly()],
+        [LaurentPoly(), S**2 + ONE, LaurentPoly({0: 3})],
+    ]
+    assert not any(entry.is_unit for row in m for entry in row)
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+def test_unit_steps_then_singular_remainder():
+    # one unit column, then the trailing block [[x, y], [2x, 2y]] with no unit
+    a, b, c, d = S + ONE, LaurentPoly({-1: 3}), LaurentPoly({0: 2}), S**2
+    x, y = S + LaurentPoly({0: 2}), LaurentPoly({0: 3})
+    m = [[ONE, a, b], [c, c * a + x, c * b + y], [d, d * a + x + x, d * b + y + y]]
+    assert det_bareiss(m).is_zero
+    assert det_cofactor(m).is_zero
+
+
+def test_one_by_one():
+    for entry in (LaurentPoly({3: -1}), S + LaurentPoly({0: 2}), LaurentPoly()):
+        assert det_bareiss([[entry]]) == det_cofactor([[entry]]) == entry
+
+
+def test_sylvester_leaves_two_by_two_to_bareiss(monkeypatch):
+    # s^4, the quadric's leading t-coefficient, is the unit pivot of its q
+    # rows; only the last 2 x 2 block is left, one fraction-free division
+    divisions = []
+    honest = LaurentPoly.exact_div
+
+    def counting(self, divisor):
+        divisions.append(divisor)
+        return honest(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting)
+    m = sylvester_matrix_t(peripheral_quadric(), filling_eigenvalue_poly(65, 20))
+    det_bareiss(m)
+    assert divisions == [ONE]
+
+
+def sparse_entry():
+    unit = st.tuples(st.integers(-3, 3), st.sampled_from((1, -1))).map(
+        lambda ec: LaurentPoly({ec[0]: ec[1]})
+    )
+    other = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(LaurentPoly)
+    return st.one_of(st.just(LaurentPoly()), unit, other)
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[draw(sparse_entry()) for _ in range(n)] for _ in range(n)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_bareiss_matches_cofactor_on_sparse_matrices(m):
+    assert det_bareiss(m) == det_cofactor(m)
+
+
 def test_json_roundtrip():
     f = LaurentPoly({-2: 3, 0: -(10**30), 5: 7})
     data = f.to_json_coeffs()

@@ -79,6 +79,13 @@ def test_symmetries():
     assert build_res(5, 1).poly.unit_equal(build_res(-1, 1).poly)
 
 
+def test_certificate_at_large_q():
+    # a (q + 2)^2 Sylvester determinant with q = 128, and its mirror 255/128
+    r = build_res(257, 128)
+    assert r.span == 2 * max(abs(257 - 256), 256)
+    assert check_symmetries(r) is False
+
+
 def test_nontrivial_root_bounds():
     assert nontrivial_root_bound(-1, 1) == 4   # 2|p| + 4|q| - 2
     assert nontrivial_root_bound(5, 1) == 4    # 2|p| - 4|q| - 2
