@@ -68,7 +68,7 @@ def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
 
     Each product truncates both parts by less than one unit of 2^-bits, so
     the value is off by less than sqrt(2) * sum_{k<n} |z|^k units, n the
-    degree (see roots._inclusion_discs)."""
+    degree (see roots._horner_error)."""
     acc = (0, 0)
     for c in reversed(int_coeffs):
         acc = hp_mul(acc, z, bits)

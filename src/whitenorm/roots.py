@@ -10,7 +10,8 @@ simultaneous iteration (Aberth-Ehrlich, Newton-polygon starting radii,
 golden-angle phases) gives a start; it is refined by Gauss-Seidel Aberth
 sweeps in fixed point on the exact coefficients (plain python ints, see
 cxhp), on a ladder of 128, 256, 512 and 768 fraction bits whose top rung
-is cxhp.BITS.  The ladder stops when pairwise disjoint
+is cxhp.BITS.  It climbs a rung once the rung is exhausted, every |f(z)|
+within the error of its own evaluation, and stops when pairwise disjoint
 Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
 refined multiset must rebuild the coefficients.  Each disc then holds one
 simple root, and every other fact about it is read off its disc (see
@@ -235,14 +236,19 @@ _CERTIFY_BITS = 100
 _REL = 2.0**-50
 
 
-def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> int:
+def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> tuple[int, bool]:
     """One Gauss-Seidel Aberth sweep over z in place, at `bits` fraction
-    bits; returns the largest step component in units of 2^-bits."""
+    bits.  Returns the largest step component in units of 2^-bits, and
+    whether the rung is exhausted (MPSolve's criterion): every |f(z_k)| is
+    within _horner_error plus 4 * 2^-bits |f'(z_k)| for the rounding of z_k."""
     one = hp_int(1, bits)
     max_step = 0
+    exhausted = True
     for k in range(len(z)):
         pv = hp_horner(int_coeffs, z[k], bits)
         dv = hp_horner(dcoeffs, z[k], bits)
+        noise = _horner_error(len(z), z[k], bits) + math.ldexp(_absf(*dv, bits), 2 - bits)
+        exhausted = exhausted and _absf(*pv, bits) <= noise
         if dv == (0, 0):
             continue
         newton = hp_div(pv, dv, bits)
@@ -262,7 +268,7 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
         step = hp_div(newton, den, bits)
         z[k] = (z[k][0] - step[0], z[k][1] - step[1])
         max_step = max(max_step, abs(step[0]), abs(step[1]))
-    return max_step
+    return max_step, exhausted
 
 
 def _refine_hp(
@@ -273,45 +279,35 @@ def _refine_hp(
     double-precision multiset; badly assigned iterates migrate to uncovered
     roots on the way.  f must be squarefree.
 
-    The inclusion discs are computed after a sweep whose largest step is
-    below 2^(-bits/2), the rung's floor (Aberth's method converges
-    cubically on simple roots, so the iterates are then as good as the rung
-    makes them); below 2^(-bits/4) and no smaller than the sweep before,
-    a stall; or below 2^-100, which may certify before the floor of a rung
-    of 256 bits or more is reached.  The ladder stops once every radius is
-    below 2^-100 (1 + |z_i|) and the discs are pairwise disjoint.
-    Otherwise it climbs a rung at a floor or a stall, and sweeps on after a
-    small step alone.  At the top rung it sweeps on until the discs
-    certify.  After `sweeps` sweeps in all it raises ConvergenceFailure.
+    The ladder climbs a rung after a sweep that finds the rung exhausted
+    (_sweep), and only then.  The inclusion discs are computed after such a
+    sweep, or after one whose largest step is below 2^-100, which may
+    certify before the rung is exhausted; the ladder stops once every radius
+    is below 2^-100 (1 + |z_i|) and the discs are pairwise disjoint.  At
+    the top rung it sweeps on until they do; after `sweeps` sweeps in all
+    it raises ConvergenceFailure.
 
     Returns the fixed-point centres, the fraction bits of the rung they
     are at and their inclusion radii (see _inclusion_discs)."""
     n = len(int_coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
-    rung = 0
-    bits = _RUNGS[rung]
+    bits = _RUNGS[0]
     z = [hp(v, bits) for v in raw]
     steps: list[int] = []
-    first = 0  # the rung's first sweep
     for _ in range(sweeps):
-        steps.append(_sweep(int_coeffs, dcoeffs, z, bits).bit_length() - 1 - bits)
-        # at the floor, or stalled short of it; a start still migrating
-        # takes large steps that need not shrink
-        floor = steps[-1] < -(bits // 2)
-        stalled = steps[-1] < -(bits // 4) and len(steps) > first + 1 and steps[-1] >= steps[-2]
-        if not (floor or stalled or steps[-1] < -_CERTIFY_BITS):
+        step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
+        steps.append(step.bit_length() - 1 - bits)
+        if not (exhausted or steps[-1] < -_CERTIFY_BITS):
             continue
         radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
         if disjoint and all(
             r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)
         ):
             return z, bits, radii
-        if (floor or stalled) and rung + 1 < len(_RUNGS):
-            rung += 1
-            up = _RUNGS[rung] - bits
-            bits = _RUNGS[rung]
+        if exhausted and bits < _RUNGS[-1]:
+            up = _RUNGS[_RUNGS.index(bits) + 1] - bits
             z = [(re << up, im << up) for re, im in z]
-            first = len(steps)
+            bits += up
     raise ConvergenceFailure(
         f"high-precision sweeps did not settle on degree {n} in {sweeps} sweeps: "
         f"the last sweep's largest step was 2^{steps[-1]}",
@@ -327,6 +323,13 @@ def _absf(re: int, im: int, bits: int) -> float:
     return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
 
 
+def _horner_error(n: int, z: HP, bits: int) -> float:
+    """Bound on the truncation error of hp_horner at z on degree n, capped
+    at 2^1000: under sqrt(2) sum_{k<n} |z|^k units of 2^-bits."""
+    az = _absf(z[0], z[1], bits) * (1.0 + _REL)
+    return 2.0 ** min(math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits, 1000.0)
+
+
 def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[list[float], bool]:
     """Gerschgorin-Weierstrass inclusion discs D(z_i, r_i) about the
     fixed-point centres z_i, with
@@ -340,7 +343,7 @@ def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[lis
     pairwise disjoint, each holds exactly one root, a simple one.
 
     |f(z_i)| is the fixed-point Horner value plus its truncation bound
-    (cxhp.hp_horner); the denominator is a float product whose rounding is
+    (_horner_error); the denominator is a float product whose rounding is
     covered by a relative factor.  Returns the radii, infinite for
     coincident centres, and whether the discs are pairwise disjoint."""
     n = len(z)
@@ -354,10 +357,7 @@ def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[lis
     slack = 1.0 + 2 * (n + 2) * _REL
     radii = []
     for i, zi in enumerate(z):
-        az = _absf(zi[0], zi[1], bits) * (1.0 + _REL)
-        # hp_horner is off by less than sqrt(2) sum_{k<n} |z|^k units of 2^-bits
-        t = math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits
-        num = _absf(*hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + 2.0 ** min(t, 1000.0)
+        num = _absf(*hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + _horner_error(n, zi, bits)
         m, e = lead_m, lead_e
         for j in range(n):
             if j != i:

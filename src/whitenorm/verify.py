@@ -131,7 +131,8 @@ def suite_preps(p: int, q: int) -> SuiteResult:
         f"{count.reducible} reducible + {count.irreducible} irreducible classes"
         f", worst residual {max(worst.values()):.1e}, faithful defect {defect:.1e}"
     )
-    if p % 2 == 1:
+    # the minimal norm has its closed form for p odd off slope 3
+    if p % 2 == 1 and p != 3 * q:
         s_min = seminorm.seminorm_profile(p, q).s_min
         if s_min != count.total:
             return SuiteResult(

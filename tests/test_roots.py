@@ -209,7 +209,7 @@ def test_failed_start_reports_only_its_failure():
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
 
 
-@pytest.mark.parametrize("pq", [*ROOTS_GRID, (8, 1), (7, 2)])
+@pytest.mark.parametrize("pq", [*ROOTS_GRID, (8, 1), (7, 2), (89, 44)])
 def test_rootset_carries_disjoint_discs(pq):
     rs = resultant_roots(*pq)
     assert rs.disc_overlaps() == []

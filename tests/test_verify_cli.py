@@ -200,7 +200,7 @@ PREPS_DIGESTS = {
     "respq 5 1 --format text": "33b25f07b42f995d33743458530a3a9f8c29b0164021cc56bd0aa4fa5537aa80",
     "respq 4 1": "38c6cdb9552199501362cfdfc388db895e3226ef8d94fac3ce99eb1a684973ca",
     "verify 2 1 --suite all": "1c27dad16340c1681901551302761eafbb0e224276870804a066271e80c5b239",
-    "verify 3 1 --suite all": "f6e8cbb5bb8a344ff78ab4daefdc31ebca5126ce05f4713078e4212e8715d928",
+    "verify 3 1 --suite all": "3636e9ea43aca6cbf6241f41d0068f80f37881cff403b1370ae43e4778c13ada",
     "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
     # even-p fillings: their class count is checked against the closed form
     # and their roots are certified simple like those of odd p
