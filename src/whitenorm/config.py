@@ -2,10 +2,10 @@
 
 The fields of the one frozen instance TOL are the package's fixed
 thresholds; every check reads its threshold from TOL at the point of use.
-A root's realness and whether it meets the unit circle take no
-threshold: they are read off its certified inclusion disc (see roots),
-and every root off +-1 is simple, by an exact squarefree test.  Nor do
-the trivial roots +-1, which are split off exactly with their orders.
+No root is accepted on a threshold: its inclusion disc certifies it, and
+its realness and whether it meets the unit circle are read off that disc
+(see roots).  Every root off +-1 is simple, by an exact squarefree test,
+and the trivial roots +-1 are split off exactly with their orders.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # root finding
-    root_residual: float = 1e-10   # backward error |f(s)| / sum |c_i||s|^i
     separation: float = 1e-6       # minimal distance between simple roots
     # representation residuals
     residual: float = 1e-8         # relator / filling / variety residuals

@@ -43,7 +43,8 @@ class ConvergenceFailure(WhitenormError):
     the check that failed; the attributes say where, at what size and how
     close, each None where the raiser does not know it:
 
-    stage       "aberth", "refine", "multiset" or "residual"
+    stage       "aberth" (the double-precision start) or "refine" (the
+                fixed-point sweeps and their inclusion discs)
     degree      degree of the polynomial being solved: in find_roots, the
                 one left after the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient

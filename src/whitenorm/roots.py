@@ -12,16 +12,17 @@ sweeps in fixed point on the exact coefficients (plain python ints, see
 cxhp), on a ladder of 128, 256, 512 and 768 fraction bits whose top rung
 is cxhp.BITS.  It climbs a rung once the rung is exhausted, every |f(z)|
 within the error of its own evaluation, and stops when pairwise disjoint
-Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100; the
-refined multiset must rebuild the coefficients.  Each disc then holds one
-simple root, and every other fact about it is read off its disc (see
-_package): its realness and whether it meets the unit circle.  There is no
+Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100.
+Each disc then holds exactly one root, a simple one, and this is the one
+root certificate: the printed double lies within 2^-53 |z| + r of it.
+Every other fact about the root is read off its disc (see _package): its
+realness and whether it meets the unit circle.  There is no
 double-precision polish.  The refinement matters: resultant roots packed
 near the unit circle reach condition numbers beyond 1e13, so double
 precision alone cannot certify symmetry classes at 1e-8.
 
-Each Root carries its own disc radius and backward error; a RootSet is the
-roots, sorted once by (re, im), and the span.
+Each Root carries its own disc radius; a RootSet is the roots, sorted once
+by (re, im), and the span.
 
 No randomness anywhere; repeated runs emit identical bytes, whatever rung
 the ladder stopped at.
@@ -35,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import TOL
 from .cxhp import BITS, HP, hp, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
 from .laurent import LaurentPoly
@@ -61,8 +61,7 @@ class Root:
     value: complex
     multiplicity: int  # the exact order of +-1; every other root is simple
     flags: RootFlags
-    radius: float    # of its inclusion disc about value; 0.0 for the exact +-1
-    residual: float  # backward error |f(value)| / sum_i |c_i||value|^i
+    radius: float  # of its inclusion disc about value; 0.0 for the exact +-1
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,6 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _backward_error(coeffs: np.ndarray, z: complex) -> float:
-    num = abs(complex(_horner(coeffs, np.array([z]))[0]))
-    den = float(np.sum(np.abs(coeffs) * np.abs(z) ** np.arange(len(coeffs))))
-    return num / den if den else num
-
-
 def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     """One starting radius per edge of the upper Newton polygon of
     (i, log|c_i|), phases from the golden-ratio sequence: the one start of
@@ -148,12 +141,14 @@ _ABERTH_ITERATIONS = 2000
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """The simultaneous-iteration pass.  Stops when corrections hit machine
     level, or when every iterate is backward-stable and corrections are
-    small (the stall of ill-conditioned roots)."""
+    small (the stall of ill-conditioned roots).  Fails at the first iterate
+    that is not finite: the repulsion sums then make every iterate NaN, and
+    neither stopping test can pass."""
     n = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     exponents = np.arange(len(coeffs))
     z = _initial_points(coeffs)
-    for _ in range(_ABERTH_ITERATIONS):
+    for it in range(1, _ABERTH_ITERATIONS + 1):
         pv = _horner(coeffs, z)
         dv = _horner(dcoeffs, z)
         newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
@@ -165,6 +160,12 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         denom[denom == 0] = 1.0
         step = newton / denom
         z = z - step
+        if not np.isfinite(z).all():
+            raise ConvergenceFailure(
+                f"double-precision start overflowed at iteration {it} on degree {n}: "
+                "an iterate is not finite",
+                stage="aberth", degree=n,
+            )
         worst = float((np.abs(step) / (1.0 + np.abs(z))).max())
         # about 22 ulps of a double (eps = 2.2e-16): a smaller correction
         # only moves the iterate inside its own rounding noise, and the
@@ -172,8 +173,9 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         if worst < 5e-15:
             return z
         # ill-conditioned roots keep jittering inside their cond*eps ball, so
-        # corrections never shrink; accept on backward stability alone (the
-        # multiset verification catches any doubled-up configuration).
+        # corrections never shrink; accept on backward stability alone.  Two
+        # iterates doubled up on one root never give pairwise disjoint
+        # discs, so the sweeps move them apart or fail at stage "refine".
         # Horner's rounding error is at most about 2n u sum_i |c_i||z|^i
         # (u = 2^-53), which reaches 1e-13 at degree 450, so this asks for
         # no more than double precision can tell at the degrees solved here
@@ -404,39 +406,11 @@ def _meets_unit_circle(value: complex, radius: float) -> bool:
     return abs(abs(value) - 1.0) <= _reach(value, radius)
 
 
-def _verify_multiset_hp(int_coeffs: list[int], z: list[HP], bits: int) -> None:
-    """Exact-grade multiset check, run at the rung where the ladder stopped:
-    rebuild prod (x - z_i) in fixed point and compare with the integer
-    coefficients.  A missing or doubled root shows up at O(1); a certified
-    multiset agrees to 4e-37 or better on the benchmark's fillings, up to
-    degree 192, at 128 bits (and to 2e-69 at 65/23, which stops at 256)."""
-    poly = [hp_int(int_coeffs[-1], bits)]
-    for r in z:
-        poly.append((0, 0))
-        for i in range(len(poly) - 1, 0, -1):
-            m = hp_mul(poly[i - 1], r, bits)
-            poly[i] = (poly[i][0] - m[0], poly[i][1] - m[1])
-    worst = 0.0
-    scale = float(max(abs(c) for c in int_coeffs))
-    for built, want in zip(poly[::-1], int_coeffs):
-        diff = hp_float((built[0] - hp_int(want, bits)[0], built[1]), bits)
-        worst = max(worst, abs(diff) / scale)
-    # far from both outcomes above, and above the error that radii below
-    # 2^-100 (1 + |z|) leave in the rebuilt coefficients
-    if worst > 1e-20:
-        raise ConvergenceFailure(
-            f"refined multiset reproduces coefficients to {worst:.2e} only",
-            stage="multiset", degree=len(z), bits=bits,
-        )
-
-
 # ---------------------------------------------------------------------------
 # the root pipeline
 
 
-def _package(
-    int_coeffs: list[int], coeffs: np.ndarray, z: list[HP], bits: int, radii: list[float]
-) -> list[Root]:
+def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) -> list[Root]:
     """One simple root per inclusion disc, at the double rounding of its
     centre.  A disc whose mirror meets no other disc holds a real or (when
     the exponents of f all have one parity) a pure imaginary root
@@ -445,9 +419,7 @@ def _package(
     re = 0 exactly, and the root is not flagged imaginary.  A root is on
     the unit circle when its disc meets |s| = 1.  f has no root at +-1
     (find_roots split them off), so no root here is trivial.  Each root
-    carries its backward error and its disc's radius.  Unsorted;
-    find_roots sorts."""
-    n = len(z)
+    carries its disc's radius.  Unsorted; find_roots sorts."""
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     roots = []
@@ -459,17 +431,11 @@ def _package(
             value = complex(value.real, 0.0)
         elif imaginary:
             value = complex(0.0, value.imag)
-        err = _backward_error(coeffs, value)
-        if err > TOL.root_residual:
-            raise ConvergenceFailure(
-                f"root {value} has backward error {err:.3e} > {TOL.root_residual:.1e}",
-                stage="residual", degree=n, bits=bits,
-            )
         flags = RootFlags(
             trivial_pm1=False, real=real, imaginary=imaginary,
             unit_circle=_meets_unit_circle(value, radius),
         )
-        roots.append(Root(value, 1, flags, radius, err))
+        roots.append(Root(value, 1, flags, radius))
     return roots
 
 
@@ -481,18 +447,16 @@ def find_roots(f: LaurentPoly) -> RootSet:
     their count, with multiplicity, equals the span.  The roots +-1 are
     split off exactly: while f(x) = 0 for x = 1, then x = -1, f is divided
     by (s - x), and x becomes a root of that order (its multiplicity) with
-    radius 0, residual 0 and the trivial_pm1 flag.  The rest must be
-    certified squarefree (_squarefree), or ValidationError is raised: the
-    test is modular, so that refusal does not by itself prove a repeated
-    root.  Only then is it solved, from one start: a double-precision
-    Aberth pass from the Newton-polygon radii; fixed-point sweeps on the
-    exact coefficients refine it on a precision ladder until pairwise
-    disjoint Gerschgorin-Weierstrass inclusion discs certify every root;
-    the refined multiset must rebuild the coefficients.  Each disc is one
-    simple root, whose flags come from its disc (_package).  Residual
-    acceptance uses the backward error |f(z)| / sum_i |c_i||z|^i.  A
-    failure of any of these raises the stage's ConvergenceFailure, with
-    coeff_bits set; its degree and coeff_bits are those of the polynomial
+    radius 0 and the trivial_pm1 flag.  The rest must be certified
+    squarefree (_squarefree), or ValidationError is raised: the test is
+    modular, so that refusal does not by itself prove a repeated root.
+    Only then is it solved, from one start: a double-precision Aberth pass
+    from the Newton-polygon radii; fixed-point sweeps on the exact
+    coefficients refine it on a precision ladder until pairwise disjoint
+    Gerschgorin-Weierstrass inclusion discs certify every root.  Each disc
+    holds exactly one root, a simple one, whose flags come from its disc
+    (_package).  A failure of either stage raises its ConvergenceFailure,
+    with coeff_bits set; its degree and coeff_bits are those of the polynomial
     left after the split.  All roots are sorted once, by (re, im).
     """
     if f.is_zero:
@@ -511,7 +475,7 @@ def find_roots(f: LaurentPoly) -> RootSet:
             order += 1
         if order:
             flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
-            roots.append(Root(complex(x), order, flags, 0.0, 0.0))
+            roots.append(Root(complex(x), order, flags, 0.0))
     if f.span:
         int_coeffs = f.dense()[0]
         if not _squarefree(int_coeffs):
@@ -526,8 +490,7 @@ def find_roots(f: LaurentPoly) -> RootSet:
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
             z, bits, radii = _refine_hp(int_coeffs, raw)
-            _verify_multiset_hp(int_coeffs, z, bits)
-            roots += _package(int_coeffs, coeffs, z, bits, radii)
+            roots += _package(int_coeffs, z, bits, radii)
         except ConvergenceFailure as exc:
             exc.coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
             raise
