@@ -10,7 +10,7 @@ rung of the root refinement's precision ladder (roots._RUNGS), whose lower
 rungs run the same kernel at 128, 256 and 512 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
-`hp_float`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
+`hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
 takes the fraction bits as its last argument (default BITS), and serves
 the hot loops: root refinement and Newton steps on integer polynomials.
 `HPComplex` wraps the same kernel at BITS in operators for the matrix
@@ -26,7 +26,6 @@ import cmath
 import math
 
 BITS = 768
-_ONE = 1 << BITS
 
 HP = tuple[int, int]
 
@@ -46,6 +45,15 @@ def hp_int(n: int, bits: int = BITS) -> HP:
 def hp_float(v: HP, bits: int = BITS) -> complex:
     one = 1 << bits
     return complex(v[0] / one, v[1] / one)
+
+
+def hp_abs(v: HP, bits: int = BITS) -> float:
+    """|v| / 2^bits as a float, to a relative error below 2^-51 (int to
+    float, hypot): beyond 500 bits the parts are shifted down first, so a
+    huge value stays inside float range."""
+    re, im = v
+    shift = max(0, re.bit_length() - 500, im.bit_length() - 500)
+    return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
 
 
 def hp_mul(u: HP, v: HP, bits: int = BITS) -> HP:
@@ -148,12 +156,7 @@ class HPComplex:
         return hash((self.re, self.im))
 
     def __abs__(self) -> float:
-        # adaptive downshift keeps huge magnitudes inside float range
-        shift = max(self.re.bit_length(), self.im.bit_length()) - 500
-        if shift > 0:
-            x, y = self.re >> shift, self.im >> shift
-            return math.hypot(float(x), float(y)) * 2.0**shift / _ONE
-        return math.hypot(self.re / _ONE, self.im / _ONE)
+        return hp_abs((self.re, self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -31,12 +31,13 @@ the ladder stopped at.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cxhp import BITS, HP, hp, hp_div, hp_float, hp_horner, hp_int, hp_mul
+from .cxhp import BITS, HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
 from .laurent import LaurentPoly
 from .respq import ResPoly, build_res, trivial_root_orders
@@ -233,8 +234,8 @@ _RUNGS = (128, 256, 512, BITS)
 # is that of its root unless the root lies within 2^-100 of a rounding
 # boundary.
 _CERTIFY_BITS = 100
-# Relative error bound of one _absf value (shift, int-to-float, hypot) and
-# of one float product, with room.
+# Relative error bound of one cxhp.hp_abs value (below 2^-51) and of one
+# float product, with room.
 _REL = 2.0**-50
 
 
@@ -249,8 +250,8 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
     for k in range(len(z)):
         pv = hp_horner(int_coeffs, z[k], bits)
         dv = hp_horner(dcoeffs, z[k], bits)
-        noise = _horner_error(len(z), z[k], bits) + math.ldexp(_absf(*dv, bits), 2 - bits)
-        exhausted = exhausted and _absf(*pv, bits) <= noise
+        noise = _horner_error(len(z), z[k], bits) + math.ldexp(hp_abs(dv, bits), 2 - bits)
+        exhausted = exhausted and hp_abs(pv, bits) <= noise
         if dv == (0, 0):
             continue
         newton = hp_div(pv, dv, bits)
@@ -317,18 +318,10 @@ def _refine_hp(
     )
 
 
-def _absf(re: int, im: int, bits: int) -> float:
-    """|re + i im| / 2^bits as a float, to a relative error below _REL."""
-    shift = max(re.bit_length(), im.bit_length()) - 62
-    if shift <= 0:
-        return math.ldexp(math.hypot(re, im), -bits)
-    return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
-
-
 def _horner_error(n: int, z: HP, bits: int) -> float:
     """Bound on the truncation error of hp_horner at z on degree n, capped
     at 2^1000: under sqrt(2) sum_{k<n} |z|^k units of 2^-bits."""
-    az = _absf(z[0], z[1], bits) * (1.0 + _REL)
+    az = hp_abs(z, bits) * (1.0 + _REL)
     return 2.0 ** min(math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits, 1000.0)
 
 
@@ -352,14 +345,14 @@ def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[lis
     dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = _absf(z[i][0] - z[j][0], z[i][1] - z[j][1], bits)
+            dist[i][j] = dist[j][i] = hp_abs((z[i][0] - z[j][0], z[i][1] - z[j][1]), bits)
     lead_m, lead_e = math.frexp(float(abs(int_coeffs[-1])))
     # n + 1 rounded factors and products of at most _REL each in the
     # denominator, and three roundings after it
     slack = 1.0 + 2 * (n + 2) * _REL
     radii = []
     for i, zi in enumerate(z):
-        num = _absf(*hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + _horner_error(n, zi, bits)
+        num = hp_abs(hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + _horner_error(n, zi, bits)
         m, e = lead_m, lead_e
         for j in range(n):
             if j != i:
@@ -390,7 +383,7 @@ def _on_axis(z: list[HP], bits: int, radii: list[float], i: int, sign: int) -> b
     mre, mim = sign * z[i][0], -sign * z[i][1]
     return all(
         j == i
-        or _absf(mre - zr, mim - zim, bits) * (1.0 - _REL) > (radii[i] + radii[j]) * (1.0 + _REL)
+        or hp_abs((mre - zr, mim - zim), bits) * (1.0 - _REL) > (radii[i] + radii[j]) * (1.0 + _REL)
         for j, (zr, zim) in enumerate(z)
     )
 
@@ -455,7 +448,8 @@ def find_roots(f: LaurentPoly) -> RootSet:
     coefficients refine it on a precision ladder until pairwise disjoint
     Gerschgorin-Weierstrass inclusion discs certify every root.  Each disc
     holds exactly one root, a simple one, whose flags come from its disc
-    (_package).  A failure of either stage raises its ConvergenceFailure,
+    (_package).  A coefficient beyond the range of a double fails the start
+    at once.  A failure of either stage raises its ConvergenceFailure,
     with coeff_bits set; its degree and coeff_bits are those of the polynomial
     left after the split.  All roots are sorted once, by (re, im).
     """
@@ -483,16 +477,23 @@ def find_roots(f: LaurentPoly) -> RootSet:
                 f"the degree-{f.span} polynomial left after the +-1 split is not certified "
                 "squarefree: gcd(f, f') != 1 modulo 2^61 - 1"
             )
-        coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
-        coeffs = coeffs / coeffs[-1]
+        top = max(abs(c) for c in int_coeffs)
         try:
+            if top > sys.float_info.max:
+                raise ConvergenceFailure(
+                    f"a coefficient of {top.bit_length()} bits is beyond the range of a double: "
+                    f"no double-precision start on degree {f.span}",
+                    stage="aberth", degree=f.span,
+                )
+            coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
+            coeffs = coeffs / coeffs[-1]
             raw = [complex(z) for z in _aberth(coeffs)]
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
             z, bits, radii = _refine_hp(int_coeffs, raw)
             roots += _package(int_coeffs, z, bits, radii)
         except ConvergenceFailure as exc:
-            exc.coeff_bits = max(abs(c).bit_length() for c in int_coeffs)
+            exc.coeff_bits = top.bit_length()
             raise
     return RootSet(roots=tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag))), span=span)
 
@@ -501,22 +502,32 @@ def find_roots(f: LaurentPoly) -> RootSet:
 # resultant root sets
 
 
-@lru_cache(maxsize=256, typed=True)
-def _solve(p: int, q: int) -> RootSet | WhitenormError:
-    # lru_cache keeps no exceptions, so a failure is returned as a value;
-    # typed, so that (5.0, 1) misses the cached (5, 1) and is validated
+@lru_cache(maxsize=256)
+def _solve(poly: LaurentPoly) -> RootSet | WhitenormError:
+    # lru_cache keeps no exceptions, so a failure is returned as a value
     try:
-        return resultant_rootset_of(build_res(p, q))
+        return find_roots(poly)
     except WhitenormError as exc:
         return exc
 
 
 def resultant_roots(p: int, q: int) -> RootSet:
-    """RootSet of res_{p,q} (resultant_rootset_of).
+    """RootSet of res_{p,q} (resultant_rootset_of)."""
+    return resultant_rootset_of(build_res(p, q))
 
-    Cached like build_res, failures included, so each filling is solved
-    once per process.  RootSet is frozen, so sharing it is safe."""
-    out = _solve(p, q)
+
+def resultant_rootset_of(r: ResPoly) -> RootSet:
+    """find_roots of res, after trivial_root_orders has certified the
+    exact orders of +-1 against the parity pattern of (p, q).
+
+    The solve is cached on the polynomial, failures included: res depends
+    only on |p - 2q| and q, so p/q and (4q - p)/q share one solve, and each
+    polynomial is solved once per process.  RootSet is frozen, so sharing
+    it is safe."""
+    if r.is_degenerate:
+        return RootSet(roots=(), span=0)
+    trivial_root_orders(r)
+    out = _solve(r.poly)
     if isinstance(out, WhitenormError):
         raise out
     return out
@@ -524,15 +535,6 @@ def resultant_roots(p: int, q: int) -> RootSet:
 
 resultant_roots.cache_info = _solve.cache_info
 resultant_roots.cache_clear = _solve.cache_clear
-
-
-def resultant_rootset_of(r: ResPoly) -> RootSet:
-    """find_roots of res, after trivial_root_orders has certified the
-    exact orders of +-1 against the parity pattern of (p, q)."""
-    if r.is_degenerate:
-        return RootSet(roots=(), span=0)
-    trivial_root_orders(r)
-    return find_roots(r.poly)
 
 
 def nontrivial_roots(rs: RootSet) -> RootSet:
@@ -550,21 +552,19 @@ class ClassificationReport:
     q: int
     n_nontrivial: int
     real_count: int
-    expected_real: int
     imaginary_count: int
-    expected_imaginary: int
     min_unit_circle_gap: float
     min_separation: float
 
 
-def _expected_real_count(p: int, q: int) -> int:
+def _closed_form_real_count(p: int, q: int) -> int:
     if p > 4 * q > 0 or p < 0:
         return 0
     # 0 < p < 4q: two positive roots for p odd, four real for p even
     return 2 if p % 2 == 1 else 4
 
 
-def _expected_imaginary_count(p: int, q: int) -> int:
+def _closed_form_imaginary_count(p: int, q: int) -> int:
     if p % 4 != 0:
         return 0
     return 4 if (p > 4 * q > 0 or p < 0) else 0
@@ -579,8 +579,8 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     nt = nontrivial_roots(rs)
     real = sum(r.flags.real for r in nt)
     imag = sum(r.flags.imaginary for r in nt)
-    exp_real = _expected_real_count(p, q)
-    exp_imag = _expected_imaginary_count(p, q)
+    exp_real = _closed_form_real_count(p, q)
+    exp_imag = _closed_form_imaginary_count(p, q)
     if real != exp_real:
         raise ClassificationViolation(
             f"({p},{q}): found {real} real non-trivial roots, expected {exp_real}"
@@ -606,9 +606,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
         q=q,
         n_nontrivial=len(nt),
         real_count=real,
-        expected_real=exp_real,
         imaginary_count=imag,
-        expected_imaginary=exp_imag,
         min_unit_circle_gap=min_gap,
         min_separation=min_sep,
     )

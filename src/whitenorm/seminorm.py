@@ -37,9 +37,9 @@ from .slopes import (
 def _require_scope(p: int, q: int) -> SlopeRange:
     validate_filling(p, q)
     if p % 2 == 0:
-        raise ScopeError("the seminorm closed forms cover p odd only")
+        raise ScopeError("p even: outside the closed forms")
     if p == 3 * q:
-        raise ScopeError("the slope 3 filling is excluded from the closed forms")
+        raise ScopeError("slope 3: outside the closed forms")
     return classify_range(Slope.of(p, q))
 
 
@@ -280,7 +280,6 @@ class LinearSystemResult:
     z: int
     z_candidates: tuple[int, ...]
     reduction_used: str | None
-    matches_profile: bool
 
 
 def solve_linear_system(p: int, q: int) -> LinearSystemResult:
@@ -357,10 +356,9 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
 
     a = tuple(int(v) for v in sol[:3])
     s_min = int(sol[3])
-    matches = a == prof.a and s_min == prof.s_min
-    if not matches:
+    if a != prof.a or s_min != prof.s_min:
         raise SystemInconsistent(
             f"({p},{q}): reconstruction {(a, s_min)} differs from the closed form "
             f"{(prof.a, prof.s_min)}"
         )
-    return LinearSystemResult(p, q, a, s_min, rank, z, candidates, reduction, matches)
+    return LinearSystemResult(p, q, a, s_min, rank, z, candidates, reduction)

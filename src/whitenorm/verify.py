@@ -72,8 +72,9 @@ def suite_symmetries(p: int, q: int) -> SuiteResult:
 
 
 def suite_roots(p: int, q: int) -> SuiteResult:
-    """Disjoint inclusion discs, root counts against the span bound,
-    symmetry classes, circle gap."""
+    """Disjoint inclusion discs, symmetry classes, separation, circle gap.
+    The count needs no check here: the exact +-1 split, the squarefree test
+    and the disjoint discs fix it at nontrivial_root_bound."""
     if _degenerate(p, q):
         return SuiteResult("roots", p, q, "skipped", "degenerate constant, no roots")
     rs = resultant_roots(p, q)
@@ -85,16 +86,9 @@ def suite_roots(p: int, q: int) -> SuiteResult:
             f"inclusion discs about {rs.values[i]} and {rs.values[j]} overlap",
         )
     rep = classify(rs, p, q)
-    bound = respq.nontrivial_root_bound(p, q)
-    if rep.n_nontrivial > bound:
-        return SuiteResult("roots", p, q, "fail", f"{rep.n_nontrivial} roots over bound {bound}")
-    if p % 2 == 1 and rep.n_nontrivial != bound:
-        return SuiteResult(
-            "roots", p, q, "fail",
-            f"p odd but bound {bound} not attained ({rep.n_nontrivial} roots)",
-        )
     if p % 2 == 1 and rep.min_separation <= TOL.separation:
         return SuiteResult("roots", p, q, "fail", f"separation {rep.min_separation:.2e}")
+    bound = respq.nontrivial_root_bound(p, q)
     return SuiteResult(
         "roots", p, q, "pass",
         f"{rep.n_nontrivial}/{bound} non-trivial roots, {rep.real_count} real, "
@@ -103,7 +97,8 @@ def suite_roots(p: int, q: int) -> SuiteResult:
 
 
 def suite_preps(p: int, q: int) -> SuiteResult:
-    """Reconstruct one representation per class and check every residual."""
+    """Reconstruct one representation per class (reps checks every
+    residual) and report the worst residual."""
     if _degenerate(p, q):
         return SuiteResult(
             "preps", p, q, "skipped",
@@ -119,9 +114,6 @@ def suite_preps(p: int, q: int) -> SuiteResult:
     for pr in classes:
         for k, v in pr.residuals.items():
             worst[k] = max(worst.get(k, 0.0), v)
-    over = {k: v for k, v in worst.items() if v > TOL.residual}
-    if over:
-        return SuiteResult("preps", p, q, "fail", f"residuals over tolerance: {over}")
     defect = min(
         reps.discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)
     )
@@ -143,7 +135,9 @@ def suite_preps(p: int, q: int) -> SuiteResult:
 
 
 def suite_seifert(p: int, q: int) -> SuiteResult:
-    """Seifert norms from three independent routes."""
+    """Seifert norms from three independent routes: the closed form, the
+    distances, and the character counts (which raise unless ||sigma|| =
+    s + 2A)."""
     prof = seminorm.seminorm_profile(p, q)
     norms = seminorm.seifert_norms(p, q)
     for sigma, gamma in ((1, Slope(1, 1)), (2, Slope(2, 1)), (3, Slope(3, 1))):
@@ -153,11 +147,7 @@ def suite_seifert(p: int, q: int) -> SuiteResult:
                 "seifert", p, q, "fail",
                 f"||{sigma}|| = {via_profile} by distances, {norms[sigma - 1]} closed form",
             )
-        ct = seminorm.seifert_character_counts(p, q, sigma)
-        if norms[sigma - 1] != prof.s_min + 2 * ct.sl2_nonabelian:
-            return SuiteResult(
-                "seifert", p, q, "fail", f"||{sigma}|| != s + 2A from character counts"
-            )
+        seminorm.seifert_character_counts(p, q, sigma)
     if seminorm.evaluate_norm(prof, INFINITY) != prof.s_min:
         return SuiteResult("seifert", p, q, "fail", "norm of the meridian != minimal norm")
     return SuiteResult(
@@ -218,19 +208,16 @@ _SUITE_FUNCS = {
     "cohomology": suite_cohomology,
 }
 
-_NEEDS_ODD_P = {"seifert", "linear"}
-
 
 def run_verify(p: int, q: int, suites: tuple[str, ...]) -> VerificationReport:
+    """Run the named suites on p/q.  A suite that raises ScopeError (the
+    seminorm suites, for p even or slope 3) is skipped with its message; one
+    that raises any other WhitenormError fails with it."""
     validate_filling(p, q)
     results = []
     for name in suites:
         if name not in _SUITE_FUNCS:
             raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
-        if name in _NEEDS_ODD_P and (p % 2 == 0 or p == 3 * q):
-            reason = "p even" if p % 2 == 0 else "slope 3"
-            results.append(SuiteResult(name, p, q, "skipped", f"{reason}: outside the closed forms"))
-            continue
         try:
             results.append(_SUITE_FUNCS[name](p, q))
         except ScopeError as exc:

@@ -207,6 +207,14 @@ def test_failed_start_reports_only_its_failure():
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_coefficient_beyond_double_range_fails_the_start():
+    # 10^400 has no double: the start is refused before it is built
+    with pytest.raises(ConvergenceFailure, match="beyond the range of a double") as info:
+        find_roots(LaurentPoly({2: 1, 1: -10**400, 0: 1}))
+    assert info.value.stage == "aberth"
+    assert (info.value.degree, info.value.coeff_bits) == (2, 1329)
+
+
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
 
 
@@ -342,3 +350,11 @@ def test_deterministic_output():
     assert a is not b
     assert a.values == b.values
     assert [r.radius for r in a] == [r.radius for r in b]
+
+
+def test_mirror_fillings_share_one_solve():
+    # res depends only on |p - 2q| and q: 1/2 and 7/2 = (4q - p)/q
+    resultant_roots.cache_clear()
+    rs = resultant_roots(1, 2)
+    assert resultant_roots(7, 2) is rs
+    assert resultant_roots.cache_info().misses == 1

@@ -56,9 +56,11 @@ def test_cli_norm(capsys):
 
 def test_cli_exit_codes(capsys):
     assert main(["norm", "2", "1"]) == 3      # p even: scope
-    assert capsys.readouterr().out == ""      # no partial output
+    out, err = capsys.readouterr()
+    assert out == ""                          # no partial output
+    assert err == "scope: p even: outside the closed forms\n"
     assert main(["norm", "3", "1"]) == 3      # slope 3: scope
-    capsys.readouterr()
+    assert capsys.readouterr().err == "scope: slope 3: outside the closed forms\n"
     assert main(["norm", "6", "2"]) == 1      # not coprime
     capsys.readouterr()
     assert main(["roots", "1", "0"]) == 1     # q = 0 is no filling
@@ -224,6 +226,15 @@ def test_cli_output_matches_benchmark_digest(command):
     with redirect_stdout(out):
         assert main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == expected
+
+
+def test_exact_sweep_csv_matches_benchmark_digest(tmp_path, capsys):
+    command = "sweep --p-min -9 --p-max 9 --q-max 20 --suite resultant,symmetries,seifert,linear"
+    out = tmp_path / "sweep.csv"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_certified_zero_coordinates_print_exactly(capsys):
