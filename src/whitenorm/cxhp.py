@@ -12,7 +12,8 @@ rungs run the same kernel at 128, 256 and 512 bits.
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
 takes the fraction bits as its last argument (default BITS), and serves
-the hot loops: root refinement and Newton steps on integer polynomials.
+the hot loops: root refinement (but for its Aberth repulsion sum, a double
+sum, see roots._sweep) and Newton steps on integer polynomials.
 `HPComplex` wraps the same kernel at BITS in operators for the matrix
 code.
 
@@ -74,14 +75,14 @@ def hp_div(u: HP, v: HP, bits: int = BITS) -> HP:
 def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
     """Value at z of the polynomial with ascending integer coefficients.
 
-    Each product truncates both parts by less than one unit of 2^-bits, so
-    the value is off by less than sqrt(2) * sum_{k<n} |z|^k units, n the
-    degree (see roots._horner_error)."""
-    acc = (0, 0)
+    Each product, hp_mul's formula inline on local ints, truncates both
+    parts by less than one unit of 2^-bits, so the value is off by less than
+    sqrt(2) * sum_{k<n} |z|^k units, n the degree (see roots._horner_error)."""
+    zr, zi = z
+    re = im = 0
     for c in reversed(int_coeffs):
-        acc = hp_mul(acc, z, bits)
-        acc = (acc[0] + (c << bits), acc[1])
-    return acc
+        re, im = ((re * zr - im * zi) >> bits) + (c << bits), (re * zi + im * zr) >> bits
+    return re, im
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,8 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
         residuals["v_entry"] = abs(l1.a + 1)
     failing = {
         k: r for k, r in residuals.items()
-        if r > (TOL.trace if k == "trace_mu1" else TOL.residual)
+        if r > {"trace_mu1": TOL.trace, "det": TOL.det_one}.get(k, TOL.residual)
     }
-    if det_gap > TOL.det_one:
-        failing["det"] = det_gap
     if failing:
         raise VerificationFailure(f"({p},{q}) s={s.to_complex()}: residuals over tolerance: {failing}")
     eigen = EigenTuple(s.to_complex(), t.to_complex(), complex(sign_u), l1.a.to_complex())

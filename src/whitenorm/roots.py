@@ -7,25 +7,25 @@ then x = -1, f is divided by (s - x), and x becomes a root of that order
 with radius 0.  The rest must be certified squarefree exactly (_squarefree),
 so every other root is simple.  On it, a deterministic double-precision
 simultaneous iteration (Aberth-Ehrlich, Newton-polygon starting radii,
-golden-angle phases) gives a start; it is refined by Gauss-Seidel Aberth
-sweeps in fixed point on the exact coefficients (plain python ints, see
-cxhp), on a ladder of 128, 256, 512 and 768 fraction bits whose top rung
-is cxhp.BITS.  It climbs a rung once the rung is exhausted, every |f(z)|
-within the error of its own evaluation, and stops when pairwise disjoint
-Gerschgorin-Weierstrass inclusion discs certify every root to 2^-100.
-Each disc then holds exactly one root, a simple one, and this is the one
-root certificate: the printed double lies within 2^-53 |z| + r of it.
-Every other fact about the root is read off its disc (see _package): its
-realness and whether it meets the unit circle.  There is no
-double-precision polish.  The refinement matters: resultant roots packed
-near the unit circle reach condition numbers beyond 1e13, so double
-precision alone cannot certify symmetry classes at 1e-8.
+golden-angle phases) gives a start.  Gauss-Seidel Aberth sweeps refine it on
+the exact coefficients in fixed point (plain python ints, see cxhp), but for
+the repulsion sum, a double sum: the step depends on it only to second order
+(_sweep).  The sweeps run on a ladder of 128, 256, 512 and 768 fraction bits
+whose top rung is cxhp.BITS.  They climb a rung once the rung is exhausted,
+every |f(z)| within the error of its own evaluation, and stop when pairwise
+disjoint Gerschgorin-Weierstrass inclusion discs, computed afterwards from
+the exact coefficients, certify every root to 2^-100.  Each disc then holds
+exactly one root, a simple one, and this is the one root certificate: the
+printed double lies within 2^-53 |z| + r of it.  Every other fact about the
+root is read off its disc (see _package): its realness and whether it meets
+the unit circle.  There is no double-precision polish.  The refinement
+matters: resultant roots packed near the unit circle reach condition numbers
+beyond 1e13, so double precision alone cannot certify symmetry classes at
+1e-8.
 
 Each Root carries its own disc radius; a RootSet is the roots, sorted once
-by (re, im), and the span.
-
-No randomness anywhere; repeated runs emit identical bytes, whatever rung
-the ladder stopped at.
+by (re, im), and the span.  No randomness anywhere; repeated runs emit
+identical bytes, whatever rung the ladder stopped at.
 """
 
 from __future__ import annotations
@@ -241,10 +241,19 @@ _REL = 2.0**-50
 
 def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> tuple[int, bool]:
     """One Gauss-Seidel Aberth sweep over z in place, at `bits` fraction
-    bits.  Returns the largest step component in units of 2^-bits, and
-    whether the rung is exhausted (MPSolve's criterion): every |f(z_k)| is
-    within _horner_error plus 4 * 2^-bits |f'(z_k)| for the rounding of z_k."""
-    one = hp_int(1, bits)
+    bits.  f, f', N = f/f' and the step N / (1 - N S_k) are fixed point,
+    the repulsion sum S_k = sum_{j != k} 1 / (z_k - z_j) a double sum: an
+    error d in it moves the step by about N^2 d (Aberth, Math. Comp. 27
+    (1973)), and the discs come afterwards from the exact coefficients.
+    Returns the largest step component in units of 2^-bits, and whether the
+    rung is exhausted (MPSolve's criterion): every |f(z_k)| is within
+    _horner_error plus 4 * 2^-bits |f'(z_k)| for the rounding of z_k."""
+    # hi + lo, two doubles: z_k - z_j keeps double precision if hi_k = hi_j
+    def split(v: HP) -> tuple[complex, complex]:
+        h = hp(hp_float(v, bits), bits)
+        return hp_float(h, bits), hp_float((v[0] - h[0], v[1] - h[1]), bits)
+
+    hi, lo = map(np.array, zip(*map(split, z)))
     max_step = 0
     exhausted = True
     for k in range(len(z)):
@@ -255,21 +264,14 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
         if dv == (0, 0):
             continue
         newton = hp_div(pv, dv, bits)
-        rep = (0, 0)
-        for j in range(len(z)):
-            if j == k:
-                continue
-            dz = (z[k][0] - z[j][0], z[k][1] - z[j][1])
-            if dz == (0, 0):
-                continue
-            inv = hp_div(one, dz, bits)
-            rep = (rep[0] + inv[0], rep[1] + inv[1])
-        nr = hp_mul(newton, rep, bits)
-        den = (one[0] - nr[0], -nr[1])
+        dz = (hi[k] - hi) + (lo[k] - lo)
+        nr = hp_mul(newton, hp(complex((1.0 / dz[dz != 0]).sum()), bits), bits)
+        den = ((1 << bits) - nr[0], -nr[1])
         if den == (0, 0):
-            den = one
+            den = hp_int(1, bits)
         step = hp_div(newton, den, bits)
         z[k] = (z[k][0] - step[0], z[k][1] - step[1])
+        hi[k], lo[k] = split(z[k])
         max_step = max(max_step, abs(step[0]), abs(step[1]))
     return max_step, exhausted
 
@@ -277,10 +279,12 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
 def _refine_hp(
     int_coeffs: list[int], raw: list[complex], sweeps: int = 48
 ) -> tuple[list[HP], int, list[float]]:
-    """Gauss-Seidel Aberth sweeps in fixed point with exact integer
+    """Gauss-Seidel Aberth sweeps (_sweep) on the exact integer
     coefficients, on the precision ladder _RUNGS, warm-started from the
     double-precision multiset; badly assigned iterates migrate to uncovered
-    roots on the way.  f must be squarefree.
+    roots on the way.  f must be squarefree.  The repulsion sum is a double
+    sum: an error d in it moves a step by about N^2 d (_sweep), and the
+    discs are computed afterwards, from the exact coefficients.
 
     The ladder climbs a rung after a sweep that finds the rung exhausted
     (_sweep), and only then.  The inclusion discs are computed after such a
@@ -443,15 +447,12 @@ def find_roots(f: LaurentPoly) -> RootSet:
     radius 0 and the trivial_pm1 flag.  The rest must be certified
     squarefree (_squarefree), or ValidationError is raised: the test is
     modular, so that refusal does not by itself prove a repeated root.
-    Only then is it solved, from one start: a double-precision Aberth pass
-    from the Newton-polygon radii; fixed-point sweeps on the exact
-    coefficients refine it on a precision ladder until pairwise disjoint
-    Gerschgorin-Weierstrass inclusion discs certify every root.  Each disc
-    holds exactly one root, a simple one, whose flags come from its disc
-    (_package).  A coefficient beyond the range of a double fails the start
-    at once.  A failure of either stage raises its ConvergenceFailure,
-    with coeff_bits set; its degree and coeff_bits are those of the polynomial
-    left after the split.  All roots are sorted once, by (re, im).
+    Only then is it solved, from one start, by the pipeline of the module
+    docstring; each disc holds one simple root, whose flags come from its
+    disc (_package).  A coefficient beyond the range of a double fails the
+    start at once.  A failure of either stage raises its ConvergenceFailure,
+    with coeff_bits set; its degree and coeff_bits are those of the
+    polynomial left after the split.  All roots are sorted once, by (re, im).
     """
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")

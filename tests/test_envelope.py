@@ -4,7 +4,7 @@ A sample of coprime fillings with |p| <= 255 and q <= 64, of degree 128
 to 514, certifies: every root lies in its own inclusion disc, the discs are
 pairwise disjoint, the classification holds and the class count equals its
 closed form.  Two named fillings beyond the range fail at the stage that
-names them.  The whole file takes about 3 min on a shared 2-core VM, so it
+names them.  The whole file takes about 1 min on a shared 2-core VM, so it
 is marked slow and runs only with `pytest -m slow`.
 """
 

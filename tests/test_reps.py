@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from whitenorm.errors import NoT, SingularPoint, ValidationError
+from whitenorm.cxhp import HPComplex
+from whitenorm.errors import NoT, SingularPoint, ValidationError, VerificationFailure
 from whitenorm.reps import (
     EigenTuple,
     GroupWord,
@@ -11,6 +12,8 @@ from whitenorm.reps import (
     WORD_L0,
     WORD_REL_LHS,
     WORD_REL_RHS,
+    _lift,
+    _verify,
     all_prep_classes,
     count_prep_classes,
     discrete_faithful_filling_defect,
@@ -170,6 +173,21 @@ def test_reconstruct_reducible():
     assert pr.kind == "reducible"
     assert pr.residuals["filling"] <= 1e-8
     assert abs(pr.eigen.t - 1) < 1e-9
+
+
+def test_det_gap_is_judged_by_det_one():
+    # det rho(mu0) = 1 + eps: a gap of 1e-9 is below TOL.residual but above
+    # TOL.det_one, the one threshold of the det residual
+    kind, s, t = _lift(cmath.exp(2j * cmath.pi / 5), 5, 1)
+    zero, one = HPComplex.from_int(0), HPComplex.from_int(1)
+    m1 = Mat2(one, zero, one, one)
+    for eps, fails in ((1e-9, True), (1e-11, False)):
+        m0 = Mat2(s, zero, zero, one / s * (1 + eps))
+        if fails:
+            with pytest.raises(VerificationFailure, match=r"over tolerance: \{'det': [^,]+\}$"):
+                _verify(5, 1, kind, 1, s, t, m0, m1)
+        else:
+            assert abs(_verify(5, 1, kind, 1, s, t, m0, m1).residuals["det"] - eps) < 1e-13
 
 
 def test_reconstruct_rejects_trivial_s():

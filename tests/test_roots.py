@@ -4,16 +4,19 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from whitenorm.cohomology import d2_poly
+from whitenorm.cxhp import hp, hp_abs, hp_float
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.respq import build_res
 from whitenorm.roots import (
     _refine_hp,
     _squarefree,
+    _sweep,
     classify,
     find_roots,
     nontrivial_roots,
@@ -195,6 +198,15 @@ def test_close_simple_roots_stay_apart():
     assert rs.disc_overlaps() == []
 
 
+def test_roots_closer_than_a_double_apart():
+    # 3 and 3 + 2^-60 print as one double, but the repulsion sum sees
+    # their iterates apart and the discs about the fixed-point centres
+    # certify two simple roots
+    rs = find_roots(LaurentPoly({1: 1, 0: -3}) * LaurentPoly({1: 2**60, 0: -3 * 2**60 - 1}))
+    assert [(r.value, r.multiplicity, r.flags.real) for r in rs] == [(3.0, 1, True)] * 2
+    assert all(0 < r.radius < 2.0**-62 for r in rs)
+
+
 def test_failed_start_reports_only_its_failure():
     # the coefficient 1e200, and |s|^240 at -89/16, overflow the
     # double-precision start; it fails at once, not after its budget
@@ -252,6 +264,66 @@ def test_near_double_root_climbs_past_128_bits(monkeypatch):
     assert len(near) == 2 and all(v.imag == 0.0 for v in near)
     assert abs(near[1].real - near[0].real - 2 / math.sqrt(2e12)) < 1e-10
     assert rs.disc_overlaps() == []
+
+
+def _spy_sweeps(monkeypatch, before=None):
+    """The fraction bits of every _sweep call; `before(z, bits)` runs first."""
+    import whitenorm.roots as roots_mod
+
+    rungs = []
+    sweep = roots_mod._sweep
+
+    def spy(int_coeffs, dcoeffs, z, bits):
+        if before:
+            before(z, bits)
+        rungs.append(bits)
+        return sweep(int_coeffs, dcoeffs, z, bits)
+
+    monkeypatch.setattr(roots_mod, "_sweep", spy)
+    return rungs
+
+
+# sweeps and final rung, which repeat exactly: a repulsion sum too coarse
+# to keep the step's convergence shows here and not as timing noise
+@pytest.mark.parametrize(
+    "pq, sweeps, bits",
+    [((5, 1), 2, 128), ((65, 16), 3, 128), ((65, 23), 10, 256), ((129, 16), 3, 128)],
+)
+def test_sweep_counts(monkeypatch, pq, sweeps, bits):
+    rungs = _spy_sweeps(monkeypatch)
+    find_roots(build_res(*pq).poly)
+    assert (len(rungs), rungs[-1]) == (sweeps, bits)
+
+
+@pytest.mark.parametrize(
+    "coeffs, start, roots",
+    [([-2, 0, 1], [1.4, 1.4], [-SQ2, SQ2]), ([-6, 11, -6, 1], [2.1, 2.1, 0.5], [1, 2, 3])],
+)
+def test_iterates_on_one_double(monkeypatch, coeffs, start, roots):
+    # the first two iterates are one unit of 2^-128 apart and round to one
+    # double: the repulsion sum stays finite, and the sweeps pull them
+    # apart or fail at stage "refine"
+    def nudge(z, bits):
+        if z[0] == z[1]:
+            z[1] = (z[1][0] + 1, z[1][1])
+
+    z = [hp(v, 128) for v in start]
+    nudge(z, 128)
+    assert hp_float(z[0], 128) == hp_float(z[1], 128)
+    with np.errstate(all="raise"):
+        _sweep(coeffs, [i * c for i, c in enumerate(coeffs)][1:], z, 128)
+    _spy_sweeps(monkeypatch, nudge)
+    try:
+        z, bits, radii = _refine_hp(coeffs, start)
+    except ConvergenceFailure as exc:
+        assert exc.stage == "refine"
+        return
+    assert sorted(hp_float(v, bits).real for v in z) == pytest.approx(roots, abs=1e-15)
+    assert all(
+        hp_abs((a[0] - b[0], a[1] - b[1]), bits) > ra + rb
+        for i, (a, ra) in enumerate(zip(z, radii))
+        for b, rb in zip(z[i + 1 :], radii[i + 1 :])
+    )
 
 
 def test_resultant_2_1_roots_exact():
