@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .config import TOL
 from .errors import (
     ClosedFormMismatch,
@@ -36,6 +34,7 @@ class NumMatrix:
         return self.data.shape
 
     def rank(self) -> int:
+        import numpy as np
         sv = np.linalg.svd(self.data, compute_uv=False)
         if sv.size == 0 or sv[0] == 0:
             return 0
@@ -54,6 +53,7 @@ def coboundary_matrix(s: complex, a: complex) -> NumMatrix:
         [0, 0, 0, 2 * (a - 1) ** 2, -2 * a * (a - 1) ** 2, 2 * (a - 2)],
         [0, 0, 1 - si2, (2 - a) * (a - 1) ** 2, (a - 1) ** 4, -(a - 1) * (a - 3)],
     ]
+    import numpy as np
     return NumMatrix(np.array(rows, dtype=complex))
 
 
@@ -87,6 +87,7 @@ def reducible_presentation_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [0, 2 * (1 - s2), 0, 2 * (-s2 * s2 + 2 * s2 - 1) / s2, (s2 * s2 - s2 - 1) * (s2 - 1) ** 2 / s2, 0],
         [p / q, 0, 0, 0, (s2 * s2 - 1) / s2, 0],
     ]
+    import numpy as np
     m = NumMatrix(np.array(rows, dtype=complex))
     # callers pass s = +-1 or s = e^(2 pi i k/|p|), at least 2 sin(pi/|p|)
     # from +-1; 1e-9 tells the two apart up to the rounding of s
@@ -118,6 +119,7 @@ def trace_pairing_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [p / q, 0, 0, 0, (s2 * s2 - 1) / s2, 0],
         [0, 0, 0, 0, 1, 0],
     ]
+    import numpy as np
     return NumMatrix(np.array(rows, dtype=complex))
 
 
@@ -129,6 +131,7 @@ def det_p_closed_form(s: complex, p: int, q: int) -> complex:
 def det_P_reducible(s: complex, p: int, q: int) -> complex:
     """Numeric determinant of the extended matrix, checked against the
     closed form to relative tolerance."""
+    import numpy as np
     m = trace_pairing_matrix(s, p, q)
     det = complex(np.linalg.det(m.data))
     closed = det_p_closed_form(s, p, q)

@@ -16,10 +16,19 @@ from .errors import DegenerateInput, InexactDivision, ValidationError
 
 
 class LaurentPoly:
+    """{exponent: coefficient}, no zero stored; each ring operation filters
+    once (+ and - in their one pass, * at its end; _of skips the constructor's)."""
+
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = {e: c for e, c in coeffs.items() if c != 0} if coeffs else {}
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -82,34 +91,35 @@ class LaurentPoly:
         for e, c in other.coeffs.items():
             v = out.get(e, 0) + c
             if v == 0:
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = v
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            v = out.get(e, 0) - c
+            if v == 0:
+                del out[e]
+            else:
+                out[e] = v
+        return LaurentPoly._of(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
         out: dict[int, int] = {}
+        get = out.get
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
+                out[e1 + e2] = get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit s^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

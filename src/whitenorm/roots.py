@@ -35,8 +35,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .cxhp import BITS, HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
 from .laurent import LaurentPoly
@@ -84,14 +82,16 @@ class RootSet:
         return sum(r.multiplicity for r in self.roots)
 
     def disc_overlaps(self) -> list[tuple[int, int]]:
-        """Index pairs of roots whose inclusion discs D(value, radius)
-        meet.  Distinct roots of a certified set have disjoint discs."""
+        """Index pairs whose discs D(value, radius) must meet, however the
+        centres rounded: |v_a - v_b| + 2^-53 (|re| + |im| of both; none for an
+        exact 0.0) <= r_a + r_b, with slack _REL.  A certified set has none."""
         rs = self.roots
+        ulp = [2.0**-53 * (abs(r.value.real) + abs(r.value.imag)) for r in rs]
         return [
             (i, j)
             for i, a in enumerate(rs)
             for j, b in enumerate(rs[i + 1 :], i + 1)
-            if abs(a.value - b.value) <= a.radius + b.radius
+            if (abs(a.value - b.value) + ulp[i] + ulp[j]) * (1.0 + _REL) <= a.radius + b.radius
         ]
 
 
@@ -100,6 +100,7 @@ class RootSet:
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    import numpy as np
     acc = np.zeros_like(z)
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -110,6 +111,7 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     """One starting radius per edge of the upper Newton polygon of
     (i, log|c_i|), phases from the golden-ratio sequence: the one start of
     MPSolve (Bini & Fiorentino, Numer. Algorithms 23 (2000))."""
+    import numpy as np
     n = len(coeffs) - 1
     pts = [(i, math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
     hull: list[tuple[int, float]] = []
@@ -136,53 +138,54 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
 _ABERTH_ITERATIONS = 2000
 
 
-# a start that overflows or divides by zero ends in its ConvergenceFailure,
-# which is all a caller can act on; numpy's warnings would only add noise
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """The simultaneous-iteration pass.  Stops when corrections hit machine
     level, or when every iterate is backward-stable and corrections are
     small (the stall of ill-conditioned roots).  Fails at the first iterate
     that is not finite: the repulsion sums then make every iterate NaN, and
     neither stopping test can pass."""
+    import numpy as np
     n = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     exponents = np.arange(len(coeffs))
     z = _initial_points(coeffs)
-    for it in range(1, _ABERTH_ITERATIONS + 1):
-        pv = _horner(coeffs, z)
-        dv = _horner(dcoeffs, z)
-        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        diff[diff == 0] = 1e-300
-        repulse = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulse
-        denom[denom == 0] = 1.0
-        step = newton / denom
-        z = z - step
-        if not np.isfinite(z).all():
-            raise ConvergenceFailure(
-                f"double-precision start overflowed at iteration {it} on degree {n}: "
-                "an iterate is not finite",
-                stage="aberth", degree=n,
-            )
-        worst = float((np.abs(step) / (1.0 + np.abs(z))).max())
-        # about 22 ulps of a double (eps = 2.2e-16): a smaller correction
-        # only moves the iterate inside its own rounding noise, and the
-        # fixed-point sweeps take every root on from here
-        if worst < 5e-15:
-            return z
-        # ill-conditioned roots keep jittering inside their cond*eps ball, so
-        # corrections never shrink; accept on backward stability alone.  Two
-        # iterates doubled up on one root never give pairwise disjoint
-        # discs, so the sweeps move them apart or fail at stage "refine".
-        # Horner's rounding error is at most about 2n u sum_i |c_i||z|^i
-        # (u = 2^-53), which reaches 1e-13 at degree 450, so this asks for
-        # no more than double precision can tell at the degrees solved here
-        scale = np.sum(np.abs(coeffs) * np.abs(z[:, None]) ** exponents[None, :], axis=1)
-        if (np.abs(_horner(coeffs, z)) <= 1e-13 * scale).all():
-            return z
+    # a start that overflows or divides by zero ends in its ConvergenceFailure,
+    # which is all a caller can act on; numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, _ABERTH_ITERATIONS + 1):
+            pv = _horner(coeffs, z)
+            dv = _horner(dcoeffs, z)
+            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            diff[diff == 0] = 1e-300
+            repulse = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - newton * repulse
+            denom[denom == 0] = 1.0
+            step = newton / denom
+            z = z - step
+            if not np.isfinite(z).all():
+                raise ConvergenceFailure(
+                    f"double-precision start overflowed at iteration {it} on degree {n}: "
+                    "an iterate is not finite",
+                    stage="aberth", degree=n,
+                )
+            worst = float((np.abs(step) / (1.0 + np.abs(z))).max())
+            # about 22 ulps of a double (eps = 2.2e-16): a smaller correction
+            # only moves the iterate inside its own rounding noise, and the
+            # fixed-point sweeps take every root on from here
+            if worst < 5e-15:
+                return z
+            # ill-conditioned roots keep jittering inside their cond*eps ball, so
+            # corrections never shrink; accept on backward stability alone.  Two
+            # iterates doubled up on one root never give pairwise disjoint
+            # discs, so the sweeps move them apart or fail at stage "refine".
+            # Horner's rounding error is at most about 2n u sum_i |c_i||z|^i
+            # (u = 2^-53), which reaches 1e-13 at degree 450, so this asks for
+            # no more than double precision can tell at the degrees solved here
+            scale = np.sum(np.abs(coeffs) * np.abs(z[:, None]) ** exponents[None, :], axis=1)
+            if (np.abs(_horner(coeffs, z)) <= 1e-13 * scale).all():
+                return z
     raise ConvergenceFailure(
         f"no convergence after {_ABERTH_ITERATIONS} iterations on degree {n}",
         stage="aberth", degree=n,
@@ -248,6 +251,7 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
     Returns the largest step component in units of 2^-bits, and whether the
     rung is exhausted (MPSolve's criterion): every |f(z_k)| is within
     _horner_error plus 4 * 2^-bits |f'(z_k)| for the rounding of z_k."""
+    import numpy as np
     # hi + lo, two doubles: z_k - z_j keeps double precision if hi_k = hi_j
     def split(v: HP) -> tuple[complex, complex]:
         h = hp(hp_float(v, bits), bits)
@@ -299,22 +303,29 @@ def _refine_hp(
     n = len(int_coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
     bits = _RUNGS[0]
-    z = [hp(v, bits) for v in raw]
     steps: list[int] = []
-    for _ in range(sweeps):
-        step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
-        steps.append(step.bit_length() - 1 - bits)
-        if not (exhausted or steps[-1] < -_CERTIFY_BITS):
-            continue
-        radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
-        if disjoint and all(
-            r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)
-        ):
-            return z, bits, radii
-        if exhausted and bits < _RUNGS[-1]:
-            up = _RUNGS[_RUNGS.index(bits) + 1] - bits
-            z = [(re << up, im << up) for re, im in z]
-            bits += up
+    # cxhp.hp and hp_float pass through doubles; caught here, off the hot loop
+    try:
+        z = [hp(v, bits) for v in raw]
+        for _ in range(sweeps):
+            step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
+            steps.append(step.bit_length() - 1 - bits)
+            if not (exhausted or steps[-1] < -_CERTIFY_BITS):
+                continue
+            radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
+            if disjoint and all(
+                r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)
+            ):
+                return z, bits, radii
+            if exhausted and bits < _RUNGS[-1]:
+                up = _RUNGS[_RUNGS.index(bits) + 1] - bits
+                z = [(re << up, im << up) for re, im in z]
+                bits += up
+    except OverflowError as exc:
+        raise ConvergenceFailure(
+            f"a fixed-point conversion overflowed a double at {bits} bits on degree {n}: {exc}",
+            stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
+        ) from exc
     raise ConvergenceFailure(
         f"high-precision sweeps did not settle on degree {n} in {sweeps} sweeps: "
         f"the last sweep's largest step was 2^{steps[-1]}",
@@ -486,6 +497,7 @@ def find_roots(f: LaurentPoly) -> RootSet:
                     f"no double-precision start on degree {f.span}",
                     stage="aberth", degree=f.span,
                 )
+            import numpy as np
             coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
             coeffs = coeffs / coeffs[-1]
             raw = [complex(z) for z in _aberth(coeffs)]

@@ -289,11 +289,12 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
     only for p/q in (3, 4) or (4, 6).  Elsewhere it has rank 3 and the
     solution line is walked by s = bound - z with the class-count bound:
     the candidates are the z >= 0 making all of a1, a2, a3, s even and
-    non-negative.  On (-inf, 0) and (0, 2) the candidate is unique (z = 0).
-    On (2, 3) and (6, inf) it is not; there the mirror symmetry of the
-    characterization polynomial under p -> -p + 4q moves the slope into a
-    range where simplicity is settled, forcing the bound to be attained,
-    i.e. z = 0.
+    non-negative: each is affine in z, so z is kept when every a_i - b_i z,
+    over one common denominator den, is a non-negative multiple of 2 den.
+    On (-inf, 0) and (0, 2) the candidate is unique (z = 0).  On (2, 3) and
+    (6, inf) it is not; there the mirror symmetry of the characterization
+    polynomial under p -> -p + 4q moves the slope into a range where
+    simplicity is settled, forcing the bound to be attained, i.e. z = 0.
     """
     rng = _require_scope(p, q)
     prof = seminorm_profile(p, q)
@@ -330,13 +331,14 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
         if len(basis) != 1 or basis[0][3] == 0:
             raise RankUnexpected(f"({p},{q}): solution line degenerate in s")
         null = basis[0]
-        candidates = []
-        for z_try in range(0, bound + 1):
-            tau = (Fraction(bound - z_try) - particular[3]) / null[3]
-            vals = [particular[i] + tau * null[i] for i in range(4)]
-            if all(v.denominator == 1 and v >= 0 and v % 2 == 0 for v in vals):
-                candidates.append(z_try)
-        candidates = tuple(candidates)
+        sol = [particular[i] + (bound - particular[3]) / null[3] * null[i] for i in range(4)]
+        slope = [v / null[3] for v in null]
+        den = math.lcm(*(v.denominator for v in sol + slope))
+        ab = [(int(x * den), int(y * den)) for x, y in zip(sol, slope)]
+        candidates = tuple(
+            z for z in range(bound + 1)
+            if all((ai - bi * z) % (2 * den) == 0 and ai - bi * z >= 0 for ai, bi in ab)
+        )
         if not candidates or candidates[0] != 0:
             raise SystemInconsistent(f"({p},{q}): z = 0 not admissible, candidates {candidates}")
         if len(candidates) == 1:
@@ -351,8 +353,6 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
                 )
             reduction = f"characterization polynomial symmetry: ({p},{q}) ~ ({-p + 4 * q},{q})"
         z = 0
-        tau = (Fraction(bound) - particular[3]) / null[3]
-        sol = [particular[i] + tau * null[i] for i in range(4)]
 
     a = tuple(int(v) for v in sol[:3])
     s_min = int(sol[3])

@@ -63,6 +63,55 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+# a dense-list reference for the ring operations: coefficient of s^e at
+# index e + _OFF, wide enough for products and shifts of small_laurent
+_OFF = 16
+
+
+def _dense(f: LaurentPoly) -> list[int]:
+    out = [0] * (2 * _OFF + 1)
+    for e, c in f.coeffs.items():
+        out[e + _OFF] = c
+    return out
+
+
+def _dense_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                out[i + j - _OFF] += x * y
+    return out
+
+
+def _dense_shift(a: list[int], k: int) -> list[int]:
+    return [a[i - k] if 0 <= i - k < len(a) else 0 for i in range(len(a))]
+
+
+@given(small_laurent(), small_laurent(), st.integers(-5, 5))
+@settings(max_examples=200)
+def test_ring_operations_match_dense_reference(a, b, k):
+    da, db = _dense(a), _dense(b)
+    cases = [
+        (a + b, [x + y for x, y in zip(da, db)]),
+        (a - b, [x - y for x, y in zip(da, db)]),
+        (a * b, _dense_mul(da, db)),
+        (-a, [-x for x in da]),
+        (a.shift(k), _dense_shift(da, k)),
+        (a - a, [0] * len(da)),
+        (a + (-a), [0] * len(da)),
+        ((a + b) - b, da),
+        (a * b - b * a, [0] * len(da)),
+    ]
+    for got, want in cases:
+        assert _dense(got) == want
+        assert 0 not in got.coeffs.values()
+
+
+def test_cancelling_operations_store_no_zero():
+    assert ((S - ONE) * (S + ONE) - S * S + ONE).coeffs == {}
+
+
 def test_exact_division():
     f = (S - ONE) * (S + ONE)
     assert f.exact_div(S - ONE) == S + ONE

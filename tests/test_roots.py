@@ -14,6 +14,7 @@ from whitenorm.errors import ClassificationViolation, ConvergenceFailure, Valida
 from whitenorm.laurent import LaurentPoly
 from whitenorm.respq import build_res
 from whitenorm.roots import (
+    RootSet,
     _refine_hp,
     _squarefree,
     _sweep,
@@ -205,6 +206,16 @@ def test_roots_closer_than_a_double_apart():
     rs = find_roots(LaurentPoly({1: 1, 0: -3}) * LaurentPoly({1: 2**60, 0: -3 * 2**60 - 1}))
     assert [(r.value, r.multiplicity, r.flags.real) for r in rs] == [(3.0, 1, True)] * 2
     assert all(0 < r.radius < 2.0**-62 for r in rs)
+    # the printed doubles coincide, but the rounding of the centres leaves
+    # room for disjoint discs, so no pair is reported
+    assert rs.disc_overlaps() == []
+
+
+def test_disc_overlaps_reports_discs_that_must_meet():
+    # two discs of radius 0.1 about one printed value meet wherever the
+    # rounding put their centres
+    root = dataclasses.replace(next(iter(find_roots(LaurentPoly({1: 1, 0: -3})))), radius=0.1)
+    assert RootSet(roots=(root, root), span=2).disc_overlaps() == [(0, 1)]
 
 
 def test_failed_start_reports_only_its_failure():
@@ -225,6 +236,15 @@ def test_coefficient_beyond_double_range_fails_the_start():
         find_roots(LaurentPoly({2: 1, 1: -10**400, 0: 1}))
     assert info.value.stage == "aberth"
     assert (info.value.degree, info.value.coeff_bits) == (2, 1329)
+
+
+def test_fixed_point_overflow_fails_the_refinement():
+    # the root 2^900 has a double, but 2^900 * 2^128 has none: the start's
+    # conversion to fixed point overflows and the refinement fails at once
+    with pytest.raises(ConvergenceFailure, match="fixed-point conversion") as info:
+        find_roots(LaurentPoly({1: 1, 0: -(2**900)}))
+    assert info.value.stage == "refine"
+    assert (info.value.degree, info.value.coeff_bits, info.value.sweeps) == (1, 901, 0)
 
 
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]

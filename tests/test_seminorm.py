@@ -143,6 +143,47 @@ def test_linear_system_matches_profile_sweep():
         assert res.z == 0
 
 
+def _fraction_walk(p, q):
+    """The candidate walk as one Fraction solve per z: (z_candidates, z,
+    a, s_min, reduction_used), kept as the reference for the integer walk."""
+    from fractions import Fraction
+
+    from whitenorm.reps import expected_class_total
+    from whitenorm.seminorm import _SEIFERT_CONE, _SEIFERT_WEIGHT, _solve_exact
+    from whitenorm.slopes import boundary_slopes, distance
+
+    betas = boundary_slopes(p, q)
+    rows = [[Fraction(distance(Slope(sig, 1), b)) for b in betas] + [Fraction(-1)] for sig in (1, 2, 3)]
+    rows.append([Fraction(distance(INFINITY, b)) for b in betas] + [Fraction(-1)])
+    rhs = [Fraction(_SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1)) for sig in (1, 2, 3)]
+    rank, particular, basis = _solve_exact(rows, rhs + [Fraction(0)])
+    if rank == 4:
+        return (), 0, tuple(int(v) for v in particular[:3]), int(particular[3]), None
+    bound = expected_class_total(p, q)
+    null = basis[0]
+
+    def vals(z):
+        tau = (Fraction(bound - z) - particular[3]) / null[3]
+        return [particular[i] + tau * null[i] for i in range(4)]
+
+    candidates = tuple(
+        z for z in range(bound + 1)
+        if all(v.denominator == 1 and v >= 0 and v % 2 == 0 for v in vals(z))
+    )
+    reduction = None
+    if len(candidates) > 1:
+        reduction = f"characterization polynomial symmetry: ({p},{q}) ~ ({-p + 4 * q},{q})"
+    sol = vals(0)
+    return candidates, 0, tuple(int(v) for v in sol[:3]), int(sol[3]), reduction
+
+
+def test_integer_walk_matches_fraction_walk():
+    for p, q in odd_sweep(25, 12):
+        r = solve_linear_system(p, q)
+        got = (r.z_candidates, r.z, r.a, r.s_min, r.reduction_used)
+        assert got == _fraction_walk(p, q), (p, q)
+
+
 def test_detected_slopes():
     assert detected_slopes(1, 1)["detected"] == (False, True, False)   # p = 2q - 1
     assert detected_slopes(5, 1)["detected"] == (True, True, False)    # q = 1

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -149,6 +152,36 @@ def test_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
     header2 = out2.read_text().splitlines()
     assert len(header2) == 1 and header2[0].startswith("p,q,range")
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from whitenorm.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+run("sweep", "--p-min", "-3", "--p-max", "3", "--q-max", "3",
+    "--suite", "resultant,symmetries,seifert,linear", "--out", sys.argv[1])
+run("respq", "5", "1")
+run("norm", "-1", "1", "--slope", "inf")
+assert "numpy" not in sys.modules, "the exact path loaded numpy"
+run("roots", "5", "1")
+assert "numpy" in sys.modules, "the root solve ran without numpy"
+"""
+
+
+def test_exact_path_loads_no_numpy(tmp_path):
+    # a fresh interpreter: this test process has numpy loaded already
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_root_solve_per_filling(capsys):
