@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import math
 
 from whitenorm.reps import expected_class_total
-from whitenorm.seminorm import seifert_norms, seminorm_profile, solve_linear_system
+from whitenorm.seminorm import seminorm_profile, solve_linear_system
 
 
 def run(pmax: int, qmax: int) -> None:
@@ -25,8 +25,8 @@ def run(pmax: int, qmax: int) -> None:
             if p % 2 == 0 or math.gcd(abs(p), q) != 1 or p == 3 * q:
                 continue
             prof = seminorm_profile(p, q)
-            lin = solve_linear_system(p, q)
-            norms = seifert_norms(p, q)
+            lin = solve_linear_system(prof)
+            norms = prof.seifert
             assert lin.a == prof.a and lin.s_min == prof.s_min
             classes = expected_class_total(p, q)
             assert classes == prof.s_min

@@ -18,7 +18,6 @@ from .seminorm import (
     SeminormProfile,
     evaluate_norm,
     seifert_character_counts,
-    seifert_norms,
     seminorm_profile,
     solve_linear_system,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SeminormProfile",
     "seminorm_profile",
     "evaluate_norm",
-    "seifert_norms",
     "seifert_character_counts",
     "solve_linear_system",
     "SUITES",

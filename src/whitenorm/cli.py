@@ -173,7 +173,6 @@ def cmd_sweep(args) -> int:
                 rows.append([p, q, "3"] + [""] * 11 + ["skipped"] * len(suites))
                 continue
             prof = seminorm.seminorm_profile(p, q)
-            norms = seminorm.seifert_norms(p, q)
             report = run_verify(p, q, suites)
             status = {r.suite: r.status for r in report.results}
             rows.append(
@@ -181,7 +180,7 @@ def cmd_sweep(args) -> int:
                 + [str(b) for b in prof.betas]
                 + list(prof.a)
                 + [prof.s_min, seminorm.evaluate_norm(prof, INFINITY)]
-                + list(norms)
+                + list(prof.seifert)
                 + [status[s] for s in suites]
             )
     try:

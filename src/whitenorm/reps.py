@@ -29,7 +29,7 @@ from .errors import (
     VerificationFailure,
 )
 from .respq import build_res
-from .roots import RootSet, nontrivial_roots, resultant_roots
+from .roots import RootSet, nontrivial_roots, resultant_roots, resultant_rootset_of
 from .slopes import validate_filling
 
 
@@ -283,9 +283,14 @@ def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
     return candidates[0]
 
 
-def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComplex:
+# A double-rounded root moves by ~1e-16 relative under Newton; a move of
+# 1e-6 relative, ten orders more, means the start was no root.
+_REFINE_GUARD = 1e-6
+
+
+def _refine_on_int_poly(coeffs: list[int], z: HPComplex) -> HPComplex:
     """Newton-refine z on an exact integer polynomial; refuse to move farther
-    than guard from the start (the input must already be a root)."""
+    than _REFINE_GUARD from the start (the input must already be a root)."""
     der = [i * c for i, c in enumerate(coeffs)][1:]
     start = z.to_complex()
     v = (z.re, z.im)
@@ -299,9 +304,9 @@ def _refine_on_int_poly(coeffs: list[int], z: HPComplex, guard: float) -> HPComp
             break
         v = (v[0] - step[0], v[1] - step[1])
     z = HPComplex(*v)
-    if abs(z.to_complex() - start) > guard * (1 + abs(start)):
+    if abs(z.to_complex() - start) > _REFINE_GUARD * (1 + abs(start)):
         raise ValidationError(
-            f"{start} is not a root of the expected polynomial (moved by more than {guard})"
+            f"{start} is not a root of the expected polynomial (moved by more than {_REFINE_GUARD})"
         )
     return z
 
@@ -340,9 +345,10 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
     return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
 
 
-def _lift(s: complex, p: int, q: int) -> tuple[str, HPComplex, HPComplex]:
+def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[str, HPComplex, HPComplex]:
     """The sign-independent half of a reconstruction: the kind of the class
-    at s, s refined in fixed point, and the longitude eigenvalue t."""
+    at s, s refined in fixed point (on res_dense, res_{p,q}'s coefficients,
+    if irreducible), and the longitude eigenvalue t."""
     s = complex(s)
     # Non-trivial resultant roots and the roots of unity used here stay at
     # least ~2*pi/|p| from +-1, so 1e-9 only rejects +-1 up to rounding.
@@ -350,19 +356,15 @@ def _lift(s: complex, p: int, q: int) -> tuple[str, HPComplex, HPComplex]:
         raise ValidationError(
             "s in {0, +1, -1} never yields a representation of the filled manifold"
         )
-    # The guard of both refinements below: s is the double rounding of a
-    # root, so Newton moves it by ~1e-16 relative; a move of 1e-6, ten orders
-    # more, means s was no root.
     s_hp = HPComplex.from_complex(s)
     if abs(_power(s, p) - 1) <= TOL.t_match:
         # root of unity: sharpen on x^|p| - 1 so the filling check is exact-grade
         unity = [0] * (abs(p) + 1)
         unity[0], unity[-1] = -1, 1
-        return "reducible", _refine_on_int_poly(unity, s_hp, 1e-6), HPComplex.from_int(1)
+        return "reducible", _refine_on_int_poly(unity, s_hp), HPComplex.from_int(1)
     # the double-rounded s costs half the digits of t wherever the quadric
     # branches collide; re-converge it on the exact resultant first
-    res_dense, _ = build_res(p, q).poly.dense()
-    s_hp = _refine_on_int_poly(res_dense, s_hp, 1e-6)
+    s_hp = _refine_on_int_poly(res_dense, s_hp)
     return "irreducible", s_hp, _solve_t_hp(s_hp, p, q)
 
 
@@ -399,7 +401,7 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
     """
     if sign_u not in (1, -1):
         raise ValidationError("sign_u must be +-1")
-    return _build(p, q, sign_u, *_lift(s, p, q))
+    return _build(p, q, sign_u, *_lift(s, p, q, build_res(p, q).poly.dense()[0]))
 
 
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
@@ -536,7 +538,8 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     of the meridian trace.  Roots are taken up to s ~ 1/s: of each pair the
     member met first in the root set's (re, im) order represents it, so |s|
     may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i)."""
-    rs = nontrivial_roots(resultant_roots(p, q))
+    res = build_res(p, q)
+    rs = nontrivial_roots(resultant_rootset_of(res))
     chosen: list[complex] = []
     for root in rs:
         z = root.value
@@ -552,9 +555,10 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     # the reducible classes: s = e^(2 pi i k/|p|) up to s ~ 1/s, i.e. k ~ |p| - k,
     # without k = 0 and k = |p|/2 (s = +-1)
     chosen += [cmath.exp(2j * cmath.pi * k / abs(p)) for k in range(1, (abs(p) - 1) // 2 + 1)]
+    res_dense, _ = res.poly.dense()
     reps = []
     for z in chosen:
-        lift = _lift(z, p, q)
+        lift = _lift(z, p, q, res_dense)
         for sign in (1, -1):
             reps.append(_build(p, q, sign, *lift))
     return reps

@@ -237,6 +237,8 @@ _RUNGS = (128, 256, 512, BITS)
 # is that of its root unless the root lies within 2^-100 of a rounding
 # boundary.
 _CERTIFY_BITS = 100
+# Sweeps _refine_hp makes on all rungs together before it gives up.
+_SWEEPS = 48
 # Relative error bound of one cxhp.hp_abs value (below 2^-51) and of one
 # float product, with room.
 _REL = 2.0**-50
@@ -280,9 +282,7 @@ def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) ->
     return max_step, exhausted
 
 
-def _refine_hp(
-    int_coeffs: list[int], raw: list[complex], sweeps: int = 48
-) -> tuple[list[HP], int, list[float]]:
+def _refine_hp(int_coeffs: list[int], raw: list[complex]) -> tuple[list[HP], int, list[float]]:
     """Gauss-Seidel Aberth sweeps (_sweep) on the exact integer
     coefficients, on the precision ladder _RUNGS, warm-started from the
     double-precision multiset; badly assigned iterates migrate to uncovered
@@ -295,7 +295,7 @@ def _refine_hp(
     sweep, or after one whose largest step is below 2^-100, which may
     certify before the rung is exhausted; the ladder stops once every radius
     is below 2^-100 (1 + |z_i|) and the discs are pairwise disjoint.  At
-    the top rung it sweeps on until they do; after `sweeps` sweeps in all
+    the top rung it sweeps on until they do; after _SWEEPS sweeps in all
     it raises ConvergenceFailure.
 
     Returns the fixed-point centres, the fraction bits of the rung they
@@ -307,7 +307,7 @@ def _refine_hp(
     # cxhp.hp and hp_float pass through doubles; caught here, off the hot loop
     try:
         z = [hp(v, bits) for v in raw]
-        for _ in range(sweeps):
+        for _ in range(_SWEEPS):
             step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
             steps.append(step.bit_length() - 1 - bits)
             if not (exhausted or steps[-1] < -_CERTIFY_BITS):
@@ -327,7 +327,7 @@ def _refine_hp(
             stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
         ) from exc
     raise ConvergenceFailure(
-        f"high-precision sweeps did not settle on degree {n} in {sweeps} sweeps: "
+        f"high-precision sweeps did not settle on degree {n} in {_SWEEPS} sweeps: "
         f"the last sweep's largest step was 2^{steps[-1]}",
         stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
     )

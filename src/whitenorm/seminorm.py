@@ -43,6 +43,10 @@ def _require_scope(p: int, q: int) -> SlopeRange:
     return classify_range(Slope.of(p, q))
 
 
+_SEIFERT_CONE = {1: 6, 2: 4, 3: 3}  # sigma -> k with cone order |p - k q|
+_SEIFERT_WEIGHT = {1: 2, 2: 3, 3: 4}
+
+
 @dataclass(frozen=True)
 class SeminormProfile:
     p: int
@@ -51,6 +55,7 @@ class SeminormProfile:
     betas: BoundaryTriple
     a: tuple[int, int, int]
     s_min: int
+    seifert: tuple[int, int, int]  # ||sigma|| for the Seifert slopes sigma = 1, 2, 3
 
 
 def _table_coeffs(p: int, q: int, rng: SlopeRange) -> tuple[tuple[int, int, int], int]:
@@ -66,11 +71,17 @@ def _table_coeffs(p: int, q: int, rng: SlopeRange) -> tuple[tuple[int, int, int]
 
 
 def seminorm_profile(p: int, q: int) -> SeminormProfile:
-    """Boundary slopes, coefficients and minimal norm for the p/q filling."""
+    """Boundary slopes, coefficients, minimal norm and Seifert norms for the
+    p/q filling.  The Seifert norms have the closed form
+    ||sigma|| = s + w_sigma * (|p - k_sigma q| - 1) with (w, k) = (2, 6),
+    (3, 4), (4, 3)."""
     rng = _require_scope(p, q)
     a, s_min = _table_coeffs(p, q, rng)
     assert all(x >= 0 and x % 2 == 0 for x in a) and s_min >= 0 and s_min % 2 == 0
-    return SeminormProfile(p, q, rng, boundary_slopes(p, q), a, s_min)
+    seifert = tuple(
+        s_min + _SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1) for sig in (1, 2, 3)
+    )
+    return SeminormProfile(p, q, rng, boundary_slopes(p, q), a, s_min, seifert)
 
 
 def evaluate_norm(profile: SeminormProfile, gamma: Slope) -> int:
@@ -102,22 +113,6 @@ def detected_slopes(p: int, q: int) -> dict:
 # Seifert fillings
 
 
-_SEIFERT_CONE = {1: 6, 2: 4, 3: 3}  # sigma -> k with cone order |p - k q|
-_SEIFERT_WEIGHT = {1: 2, 2: 3, 3: 4}
-
-
-def seifert_norms(p: int, q: int) -> tuple[int, int, int]:
-    """Closed-form total seminorms of the three Seifert filling slopes:
-    ||sigma|| = s + w_sigma * (|p - k_sigma q| - 1) with (w, k) = (2, 6),
-    (3, 4), (4, 3)."""
-    _require_scope(p, q)
-    _, s_min = _table_coeffs(p, q, classify_range(Slope.of(p, q)))
-    return tuple(
-        s_min + _SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1)
-        for sig in (1, 2, 3)
-    )
-
-
 @dataclass(frozen=True)
 class CountTable:
     """Character counts of the filled Seifert manifold W(p/q, sigma)."""
@@ -137,8 +132,9 @@ def _half(x: int) -> int:
     return x // 2
 
 
-def seifert_character_counts(p: int, q: int, sigma: int) -> CountTable:
-    """Character counts for the Seifert filling sigma in {1, 2, 3}, p odd.
+def seifert_character_counts(prof: SeminormProfile, sigma: int) -> CountTable:
+    """Character counts for the Seifert filling sigma in {1, 2, 3} of the
+    profiled filling p/q (p odd).
 
     Rows are keyed by gcd(6, p) for sigma in {1, 3} and gcd(4, p) for
     sigma = 2; p odd only meets the odd-gcd rows.  The non-abelian SL2
@@ -146,9 +142,9 @@ def seifert_character_counts(p: int, q: int, sigma: int) -> CountTable:
     all other non-abelian characters twice) and must reproduce the closed
     form behind the Seifert norms.
     """
-    _require_scope(p, q)
     if sigma not in (1, 2, 3):
         raise ValidationError("sigma must be 1, 2 or 3")
+    p, q = prof.p, prof.q
     ap = abs(p)
     cone = abs(p - _SEIFERT_CONE[sigma] * q)
     if sigma == 1:
@@ -186,8 +182,7 @@ def seifert_character_counts(p: int, q: int, sigma: int) -> CountTable:
         )
     # lifting: dihedral characters lift once, other non-abelian ones twice
     a_const = 2 * (irr - dihedral + nonab_red) + dihedral
-    norm_sigma = seifert_norms(p, q)[sigma - 1]
-    _, s_min = _table_coeffs(p, q, classify_range(Slope.of(p, q)))
+    norm_sigma, s_min = prof.seifert[sigma - 1], prof.s_min
     if norm_sigma != s_min + 2 * a_const:
         raise SystemInconsistent(
             f"sigma={sigma}: ||sigma|| = {norm_sigma} but s + 2A = {s_min + 2 * a_const}"
@@ -282,8 +277,9 @@ class LinearSystemResult:
     reduction_used: str | None
 
 
-def solve_linear_system(p: int, q: int) -> LinearSystemResult:
-    """Recover (a1, a2, a3, s) from the Seifert norms and slope distances.
+def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
+    """Recover (a1, a2, a3, s) of the profiled filling p/q from its Seifert
+    norms and slope distances, and compare them with the closed form.
 
     The 4x4 system (three Seifert slopes plus the meridian) has full rank
     only for p/q in (3, 4) or (4, 6).  Elsewhere it has rank 3 and the
@@ -296,14 +292,12 @@ def solve_linear_system(p: int, q: int) -> LinearSystemResult:
     polynomial under p -> -p + 4q moves the slope into a range where
     simplicity is settled, forcing the bound to be attained, i.e. z = 0.
     """
-    rng = _require_scope(p, q)
-    prof = seminorm_profile(p, q)
-    betas = boundary_slopes(p, q)
+    p, q, rng, betas = prof.p, prof.q, prof.range_tag, prof.betas
     rows = []
     rhs = []
     for sig in (1, 2, 3):  # the Seifert slope sigma/1
         rows.append([Fraction(distance(Slope(sig, 1), b)) for b in betas] + [Fraction(-1)])
-        rhs.append(Fraction(_SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1)))
+        rhs.append(Fraction(prof.seifert[sig - 1] - prof.s_min))
     rows.append([Fraction(distance(INFINITY, b)) for b in betas] + [Fraction(-1)])
     rhs.append(Fraction(0))
 

@@ -21,7 +21,6 @@ from whitenorm.respq import _closed_form, build_res, check_symmetries, trivial_r
 from whitenorm.roots import classify, nontrivial_roots, resultant_roots
 from whitenorm.seminorm import (
     evaluate_norm,
-    seifert_norms,
     seminorm_profile,
     solve_linear_system,
 )
@@ -88,7 +87,7 @@ def test_criterion_04_seifert_consistency():
     count = 0
     for p, q in _coprime_sweep(odd_only=True, skip_three=True):
         prof = seminorm_profile(p, q)
-        norms = seifert_norms(p, q)
+        norms = prof.seifert
         for gamma, closed in zip(gammas, norms):
             assert evaluate_norm(prof, gamma) == closed, (p, q, str(gamma))
         count += 1
@@ -105,8 +104,8 @@ def test_criterion_05_linear_system_reconstruction():
     for rng, pqs in samples.items():
         assert len(pqs) >= 5
         for p, q in pqs:
-            res = solve_linear_system(p, q)
             prof = seminorm_profile(p, q)
+            res = solve_linear_system(prof)
             assert prof.range_tag.value == rng, (p, q)
             assert res.a == prof.a and res.s_min == prof.s_min, (p, q)
             assert res.z == 0, (p, q)

@@ -25,6 +25,7 @@ from whitenorm.reps import (
     reconstruct_prep,
     slice_f,
 )
+from whitenorm.respq import build_res
 from whitenorm.roots import nontrivial_roots, resultant_roots
 
 SQ2 = math.sqrt(2)
@@ -178,7 +179,7 @@ def test_reconstruct_reducible():
 def test_det_gap_is_judged_by_det_one():
     # det rho(mu0) = 1 + eps: a gap of 1e-9 is below TOL.residual but above
     # TOL.det_one, the one threshold of the det residual
-    kind, s, t = _lift(cmath.exp(2j * cmath.pi / 5), 5, 1)
+    kind, s, t = _lift(cmath.exp(2j * cmath.pi / 5), 5, 1, build_res(5, 1).poly.dense()[0])
     zero, one = HPComplex.from_int(0), HPComplex.from_int(1)
     m1 = Mat2(one, zero, one, one)
     for eps, fails in ((1e-9, True), (1e-11, False)):
@@ -245,15 +246,34 @@ def test_all_prep_classes_lifts_each_class_once(monkeypatch):
     calls = []
     refine = reps_mod._refine_on_int_poly
 
-    def counting(coeffs, z, guard):
+    def counting(coeffs, z):
         calls.append(z.to_complex())
-        return refine(coeffs, z, guard)
+        return refine(coeffs, z)
 
     monkeypatch.setattr(reps_mod, "_refine_on_int_poly", counting)
     classes = all_prep_classes(5, 1)
     # 2 irreducible + 2 reducible classes, each lifted once for both signs
     assert len(classes) == 8
     assert len(calls) == 4
+
+
+def test_all_prep_classes_builds_res_once(monkeypatch):
+    import whitenorm.reps as reps_mod
+    import whitenorm.roots as roots_mod
+
+    calls = []
+    build = reps_mod.build_res
+
+    def counting(p, q):
+        calls.append((p, q))
+        return build(p, q)
+
+    # the root solve and every irreducible lift share one res_{p,q}
+    monkeypatch.setattr(reps_mod, "build_res", counting)
+    monkeypatch.setattr(roots_mod, "build_res", counting)
+    classes = all_prep_classes(65, 16)
+    assert calls == [(65, 16)]
+    assert len(classes) == 128  # the minimal norm 3p - 4q - 3
 
 
 def test_partially_diagonal_slice():

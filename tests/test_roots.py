@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 from fractions import Fraction
@@ -60,16 +59,19 @@ def test_non_integer_coefficients_rejected():
         find_roots(LaurentPoly({2: 1 + 0j, 0: -1 + 0j}))
 
 
-def test_refine_failure_names_degree_and_step():
+def test_refine_failure_names_degree_and_step(monkeypatch):
+    import whitenorm.roots as roots_mod
+
     # one sweep from a start far off +-sqrt(2) cannot reach a 2^-95 step
+    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure, match=r"degree 2 in 1 sweeps: .* 2\^-\d+$"):
-        _refine_hp([-2, 0, 1], [1 + 0.5j, -1 - 0.3j], sweeps=1)
+        _refine_hp([-2, 0, 1], [1 + 0.5j, -1 - 0.3j])
 
 
 def test_forced_refine_failure_names_stage_degree_and_step(monkeypatch):
     import whitenorm.roots as roots_mod
 
-    monkeypatch.setattr(roots_mod, "_refine_hp", functools.partial(roots_mod._refine_hp, sweeps=1))
+    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
     f = build_res(5, 1).poly
     with pytest.raises(ConvergenceFailure) as info:
         find_roots(f)
@@ -92,7 +94,7 @@ def test_failing_solve_makes_one_start(monkeypatch):
         return aberth(coeffs, *args)
 
     monkeypatch.setattr(roots_mod, "_aberth", spy)
-    monkeypatch.setattr(roots_mod, "_refine_hp", functools.partial(roots_mod._refine_hp, sweeps=1))
+    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure) as info:
         find_roots(build_res(5, 1).poly)
     # the refinement's own failure is raised, with no second start

@@ -1,15 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
-from whitenorm.errors import DegenerateCase, ScopeError, ValidationError
+from whitenorm.errors import DegenerateCase, ScopeError, SystemInconsistent, ValidationError
 from whitenorm.laurent import LaurentPoly
 from whitenorm.seminorm import (
     detected_slopes,
     evaluate_norm,
     nonabelian_reducible_u2,
     seifert_character_counts,
-    seifert_norms,
     seminorm_profile,
     solve_linear_system,
     twisted_alexander,
@@ -67,35 +67,47 @@ def test_minimal_norm_is_norm_of_meridian():
 
 
 def test_seifert_norm_examples():
-    assert seifert_norms(5, 1) == (8, 8, 12)
-    assert seifert_norms(-1, 1) == (16, 16, 16)
+    assert seminorm_profile(5, 1).seifert == (8, 8, 12)
+    assert seminorm_profile(-1, 1).seifert == (16, 16, 16)
 
 
 def test_seifert_norms_match_distance_evaluation():
     gammas = (Slope(1, 1), Slope(2, 1), Slope(3, 1))
     for p, q in odd_sweep():
         prof = seminorm_profile(p, q)
-        norms = seifert_norms(p, q)
+        norms = prof.seifert
         assert tuple(evaluate_norm(prof, g) for g in gammas) == norms
 
 
 def test_character_counts_5_1():
-    ct = seifert_character_counts(5, 1, 1)
+    ct = seifert_character_counts(seminorm_profile(5, 1), 1)
     assert (ct.psl2_total, ct.psl2_irreducible, ct.sl2_nonabelian) == (3, 0, 0)
-    ct = seifert_character_counts(5, 1, 2)
+    ct = seifert_character_counts(seminorm_profile(5, 1), 2)
     assert ct.sl2_nonabelian == 0  # (3/2)(|p-4q|-1)
-    ct = seifert_character_counts(5, 1, 3)
+    ct = seifert_character_counts(seminorm_profile(5, 1), 3)
     assert ct.sl2_nonabelian == 2  # 2(|p-3q|-1)
     with pytest.raises(ValidationError):
-        seifert_character_counts(5, 1, 4)
+        seifert_character_counts(seminorm_profile(5, 1), 4)
     with pytest.raises(ScopeError):
-        seifert_character_counts(2, 1, 1)
+        seifert_character_counts(seminorm_profile(2, 1), 1)
 
 
 def test_character_counts_consistency_sweep():
     for p, q in odd_sweep(15, 4):
         for sigma in (1, 2, 3):
-            seifert_character_counts(p, q, sigma)  # all row sums asserted inside
+            # all row sums asserted inside
+            seifert_character_counts(seminorm_profile(p, q), sigma)
+
+
+def test_character_counts_reject_a_planted_seifert_norm():
+    # the counts read ||sigma|| from the profile, so a profile whose
+    # ||1|| is off by 2 must fail the s + 2A identity
+    prof = seminorm_profile(5, 1)
+    planted = dataclasses.replace(prof, seifert=(prof.seifert[0] + 2, *prof.seifert[1:]))
+    with pytest.raises(SystemInconsistent, match=r"sigma=1: \|\|sigma\|\| = 10 but s \+ 2A = 8"):
+        seifert_character_counts(planted, 1)
+    for sigma in (2, 3):
+        seifert_character_counts(planted, sigma)
 
 
 def test_twisted_alexander():
@@ -117,27 +129,27 @@ def test_nonabelian_reducible_u2():
 
 
 def test_linear_system_examples():
-    r = solve_linear_system(7, 2)
+    r = solve_linear_system(seminorm_profile(7, 2))
     assert (r.a, r.s_min, r.rank) == ((2, 4, 2), 12, 4)
-    r = solve_linear_system(-1, 1)
+    r = solve_linear_system(seminorm_profile(-1, 1))
     assert (r.a, r.s_min, r.rank, r.z, r.z_candidates) == ((2, 2, 0), 4, 3, 0, (0,))
-    r = solve_linear_system(5, 1)
+    r = solve_linear_system(seminorm_profile(5, 1))
     assert (r.a, r.s_min, r.rank) == ((2, 2, 0), 8, 4)
 
 
 def test_linear_system_ambiguous_range_uses_mirror():
     # on (2, 3) the parity/positivity constraints admit a second candidate
-    r = solve_linear_system(5, 2)
+    r = solve_linear_system(seminorm_profile(5, 2))
     assert r.z_candidates == (0, 4)
     assert r.reduction_used is not None and "(3,2)" in r.reduction_used
     # far range (6, inf) also goes through the mirror
-    r = solve_linear_system(13, 2)
+    r = solve_linear_system(seminorm_profile(13, 2))
     assert r.rank == 3 and r.reduction_used is not None
 
 
 def test_linear_system_matches_profile_sweep():
     for p, q in odd_sweep(19, 6):
-        res = solve_linear_system(p, q)
+        res = solve_linear_system(seminorm_profile(p, q))
         prof = seminorm_profile(p, q)
         assert res.a == prof.a and res.s_min == prof.s_min
         assert res.z == 0
@@ -179,7 +191,7 @@ def _fraction_walk(p, q):
 
 def test_integer_walk_matches_fraction_walk():
     for p, q in odd_sweep(25, 12):
-        r = solve_linear_system(p, q)
+        r = solve_linear_system(seminorm_profile(p, q))
         got = (r.z_candidates, r.z, r.a, r.s_min, r.reduction_used)
         assert got == _fraction_walk(p, q), (p, q)
 

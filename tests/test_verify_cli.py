@@ -32,6 +32,24 @@ def test_run_verify_scope_skips():
     assert report.ok
 
 
+def test_seminorm_suites_derive_one_profile_each(monkeypatch):
+    import whitenorm.seminorm as seminorm_mod
+
+    calls = []
+    require = seminorm_mod._require_scope
+
+    def counting(p, q):
+        calls.append((p, q))
+        return require(p, q)
+
+    # each suite builds one profile and passes it down to the character
+    # counts and the linear system
+    monkeypatch.setattr(seminorm_mod, "_require_scope", counting)
+    report = run_verify(5, 1, ("seifert", "linear"))
+    assert report.summary == {"pass": 2, "fail": 0, "skipped": 0}
+    assert calls == [(5, 1), (5, 1)]
+
+
 def test_run_verify_p_even_partial():
     report = run_verify(2, 1, SUITES)
     statuses = {r.suite: r.status for r in report.results}
