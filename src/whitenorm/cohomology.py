@@ -10,7 +10,6 @@ two meridian generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import TOL
@@ -25,23 +24,16 @@ from .laurent import LaurentPoly
 from .roots import find_roots, nontrivial_roots, resultant_roots
 
 
-@dataclass(frozen=True)
-class NumMatrix:
-    data: np.ndarray
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def rank(self) -> int:
-        import numpy as np
-        sv = np.linalg.svd(self.data, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0:
-            return 0
-        return int((sv > TOL.rank_rel * sv[0]).sum())
+def rank(m: np.ndarray) -> int:
+    """Numeric rank: the singular values above TOL.rank_rel times the largest."""
+    import numpy as np
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0
+    return int((sv > TOL.rank_rel * sv[0]).sum())
 
 
-def coboundary_matrix(s: complex, a: complex) -> NumMatrix:
+def coboundary_matrix(s: complex, a: complex) -> np.ndarray:
     """3x6 span of the coboundaries at a representation in the partially
     diagonal slice (diagonal meridian eigenvalue s, parabolic parameter a);
     a = 1 is the reducible case.  Rank 3 whenever s != +-1."""
@@ -54,7 +46,7 @@ def coboundary_matrix(s: complex, a: complex) -> NumMatrix:
         [0, 0, 1 - si2, (2 - a) * (a - 1) ** 2, (a - 1) ** 4, -(a - 1) * (a - 3)],
     ]
     import numpy as np
-    return NumMatrix(np.array(rows, dtype=complex))
+    return np.array(rows, dtype=complex)
 
 
 def _relation_cocycle_vector(s: complex) -> list[complex]:
@@ -71,7 +63,7 @@ def _relation_cocycle_vector(s: complex) -> list[complex]:
     ]
 
 
-def reducible_presentation_matrix(s: complex, p: int, q: int) -> NumMatrix:
+def reducible_presentation_matrix(s: complex, p: int, q: int) -> np.ndarray:
     """5x6 presentation matrix of the twisted cohomology at a non-abelian
     reducible representation (s^p = 1, s != +-1); rank 5, so the cohomology
     is one-dimensional.  At s = +-1 (no such representation) the matrix is
@@ -88,17 +80,17 @@ def reducible_presentation_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [p / q, 0, 0, 0, (s2 * s2 - 1) / s2, 0],
     ]
     import numpy as np
-    m = NumMatrix(np.array(rows, dtype=complex))
+    m = np.array(rows, dtype=complex)
     # callers pass s = +-1 or s = e^(2 pi i k/|p|), at least 2 sin(pi/|p|)
     # from +-1; 1e-9 tells the two apart up to the rounding of s
     if abs(s - 1) > 1e-9 and abs(s + 1) > 1e-9:
-        r = m.rank()
+        r = rank(m)
         if r != 5:
             raise RankMismatch(f"presentation matrix rank {r} != 5 at s={s}")
     return m
 
 
-def trace_pairing_matrix(s: complex, p: int, q: int) -> NumMatrix:
+def trace_pairing_matrix(s: complex, p: int, q: int) -> np.ndarray:
     """The presentation matrix extended by the trace-pairing row; its
     determinant has the closed form (4p/q) s^-4 (s^2-1)^2 (s^4-2s^2+2).
 
@@ -120,7 +112,7 @@ def trace_pairing_matrix(s: complex, p: int, q: int) -> NumMatrix:
         [0, 0, 0, 0, 1, 0],
     ]
     import numpy as np
-    return NumMatrix(np.array(rows, dtype=complex))
+    return np.array(rows, dtype=complex)
 
 
 def det_p_closed_form(s: complex, p: int, q: int) -> complex:
@@ -133,7 +125,7 @@ def det_P_reducible(s: complex, p: int, q: int) -> complex:
     closed form to relative tolerance."""
     import numpy as np
     m = trace_pairing_matrix(s, p, q)
-    det = complex(np.linalg.det(m.data))
+    det = complex(np.linalg.det(m))
     closed = det_p_closed_form(s, p, q)
     scale = max(abs(det), abs(closed), 1e-300)
     if abs(det - closed) > TOL.det_rel * scale:

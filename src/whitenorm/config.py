@@ -1,11 +1,13 @@
 """Numeric tolerances used across the package.
 
-The fields of the one frozen instance TOL are the package's fixed
-thresholds; every check reads its threshold from TOL at the point of use.
-No root is accepted on a threshold: its inclusion disc certifies it, and
-its realness and whether it meets the unit circle are read off that disc
-(see roots).  Every root off +-1 is simple, by an exact squarefree test,
-and the trivial roots +-1 are split off exactly with their orders.
+The fields of the one frozen instance TOL are the package's shared
+thresholds, read at the point of use; any other threshold is a constant
+whose comment justifies it.  No root is accepted, told apart from another
+or paired with its inverse on a threshold: its inclusion disc certifies
+it, and its realness and whether it meets the unit circle are read off
+that disc (see roots).  Every root off +-1 is simple, by an exact
+squarefree test, and the trivial roots +-1 are split off exactly with
+their orders.
 """
 
 from dataclasses import dataclass
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # root finding
-    separation: float = 1e-6       # minimal distance between simple roots
     # representation residuals
     residual: float = 1e-8         # relator / filling / variety residuals
     trace: float = 1e-9            # |tr rho(mu1) -+ 2|

@@ -10,7 +10,9 @@ class ValidationError(WhitenormError, ValueError):
 
 
 class ScopeError(WhitenormError):
-    """Input outside the proven scope (p even, or p/q on an excluded slope)."""
+    """Input outside the proven scope (p even, or p/q on an excluded slope),
+    or a filling outside a verification suite's scope (p/q in {0, 4} for the
+    suites that need roots)."""
 
 
 class DegenerateSlope(WhitenormError):
@@ -81,7 +83,8 @@ class SingularPoint(WhitenormError):
 
 
 class VerificationFailure(WhitenormError):
-    """A reconstructed representation failed a residual check."""
+    """A verification check failed: a residual of a reconstructed
+    representation, or a check of a verification suite."""
 
 
 class CountMismatch(WhitenormError):

@@ -537,24 +537,28 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     """One verified representation per conjugacy class, each with both signs
     of the meridian trace.  Roots are taken up to s ~ 1/s: of each pair the
     member met first in the root set's (re, im) order represents it, so |s|
-    may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i)."""
+    may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i).  The
+    classes built must number count_prep_classes' total, or CountMismatch
+    is raised."""
     res = build_res(p, q)
-    rs = nontrivial_roots(resultant_rootset_of(res))
-    chosen: list[complex] = []
-    for root in rs:
-        z = root.value
-        # the double 1/z lies within 1e-15 of its certified partner (at most
-        # 8.9e-16 over the odd |p| <= 33, q <= 10 grid and the benchmark
-        # fillings), while any other root is at least 4.0e-3 away there;
-        # 1e-6 is TOL.separation, the least gap the roots suite allows
-        # between distinct roots of an odd-p filling
-        partner_present = any(abs(w - 1 / z) <= 1e-6 for w in chosen)
-        if partner_present:
-            continue
-        chosen.append(z)
+    rootset = resultant_rootset_of(res)
+    count = count_prep_classes(p, q, rootset=rootset)
+    # res is palindromic, so 1/z is a root with z.  No disc meets |s| = 1, so
+    # |z| < 1 is decided, and re(1/z) = re(z) / |z|^2 has the sign of re(z):
+    # z precedes 1/z exactly when re(z) > 0 and |z| < 1 or re(z) < 0 and
+    # |z| > 1.  A certified imaginary z (re exactly 0.0) precedes 1/z when
+    # im(z) < 0.
+    chosen = [
+        z for z in nontrivial_roots(rootset).values
+        if (z.imag < 0 if z.real == 0.0 else (z.real > 0) == (abs(z) < 1))
+    ]
     # the reducible classes: s = e^(2 pi i k/|p|) up to s ~ 1/s, i.e. k ~ |p| - k,
     # without k = 0 and k = |p|/2 (s = +-1)
     chosen += [cmath.exp(2j * cmath.pi * k / abs(p)) for k in range(1, (abs(p) - 1) // 2 + 1)]
+    if 2 * len(chosen) != count.total:
+        raise CountMismatch(
+            f"({p},{q}): {2 * len(chosen)} classes chosen up to s ~ 1/s, {count.total} counted"
+        )
     res_dense, _ = res.poly.dense()
     reps = []
     for z in chosen:

@@ -1,6 +1,8 @@
 """Machine-checkable verification suites: each suite re-derives one slice
-of the closed-form results for a concrete (p, q) and reports pass / fail /
-skipped(scope)."""
+of the closed-form results for a concrete (p, q).  A suite returns its pass
+details, raises ScopeError when p/q is outside its scope, and raises
+VerificationFailure, or lets the raiser's WhitenormError through, when a
+check fails; run_verify alone turns these into pass / fail / skipped."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import cohomology, reps, respq, seminorm
 from .config import TOL
-from .errors import ScopeError, ValidationError, WhitenormError
+from .errors import ScopeError, ValidationError, VerificationFailure, WhitenormError
 from .roots import classify, nontrivial_roots, resultant_roots
 from .slopes import INFINITY, Slope, validate_filling
 
@@ -41,101 +43,80 @@ def _degenerate(p: int, q: int) -> bool:
     return p == 0 or p == 4 * q
 
 
-def suite_resultant(p: int, q: int) -> SuiteResult:
+def suite_resultant(p: int, q: int) -> str:
     """Sylvester determinant vs closed form, palindromicity, monic lead."""
     poly = respq.build_res(p, q).poly
     if not poly.substitute_inv().unit_equal(poly):
-        return SuiteResult("resultant", p, q, "fail", "not inversion-symmetric")
+        raise VerificationFailure("not inversion-symmetric")
     if poly.span and poly[poly.maxdeg] != 1:
-        return SuiteResult("resultant", p, q, "fail", "not monic after normalization")
+        raise VerificationFailure("not monic after normalization")
     expected_span = 0 if _degenerate(p, q) else 2 * max(abs(p - 2 * q), 2 * q)
     if poly.span != expected_span:
-        return SuiteResult("resultant", p, q, "fail", f"span {poly.span} != {expected_span}")
-    return SuiteResult(
-        "resultant", p, q, "pass",
-        f"span {poly.span}, oracle == closed form under convention '{respq.Y_CONVENTION}'",
-    )
+        raise VerificationFailure(f"span {poly.span} != {expected_span}")
+    return f"span {poly.span}, oracle == closed form under convention '{respq.Y_CONVENTION}'"
 
 
-def suite_symmetries(p: int, q: int) -> SuiteResult:
+def suite_symmetries(p: int, q: int) -> str:
     """Trivial-root orders and the four symmetry identities."""
     r = respq.build_res(p, q)
     if r.is_degenerate:
-        return SuiteResult("symmetries", p, q, "skipped", "degenerate constant, no roots")
+        raise ScopeError("degenerate constant, no roots")
     orders = respq.trivial_root_orders(r)
     negation_invariant = respq.check_symmetries(r)
-    return SuiteResult(
-        "symmetries", p, q, "pass",
+    return (
         f"orders(+1,-1)={orders}, inversion/parity/mirror identities exact "
-        f"(s->-s invariant: {negation_invariant})",
+        f"(s->-s invariant: {negation_invariant})"
     )
 
 
-def suite_roots(p: int, q: int) -> SuiteResult:
-    """Disjoint inclusion discs, symmetry classes, separation, circle gap.
-    The count needs no check here: the exact +-1 split, the squarefree test
-    and the disjoint discs fix it at nontrivial_root_bound."""
+def suite_roots(p: int, q: int) -> str:
+    """Disjoint inclusion discs, symmetry classes, circle gap.  The count
+    needs no check here: the exact +-1 split, the squarefree test and the
+    disjoint discs fix it at nontrivial_root_bound.  Nor does the distance
+    between roots: disjoint discs, one simple root each, already prove the
+    roots distinct."""
     if _degenerate(p, q):
-        return SuiteResult("roots", p, q, "skipped", "degenerate constant, no roots")
+        raise ScopeError("degenerate constant, no roots")
     rs = resultant_roots(p, q)
     met = rs.disc_overlaps()
     if met:
         i, j = met[0]
-        return SuiteResult(
-            "roots", p, q, "fail",
-            f"inclusion discs about {rs.values[i]} and {rs.values[j]} overlap",
-        )
+        raise VerificationFailure(f"inclusion discs about {rs.values[i]} and {rs.values[j]} overlap")
     rep = classify(rs, p, q)
-    if p % 2 == 1 and rep.min_separation <= TOL.separation:
-        return SuiteResult("roots", p, q, "fail", f"separation {rep.min_separation:.2e}")
     bound = respq.nontrivial_root_bound(p, q)
-    return SuiteResult(
-        "roots", p, q, "pass",
+    return (
         f"{rep.n_nontrivial}/{bound} non-trivial roots, {rep.real_count} real, "
-        f"{rep.imaginary_count} imaginary, circle gap {rep.min_unit_circle_gap:.2e}",
+        f"{rep.imaginary_count} imaginary, circle gap {rep.min_unit_circle_gap:.2e}"
     )
 
 
-def suite_preps(p: int, q: int) -> SuiteResult:
+def suite_preps(p: int, q: int) -> str:
     """Reconstruct one representation per class (reps checks every
-    residual) and report the worst residual."""
+    residual and the number of classes) and report the worst residual."""
     if _degenerate(p, q):
-        return SuiteResult(
-            "preps", p, q, "skipped",
-            "characterization polynomial is a unit: no irreducible classes",
-        )
+        raise ScopeError("characterization polynomial is a unit: no irreducible classes")
     count = reps.count_prep_classes(p, q)
-    classes = reps.all_prep_classes(p, q)
-    if len(classes) != count.total:
-        return SuiteResult(
-            "preps", p, q, "fail", f"built {len(classes)} classes, counted {count.total}"
-        )
-    worst: dict[str, float] = {}
-    for pr in classes:
-        for k, v in pr.residuals.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+    worst = max(v for pr in reps.all_prep_classes(p, q) for v in pr.residuals.values())
     defect = min(
         reps.discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)
     )
     if defect <= TOL.faithful_defect:
-        return SuiteResult("preps", p, q, "fail", f"faithful point fills to {defect:.2e}")
+        raise VerificationFailure(f"faithful point fills to {defect:.2e}")
     detail = (
         f"{count.reducible} reducible + {count.irreducible} irreducible classes"
-        f", worst residual {max(worst.values()):.1e}, faithful defect {defect:.1e}"
+        f", worst residual {worst:.1e}, faithful defect {defect:.1e}"
     )
     # the minimal norm has its closed form for p odd off slope 3
     try:
         s_min = seminorm.seminorm_profile(p, q).s_min
     except ScopeError:
-        return SuiteResult("preps", p, q, "pass", detail)
+        return detail
     if s_min != count.total:
-        return SuiteResult(
-            "preps", p, q, "fail", f"minimal norm {s_min} != class count {count.total}"
-        )
-    return SuiteResult("preps", p, q, "pass", f"{detail}, classes == minimal norm {s_min}")
+        raise VerificationFailure(f"minimal norm {s_min} != class count {count.total}")
+    return f"{detail}, classes == minimal norm {s_min}"
 
 
-def suite_seifert(p: int, q: int) -> SuiteResult:
+def suite_seifert(p: int, q: int) -> str:
     """Seifert norms from three independent routes: the closed form, the
     distances, and the character counts (which raise unless ||sigma|| =
     s + 2A)."""
@@ -143,31 +124,26 @@ def suite_seifert(p: int, q: int) -> SuiteResult:
     for sigma, gamma in ((1, Slope(1, 1)), (2, Slope(2, 1)), (3, Slope(3, 1))):
         via_profile = seminorm.evaluate_norm(prof, gamma)
         if via_profile != prof.seifert[sigma - 1]:
-            return SuiteResult(
-                "seifert", p, q, "fail",
-                f"||{sigma}|| = {via_profile} by distances, {prof.seifert[sigma - 1]} closed form",
+            raise VerificationFailure(
+                f"||{sigma}|| = {via_profile} by distances, {prof.seifert[sigma - 1]} closed form"
             )
         seminorm.seifert_character_counts(prof, sigma)
     if seminorm.evaluate_norm(prof, INFINITY) != prof.s_min:
-        return SuiteResult("seifert", p, q, "fail", "norm of the meridian != minimal norm")
-    return SuiteResult(
-        "seifert", p, q, "pass",
-        f"norms {prof.seifert} match distances and character counts; ||mu|| = {prof.s_min}",
-    )
+        raise VerificationFailure("norm of the meridian != minimal norm")
+    return f"norms {prof.seifert} match distances and character counts; ||mu|| = {prof.s_min}"
 
 
-def suite_linear(p: int, q: int) -> SuiteResult:
+def suite_linear(p: int, q: int) -> str:
     """Exact reconstruction of the coefficients from the norm system."""
     res = seminorm.solve_linear_system(seminorm.seminorm_profile(p, q))
     extra = f" via {res.reduction_used}" if res.reduction_used else ""
-    return SuiteResult(
-        "linear", p, q, "pass",
+    return (
         f"rank {res.rank}, z = {res.z} (candidates {list(res.z_candidates)}){extra}, "
-        f"a = {res.a}, s = {res.s_min}",
+        f"a = {res.a}, s = {res.s_min}"
     )
 
 
-def suite_cohomology(p: int, q: int) -> SuiteResult:
+def suite_cohomology(p: int, q: int) -> str:
     """Coboundary and presentation ranks, determinant closed form, d1/d2."""
     checks = []
     if not _degenerate(p, q):
@@ -176,13 +152,13 @@ def suite_cohomology(p: int, q: int) -> SuiteResult:
             s0 = max(rs.values, key=abs)
             pr = reps.reconstruct_prep(s0, 1, p, q)
             sd, a, _ = reps.prep_to_partially_diagonal(pr)
-            rk = cohomology.coboundary_matrix(sd, a).rank()
+            rk = cohomology.rank(cohomology.coboundary_matrix(sd, a))
             if rk != 3:
-                return SuiteResult("cohomology", p, q, "fail", f"coboundary rank {rk} != 3")
+                raise VerificationFailure(f"coboundary rank {rk} != 3")
             checks.append("coboundary rank 3 (irreducible)")
-    rk_red = cohomology.coboundary_matrix(cmath.exp(0.821j), 1.0).rank()
+    rk_red = cohomology.rank(cohomology.coboundary_matrix(cmath.exp(0.821j), 1.0))
     if rk_red != 3:
-        return SuiteResult("cohomology", p, q, "fail", f"reducible coboundary rank {rk_red}")
+        raise VerificationFailure(f"reducible coboundary rank {rk_red}")
     checks.append("coboundary rank 3 (reducible)")
     if abs(p) >= 3:
         s_unit = cmath.exp(2j * cmath.pi / abs(p))
@@ -195,7 +171,7 @@ def suite_cohomology(p: int, q: int) -> SuiteResult:
     if not _degenerate(p, q):
         gap = cohomology.d2_check(p, q)
         checks.append(f"d2 root gap {gap:.2e}")
-    return SuiteResult("cohomology", p, q, "pass", "; ".join(checks))
+    return "; ".join(checks)
 
 
 _SUITE_FUNCS = {
@@ -210,20 +186,23 @@ _SUITE_FUNCS = {
 
 
 def run_verify(p: int, q: int, suites: tuple[str, ...]) -> VerificationReport:
-    """Run the named suites on p/q.  A suite that raises ScopeError (the
-    seminorm suites, for p even or slope 3) is skipped with its message; one
-    that raises any other WhitenormError fails with it."""
+    """Run the named suites on p/q.  A suite that returns passes with its
+    details; one that raises ScopeError (out of its scope: p/q in {0, 4} for
+    the root suites, p even or slope 3 for the seminorm suites) is skipped
+    with the message; one that raises any other WhitenormError fails with
+    it."""
     validate_filling(p, q)
     results = []
     for name in suites:
         if name not in _SUITE_FUNCS:
             raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
         try:
-            results.append(_SUITE_FUNCS[name](p, q))
+            status, details = "pass", _SUITE_FUNCS[name](p, q)
         except ScopeError as exc:
-            results.append(SuiteResult(name, p, q, "skipped", str(exc)))
+            status, details = "skipped", str(exc)
         except WhitenormError as exc:
-            results.append(SuiteResult(name, p, q, "fail", f"{type(exc).__name__}: {exc}"))
+            status, details = "fail", f"{type(exc).__name__}: {exc}"
+        results.append(SuiteResult(name, p, q, status, details))
     summary = {
         "pass": sum(r.status == "pass" for r in results),
         "fail": sum(r.status == "fail" for r in results),

@@ -199,8 +199,8 @@ def test_criterion_09_cohomology_checks():
 
     z = nontrivial_roots(resultant_roots(5, 1)).values[0]
     s, a, _ = prep_to_partially_diagonal(reconstruct_prep(z, 1, 5, 1))
-    assert cohomology.coboundary_matrix(s, a).rank() == 3
-    assert cohomology.coboundary_matrix(0.4 + 0.8j, 1.0).rank() == 3
+    assert cohomology.rank(cohomology.coboundary_matrix(s, a)) == 3
+    assert cohomology.rank(cohomology.coboundary_matrix(0.4 + 0.8j, 1.0)) == 3
     # reducible presentation rank 5 at odd roots of unity
     for p in range(3, 16, 2):
         cohomology.reducible_presentation_matrix(cmath.exp(2j * cmath.pi / p), p, 1)

@@ -13,6 +13,7 @@ from whitenorm.cohomology import (
     d2_poly,
     det_P_reducible,
     det_p_closed_form,
+    rank,
     reducible_presentation_matrix,
     trace_pairing_matrix,
 )
@@ -27,11 +28,11 @@ def test_coboundary_rank_three():
     z = nontrivial_roots(resultant_roots(2, 1)).values[-1]
     pr = reconstruct_prep(z, 1, 2, 1)
     s, a, _ = prep_to_partially_diagonal(pr)
-    assert coboundary_matrix(s, a).rank() == 3
+    assert rank(coboundary_matrix(s, a)) == 3
     # the reducible case a = 1 keeps rank 3
-    assert coboundary_matrix(0.3 + 0.7j, 1.0).rank() == 3
+    assert rank(coboundary_matrix(0.3 + 0.7j, 1.0)) == 3
     # degenerating s -> 1 loses rank
-    assert coboundary_matrix(1 + 1e-12, 0.4 + 0.3j).rank() < 3
+    assert rank(coboundary_matrix(1 + 1e-12, 0.4 + 0.3j)) < 3
 
 
 def test_presentation_matrix_rank_five():
@@ -39,12 +40,12 @@ def test_presentation_matrix_rank_five():
         for k in (1, 2):
             s = cmath.exp(2j * cmath.pi * k / p)
             m = reducible_presentation_matrix(s, p, 1)
-            assert m.shape == (5, 6) and m.rank() == 5
+            assert m.shape == (5, 6) and rank(m) == 5
 
 
 def test_presentation_matrix_degenerates_at_one():
     m = reducible_presentation_matrix(1.0 + 0j, 5, 1)
-    assert m.rank() < 5
+    assert rank(m) < 5
 
 
 def test_det_p_matches_closed_form_on_grid():
@@ -60,7 +61,7 @@ def test_det_p_matches_closed_form_on_grid():
 
 def test_det_p_zero_cases():
     s = cmath.exp(2j * cmath.pi / 5)
-    assert abs(complex(np.linalg.det(trace_pairing_matrix(s, 0, 1).data))) < 1e-12
+    assert abs(complex(np.linalg.det(trace_pairing_matrix(s, 0, 1)))) < 1e-12
     # the quartic factor vanishes only off the unit circle
     for s2 in (1 + 1j, 1 - 1j):
         root = cmath.sqrt(s2)

@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from whitenorm.cli import main
-from whitenorm.errors import ConvergenceFailure, ValidationError
+from whitenorm.errors import (
+    ConvergenceFailure,
+    CountMismatch,
+    ScopeError,
+    ValidationError,
+    VerificationFailure,
+)
 from whitenorm.roots import resultant_roots
 from whitenorm.verify import SUITES, run_verify
 
@@ -134,13 +140,29 @@ def test_cli_verify_exit_two_on_failure(capsys, monkeypatch):
     import whitenorm.verify as verify_mod
 
     def broken(p, q):
-        return verify_mod.SuiteResult("linear", p, q, "fail", "planted failure")
+        raise VerificationFailure("planted failure")
 
     monkeypatch.setitem(verify_mod._SUITE_FUNCS, "linear", broken)
     assert main(["verify", "-1", "1", "--suite", "linear"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["fail"] == 1
+    assert payload["suites"][0]["details"] == "VerificationFailure: planted failure"
 
+
+def test_run_verify_builds_every_outcome(monkeypatch):
+    import whitenorm.verify as verify_mod
+
+    def out_of_scope(p, q):
+        raise ScopeError("planted scope")
+
+    # a suite returns its pass details and raises to skip or fail
+    monkeypatch.setitem(verify_mod._SUITE_FUNCS, "resultant", lambda p, q: "planted pass")
+    monkeypatch.setitem(verify_mod._SUITE_FUNCS, "symmetries", out_of_scope)
+    report = run_verify(-1, 1, ("resultant", "symmetries"))
+    assert [(r.status, r.details) for r in report.results] == [
+        ("pass", "planted pass"), ("skipped", "planted scope"),
+    ]
+    assert report.summary == {"pass": 1, "fail": 0, "skipped": 1}
 
 def test_cli_deterministic_output(capsys):
     assert main(["roots", "7", "2"]) == 0
@@ -331,3 +353,36 @@ def test_overlapping_radii_fail_roots_suite(monkeypatch, capsys):
     assert main(["verify", "5", "1", "--suite", "roots"]) == 2
     suite = json.loads(capsys.readouterr().out)["suites"][0]
     assert suite["status"] == "fail" and "overlap" in suite["details"]
+
+
+def test_close_roots_with_disjoint_discs_pass_roots_suite(monkeypatch, capsys):
+    import whitenorm.verify as verify_mod
+
+    # two non-trivial roots 1e-7 apart, each disc of radius ~5e-38: the
+    # disjoint discs prove them distinct, and no distance floor applies
+    rs = resultant_roots(5, 1)
+    nt = [i for i, r in enumerate(rs.roots) if not r.flags.trivial_pm1]
+    moved = list(rs.roots)
+    moved[nt[1]] = dataclasses.replace(moved[nt[1]], value=moved[nt[0]].value + 1e-7)
+    assert all(r.radius < 1e-30 for r in moved if not r.flags.trivial_pm1)
+    close = dataclasses.replace(rs, roots=tuple(moved))
+    monkeypatch.setattr(verify_mod, "resultant_roots", lambda p, q: close)
+    assert main(["verify", "5", "1", "--suite", "roots"]) == 0
+    suite = json.loads(capsys.readouterr().out)["suites"][0]
+    assert suite["status"] == "pass"
+
+
+def test_class_count_mismatch_fails_preps(monkeypatch, capsys):
+    import whitenorm.reps as reps_mod
+
+    count = reps_mod.count_prep_classes
+
+    def off_by_two(p, q, rootset=None):
+        c = count(p, q, rootset)
+        return dataclasses.replace(c, total=c.total + 2)
+
+    monkeypatch.setattr(reps_mod, "count_prep_classes", off_by_two)
+    with pytest.raises(CountMismatch):
+        reps_mod.all_prep_classes(5, 1)
+    assert main(["preps", "5", "1"]) == 2
+    assert "CountMismatch" in capsys.readouterr().err
