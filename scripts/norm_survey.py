@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the seminorm data for all odd fillings in a small window, with the
-class-count identity and the linear-system reconstruction cross-checked on
-every row.
+linear-system reconstruction run on every row: solve_linear_system raises
+unless it recovers the closed-form a and s, and its s is the class count.
 
 Usage: python scripts/norm_survey.py [pmax] [qmax]
 """
@@ -27,9 +27,7 @@ def run(pmax: int, qmax: int) -> None:
             prof = seminorm_profile(p, q)
             lin = solve_linear_system(prof)
             norms = prof.seifert
-            assert lin.a == prof.a and lin.s_min == prof.s_min
             classes = expected_class_total(p, q)
-            assert classes == prof.s_min
             print(
                 f"{p:>4}/{q:<3} {prof.range_tag.value:>9} {str(prof.betas[1]):>7} "
                 f"{prof.a[0]:>3}{prof.a[1]:>3}{prof.a[2]:>3} {prof.s_min:>4} "

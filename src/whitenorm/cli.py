@@ -133,11 +133,11 @@ def _parse_suites(items: list[str]) -> tuple[str, ...]:
     names: list[str] = []
     for item in items:
         names.extend(x.strip() for x in item.split(",") if x.strip())
+    for n in names:
+        if n not in SUITES and n != "all":
+            raise ValidationError(f"unknown suite {n!r}; choose from {', '.join(SUITES)} or all")
     if not names or "all" in names:
         return SUITES
-    for n in names:
-        if n not in SUITES:
-            raise ValidationError(f"unknown suite {n!r}; choose from {', '.join(SUITES)} or all")
     return tuple(dict.fromkeys(names))
 
 

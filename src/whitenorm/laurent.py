@@ -276,9 +276,6 @@ class BivarPoly:
     def t_coefficient(self, j: int) -> LaurentPoly:
         return LaurentPoly({es: c for (es, et), c in self.coeffs.items() if et == j})
 
-    def __call__(self, s, t):
-        return sum(c * s**es * t**et for (es, et), c in self.coeffs.items())
-
 
 def filling_eigenvalue_poly(p: int, q: int) -> BivarPoly:
     """s^p t^q - 1, the eigenvalue condition of the p/q filling."""
@@ -374,22 +371,6 @@ def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
         prev = pivot
     det = m[n - 1][n - 1].shift(unit_exp) if start < n else LaurentPoly({unit_exp: 1})
     return -det if sign < 0 else det
-
-
-def det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor-expansion determinant; quadratic blowup, for small sizes and
-    for cross-checking the elimination path."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentPoly()
-    for j in range(n):
-        if matrix[0][j].is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = matrix[0][j] * det_cofactor(minor)
-        total = total + (-term if j % 2 else term)
-    return total
 
 
 def sylvester_resultant_t(f: BivarPoly, g: BivarPoly) -> LaurentPoly:

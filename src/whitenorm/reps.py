@@ -426,38 +426,6 @@ def discrete_faithful_filling_defect(p: int, q: int, s: int, u: int) -> float:
 # the partially diagonal slice (diagonal m0, parabolic m1)
 
 
-@dataclass(frozen=True)
-class PartialDiagReport:
-    r1_factored: complex
-    r1_deflated: complex
-    r2: complex
-    t: complex
-
-
-def partially_diagonal_check(s: complex, a: complex, p: int, q: int, sign: int = 1) -> PartialDiagReport:
-    """Residuals of the relation polynomials in the slice where m0 is
-    diagonal(s, 1/s) and m1 is parabolic with corner entry a.
-
-    For trace +2 the relation polynomial factors as
-    (a-1) * [-(s^2-1)^2 a^2 + (s^2-1)(s^2-3) a - 2] and the longitude
-    eigenvalue is t = a/(2-a).  The trace -2 slice maps onto the +2 slice by
-    the central twist m1 -> -m1, i.e. a -> -a.
-    """
-    if sign not in (1, -1):
-        raise ValidationError("sign must be +-1")
-    if sign == -1:
-        plus = partially_diagonal_check(s, -a, p, q, 1)
-        return PartialDiagReport(plus.r1_factored, plus.r1_deflated, plus.r2, plus.t)
-    s2 = s * s
-    deflated = -((s2 - 1) ** 2) * a * a + (s2 - 1) * (s2 - 3) * a - 2
-    factored = (a - 1) * deflated
-    if a == 2:
-        raise ValidationError("a = 2 makes the longitude eigenvalue undefined")
-    t = a / (2 - a)
-    r2 = _power(s, p) * _power(t, q) - 1
-    return PartialDiagReport(factored, deflated, r2, t)
-
-
 def prep_to_partially_diagonal(prep: PRep) -> tuple[complex, complex, int]:
     """Conjugate a normal-form representation into the partially diagonal
     slice; returns (s, a, sign)."""

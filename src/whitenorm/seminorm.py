@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegenerateCase,
     RankUnexpected,
     ScopeError,
     SystemInconsistent,
     ValidationError,
 )
-from .laurent import LaurentPoly
 from .reps import expected_class_total
 from .slopes import (
     INFINITY,
@@ -86,27 +84,6 @@ def seminorm_profile(p: int, q: int) -> SeminormProfile:
 
 def evaluate_norm(profile: SeminormProfile, gamma: Slope) -> int:
     return sum(aj * distance(gamma, bj) for aj, bj in zip(profile.a, profile.betas))
-
-
-def detected_slopes(p: int, q: int) -> dict:
-    """Which candidate boundary slopes carry a vertex of the norm polygon
-    (a_j > 0), with the closed-form predictions for cross-checking."""
-    prof = seminorm_profile(p, q)
-    flags = tuple(aj > 0 for aj in prof.a)
-    expected = (p != 2 * q - 1 and p != 2 * q + 1, True, q > 1)
-    if flags != expected:
-        raise SystemInconsistent(
-            f"detected-slope pattern {flags} differs from prediction {expected}"
-        )
-    return {
-        "beta": tuple(str(b) for b in prof.betas),
-        "detected": flags,
-        "rules": {
-            "beta1": "detected unless p = 2q +- 1",
-            "beta2": "always detected",
-            "beta3": "detected iff q > 1",
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +165,6 @@ def seifert_character_counts(prof: SeminormProfile, sigma: int) -> CountTable:
             f"sigma={sigma}: ||sigma|| = {norm_sigma} but s + 2A = {s_min + 2 * a_const}"
         )
     return CountTable(sigma, total, irr, dihedral, reducible, nonab_red, a_const)
-
-
-def twisted_alexander(p: int, q: int, s_squared_is_one: bool) -> LaurentPoly:
-    """Twisted Alexander polynomial of the diagonal character: t - 1 away
-    from s^2 = 1, and q t^2 + (p - 2q) t + q at s^2 = 1 (the untwisted
-    polynomial of the filled manifold)."""
-    if s_squared_is_one:
-        return LaurentPoly({2: q, 1: p - 2 * q, 0: q})
-    return LaurentPoly({1: 1, 0: -1})
-
-
-def nonabelian_reducible_u2(p: int, q: int) -> tuple[complex, complex]:
-    """The two squared meridian eigenvalues of non-abelian reducible
-    characters with s^2 = 1: roots of q x^2 + (p - 2q) x + q."""
-    if q <= 0:
-        raise ValidationError("q must be positive")
-    if p == 0:
-        raise DegenerateCase("p/q = 0 admits no such representation")
-    import cmath
-
-    disc = cmath.sqrt(complex(p * (p - 4 * q)))
-    u2a = (-p + 2 * q + disc) / (2 * q)
-    u2b = (-p + 2 * q - disc) / (2 * q)
-    poly = twisted_alexander(p, q, True)
-    for u2 in (u2a, u2b):
-        val = sum(c * u2**e for e, c in poly.coeffs.items())
-        # scaled by the size of the terms; the quadratic formula in double
-        # leaves at most 7e-15 over all coprime |p| <= 200, q < 60, and a
-        # wrong root leaves O(1)
-        if abs(val) > 1e-9 * (1 + abs(u2)) ** 2 * (abs(p) + abs(q)):
-            raise SystemInconsistent(f"u^2 = {u2} is not a root of {poly.pretty('t')}")
-    return u2a, u2b
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,3 @@ def boundary_slopes(p: int, q: int) -> BoundaryTriple:
     else:
         raw = (4 * q, p - 2 * q)
     return BoundaryTriple(Slope(4, 1), Slope.reduced(*raw), Slope(0, 1), raw)
-
-
-def distance_row(p: int, q: int, gamma: Slope) -> tuple[int, int, int]:
-    """Distances from gamma to the three candidate boundary slopes."""
-    betas = boundary_slopes(p, q)
-    return tuple(distance(gamma, b) for b in betas)

@@ -7,7 +7,6 @@ from whitenorm.laurent import (
     BivarPoly,
     LaurentPoly,
     det_bareiss,
-    det_cofactor,
     filling_eigenvalue_poly,
     peripheral_quadric,
     sylvester_matrix_t,
@@ -224,6 +223,22 @@ def test_resultant_nonzero_when_roots_stay_apart():
             )
             if dist > 1e-6:
                 assert res.eval_at_int(s0) != 0, (s0, fc, gc)
+
+
+def det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Cofactor-expansion determinant: the oracle for det_bareiss, with a
+    factorial blowup that keeps it to small sizes."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = LaurentPoly()
+    for j in range(n):
+        if matrix[0][j].is_zero:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
+        term = matrix[0][j] * det_cofactor(minor)
+        total = total + (-term if j % 2 else term)
+    return total
 
 
 def test_bareiss_matches_cofactor():

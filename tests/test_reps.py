@@ -20,7 +20,6 @@ from whitenorm.reps import (
     discrete_faithful_matrices,
     eigenvariety_polys,
     inverse_eigenvalue_map,
-    partially_diagonal_check,
     prep_to_partially_diagonal,
     reconstruct_prep,
     slice_f,
@@ -276,37 +275,18 @@ def test_all_prep_classes_builds_res_once(monkeypatch):
     assert len(classes) == 128  # the minimal norm 3p - 4q - 3
 
 
-def test_partially_diagonal_slice():
-    s = 0.7 + 0.2j
-    assert partially_diagonal_check(s, 1.0, 3, 1, 1).r1_factored == 0
-    rep = partially_diagonal_check(s, 0.0, 3, 1, 1)
-    assert rep.r1_deflated == pytest.approx(-2.0)
-    assert rep.r1_factored == pytest.approx(2.0)
-    # a -> 2 limit: the factored polynomial tends to -2 s^4
-    rep = partially_diagonal_check(s, 2.0 + 1e-13, 3, 1, 1)
-    assert rep.r1_factored == pytest.approx(-2 * s**4, abs=1e-9)
-    with pytest.raises(ValidationError):
-        partially_diagonal_check(s, 2.0, 3, 1, 1)
-
-
 def test_prep_to_partially_diagonal_roundtrip():
+    # in the slice m0 = diag(s, 1/s), m1 parabolic with corner entry a, the
+    # trace +2 relation deflates to -(s^2-1)^2 a^2 + (s^2-1)(s^2-3) a - 2 and
+    # the longitude eigenvalue is t = a/(2-a); the trace -2 slice maps onto
+    # it by the central twist m1 -> -m1, i.e. a -> -a
     for sign in (1, -1):
         pr = reconstruct_prep(SQ2 + 1, sign, 2, 1)
         s, a, got_sign = prep_to_partially_diagonal(pr)
         assert got_sign == sign
-        rep = partially_diagonal_check(s, a, 2, 1, got_sign)
-        assert abs(rep.r1_deflated) <= 1e-8
-        assert abs(rep.r2) <= 1e-8
-        assert rep.t == pytest.approx(pr.eigen.t, abs=1e-8)
-
-
-def test_minus_slice_is_twist_of_plus_slice():
-    # the trace -2 slice evaluates through a -> -a; cross-check against a
-    # genuine u = -1 representation
-    pr = reconstruct_prep(SQ2 + 1, -1, 2, 1)
-    s, a, sign = prep_to_partially_diagonal(pr)
-    assert sign == -1
-    plus = partially_diagonal_check(s, -a, 2, 1, 1)
-    minus = partially_diagonal_check(s, a, 2, 1, -1)
-    assert minus.r1_deflated == plus.r1_deflated
-    assert minus.t == plus.t
+        a *= sign
+        s2 = s * s
+        assert abs(-((s2 - 1) ** 2) * a * a + (s2 - 1) * (s2 - 3) * a - 2) <= 1e-8
+        t = a / (2 - a)
+        assert abs(s2 * t - 1) <= 1e-8  # the 2/1 filling: s^2 t = 1
+        assert t == pytest.approx(pr.eigen.t, abs=1e-8)

@@ -18,7 +18,7 @@ def _load(name, monkeypatch):
 
 
 def test_norm_survey_runs(monkeypatch, capsys):
-    _load("norm_survey", monkeypatch).run(9, 3)  # asserts its identities per row
+    _load("norm_survey", monkeypatch).run(9, 3)  # raises on a row that fails
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[0] == "p/q"
     assert len(lines) > 1

@@ -3,16 +3,12 @@ import math
 
 import pytest
 
-from whitenorm.errors import DegenerateCase, ScopeError, SystemInconsistent, ValidationError
-from whitenorm.laurent import LaurentPoly
+from whitenorm.errors import ScopeError, SystemInconsistent, ValidationError
 from whitenorm.seminorm import (
-    detected_slopes,
     evaluate_norm,
-    nonabelian_reducible_u2,
     seifert_character_counts,
     seminorm_profile,
     solve_linear_system,
-    twisted_alexander,
 )
 from whitenorm.slopes import INFINITY, Slope
 
@@ -110,24 +106,6 @@ def test_character_counts_reject_a_planted_seifert_norm():
         seifert_character_counts(planted, sigma)
 
 
-def test_twisted_alexander():
-    assert twisted_alexander(5, 1, False) == LaurentPoly({1: 1, 0: -1})
-    assert twisted_alexander(5, 1, True) == LaurentPoly({2: 1, 1: 3, 0: 1})
-    assert twisted_alexander(0, 1, True) == LaurentPoly({2: 1, 1: -2, 0: 1})
-
-
-def test_nonabelian_reducible_u2():
-    a, b = nonabelian_reducible_u2(5, 1)
-    assert sorted([a.real, b.real]) == pytest.approx(
-        sorted([(-3 + math.sqrt(5)) / 2, (-3 - math.sqrt(5)) / 2])
-    )
-    assert a * b == pytest.approx(1.0)  # product of the quadratic roots
-    da, db = nonabelian_reducible_u2(4, 1)
-    assert da == pytest.approx(-1.0) and db == pytest.approx(-1.0)
-    with pytest.raises(DegenerateCase):
-        nonabelian_reducible_u2(0, 1)
-
-
 def test_linear_system_examples():
     r = solve_linear_system(seminorm_profile(7, 2))
     assert (r.a, r.s_min, r.rank) == ((2, 4, 2), 12, 4)
@@ -197,7 +175,8 @@ def test_integer_walk_matches_fraction_walk():
 
 
 def test_detected_slopes():
-    assert detected_slopes(1, 1)["detected"] == (False, True, False)   # p = 2q - 1
-    assert detected_slopes(5, 1)["detected"] == (True, True, False)    # q = 1
-    assert detected_slopes(7, 2)["detected"] == (True, True, True)
-    assert detected_slopes(-3, 2)["detected"] == (True, True, True)
+    # a boundary slope carries a vertex of the norm polygon iff a_j > 0:
+    # beta1 unless p = 2q +- 1, beta2 always, beta3 iff q > 1
+    for p, q in odd_sweep(25, 8):
+        detected = tuple(aj > 0 for aj in seminorm_profile(p, q).a)
+        assert detected == (abs(p - 2 * q) != 1, True, q > 1), (p, q)

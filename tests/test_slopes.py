@@ -11,7 +11,6 @@ from whitenorm.slopes import (
     boundary_slopes,
     classify_range,
     distance,
-    distance_row,
     validate_filling,
 )
 
@@ -129,6 +128,10 @@ def _expected_rows(p, q):
     return gammas, rows
 
 
+def _distance_row(p, q, gamma):
+    return tuple(distance(gamma, b) for b in boundary_slopes(p, q))
+
+
 def test_distance_rows_match_range_tables():
     for q in range(1, 9):
         for p in range(-25, 26):
@@ -136,10 +139,10 @@ def test_distance_rows_match_range_tables():
                 continue
             gammas, rows = _expected_rows(p, q)
             for gamma, expected in zip(gammas, rows):
-                assert distance_row(p, q, gamma) == expected, (p, q, str(gamma))
+                assert _distance_row(p, q, gamma) == expected, (p, q, str(gamma))
 
 
 def test_distance_row_spot_values():
-    assert distance_row(-1, 1, Slope(1, 1)) == (3, 5, 1)
-    assert distance_row(5, 1, Slope(1, 1)) == (3, 1, 1)
-    assert distance_row(1, 1, INFINITY) == (1, 1, 1)
+    assert _distance_row(-1, 1, Slope(1, 1)) == (3, 5, 1)
+    assert _distance_row(5, 1, Slope(1, 1)) == (3, 1, 1)
+    assert _distance_row(1, 1, INFINITY) == (1, 1, 1)

@@ -136,6 +136,19 @@ def test_cli_verify_exit_zero(capsys):
     assert {s["suite"] for s in payload["suites"]} == {"resultant", "symmetries", "linear"}
 
 
+def test_cli_rejects_unknown_suite_next_to_all(capsys, tmp_path):
+    # "all" selects every suite, but the other names are still checked
+    assert main(["verify", "5", "1", "--suite", "bogus"]) == 1
+    alone = capsys.readouterr()
+    assert main(["verify", "5", "1", "--suite", "all,bogus"]) == 1
+    assert capsys.readouterr() == alone
+    assert alone.err.startswith("invalid input: unknown suite 'bogus'; choose from ")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--p-min", "1", "--p-max", "1", "--q-max", "1",
+                 "--out", str(out), "--suite", "resultant,all,nope"]) == 1
+    assert not out.exists()
+
+
 def test_cli_verify_exit_two_on_failure(capsys, monkeypatch):
     import whitenorm.verify as verify_mod
 
