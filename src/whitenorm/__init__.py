@@ -16,12 +16,13 @@ from .respq import ResPoly, build_res
 from .roots import RootSet, classify, find_roots, nontrivial_roots, resultant_roots
 from .seminorm import (
     SeminormProfile,
+    SlopeRange,
     evaluate_norm,
     seifert_character_counts,
     seminorm_profile,
     solve_linear_system,
 )
-from .slopes import Slope, SlopeRange, boundary_slopes, classify_range, distance
+from .slopes import Slope, distance
 from .verify import SUITES, run_verify
 
 __all__ = [
@@ -47,8 +48,6 @@ __all__ = [
     "Slope",
     "SlopeRange",
     "distance",
-    "classify_range",
-    "boundary_slopes",
     "SeminormProfile",
     "seminorm_profile",
     "evaluate_norm",

@@ -245,6 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with "-" for an option unless it is
+    # a plain number, so "--slope -2/5" and "--slope -inf" would lose theirs
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--slope":
+            argv[i:i + 2] = [f"--slope={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -15,10 +15,6 @@ class ScopeError(WhitenormError):
     suites that need roots)."""
 
 
-class DegenerateSlope(WhitenormError):
-    """A slope formula produced 0/0."""
-
-
 class DegenerateInput(WhitenormError):
     """Resultant input with zero degree in the elimination variable."""
 

@@ -1,8 +1,9 @@
 """The total Culler-Shalen seminorm engine for p odd.
 
 The norm of a slope g is sum_j a_j * dist(g, beta_j) over the three
-candidate boundary slopes; the coefficients a_j and the minimal norm s
-have closed forms per range of p/q.  Everything here is exact integer /
+candidate boundary slopes beta1 = 4, beta2 and beta3 = 0; beta2, the
+coefficients a_j and the minimal norm s have closed forms per range of
+p/q, in one table.  Everything here is exact integer /
 rational arithmetic: the one numerical contact point (minimal norm =
 number of parabolic classes) lives in the verification suites.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .errors import (
@@ -20,16 +22,17 @@ from .errors import (
     ValidationError,
 )
 from .reps import expected_class_total
-from .slopes import (
-    INFINITY,
-    BoundaryTriple,
-    Slope,
-    SlopeRange,
-    boundary_slopes,
-    classify_range,
-    distance,
-    validate_filling,
-)
+from .slopes import INFINITY, Slope, distance, validate_filling
+
+
+class SlopeRange(Enum):
+    """The open interval cut out by {0, 2, 4} that holds p/q; for p odd,
+    p/q is never an endpoint."""
+
+    NEG_INF_0 = "(-inf,0)"
+    ZERO_2 = "(0,2)"
+    TWO_4 = "(2,4)"
+    FOUR_INF = "(4,inf)"
 
 
 def _require_scope(p: int, q: int) -> SlopeRange:
@@ -38,7 +41,13 @@ def _require_scope(p: int, q: int) -> SlopeRange:
         raise ScopeError("p even: outside the closed forms")
     if p == 3 * q:
         raise ScopeError("slope 3: outside the closed forms")
-    return classify_range(Slope.of(p, q))
+    if p < 0:
+        return SlopeRange.NEG_INF_0
+    if p < 2 * q:
+        return SlopeRange.ZERO_2
+    if p < 4 * q:
+        return SlopeRange.TWO_4
+    return SlopeRange.FOUR_INF
 
 
 _SEIFERT_CONE = {1: 6, 2: 4, 3: 3}  # sigma -> k with cone order |p - k q|
@@ -50,22 +59,28 @@ class SeminormProfile:
     p: int
     q: int
     range_tag: SlopeRange
-    betas: BoundaryTriple
+    betas: tuple[Slope, Slope, Slope]  # beta1 = 4, beta2, beta3 = 0
     a: tuple[int, int, int]
     s_min: int
     seifert: tuple[int, int, int]  # ||sigma|| for the Seifert slopes sigma = 1, 2, 3
 
 
-def _table_coeffs(p: int, q: int, rng: SlopeRange) -> tuple[tuple[int, int, int], int]:
+def _table(p: int, q: int, rng: SlopeRange) -> tuple[Slope, tuple[int, int, int], int]:
+    """beta2, (a1, a2, a3) and s on each open range of p/q.
+
+    For p odd and gcd(p, q) = 1 each range's beta2 pair is primitive:
+    gcd(4q, p) = 1; gcd(2p + 4q, p) = gcd(4q, p) = 1; gcd(-p + 6q, q) =
+    gcd(p, q) = 1; and gcd(4q, p - 2q) = 1, since p - 2q is odd and
+    gcd(q, p - 2q) = gcd(q, p) = 1.  Were one not, Slope.of would raise
+    ValidationError: it never reduces silently.
+    """
     if rng is SlopeRange.NEG_INF_0:
-        return (-p + 2 * q - 1, 2, 2 * q - 2), -3 * p + 4 * q - 3
+        return Slope.of(4 * q, p), (-p + 2 * q - 1, 2, 2 * q - 2), -3 * p + 4 * q - 3
     if rng is SlopeRange.ZERO_2:
-        return (-p + 2 * q - 1, 2, 2 * q - 2), p + 4 * q - 3
+        return Slope.of(2 * p + 4 * q, p), (-p + 2 * q - 1, 2, 2 * q - 2), p + 4 * q - 3
     if rng is SlopeRange.TWO_4:
-        return (p - 2 * q - 1, 4, 2 * q - 2), p + 4 * q - 3
-    if rng is SlopeRange.FOUR_INF:
-        return (p - 2 * q - 1, 2, 2 * q - 2), 3 * p - 4 * q - 3
-    raise ScopeError(f"slope {p}/{q} sits on a range endpoint")  # unreachable for p odd
+        return Slope.of(-p + 6 * q, q), (p - 2 * q - 1, 4, 2 * q - 2), p + 4 * q - 3
+    return Slope.of(4 * q, p - 2 * q), (p - 2 * q - 1, 2, 2 * q - 2), 3 * p - 4 * q - 3
 
 
 def seminorm_profile(p: int, q: int) -> SeminormProfile:
@@ -74,12 +89,12 @@ def seminorm_profile(p: int, q: int) -> SeminormProfile:
     ||sigma|| = s + w_sigma * (|p - k_sigma q| - 1) with (w, k) = (2, 6),
     (3, 4), (4, 3)."""
     rng = _require_scope(p, q)
-    a, s_min = _table_coeffs(p, q, rng)
+    beta2, a, s_min = _table(p, q, rng)
     assert all(x >= 0 and x % 2 == 0 for x in a) and s_min >= 0 and s_min % 2 == 0
     seifert = tuple(
         s_min + _SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1) for sig in (1, 2, 3)
     )
-    return SeminormProfile(p, q, rng, boundary_slopes(p, q), a, s_min, seifert)
+    return SeminormProfile(p, q, rng, (Slope(4, 1), beta2, Slope(0, 1)), a, s_min, seifert)
 
 
 def evaluate_norm(profile: SeminormProfile, gamma: Slope) -> int:

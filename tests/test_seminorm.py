@@ -140,9 +140,9 @@ def _fraction_walk(p, q):
 
     from whitenorm.reps import expected_class_total
     from whitenorm.seminorm import _SEIFERT_CONE, _SEIFERT_WEIGHT, _solve_exact
-    from whitenorm.slopes import boundary_slopes, distance
+    from whitenorm.slopes import distance
 
-    betas = boundary_slopes(p, q)
+    betas = seminorm_profile(p, q).betas
     rows = [[Fraction(distance(Slope(sig, 1), b)) for b in betas] + [Fraction(-1)] for sig in (1, 2, 3)]
     rows.append([Fraction(distance(INFINITY, b)) for b in betas] + [Fraction(-1)])
     rhs = [Fraction(_SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1)) for sig in (1, 2, 3)]

@@ -3,16 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from whitenorm.errors import ValidationError
-from whitenorm.slopes import (
-    INFINITY,
-    Slope,
-    SlopeRange,
-    boundary_slopes,
-    classify_range,
-    distance,
-    validate_filling,
-)
+from whitenorm.errors import ScopeError, ValidationError
+from whitenorm.seminorm import SlopeRange, seminorm_profile
+from whitenorm.slopes import INFINITY, Slope, distance, validate_filling
 
 
 def primitive_pairs():
@@ -66,14 +59,12 @@ def test_distance_symmetric_and_separating(a, b):
 
 
 def test_classify_range():
-    assert classify_range(Slope(-1, 1)) is SlopeRange.NEG_INF_0
-    assert classify_range(Slope(5, 1)) is SlopeRange.FOUR_INF
-    assert classify_range(Slope(2, 1)) is SlopeRange.AT_2
-    assert classify_range(Slope(0, 1)) is SlopeRange.AT_0
-    assert classify_range(Slope(4, 1)) is SlopeRange.AT_4
-    assert classify_range(Slope(7, 2)) is SlopeRange.TWO_4
-    with pytest.raises(ValidationError):
-        classify_range(INFINITY)
+    for (p, q), rng in (((-1, 1), SlopeRange.NEG_INF_0), ((1, 1), SlopeRange.ZERO_2),
+                        ((7, 2), SlopeRange.TWO_4), ((5, 1), SlopeRange.FOUR_INF)):
+        assert seminorm_profile(p, q).range_tag is rng
+    for p in (0, 2, 4, 6):  # p even, the endpoints 0, 2 and 4 among them, is out of scope
+        with pytest.raises(ScopeError):
+            seminorm_profile(p, 1)
 
 
 def test_validate_filling():
@@ -85,32 +76,16 @@ def test_validate_filling():
 
 
 def test_boundary_slopes_examples():
-    assert tuple(boundary_slopes(-1, 1)) == (Slope(4, 1), Slope(-4, 1), Slope(0, 1))
-    assert tuple(boundary_slopes(1, 1)) == (Slope(4, 1), Slope(6, 1), Slope(0, 1))
-    assert tuple(boundary_slopes(5, 1)) == (Slope(4, 1), Slope(4, 3), Slope(0, 1))
-    assert boundary_slopes(5, 1).beta2_raw == (4, 3)
-
-
-def test_boundary_slopes_endpoint_agreement():
-    # at p/q in {0, 2, 4} the adjacent parametrizations give the same class
-    assert boundary_slopes(0, 1).beta2 == INFINITY
-    assert boundary_slopes(2, 1).beta2 == Slope(4, 1)
-    assert boundary_slopes(4, 1).beta2 == Slope(2, 1)
-
-
-def test_boundary_slopes_raw_pair_for_even_p():
-    # for p even the formula pair can share a factor; the slope is reduced
-    # but the raw pair is kept
-    triple = boundary_slopes(6, 1)
-    assert triple.beta2 == Slope(1, 1)
-    assert triple.beta2_raw == (4, 4)
+    assert seminorm_profile(-1, 1).betas == (Slope(4, 1), Slope(-4, 1), Slope(0, 1))
+    assert seminorm_profile(1, 1).betas == (Slope(4, 1), Slope(6, 1), Slope(0, 1))
+    assert seminorm_profile(5, 1).betas == (Slope(4, 1), Slope(4, 3), Slope(0, 1))
 
 
 def test_boundary_slopes_validation():
     with pytest.raises(ValidationError):
-        boundary_slopes(6, 2)
+        seminorm_profile(6, 2)
     with pytest.raises(ValidationError):
-        boundary_slopes(1, 0)
+        seminorm_profile(1, 0)
 
 
 def _expected_rows(p, q):
@@ -129,13 +104,13 @@ def _expected_rows(p, q):
 
 
 def _distance_row(p, q, gamma):
-    return tuple(distance(gamma, b) for b in boundary_slopes(p, q))
+    return tuple(distance(gamma, b) for b in seminorm_profile(p, q).betas)
 
 
 def test_distance_rows_match_range_tables():
     for q in range(1, 9):
         for p in range(-25, 26):
-            if p % 2 == 0 or math.gcd(abs(p), q) != 1:
+            if p % 2 == 0 or math.gcd(abs(p), q) != 1 or p == 3 * q:
                 continue
             gammas, rows = _expected_rows(p, q)
             for gamma, expected in zip(gammas, rows):

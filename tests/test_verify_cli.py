@@ -81,6 +81,16 @@ def test_cli_norm(capsys):
     assert payload["beta"] == ["4/1", "-4/1", "0/1"]
 
 
+def test_cli_norm_negative_slope_after_space(capsys):
+    # argparse alone reads "-2/5" and "-inf" as options, not as --slope's value
+    def norm(*slope):
+        assert main(["norm", "-5", "3", *slope]) == 0
+        return capsys.readouterr().out
+
+    assert norm("--slope", "-2/5") == norm("--slope=-2/5")
+    assert norm("--slope", "-inf") == norm("--slope", "inf")
+
+
 def test_cli_exit_codes(capsys):
     assert main(["norm", "2", "1"]) == 3      # p even: scope
     out, err = capsys.readouterr()
@@ -295,6 +305,11 @@ PREPS_DIGESTS = {
     "verify 8 1 --suite all": "8c096e90b60ddc0990acdb0ca7d54c5254b03ec20e31546a7f9bc7222822d2bf",
     "verify 12 5 --suite all": "a308bab94f40aed85717621e148807331ff40d0bece0904c4adc3d91cf1944fd",
     "verify 6 1 --suite all": "ee4efe552c2c9bd8b901fcf01136f724163cfd380964cd519acd5c7b0be321d9",
+    # norm JSON on each open range of p/q: (0, 2), (2, 4), (4, inf), (-inf, 0)
+    "norm 1 1 --slope 3": "9761390ec80aac4c21678e84033e37c91cb210fb1ce8d7ec9980f7526bb21b82",
+    "norm 7 2 --slope inf": "24b1eb19d28ec21eec279e7daa13c77320f8ceac2c0535ce2e9ce8a1b660bc51",
+    "norm 65 16 --slope 1/1": "1eccca2264d6e9e49e3fce0f1edea43260f4eb39b8b0abdfc92d2496a4193338",
+    "norm -5 3 --slope=-2/5": "a9ea2b4ddb68e9ad76be9b3720d9ef765577ae892d50bc045887572619b1a73e",
 }
 # every other roots-grid and verify-grid command, checked against the
 # benchmark's own digests
