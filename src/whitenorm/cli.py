@@ -247,10 +247,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value that starts with "-" for an option unless it is
-    # a plain number, so "--slope -2/5" and "--slope -inf" would lose theirs
-    for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--slope":
-            argv[i:i + 2] = [f"--slope={argv[i + 1]}"]
+    # a plain number, so "--slope -2/5" and "--slope -inf" would lose theirs;
+    # norm's one option also answers to its abbreviations "--s" and up
+    if argv[:1] == ["norm"]:
+        for i in reversed(range(len(argv) - 1)):
+            if len(argv[i]) >= 3 and "--slope".startswith(argv[i]):
+                argv[i:i + 2] = [f"--slope={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -199,9 +199,7 @@ _D2_COEFFS_EVEN = [
 
 def d2_poly() -> LaurentPoly:
     """The fixed degree-40 obstruction polynomial (even exponents only)."""
-    poly = LaurentPoly({2 * i: c for i, c in enumerate(_D2_COEFFS_EVEN)})
-    assert poly.maxdeg == 40 and poly[40] == 22 and poly[0] == 11
-    return poly
+    return LaurentPoly({2 * i: c for i, c in enumerate(_D2_COEFFS_EVEN)})
 
 
 @lru_cache(maxsize=1)

@@ -129,10 +129,6 @@ class HPComplex:
         o = self._coerce(other)
         return HPComplex(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return HPComplex(o.re - self.re, o.im - self.im)
-
     def __neg__(self):
         return HPComplex(-self.re, -self.im)
 
@@ -146,15 +142,9 @@ class HPComplex:
         o = self._coerce(other)
         return HPComplex(*hp_div((self.re, self.im), (o.re, o.im)))
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def __eq__(self, other):
         o = self._coerce(other)
         return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __abs__(self) -> float:
         return hp_abs((self.re, self.im))

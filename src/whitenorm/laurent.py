@@ -37,10 +37,6 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def variable(cls) -> "LaurentPoly":
-        return cls({1: 1})
-
-    @classmethod
     def from_dense(cls, ascending, mindeg: int = 0) -> "LaurentPoly":
         return cls({mindeg + i: c for i, c in enumerate(ascending)})
 
@@ -139,7 +135,7 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    # -- substitutions and calculus -----------------------------------------
+    # -- substitutions and evaluation ----------------------------------------
 
     def substitute_inv(self) -> "LaurentPoly":
         """s -> 1/s, i.e. negate every exponent."""
@@ -148,9 +144,6 @@ class LaurentPoly:
     def substitute_neg(self) -> "LaurentPoly":
         """s -> -s, i.e. flip the sign of odd-exponent coefficients."""
         return LaurentPoly({e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()})
-
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: e * c for e, c in self.coeffs.items() if e != 0})
 
     def __call__(self, x):
         """Evaluate, allowing negative exponents (x must be invertible)."""
@@ -161,20 +154,6 @@ class LaurentPoly:
         for c in reversed(dense):
             acc = acc * x + c
         return acc * x**lo if lo >= 0 else acc / x ** (-lo)
-
-    def eval_at_int(self, x: int):
-        """Exact evaluation over the integers; requires mindeg >= 0 or x = +-1."""
-        if self.is_zero:
-            return 0
-        if self.mindeg < 0 and x not in (1, -1):
-            raise ValueError("exact evaluation with negative exponents needs x = +-1")
-        if x in (1, -1):
-            return sum(c * (x ** (e % 2)) for e, c in self.coeffs.items())
-        dense, lo = self.dense()
-        acc = 0
-        for c in reversed(dense):
-            acc = acc * x + c
-        return acc * x**lo
 
     # -- normal forms --------------------------------------------------------
 
@@ -222,15 +201,30 @@ class LaurentPoly:
             raise InexactDivision("division left a remainder")
         return LaurentPoly.from_dense(quot, nlo - dlo)
 
+    def split_root(self, x: int) -> tuple[int, "LaurentPoly"]:
+        """The exact order of the integer x as a root of this non-zero
+        polynomial, and the quotient by (s - x) to that power: while f(x) = 0,
+        f is divided exactly by s - x.  One synthetic-division pass gives
+        both the quotient and the remainder f(x)."""
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no root order")
+        dense, lo = self.dense()
+        order = 0
+        while True:
+            acc, steps = 0, []
+            for c in reversed(dense):
+                acc = acc * x + c
+                steps.append(acc)
+            if acc != 0:
+                return order, LaurentPoly.from_dense(dense, lo) if order else self
+            dense = steps[-2::-1]
+            order += 1
+
     # -- presentation ---------------------------------------------------------
 
     def to_json_coeffs(self) -> dict[str, str]:
         """{"exponent": "coefficient"} with decimal big-integer strings."""
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-    @classmethod
-    def from_json_coeffs(cls, data: dict[str, str]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
 
     def pretty(self, var: str = "s") -> str:
         if self.is_zero:

@@ -6,10 +6,12 @@ by two meridians m0, m1 with a single 8-letter relation; filling adds
 m0^p l0^q = 1.  All words are stored once as data; the longitude l0 has two
 spellings which are evaluated redundantly to catch transcription slips.
 
-Each class is lifted once: s is refined in fixed point (on res, or on
-x^|p| - 1 if reducible) and t is chosen there as the quadric branch with
-s^p t^q = 1.  One representation per meridian trace sign u = +-1 is then
-built from the lift and verified.
+A class's kind is that of its source: a non-trivial root of res gives an
+irreducible class, a |p|-th root of unity a reducible one.  Each class is
+lifted once: s is refined in fixed point (on res, or on x^|p| - 1 if
+reducible) and, if irreducible, t is chosen there as the quadric branch
+with s^p t^q = 1.  One representation per meridian trace sign u = +-1 is
+then built from the lift and verified.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .respq import build_res
-from .roots import RootSet, nontrivial_roots, resultant_roots, resultant_rootset_of
+from .respq import build_res, nontrivial_root_bound
+from .roots import RootSet, nontrivial_roots, resultant_rootset_of
 from .slopes import validate_filling
 
 
@@ -345,27 +347,21 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
     return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
 
 
-def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[str, HPComplex, HPComplex]:
-    """The sign-independent half of a reconstruction: the kind of the class
-    at s, s refined in fixed point (on res_dense, res_{p,q}'s coefficients,
-    if irreducible), and the longitude eigenvalue t."""
-    s = complex(s)
-    # Non-trivial resultant roots and the roots of unity used here stay at
-    # least ~2*pi/|p| from +-1, so 1e-9 only rejects +-1 up to rounding.
-    if abs(s) == 0 or abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
-        raise ValidationError(
-            "s in {0, +1, -1} never yields a representation of the filled manifold"
-        )
-    s_hp = HPComplex.from_complex(s)
-    if abs(_power(s, p) - 1) <= TOL.t_match:
-        # root of unity: sharpen on x^|p| - 1 so the filling check is exact-grade
-        unity = [0] * (abs(p) + 1)
-        unity[0], unity[-1] = -1, 1
-        return "reducible", _refine_on_int_poly(unity, s_hp), HPComplex.from_int(1)
+def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[HPComplex, HPComplex]:
+    """The sign-independent half of an irreducible class's reconstruction:
+    s, a non-trivial root of res_{p,q} (coefficients res_dense), refined in
+    fixed point, and the longitude eigenvalue t there."""
     # the double-rounded s costs half the digits of t wherever the quadric
     # branches collide; re-converge it on the exact resultant first
-    s_hp = _refine_on_int_poly(res_dense, s_hp)
-    return "irreducible", s_hp, _solve_t_hp(s_hp, p, q)
+    s_hp = _refine_on_int_poly(res_dense, HPComplex.from_complex(s))
+    return s_hp, _solve_t_hp(s_hp, p, q)
+
+
+def _lift_unity(k: int, p: int) -> HPComplex:
+    """s = e^(2 pi i k/|p|), the eigenvalue of a reducible class, sharpened
+    on x^|p| - 1 so that the filling check is exact-grade."""
+    unity = [-1] + [0] * (abs(p) - 1) + [1]
+    return _refine_on_int_poly(unity, HPComplex.from_complex(cmath.exp(2j * cmath.pi * k / abs(p))))
 
 
 def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -> PRep:
@@ -392,16 +388,20 @@ def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -
 
 
 def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
-    """Build and verify the parabolic representation attached to s.
-
-    For s^p = 1 (s != +-1) the representation is non-abelian reducible with
-    c = 0 and the longitude of the filled cusp mapping to the identity.
-    Otherwise s must be a non-trivial resultant root; then t comes from the
-    quadric, v = -1, and c from the inverse parametrization.
+    """Build and verify the irreducible parabolic representation at s, a
+    non-trivial root of res_{p,q}: t comes from the quadric, v = -1, and c
+    from the inverse parametrization.  (all_prep_classes builds the
+    reducible classes, at the |p|-th roots of unity, itself.)
     """
     if sign_u not in (1, -1):
         raise ValidationError("sign_u must be +-1")
-    return _build(p, q, sign_u, *_lift(s, p, q, build_res(p, q).poly.dense()[0]))
+    # Non-trivial resultant roots stay clear of +-1 (no disc meets |s| = 1),
+    # so 1e-9 only rejects +-1 up to rounding.
+    if abs(s) == 0 or abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
+        raise ValidationError(
+            "s in {0, +1, -1} never yields a representation of the filled manifold"
+        )
+    return _build(p, q, sign_u, "irreducible", *_lift(s, p, q, build_res(p, q).poly.dense()[0]))
 
 
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
@@ -481,16 +481,23 @@ def expected_class_total(p: int, q: int) -> int:
 
 
 def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCount:
-    """Count conjugacy classes of parabolic representations: the reducible
-    closed form plus the number of non-trivial resultant roots, each
-    simple (find_roots certifies it).  A disagreement with the closed-form
-    total, for any p, raises.
+    """Count conjugacy classes of parabolic representations from exact facts
+    alone, with no root solve: the reducible closed form plus
+    nontrivial_root_bound, the span of res minus its exact orders at +-1
+    (every non-trivial root is simple; find_roots certifies it whenever it
+    solves).  A disagreement with the closed-form total, for any p, raises
+    CountMismatch, and so does a given rootset whose non-trivial roots do
+    not number exactly the bound.
     """
     validate_filling(p, q)
     if p == 0 or p == 4 * q:
         raise ValidationError("p/q in {0, 4} is outside the counting range")
-    rs = rootset if rootset is not None else resultant_roots(p, q)
-    irreducible = len(nontrivial_roots(rs))
+    irreducible = nontrivial_root_bound(p, q)
+    if rootset is not None and len(nontrivial_roots(rootset)) != irreducible:
+        raise CountMismatch(
+            f"({p},{q}): {len(nontrivial_roots(rootset))} non-trivial roots in the root set, "
+            f"{irreducible} exactly"
+        )
     reducible = reducible_class_count(p)
     total = reducible + irreducible
     expected = expected_class_total(p, q)
@@ -503,11 +510,13 @@ def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCo
 
 def all_prep_classes(p: int, q: int) -> list[PRep]:
     """One verified representation per conjugacy class, each with both signs
-    of the meridian trace.  Roots are taken up to s ~ 1/s: of each pair the
-    member met first in the root set's (re, im) order represents it, so |s|
-    may be below 1 (at 5/1 the first class has s = 0.378 - 0.441i).  The
-    classes built must number count_prep_classes' total, or CountMismatch
-    is raised."""
+    of the meridian trace: first the irreducible classes, at the roots of
+    res, then the reducible ones, at e^(2 pi i k/|p|) for
+    1 <= k <= (|p| - 1) // 2.  Roots of res are taken up to s ~ 1/s: of each
+    pair the member met first in the root set's (re, im) order represents
+    it, so |s| may be below 1 (at 5/1 the first class has s = 0.378 -
+    0.441i).  The classes built must number count_prep_classes' total, or
+    CountMismatch is raised."""
     res = build_res(p, q)
     rootset = resultant_rootset_of(res)
     count = count_prep_classes(p, q, rootset=rootset)
@@ -520,17 +529,15 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
         z for z in nontrivial_roots(rootset).values
         if (z.imag < 0 if z.real == 0.0 else (z.real > 0) == (abs(z) < 1))
     ]
-    # the reducible classes: s = e^(2 pi i k/|p|) up to s ~ 1/s, i.e. k ~ |p| - k,
-    # without k = 0 and k = |p|/2 (s = +-1)
-    chosen += [cmath.exp(2j * cmath.pi * k / abs(p)) for k in range(1, (abs(p) - 1) // 2 + 1)]
-    if 2 * len(chosen) != count.total:
+    # the reducible classes: k ~ |p| - k is s ~ 1/s, and k = 0 and k = |p|/2
+    # are s = +-1
+    ks = range(1, (abs(p) - 1) // 2 + 1)
+    if 2 * (len(chosen) + len(ks)) != count.total:
         raise CountMismatch(
-            f"({p},{q}): {2 * len(chosen)} classes chosen up to s ~ 1/s, {count.total} counted"
+            f"({p},{q}): {2 * (len(chosen) + len(ks))} classes chosen up to s ~ 1/s, "
+            f"{count.total} counted"
         )
     res_dense, _ = res.poly.dense()
-    reps = []
-    for z in chosen:
-        lift = _lift(z, p, q, res_dense)
-        for sign in (1, -1):
-            reps.append(_build(p, q, sign, *lift))
-    return reps
+    lifts = [("irreducible", *_lift(z, p, q, res_dense)) for z in chosen]
+    lifts += [("reducible", _lift_unity(k, p), HPComplex.from_int(1)) for k in ks]
+    return [_build(p, q, sign, *lift) for lift in lifts for sign in (1, -1)]

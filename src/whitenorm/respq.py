@@ -95,23 +95,15 @@ def build_res(p: int, q: int) -> ResPoly:
 
 
 def trivial_root_orders(r: ResPoly) -> tuple[int, int]:
-    """Exact vanishing orders of res at s = +1 and s = -1.
+    """Exact vanishing orders of res at s = +1 and s = -1, by the split
+    find_roots makes (LaurentPoly.split_root).
 
     q even gives (2, 0); p and q both odd give (0, 2); q odd with p even
     gives (0, 0).  Computed over the integers, not predicted.
     """
     if r.is_degenerate:
         raise ValidationError("degenerate polynomial (p/q in {0, 4}) has no roots")
-
-    def order_at(x: int) -> int:
-        f = r.poly
-        for k in range(3):
-            if f.eval_at_int(x) != 0:
-                return k
-            f = f.derivative()
-        raise SymmetryViolation(f"vanishing order at s = {x} exceeds 2 for ({r.p}, {r.q})")
-
-    orders = (order_at(1), order_at(-1))
+    orders = (r.poly.split_root(1)[0], r.poly.split_root(-1)[0])
     if r.q % 2 == 0:
         expected = (2, 0)
     elif r.p % 2 == 1:

@@ -78,9 +78,6 @@ class RootSet:
     def values(self) -> list[complex]:
         return [r.value for r in self.roots]
 
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
-
     def disc_overlaps(self) -> list[tuple[int, int]]:
         """Index pairs whose discs D(value, radius) must meet, however the
         centres rounded: |v_a - v_b| + 2^-53 (|re| + |im| of both; none for an
@@ -453,11 +450,12 @@ def find_roots(f: LaurentPoly) -> RootSet:
 
     Exponent units s^k are stripped first, so only non-zero roots exist and
     their count, with multiplicity, equals the span.  The roots +-1 are
-    split off exactly: while f(x) = 0 for x = 1, then x = -1, f is divided
-    by (s - x), and x becomes a root of that order (its multiplicity) with
-    radius 0 and the trivial_pm1 flag.  The rest must be certified
-    squarefree (_squarefree), or ValidationError is raised: the test is
-    modular, so that refusal does not by itself prove a repeated root.
+    split off exactly (LaurentPoly.split_root): while f(x) = 0 for x = 1,
+    then x = -1, f is divided by (s - x), and x becomes a root of that
+    order (its multiplicity) with radius 0 and the trivial_pm1 flag.  The
+    rest must be certified squarefree (_squarefree), or ValidationError is
+    raised: the test is modular, so that refusal does not by itself prove
+    a repeated root.
     Only then is it solved, from one start, by the pipeline of the module
     docstring; each disc holds one simple root, whose flags come from its
     disc (_package).  A coefficient beyond the range of a double fails the
@@ -475,10 +473,7 @@ def find_roots(f: LaurentPoly) -> RootSet:
         raise ValidationError("find_roots needs a polynomial with int coefficients")
     roots = []
     for x in (1, -1):
-        order = 0
-        while f.eval_at_int(x) == 0:
-            f = f.exact_div(LaurentPoly({1: 1, 0: -x}))
-            order += 1
+        order, f = f.split_root(x)
         if order:
             flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
             roots.append(Root(complex(x), order, flags, 0.0))

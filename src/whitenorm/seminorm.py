@@ -90,7 +90,8 @@ def seminorm_profile(p: int, q: int) -> SeminormProfile:
     (3, 4), (4, 3)."""
     rng = _require_scope(p, q)
     beta2, a, s_min = _table(p, q, rng)
-    assert all(x >= 0 and x % 2 == 0 for x in a) and s_min >= 0 and s_min % 2 == 0
+    if not all(x >= 0 and x % 2 == 0 for x in (*a, s_min)):
+        raise SystemInconsistent(f"({p},{q}): coefficients {a} and s = {s_min} must be even and >= 0")
     seifert = tuple(
         s_min + _SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1) for sig in (1, 2, 3)
     )

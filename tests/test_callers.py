@@ -1,6 +1,8 @@
-"""Every public top-level function and class of the package has a caller in
-the package, its scripts or its benchmark: code that only tests reach goes,
-or moves into the tests that use it."""
+"""Every public top-level function and class of the package, and every
+public non-dunder method of a public class, has a caller in the package,
+its scripts or its benchmark: code that only tests reach goes, or moves
+into the tests that use it.  And no check of the package is an assert
+statement, which python -O strips."""
 
 import ast
 from pathlib import Path
@@ -18,41 +20,65 @@ EXEMPT = {
 
 
 def _public_definitions():
+    """(file, qualified name, name) of each public top-level function and
+    class, and of each public non-dunder method of a public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield path, node.name
+                yield path, node.name, node.name
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path, f"{node.name}.{item.name}", item.name
+
+
+def _scopes(top):
+    """(node, owner) pairs covering a top-level statement: the owner is the
+    qualified name of the definition a node sits in, a class's method for
+    the nodes of that method, or None."""
+    if isinstance(top, ast.ClassDef):
+        for item in top.body:
+            if isinstance(item, ast.FunctionDef):
+                yield item, f"{top.name}.{item.name}"
+            else:
+                yield item, top.name
+    else:
+        yield top, top.name if isinstance(top, ast.FunctionDef) else None
 
 
 def _callers():
-    """name -> {(file, top-level definition the reference sits in, or None)}
-    over every ast.Name, ast.Attribute and import alias; the imports of the
-    package's __init__.py re-export and call nothing, so they do not count."""
+    """name -> {(file, qualified name of the definition the reference sits
+    in, or None)} over every ast.Name, ast.Attribute and import alias; the
+    imports of the package's __init__.py re-export and call nothing, so
+    they do not count."""
     callers = {}
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
             for top in ast.parse(path.read_text()).body:
-                owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Name):
-                        names = [node.id]
-                    elif isinstance(node, ast.Attribute):
-                        names = [node.attr]
-                    elif isinstance(node, ast.alias) and path != PACKAGE / "__init__.py":
-                        names = [node.name.rsplit(".", 1)[-1], node.asname or ""]
-                    else:
-                        continue
-                    for name in names:
-                        callers.setdefault(name, set()).add((path, owner))
+                for scope, owner in _scopes(top):
+                    for node in ast.walk(scope):
+                        if isinstance(node, ast.Name):
+                            names = [node.id]
+                        elif isinstance(node, ast.Attribute):
+                            names = [node.attr]
+                        elif isinstance(node, ast.alias) and path != PACKAGE / "__init__.py":
+                            names = [node.name.rsplit(".", 1)[-1], node.asname or ""]
+                        else:
+                            continue
+                        for name in names:
+                            callers.setdefault(name, set()).add((path, owner))
     return callers
 
 
 def _uncalled():
     callers = _callers()
+
     # a reference from inside the definition itself (recursion, a method
     # naming its own class) is no caller
-    return sorted(name for path, name in _public_definitions()
-                  if not callers.get(name, set()) - {(path, name)})
+    def inside(ref, path, qualname):
+        return ref[0] == path and ref[1] is not None and (ref[1] + ".").startswith(qualname + ".")
+
+    return sorted(qualname for path, qualname, name in _public_definitions()
+                  if all(inside(ref, path, qualname) for ref in callers.get(name, ())))
 
 
 def test_every_public_definition_has_a_caller():
@@ -67,3 +93,14 @@ def test_exemptions_are_still_needed():
     for name in EXEMPT:
         assert name in uncalled, name
         assert name in benchmark, name
+
+
+def test_no_assert_statements():
+    # python -O strips asserts: a check of the package raises its own error
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements in the package: {found}"

@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
 
 from whitenorm.cxhp import HPComplex
-from whitenorm.errors import NoT, SingularPoint, ValidationError, VerificationFailure
+from whitenorm.errors import CountMismatch, NoT, SingularPoint, ValidationError, VerificationFailure
 from whitenorm.reps import (
     EigenTuple,
     GroupWord,
@@ -12,7 +13,6 @@ from whitenorm.reps import (
     WORD_L0,
     WORD_REL_LHS,
     WORD_REL_RHS,
-    _lift,
     _verify,
     all_prep_classes,
     count_prep_classes,
@@ -24,10 +24,16 @@ from whitenorm.reps import (
     reconstruct_prep,
     slice_f,
 )
-from whitenorm.respq import build_res
 from whitenorm.roots import nontrivial_roots, resultant_roots
 
 SQ2 = math.sqrt(2)
+
+
+@pytest.fixture(scope="module")
+def reducible_5_1():
+    """all_prep_classes(5, 1)'s reducible entries: s = e^(2 pi i k/5) for
+    k = 1, 2, each with both signs of the meridian trace."""
+    return [pr for pr in all_prep_classes(5, 1) if pr.kind == "reducible"]
 
 
 def test_word_normalization_and_identity():
@@ -50,11 +56,10 @@ def test_longitude_spellings_agree_at_prep():
     assert pr.residuals["longitude_spellings"] < 1e-12
 
 
-def test_longitude_identity_at_reducible():
-    s = cmath.exp(2j * cmath.pi / 5)
-    pr = reconstruct_prep(s, 1, 5, 1)
-    l0 = WORD_L0.evaluate(pr.m0, pr.m1)
-    assert (l0 - Mat2.identity()).norm() < 1e-12
+def test_longitude_identity_at_reducible(reducible_5_1):
+    for pr in reducible_5_1:
+        l0 = WORD_L0.evaluate(pr.m0, pr.m1)
+        assert (l0 - Mat2.identity()).norm() < 1e-12
 
 
 def test_slice_f_values():
@@ -167,18 +172,21 @@ def test_reconstruct_both_signs():
         assert abs(pr.m1.trace() - 2 * sign) < 1e-9
 
 
-def test_reconstruct_reducible():
-    s = cmath.exp(2j * cmath.pi / 5)
-    pr = reconstruct_prep(s, 1, 5, 1)
-    assert pr.kind == "reducible"
-    assert pr.residuals["filling"] <= 1e-8
-    assert abs(pr.eigen.t - 1) < 1e-9
+def test_reconstruct_reducible(reducible_5_1):
+    assert [(pr.sign_u, k) for pr in reducible_5_1 for k in (1, 2)
+            if abs(pr.eigen.s - cmath.exp(2j * cmath.pi * k / 5)) < 1e-15] == [
+        (1, 1), (-1, 1), (1, 2), (-1, 2)
+    ]
+    for pr in reducible_5_1:
+        assert pr.residuals["filling"] <= 1e-8
+        assert abs(pr.eigen.t - 1) < 1e-9
 
 
-def test_det_gap_is_judged_by_det_one():
+def test_det_gap_is_judged_by_det_one(reducible_5_1):
     # det rho(mu0) = 1 + eps: a gap of 1e-9 is below TOL.residual but above
     # TOL.det_one, the one threshold of the det residual
-    kind, s, t = _lift(cmath.exp(2j * cmath.pi / 5), 5, 1, build_res(5, 1).poly.dense()[0])
+    pr = reducible_5_1[0]
+    kind, s, t = pr.kind, HPComplex.from_complex(pr.eigen.s), HPComplex.from_complex(pr.eigen.t)
     zero, one = HPComplex.from_int(0), HPComplex.from_int(1)
     m1 = Mat2(one, zero, one, one)
     for eps, fails in ((1e-9, True), (1e-11, False)):
@@ -228,6 +236,25 @@ def test_count_prep_classes():
     assert (lambda c: (c.reducible, c.irreducible, c.total))(count_prep_classes(5, 1)) == (4, 4, 8)
     with pytest.raises(ValidationError):
         count_prep_classes(4, 1)
+
+
+def test_count_prep_classes_solves_no_root(monkeypatch):
+    # 129/64 is beyond the root solve's range; its count is exact without it
+    import whitenorm.roots as roots_mod
+
+    def no_solve(poly):
+        raise AssertionError("count_prep_classes solved for roots")
+
+    monkeypatch.setattr(roots_mod, "_solve", no_solve)
+    assert count_prep_classes(129, 64).total == 382
+
+
+def test_count_prep_classes_checks_a_given_root_set():
+    rs = resultant_roots(5, 1)
+    assert count_prep_classes(5, 1, rootset=rs).irreducible == 4
+    short = dataclasses.replace(rs, roots=tuple(r for r in rs if r.value != nontrivial_roots(rs).values[0]))
+    with pytest.raises(CountMismatch, match="3 non-trivial roots in the root set, 4 exactly"):
+        count_prep_classes(5, 1, rootset=short)
 
 
 def test_all_prep_classes_5_1():

@@ -56,6 +56,21 @@ def test_norm_is_even_and_coefficients_nonnegative():
         assert prof.s_min >= 0 and prof.s_min % 2 == 0
 
 
+def test_bad_table_raises_system_inconsistent(monkeypatch, capsys):
+    # the parity check is a raise, not an assert that python -O strips, and
+    # the CLI reports it as a verification failure, not a traceback
+    import whitenorm.seminorm as seminorm_mod
+    from whitenorm.cli import main
+
+    table = seminorm_mod._table
+    monkeypatch.setattr(seminorm_mod, "_table", lambda p, q, rng: (*table(p, q, rng)[:2], 7))
+    with pytest.raises(SystemInconsistent):
+        seminorm_profile(5, 1)
+    assert main(["norm", "5", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: SystemInconsistent: ")
+
+
 def test_minimal_norm_is_norm_of_meridian():
     for p, q in odd_sweep():
         prof = seminorm_profile(p, q)

@@ -87,8 +87,11 @@ def test_cli_norm_negative_slope_after_space(capsys):
         assert main(["norm", "-5", "3", *slope]) == 0
         return capsys.readouterr().out
 
-    assert norm("--slope", "-2/5") == norm("--slope=-2/5")
+    assert norm("--slope", "-2/5") == norm("--slope=-2/5") == norm("--slo", "-2/5")
     assert norm("--slope", "-inf") == norm("--slope", "inf")
+    # only norm's abbreviations are joined: "--s" of verify is its --suite
+    assert main(["verify", "5", "1", "--s", "roots"]) == 0
+    assert [s["suite"] for s in json.loads(capsys.readouterr().out)["suites"]] == ["roots"]
 
 
 def test_cli_exit_codes(capsys):
@@ -285,6 +288,9 @@ PREPS_DIGESTS = {
     "preps 2 1": "4c437182a1fdcac8779c229fc8ccb059165463b9000494b442ad0d6b9ed27ef3",
     "preps 8 1": "09ec5237aabeafd7e80df61c34e6878c76223bb46b1592c752a1e7f05ebe453d",
     "preps 7 2": "09379f19ee6595fa24755b6d35dc038a79acbd8f91108173ffbdeeac1278dc1b",
+    # every byte of the 64 reducible entries at |p| = 65
+    "preps 65 3": "52cecc28eea3ec856fd04a80bbc9f3f4511feac9e31d1a83dd68db9e4d87e531",
+    "preps 65 16": "19832a7ba70aebf5820d95aa496e2c0c8d7727ab792b0ca895e80e29a53ec138",
     # certified zero coordinates print as 0.0 (imaginary roots at 8/1,
     # real ones at 7/2)
     "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
