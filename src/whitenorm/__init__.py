@@ -2,7 +2,7 @@
 suites for Dehn fillings of the Whitehead link exterior."""
 
 from .config import TOL, Tolerances
-from .laurent import BivarPoly, LaurentPoly, sylvester_resultant_t
+from .laurent import LaurentPoly, sylvester_resultant_t
 from .reps import (
     EigenTuple,
     GroupWord,
@@ -29,7 +29,6 @@ __all__ = [
     "TOL",
     "Tolerances",
     "LaurentPoly",
-    "BivarPoly",
     "sylvester_resultant_t",
     "ResPoly",
     "build_res",

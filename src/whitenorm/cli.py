@@ -103,15 +103,15 @@ def cmd_roots(args) -> int:
 
 
 def cmd_preps(args) -> int:
-    count = reps.count_prep_classes(args.p, args.q)
     classes = reps.all_prep_classes(args.p, args.q)
+    reducible = sum(pr.kind == "reducible" for pr in classes)
     payload = {
         "schema": 1,
         "p": args.p,
         "q": args.q,
-        "reducible": count.reducible,
-        "irreducible": count.irreducible,
-        "total": count.total,
+        "reducible": reducible,
+        "irreducible": len(classes) - reducible,
+        "total": len(classes),
         "classes": [
             {
                 "s": _c(pr.eigen.s),

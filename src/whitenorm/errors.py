@@ -15,16 +15,8 @@ class ScopeError(WhitenormError):
     suites that need roots)."""
 
 
-class DegenerateInput(WhitenormError):
-    """Resultant input with zero degree in the elimination variable."""
-
-
 class DegenerateCase(WhitenormError):
     """Closed-form formula undefined for this (p, q)."""
-
-
-class InexactDivision(WhitenormError):
-    """Polynomial division left a remainder where exactness was required."""
 
 
 class ResultantIdentityMismatch(WhitenormError):

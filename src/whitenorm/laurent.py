@@ -3,16 +3,15 @@
 LaurentPoly maps integer exponents to python int coefficients.  Zero
 coefficients are never stored, so the empty map is the zero polynomial.
 
-BivarPoly is the same idea in two variables s, t with integer coefficients;
-its only job is to feed the Sylvester matrix in t whose determinant is the
-elimination resultant, computed exactly over the Laurent ring: elimination
-on unit pivots +-s^e first, which divides exactly, then fraction-free
-(Bareiss) elimination on the block that has none.
+The Sylvester matrix in t of two polynomials, given by their t-coefficients
+in LaurentPoly, has the elimination resultant as its determinant, computed
+exactly over the Laurent ring: elimination on unit pivots +-s^e first,
+which divides exactly, then cofactor expansion on the block left.
 """
 
 from __future__ import annotations
 
-from .errors import DegenerateInput, InexactDivision, ValidationError
+from .errors import ValidationError
 
 
 class LaurentPoly:
@@ -173,34 +172,6 @@ class LaurentPoly:
 
     # -- division -----------------------------------------------------------
 
-    def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring; InexactDivision otherwise."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly()
-        num, nlo = self.dense()
-        den, dlo = divisor.dense()
-        if len(num) < len(den):
-            raise InexactDivision("dividend span shorter than divisor span")
-        num = list(num)
-        lead = den[-1]
-        qlen = len(num) - len(den) + 1
-        quot = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            top = num[i + len(den) - 1]
-            if top == 0:
-                continue
-            q, r = divmod(top, lead)
-            if r != 0:
-                raise InexactDivision(f"leading coefficient {top} not divisible by {lead}")
-            quot[i] = q
-            for j, dc in enumerate(den):
-                num[i + j] -= q * dc
-        if any(c != 0 for c in num):
-            raise InexactDivision("division left a remainder")
-        return LaurentPoly.from_dense(quot, nlo - dlo)
-
     def split_root(self, x: int) -> tuple[int, "LaurentPoly"]:
         """The exact order of the integer x as a root of this non-zero
         polynomial, and the quotient by (s - x) to that power: while f(x) = 0,
@@ -250,63 +221,28 @@ class LaurentPoly:
         return f"LaurentPoly({self.pretty()})"
 
 
-class BivarPoly:
-    """Integer polynomial in s (Laurent) and t (ordinary), as {(es, et): c}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int]):
-        self.coeffs = {(int(es), int(et)): int(c) for (es, et), c in coeffs.items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def t_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(et for _, et in self.coeffs)
-
-    def t_coefficient(self, j: int) -> LaurentPoly:
-        return LaurentPoly({es: c for (es, et), c in self.coeffs.items() if et == j})
-
-
-def filling_eigenvalue_poly(p: int, q: int) -> BivarPoly:
-    """s^p t^q - 1, the eigenvalue condition of the p/q filling."""
-    if q <= 0:
-        raise ValidationError("filling polynomial needs q > 0")
-    return BivarPoly({(p, q): 1, (0, 0): -1})
-
-
-def peripheral_quadric() -> BivarPoly:
-    """s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, the quadric in t cutting out the
-    non-reducible component of the eigenvalue variety at u^2 = 1, v = -1."""
-    return BivarPoly({(4, 2): 1, (4, 1): -1, (2, 1): 4, (0, 1): -1, (0, 0): 1})
-
-
-def sylvester_matrix_t(f: BivarPoly, g: BivarPoly) -> list[list[LaurentPoly]]:
-    """Sylvester matrix of f and g in t; entries are Laurent polynomials in s."""
-    if f.is_zero or g.is_zero:
-        raise DegenerateInput("resultant of the zero polynomial")
-    m, n = f.t_degree(), g.t_degree()
-    if m == 0 or n == 0:
-        raise DegenerateInput("resultant needs positive t-degree on both sides")
-    fc = [f.t_coefficient(j) for j in range(m, -1, -1)]  # leading first
-    gc = [g.t_coefficient(j) for j in range(n, -1, -1)]
+def sylvester_matrix_t(f: list[LaurentPoly], g: list[LaurentPoly]) -> list[list[LaurentPoly]]:
+    """Sylvester matrix in t of two polynomials given by their t-coefficients,
+    leading first; entries are Laurent polynomials in s."""
+    if len(f) < 2 or len(g) < 2:
+        raise ValidationError("resultant needs positive t-degree on both sides")
+    if f[0].is_zero or g[0].is_zero:
+        raise ValidationError("resultant needs a non-zero leading t-coefficient on both sides")
+    m, n = len(f) - 1, len(g) - 1
     size = m + n
     rows = []
     for i in range(n):
         row = [LaurentPoly()] * size
-        row[i : i + m + 1] = fc
+        row[i : i + m + 1] = f
         rows.append(row)
     for i in range(m):
         row = [LaurentPoly()] * size
-        row[i : i + n + 1] = gc
+        row[i : i + n + 1] = g
         rows.append(row)
     return rows
 
 
-def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+def det_exact(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix over the integer Laurent ring,
     with row pivoting only, in two phases.
 
@@ -314,10 +250,10 @@ def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     that row is swapped up and divided exactly into the rows below.  Only
     the rows with a non-zero entry in column k, and only the pivot row's
     non-zero columns, are touched.  On the Sylvester matrix of the
-    peripheral quadric, whose leading t-coefficient s^4 is a unit, this
-    leaves a 2 x 2 block.  Fraction-free (Bareiss) elimination then
-    finishes the trailing block; every interior division there is exact by
-    the Sylvester identity."""
+    peripheral quadric, whose leading t-coefficient s^4 is a unit, the
+    quadric's rows keep s^4 on the diagonal and only the two filling rows
+    change, so this leaves a block of 2 x 2 or smaller.  Cofactor expansion
+    then finishes the block left, with no division."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("determinant needs a square matrix")
@@ -347,26 +283,24 @@ def det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
                 m[i][j] = m[i][j] - mult * m[k][j]
             m[i][k] = LaurentPoly()
         start += 1
-    prev = LaurentPoly.constant(1)
-    for k in range(start, n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPoly()
-        prev = pivot
-    det = m[n - 1][n - 1].shift(unit_exp) if start < n else LaurentPoly({unit_exp: 1})
+    det = _cofactor_det([row[start:] for row in m[start:]]).shift(unit_exp)
     return -det if sign < 0 else det
 
 
-def sylvester_resultant_t(f: BivarPoly, g: BivarPoly) -> LaurentPoly:
-    """Resultant of f and g with respect to t, exact over Z[s, 1/s]."""
-    return det_bareiss(sylvester_matrix_t(f, g))
+def _cofactor_det(block: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant by cofactor expansion along the first row; 1 for the
+    empty block."""
+    if len(block) <= 1:
+        return block[0][0] if block else LaurentPoly.constant(1)
+    total = LaurentPoly()
+    for j, entry in enumerate(block[0]):
+        if not entry.is_zero:
+            term = entry * _cofactor_det([row[:j] + row[j + 1 :] for row in block[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def sylvester_resultant_t(f: list[LaurentPoly], g: list[LaurentPoly]) -> LaurentPoly:
+    """Resultant in t, exact over Z[s, 1/s], of two polynomials given by
+    their t-coefficients, leading first."""
+    return det_exact(sylvester_matrix_t(f, g))

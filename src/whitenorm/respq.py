@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResultantIdentityMismatch, SymmetryViolation, ValidationError
-from .laurent import (
-    LaurentPoly,
-    filling_eigenvalue_poly,
-    peripheral_quadric,
-    sylvester_resultant_t,
-)
+from .laurent import LaurentPoly, sylvester_resultant_t
 from .slopes import validate_filling
 
 Y_CONVENTION = "y = (-s^2 + 4 - s^-2)/2"
@@ -49,8 +44,17 @@ def _closed_form(p: int, q: int) -> LaurentPoly:
     return middle + LaurentPoly({p - 2 * q: 1}) + LaurentPoly({-p + 2 * q: 1})
 
 
+# s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, the quadric in t cutting out the
+# non-reducible component of the eigenvalue variety at u^2 = 1, v = -1; its
+# t-coefficients, leading first
+_QUADRIC = (LaurentPoly({4: 1}), LaurentPoly({4: -1, 2: 4, 0: -1}), LaurentPoly({0: 1}))
+
+
 def _oracle(p: int, q: int) -> LaurentPoly:
-    return sylvester_resultant_t(peripheral_quadric(), filling_eigenvalue_poly(p, q))
+    """The Sylvester determinant eliminating t between the quadric and the
+    filling condition s^p t^q - 1, for q > 0 (build_res validates first)."""
+    filling = [LaurentPoly({p: 1})] + [LaurentPoly()] * (q - 1) + [LaurentPoly({0: -1})]
+    return sylvester_resultant_t(list(_QUADRIC), filling)
 
 
 def resolve_y_convention() -> str:

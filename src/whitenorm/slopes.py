@@ -43,16 +43,13 @@ class Slope:
         text = text.strip()
         if text in ("inf", "-inf", "1/0"):
             return cls(1, 0)
-        if "/" in text:
-            a, b = text.split("/", 1)
-            try:
-                return cls.of(int(a), int(b))
-            except ValueError as exc:
-                raise ValidationError(f"cannot parse slope {text!r}") from exc
+        a, b = text.split("/", 1) if "/" in text else (text, "1")
         try:
-            return cls.of(int(text), 1)
+            p, q = int(a), int(b)
         except ValueError as exc:
             raise ValidationError(f"cannot parse slope {text!r}") from exc
+        # outside the try: Slope.of's ValidationError is a ValueError too
+        return cls.of(p, q)
 
     def __str__(self) -> str:
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"

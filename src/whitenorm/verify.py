@@ -95,15 +95,16 @@ def suite_preps(p: int, q: int) -> str:
     residual and the number of classes) and report the worst residual."""
     if _degenerate(p, q):
         raise ScopeError("characterization polynomial is a unit: no irreducible classes")
-    count = reps.count_prep_classes(p, q)
-    worst = max(v for pr in reps.all_prep_classes(p, q) for v in pr.residuals.values())
+    classes = reps.all_prep_classes(p, q)
+    reducible = sum(pr.kind == "reducible" for pr in classes)
+    worst = max(v for pr in classes for v in pr.residuals.values())
     defect = min(
         reps.discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)
     )
     if defect <= TOL.faithful_defect:
         raise VerificationFailure(f"faithful point fills to {defect:.2e}")
     detail = (
-        f"{count.reducible} reducible + {count.irreducible} irreducible classes"
+        f"{reducible} reducible + {len(classes) - reducible} irreducible classes"
         f", worst residual {worst:.1e}, faithful defect {defect:.1e}"
     )
     # the minimal norm has its closed form for p odd off slope 3
@@ -111,8 +112,8 @@ def suite_preps(p: int, q: int) -> str:
         s_min = seminorm.seminorm_profile(p, q).s_min
     except ScopeError:
         return detail
-    if s_min != count.total:
-        raise VerificationFailure(f"minimal norm {s_min} != class count {count.total}")
+    if s_min != len(classes):
+        raise VerificationFailure(f"minimal norm {s_min} != class count {len(classes)}")
     return f"{detail}, classes == minimal norm {s_min}"
 
 

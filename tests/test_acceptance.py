@@ -8,7 +8,6 @@ import math
 import time
 
 from whitenorm.cli import main
-from whitenorm.laurent import filling_eigenvalue_poly, peripheral_quadric, sylvester_resultant_t
 from whitenorm.reps import (
     EigenTuple,
     all_prep_classes,
@@ -17,7 +16,7 @@ from whitenorm.reps import (
     eigenvariety_polys,
     slice_f,
 )
-from whitenorm.respq import _closed_form, build_res, check_symmetries, trivial_root_orders
+from whitenorm.respq import _closed_form, _oracle, build_res, check_symmetries, trivial_root_orders
 from whitenorm.roots import classify, nontrivial_roots, resultant_roots
 from whitenorm.seminorm import (
     evaluate_norm,
@@ -51,7 +50,7 @@ def test_criterion_01_resultant_identity():
     start = time.monotonic()
     count = 0
     for p, q in _coprime_sweep():
-        oracle = sylvester_resultant_t(peripheral_quadric(), filling_eigenvalue_poly(p, q))
+        oracle = _oracle(p, q)
         closed = _closed_form(p, q)
         assert oracle.normalize_unit() == closed.normalize_unit(), (p, q)
         count += 1

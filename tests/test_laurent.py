@@ -2,19 +2,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitenorm.errors import DegenerateInput, InexactDivision
-from whitenorm.laurent import (
-    BivarPoly,
-    LaurentPoly,
-    det_bareiss,
-    filling_eigenvalue_poly,
-    peripheral_quadric,
-    sylvester_matrix_t,
-    sylvester_resultant_t,
-)
+import whitenorm.laurent as laurent
+from whitenorm.errors import ValidationError
+from whitenorm.laurent import LaurentPoly, det_exact, sylvester_matrix_t, sylvester_resultant_t
 
 S = LaurentPoly({1: 1})
 ONE = LaurentPoly.constant(1)
+Z = LaurentPoly()
+# s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, by its t-coefficients, leading first
+QUADRIC = [LaurentPoly({4: 1}), LaurentPoly({4: -1, 2: 4, 0: -1}), ONE]
+
+
+def filling(p, q):
+    """s^p t^q - 1, by its t-coefficients, leading first."""
+    return [LaurentPoly({p: 1})] + [Z] * (q - 1) + [LaurentPoly({0: -1})]
 
 
 def small_laurent(min_coeff=-9, max_coeff=9):
@@ -113,27 +114,16 @@ def test_cancelling_operations_store_no_zero():
     assert ((S - ONE) * (S + ONE) - S * S + ONE).coeffs == {}
 
 
-def test_exact_division():
-    f = (S - ONE) * (S + ONE)
-    assert f.exact_div(S - ONE) == S + ONE
-    with pytest.raises(InexactDivision):
-        (S + ONE).exact_div(LaurentPoly({1: 2}))
-    shifted = f.shift(-3)
-    assert shifted.exact_div((S - ONE).shift(-1)) == (S + ONE).shift(-2)
-
-
 def test_sylvester_of_linear_factors():
     # f = t - a(s), g = t - b(s): the resultant is a - b up to sign
     a = LaurentPoly({2: 1, 0: 3})
     b = LaurentPoly({1: -2, 0: 1})
-    f = BivarPoly({(0, 1): 1, (2, 0): -1, (0, 0): -3})
-    g = BivarPoly({(0, 1): 1, (1, 0): 2, (0, 0): -1})
-    res = sylvester_resultant_t(f, g)
+    res = sylvester_resultant_t([ONE, -a], [ONE, -b])
     assert res.unit_equal(a - b)
 
 
 def _det3_by_rule(m):
-    """Sarrus cofactor formula, written out; independent of det_bareiss."""
+    """Sarrus cofactor formula, written out; independent of det_exact."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -141,45 +131,44 @@ def _det3_by_rule(m):
 
 
 def test_resultant_1_1_against_written_out_determinant():
-    k1 = filling_eigenvalue_poly(1, 1)
-    k2 = peripheral_quadric()
-    z = LaurentPoly()
-    row_k1 = [LaurentPoly({1: 1}), LaurentPoly({0: -1}), z]
+    row_k1 = [LaurentPoly({1: 1}), LaurentPoly({0: -1}), Z]
     matrix = [
         row_k1,
-        [z] + row_k1[:2],
+        [Z] + row_k1[:2],
         [LaurentPoly({4: 1}), LaurentPoly({4: -1, 2: 4, 0: -1}), ONE],
     ]
     by_rule = _det3_by_rule(matrix)
-    assert sylvester_resultant_t(k1, k2).unit_equal(by_rule)
+    assert sylvester_resultant_t(filling(1, 1), QUADRIC).unit_equal(by_rule)
     assert by_rule.normalize_unit() == LaurentPoly({4: 1, 3: -1, 2: -4, 1: -1, 0: 1})
 
 
 def test_resultant_2_1_frozen():
-    res = sylvester_resultant_t(filling_eigenvalue_poly(2, 1), peripheral_quadric())
+    res = sylvester_resultant_t(filling(2, 1), QUADRIC)
     assert res.normalize_unit() == LaurentPoly({4: 1, 2: -6, 0: 1})
 
 
 def test_resultant_rejects_degenerate_inputs():
-    with pytest.raises(DegenerateInput):
-        sylvester_resultant_t(BivarPoly({(3, 0): 1}), peripheral_quadric())
+    # t-degree 0, no coefficient at all, and a zero leading coefficient
+    for f in ([LaurentPoly({3: 1})], [], [Z, S, ONE]):
+        with pytest.raises(ValidationError):
+            sylvester_resultant_t(f, QUADRIC)
+        with pytest.raises(ValidationError):
+            sylvester_resultant_t(QUADRIC, f)
 
 
 def test_resultant_vanishes_iff_common_root():
     # plant linear factors with known intersections: f = (t - c0)(t - c1),
     # g = (t - c0)(t - c2) share a factor -> resultant identically zero
     def lin(poly):
-        return BivarPoly(
-            {(0, 1): 1, **{(e, 0): -c for e, c in poly.coeffs.items()}}
-        )
+        return [ONE, -poly]
 
     def mul2(f, g):
-        out = {}
-        for (es1, et1), c1 in f.coeffs.items():
-            for (es2, et2), c2 in g.coeffs.items():
-                key = (es1 + es2, et1 + et2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivarPoly(out)
+        # product of two polynomials in t, by t-coefficients leading first
+        out = [Z] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = out[i + j] + a * b
+        return out
 
     c0 = LaurentPoly({1: 1, 0: 2})
     c1 = LaurentPoly({2: 1})
@@ -208,15 +197,23 @@ def test_resultant_nonzero_when_roots_stay_apart():
         rng_state = (1103515245 * rng_state + 12345) % (1 << 31)
         return rng_state % 7 - 3
 
+    def t_coefficients():
+        # the coefficient of s^es t^et is the (3 es + et)-th draw; t-degree
+        # at most 2, leading first, with leading zero coefficients dropped
+        draws = [next_coeff() for _ in range(9)]
+        coeffs = [LaurentPoly({es: draws[3 * es + et] for es in range(3)}) for et in (2, 1, 0)]
+        while coeffs and coeffs[0].is_zero:
+            coeffs.pop(0)
+        return coeffs
+
     for _ in range(12):
-        f = BivarPoly({(es, et): next_coeff() for es in range(3) for et in range(3)})
-        g = BivarPoly({(es, et): next_coeff() for es in range(3) for et in range(3)})
-        if f.is_zero or g.is_zero or f.t_degree() == 0 or g.t_degree() == 0:
+        f, g = t_coefficients(), t_coefficients()
+        if len(f) < 2 or len(g) < 2:
             continue
         res = sylvester_resultant_t(f, g)
         for s0 in range(-3, 4):
-            fc = [f.t_coefficient(j)(s0) for j in range(f.t_degree(), -1, -1)]
-            gc = [g.t_coefficient(j)(s0) for j in range(g.t_degree(), -1, -1)]
+            fc = [c(s0) for c in f]
+            gc = [c(s0) for c in g]
             if fc[0] == 0 or gc[0] == 0 or s0 == 0:
                 continue  # leading coefficient vanishes: resultant theory degrades
             dist = min(
@@ -228,7 +225,7 @@ def test_resultant_nonzero_when_roots_stay_apart():
 
 
 def det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor-expansion determinant: the oracle for det_bareiss, with a
+    """Cofactor-expansion determinant: the oracle for det_exact, with a
     factorial blowup that keeps it to small sizes."""
     n = len(matrix)
     if n == 1:
@@ -244,19 +241,17 @@ def det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 
 
 def test_bareiss_matches_cofactor():
-    k2 = peripheral_quadric()
     for p, q in [(1, 1), (2, 1), (3, 2), (-1, 1), (5, 3)]:
-        k1 = filling_eigenvalue_poly(p, q)
-        m = sylvester_matrix_t(k1, k2)
-        assert det_bareiss(m) == det_cofactor(m)
+        m = sylvester_matrix_t(filling(p, q), QUADRIC)
+        assert det_exact(m) == det_cofactor(m)
 
 
 def test_bareiss_zero_pivot_and_singular():
     z = LaurentPoly()
     m = [[z, ONE], [S, z]]
-    assert det_bareiss(m) == -(S * ONE)
+    assert det_exact(m) == -(S * ONE)
     singular = [[S, S], [S, S]]
-    assert det_bareiss(singular).is_zero
+    assert det_exact(singular).is_zero
     assert det_cofactor(singular).is_zero
 
 
@@ -264,9 +259,9 @@ def test_unit_pivot_after_row_swap():
     # column 0 has its only unit s^2 in row 1: one swap, so the sign flips
     two, three = LaurentPoly.constant(2), LaurentPoly.constant(3)
     m = [[two, S], [S**2, three]]
-    assert det_bareiss(m) == det_cofactor(m) == LaurentPoly({0: 6, 3: -1})
+    assert det_exact(m) == det_cofactor(m) == LaurentPoly({0: 6, 3: -1})
     m3 = [[two, S, ONE], [S**2, three, S + ONE], [S + ONE, LaurentPoly(), LaurentPoly({0: 5})]]
-    assert det_bareiss(m3) == det_cofactor(m3)
+    assert det_exact(m3) == det_cofactor(m3)
 
 
 def test_negative_unit_pivot():
@@ -275,7 +270,7 @@ def test_negative_unit_pivot():
         [LaurentPoly({0: 4}), S + ONE, LaurentPoly()],
         [S, LaurentPoly({0: 3}), LaurentPoly({-1: 2})],
     ]
-    assert det_bareiss(m) == det_cofactor(m)
+    assert det_exact(m) == det_cofactor(m)
 
 
 def test_no_unit_pivot_is_bareiss_only():
@@ -285,7 +280,7 @@ def test_no_unit_pivot_is_bareiss_only():
         [LaurentPoly(), S**2 + ONE, LaurentPoly({0: 3})],
     ]
     assert not any(entry.is_unit for row in m for entry in row)
-    assert det_bareiss(m) == det_cofactor(m)
+    assert det_exact(m) == det_cofactor(m)
 
 
 def test_unit_steps_then_singular_remainder():
@@ -293,29 +288,30 @@ def test_unit_steps_then_singular_remainder():
     a, b, c, d = S + ONE, LaurentPoly({-1: 3}), LaurentPoly({0: 2}), S**2
     x, y = S + LaurentPoly({0: 2}), LaurentPoly({0: 3})
     m = [[ONE, a, b], [c, c * a + x, c * b + y], [d, d * a + x + x, d * b + y + y]]
-    assert det_bareiss(m).is_zero
+    assert det_exact(m).is_zero
     assert det_cofactor(m).is_zero
 
 
 def test_one_by_one():
     for entry in (LaurentPoly({3: -1}), S + LaurentPoly({0: 2}), LaurentPoly()):
-        assert det_bareiss([[entry]]) == det_cofactor([[entry]]) == entry
+        assert det_exact([[entry]]) == det_cofactor([[entry]]) == entry
 
 
-def test_sylvester_leaves_two_by_two_to_bareiss(monkeypatch):
+def test_sylvester_leaves_two_by_two_to_cofactors(monkeypatch):
     # s^4, the quadric's leading t-coefficient, is the unit pivot of its q
-    # rows; only the last 2 x 2 block is left, one fraction-free division
-    divisions = []
-    honest = LaurentPoly.exact_div
+    # rows; only the filling rows' last 2 x 2 block is left to expand
+    sizes = []
+    honest = laurent._cofactor_det
 
-    def counting(self, divisor):
-        divisions.append(divisor)
-        return honest(self, divisor)
+    def spy(block):
+        sizes.append(len(block))
+        return honest(block)
 
-    monkeypatch.setattr(LaurentPoly, "exact_div", counting)
-    m = sylvester_matrix_t(peripheral_quadric(), filling_eigenvalue_poly(65, 20))
-    det_bareiss(m)
-    assert divisions == [ONE]
+    monkeypatch.setattr(laurent, "_cofactor_det", spy)
+    m = sylvester_matrix_t(QUADRIC, filling(65, 20))
+    det_exact(m)
+    # the one 2 x 2 block, then the two 1 x 1 minors its expansion recurses into
+    assert sizes == [2, 1, 1]
 
 
 def sparse_entry():
@@ -335,7 +331,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 @settings(max_examples=100, deadline=None)
 def test_bareiss_matches_cofactor_on_sparse_matrices(m):
-    assert det_bareiss(m) == det_cofactor(m)
+    assert det_exact(m) == det_cofactor(m)
 
 
 def test_json_roundtrip():

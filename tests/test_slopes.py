@@ -38,6 +38,14 @@ def test_parse_and_print():
         Slope.parse("x/y")
 
 
+def test_parse_keeps_the_refusal_reason():
+    # ValidationError is a ValueError: the refusal of a non-primitive pair
+    # must not turn into "cannot parse"
+    for text in ("2/4", "2/0"):
+        with pytest.raises(ValidationError, match="not primitive"):
+            Slope.parse(text)
+
+
 @given(primitive_pairs())
 def test_parse_print_roundtrip(pq):
     s = Slope.of(*pq)

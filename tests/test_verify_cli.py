@@ -94,6 +94,32 @@ def test_cli_norm_negative_slope_after_space(capsys):
     assert [s["suite"] for s in json.loads(capsys.readouterr().out)["suites"]] == ["roots"]
 
 
+def test_cli_norm_says_why_it_refuses_a_slope(capsys):
+    for slope in ("2/4", "2/0"):
+        assert main(["norm", "5", "1", "--slope", slope]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not primitive" in err, err
+
+
+def test_preps_counts_classes_once(monkeypatch, capsys):
+    import whitenorm.reps as reps_mod
+
+    calls = []
+    count = reps_mod.count_prep_classes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(reps_mod, "count_prep_classes", spy)
+    assert main(["preps", "5", "1"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run_verify(5, 1, ("preps",)).ok
+    assert len(calls) == 1
+
+
 def test_cli_exit_codes(capsys):
     assert main(["norm", "2", "1"]) == 3      # p even: scope
     out, err = capsys.readouterr()
