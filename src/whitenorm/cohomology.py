@@ -147,47 +147,12 @@ def d1_poly(p: int, q: int) -> LaurentPoly:
     return LaurentPoly({4: lead, 2: -6 * p * p + 24 * p * q - 32 * q * q, 0: lead})
 
 
-def d1_roots(p: int, q: int) -> tuple[complex, complex, complex, complex]:
-    """Closed-form roots: +- sqrt((3(p-2q)^2 + 4q^2 +- 2|p-2q| sqrt(2(p-2q)^2
-    + 8q^2)) / (p(p-4q))); all real when p > 4q > 0 or p < 0, all imaginary
-    when 0 < p < 4q."""
-    import cmath
-
-    lead = p * (p - 4 * q)
-    if lead == 0:
-        raise DegenerateCase("d1 degenerates when p(p-4q) = 0")
-    m = abs(p - 2 * q)
-    inner = math.sqrt(2 * (p - 2 * q) ** 2 + 8 * q * q)
-    out = []
-    for sign in (1, -1):
-        w = (3 * (p - 2 * q) ** 2 + 4 * q * q + sign * 2 * m * inner) / lead
-        root = cmath.sqrt(complex(w))
-        out.extend([root, -root])
-    poly = d1_poly(p, q)
-    for r in out:
-        val = sum(c * r**e for e, c in poly.coeffs.items())
-        # the double closed form leaves a backward error of at most 5.1e-12
-        # over all coprime |p| <= 200, q < 60; a wrong sign or branch leaves
-        # O(1), so 1e-6 sits between the two with room on both sides
-        if abs(val) > 1e-6 * sum(abs(c) * abs(r) ** e for e, c in poly.coeffs.items()):
-            raise ClosedFormMismatch(f"closed-form root {r} misses d1 for ({p},{q})")
-    return tuple(out)
-
-
 def d1_classification(p: int, q: int) -> str:
-    """'real' or 'imaginary' according to the range of p/q, with the roots
-    checked against that class."""
-    roots = d1_roots(p, q)
-    expected = "real" if (p > 4 * q > 0 or p < 0) else "imaginary"
-    # cmath.sqrt of a real w is exactly real or exactly imaginary, so the
-    # other coordinate is 0.0 (over all coprime |p| <= 200, q < 60), while
-    # the roots' own coordinate is at least 0.043 (1 + |r|) there;
-    # 1e-9 (1 + |r|) flags only a root on the wrong axis
-    for r in roots:
-        ok = abs(r.imag) <= 1e-9 * (1 + abs(r)) if expected == "real" else abs(r.real) <= 1e-9 * (1 + abs(r))
-        if not ok:
-            raise ClosedFormMismatch(f"d1 root {r} of ({p},{q}) is not {expected}")
-    return expected
+    """'real' or 'imaginary', the axis of all four roots of d1, by its sign
+    rule: in u = s^2, d1 = A u^2 + B u + A (d1_poly) has discriminant
+    B^2 - 4A^2 = 32 (p - 2q)^2 ((p - 2q)^2 + 4q^2) >= 0, root product 1 and
+    root sum -B/A with -B > 0, so both u are positive (s real) iff A > 0."""
+    return "real" if d1_poly(p, q)[4] > 0 else "imaginary"
 
 
 _D2_COEFFS_EVEN = [

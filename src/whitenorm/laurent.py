@@ -134,7 +134,7 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    # -- substitutions and evaluation ----------------------------------------
+    # -- substitutions ------------------------------------------------------
 
     def substitute_inv(self) -> "LaurentPoly":
         """s -> 1/s, i.e. negate every exponent."""
@@ -143,16 +143,6 @@ class LaurentPoly:
     def substitute_neg(self) -> "LaurentPoly":
         """s -> -s, i.e. flip the sign of odd-exponent coefficients."""
         return LaurentPoly({e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()})
-
-    def __call__(self, x):
-        """Evaluate, allowing negative exponents (x must be invertible)."""
-        if self.is_zero:
-            return 0 * x
-        dense, lo = self.dense()
-        acc = 0
-        for c in reversed(dense):
-            acc = acc * x + c
-        return acc * x**lo if lo >= 0 else acc / x ** (-lo)
 
     # -- normal forms --------------------------------------------------------
 
@@ -219,6 +209,49 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
+
+
+# a prime of 61 bits: residues stay small ints, and a squarefree f fails the
+# test only when the prime divides its discriminant
+_PRIME = (1 << 61) - 1
+
+
+def _squarefree(int_coeffs: tuple[int, ...]) -> bool:
+    """Whether gcd(f, f') = 1 modulo the prime 2^61 - 1 for the integer
+    polynomial f = sum_i int_coeffs[i] s^i, and the prime does not divide
+    its leading coefficient.  Then f is squarefree over Q: a square factor
+    g^2 of f over Z keeps its degree modulo the prime and would divide both
+    f and f' there.  False proves nothing over Q: the prime may divide the
+    discriminant of a squarefree f."""
+    # leading coefficient first; each pass divides a by b, leaving b and the
+    # remainder with its leading zeros dropped
+    a = [c % _PRIME for c in reversed(int_coeffs)]
+    b = [i * c % _PRIME for i, c in enumerate(int_coeffs)][:0:-1]
+    if a[0] == 0:
+        return False
+    while True:
+        while b and b[0] == 0:
+            b.pop(0)
+        if not b:
+            return len(a) == 1
+        inv = pow(b[0], -1, _PRIME)
+        for k in range(len(a) - len(b) + 1):
+            m = a[k] * inv % _PRIME
+            a[k : k + len(b)] = [(x - m * y) % _PRIME for x, y in zip(a[k : k + len(b)], b)]
+        a, b = b, a[len(a) - len(b) + 1 :]
+
+
+def squarefree_refusal(int_coeffs: tuple[int, ...]) -> ValidationError | None:
+    """None when _squarefree certifies sum_i int_coeffs[i] s^i, what a
+    polynomial leaves after its +-1 split (LaurentPoly.split_root), else
+    the error to raise; the test is modular, so the refusal alone proves
+    no repeated root."""
+    if _squarefree(int_coeffs):
+        return None
+    return ValidationError(
+        f"the degree-{len(int_coeffs) - 1} polynomial left after the +-1 split is not certified "
+        "squarefree: gcd(f, f') != 1 modulo 2^61 - 1"
+    )
 
 
 def sylvester_matrix_t(f: list[LaurentPoly], g: list[LaurentPoly]) -> list[list[LaurentPoly]]:

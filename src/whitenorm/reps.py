@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .respq import build_res, nontrivial_root_bound
+from .respq import build_res
 from .roots import RootSet, nontrivial_roots, resultant_rootset_of
 from .slopes import validate_filling
 
@@ -465,7 +465,9 @@ def reducible_class_count(p: int) -> int:
 
 def expected_class_total(p: int, q: int) -> int:
     """Closed-form class count (reducible + irreducible), valid because
-    all non-trivial roots are simple (find_roots certifies it)."""
+    all non-trivial roots are simple: ResPoly.quotient certifies it, and
+    count_prep_classes compares its count, which reads that certificate,
+    against this total."""
     ap, aq = abs(p), abs(q)
     if p % 2:
         if p < 0:
@@ -482,17 +484,18 @@ def expected_class_total(p: int, q: int) -> int:
 
 def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCount:
     """Count conjugacy classes of parabolic representations from exact facts
-    alone, with no root solve: the reducible closed form plus
-    nontrivial_root_bound, the span of res minus its exact orders at +-1
-    (every non-trivial root is simple; find_roots certifies it whenever it
-    solves).  A disagreement with the closed-form total, for any p, raises
+    alone, with no root solve: the reducible closed form plus the degree of
+    res's certified squarefree quotient (ResPoly.quotient), the span of res
+    minus its exact orders at +-1, every root of which is simple.  A
+    quotient the squarefree test refuses raises ValidationError.  A
+    disagreement with the closed-form total, for any p, raises
     CountMismatch, and so does a given rootset whose non-trivial roots do
-    not number exactly the bound.
+    not number exactly the count.
     """
     validate_filling(p, q)
     if p == 0 or p == 4 * q:
         raise ValidationError("p/q in {0, 4} is outside the counting range")
-    irreducible = nontrivial_root_bound(p, q)
+    irreducible = len(build_res(p, q).quotient) - 1
     if rootset is not None and len(nontrivial_roots(rootset)) != irreducible:
         raise CountMismatch(
             f"({p},{q}): {len(nontrivial_roots(rootset))} non-trivial roots in the root set, "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResultantIdentityMismatch, SymmetryViolation, ValidationError
-from .laurent import LaurentPoly, sylvester_resultant_t
+from .laurent import LaurentPoly, squarefree_refusal, sylvester_resultant_t
 from .slopes import validate_filling
 
 Y_CONVENTION = "y = (-s^2 + 4 - s^-2)/2"
@@ -69,6 +69,9 @@ class ResPoly:
     certified equal to the Sylvester determinant.  span = 0 signals the
     degenerate fillings p/q in {0, 4} where the polynomial is a nonzero
     constant and there are no irreducible parabolic classes.
+
+    It owns the exact facts of res, each computed when first read, once per
+    polynomial (_split, _refusal): p/q and (4q - p)/q share them.
     """
 
     p: int
@@ -83,6 +86,51 @@ class ResPoly:
     def is_degenerate(self) -> bool:
         return self.span == 0
 
+    @property
+    def trivial_orders(self) -> tuple[int, int]:
+        """Exact vanishing orders of res at s = +1 and s = -1, by the split
+        LaurentPoly.split_root makes, checked against the parity pattern:
+        q even gives (2, 0); p and q both odd give (0, 2); q odd with p even
+        gives (0, 0).  Computed over the integers, not predicted."""
+        if self.is_degenerate:
+            raise ValidationError("degenerate polynomial (p/q in {0, 4}) has no roots")
+        orders = _split(self.poly)[:2]
+        expected = (2, 0) if self.q % 2 == 0 else (0, 2) if self.p % 2 else (0, 0)
+        if orders != expected:
+            raise SymmetryViolation(
+                f"trivial-root orders {orders} differ from the parity pattern {expected} "
+                f"for ({self.p}, {self.q})"
+            )
+        return orders
+
+    @property
+    def quotient(self) -> tuple[int, ...]:
+        """The dense integer coefficients, ascending, of res with its roots
+        +-1 divided out (trivial_orders), certified squarefree
+        (laurent.squarefree_refusal), so each of its roots is simple and
+        its degree is the number of roots off {0, +-1}.  Raises
+        ValidationError when the test refuses it."""
+        self.trivial_orders  # the orders are checked first
+        refused = _refusal(self.poly)
+        if refused is not None:
+            raise refused
+        return _split(self.poly)[2]
+
+
+# The exact facts of res, cached on the polynomial: the orders of +1 and -1,
+# one split_root pass each, with the dense coefficients of the quotient left;
+# and the squarefree test's refusal of that quotient, or None.
+@lru_cache(maxsize=256)
+def _split(poly: LaurentPoly) -> tuple[int, int, tuple[int, ...]]:
+    o1, rest = poly.split_root(1)
+    om1, rest = rest.split_root(-1)
+    return o1, om1, tuple(rest.dense()[0])
+
+
+@lru_cache(maxsize=256)
+def _refusal(poly: LaurentPoly) -> ValidationError | None:
+    return squarefree_refusal(_split(poly)[2])
+
 
 # typed, so that (5.0, 1) misses the cached (5, 1) and is validated
 @lru_cache(maxsize=256, typed=True)
@@ -96,30 +144,6 @@ def build_res(p: int, q: int) -> ResPoly:
             f"under {Y_CONVENTION}"
         )
     return ResPoly(p, q, closed)
-
-
-def trivial_root_orders(r: ResPoly) -> tuple[int, int]:
-    """Exact vanishing orders of res at s = +1 and s = -1, by the split
-    find_roots makes (LaurentPoly.split_root).
-
-    q even gives (2, 0); p and q both odd give (0, 2); q odd with p even
-    gives (0, 0).  Computed over the integers, not predicted.
-    """
-    if r.is_degenerate:
-        raise ValidationError("degenerate polynomial (p/q in {0, 4}) has no roots")
-    orders = (r.poly.split_root(1)[0], r.poly.split_root(-1)[0])
-    if r.q % 2 == 0:
-        expected = (2, 0)
-    elif r.p % 2 == 1:
-        expected = (0, 2)
-    else:
-        expected = (0, 0)
-    if orders != expected:
-        raise SymmetryViolation(
-            f"trivial-root orders {orders} differ from the parity pattern {expected} "
-            f"for ({r.p}, {r.q})"
-        )
-    return orders
 
 
 def check_symmetries(r: ResPoly) -> bool:
@@ -142,9 +166,9 @@ def check_symmetries(r: ResPoly) -> bool:
 
 
 def nontrivial_root_bound(p: int, q: int) -> int:
-    """Number of distinct roots off {0, +-1}, assuming simplicity: the span
-    minus the multiplicities at +-1.  build_res validates (p, q), and
-    trivial_root_orders rejects p/q in {0, 4}, which has no roots."""
+    """The span of res minus its orders at +-1 (ResPoly.trivial_orders
+    alone): its number of distinct roots off {0, +-1}, all simple as
+    ResPoly.quotient certifies for count_prep_classes and the root solve.
+    build_res validates (p, q); p/q in {0, 4} has no roots and raises."""
     r = build_res(p, q)
-    o1, om1 = trivial_root_orders(r)
-    return r.span - o1 - om1
+    return r.span - sum(r.trivial_orders)

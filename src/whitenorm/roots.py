@@ -2,26 +2,28 @@
 classification of resultant roots (real / imaginary / unit circle).
 
 One pipeline, for polynomials with integer coefficients (find_roots).  The
-trivial roots +-1 are split off exactly first: while f(x) = 0 for x = 1,
-then x = -1, f is divided by (s - x), and x becomes a root of that order
-with radius 0.  The rest must be certified squarefree exactly (_squarefree),
-so every other root is simple.  On it, a deterministic double-precision
-simultaneous iteration (Aberth-Ehrlich, Newton-polygon starting radii,
-golden-angle phases) gives a start.  Gauss-Seidel Aberth sweeps refine it on
-the exact coefficients in fixed point (plain python ints, see cxhp), but for
-the repulsion sum, a double sum: the step depends on it only to second order
-(_sweep).  The sweeps run on a ladder of 128, 256, 512 and 768 fraction bits
-whose top rung is cxhp.BITS.  They climb a rung once the rung is exhausted,
-every |f(z)| within the error of its own evaluation, and stop when pairwise
-disjoint Gerschgorin-Weierstrass inclusion discs, computed afterwards from
-the exact coefficients, certify every root to 2^-100.  Each disc then holds
-exactly one root, a simple one, and this is the one root certificate: the
-printed double lies within 2^-53 |z| + r of it.  Every other fact about the
-root is read off its disc (see _package): its realness and whether it meets
-the unit circle.  There is no double-precision polish.  The refinement
-matters: resultant roots packed near the unit circle reach condition numbers
-beyond 1e13, so double precision alone cannot certify symmetry classes at
-1e-8.
+trivial roots +-1 are split off exactly first: while f(x) = 0 for x = 1, then
+x = -1, f is divided by (s - x), and x becomes a root of that order with
+radius 0.  The rest must be certified squarefree exactly
+(laurent.squarefree_refusal), so every other root is simple.  For res the
+split and the certificate are respq.ResPoly's, and resultant_rootset_of
+enters the pipeline after them (_solve_split).  On the rest, a deterministic
+double-precision simultaneous iteration (Aberth-Ehrlich, Newton-polygon
+starting radii, golden-angle phases) gives a start.  Gauss-Seidel Aberth
+sweeps refine it on the exact coefficients in fixed point (plain python ints,
+see cxhp), but for the repulsion sum, a double sum: the step depends on it
+only to second order (_sweep).  The sweeps run on a ladder of 128, 256, 512
+and 768 fraction bits whose top rung is cxhp.BITS.  They climb a rung once
+the rung is exhausted, every |f(z)| within the error of its own evaluation,
+and stop when pairwise disjoint Gerschgorin-Weierstrass inclusion discs,
+computed afterwards from the exact coefficients, certify every root to
+2^-100.  Each disc then holds exactly one root, a simple one, and this is the
+one root certificate: the printed double lies within 2^-53 |z| + r of it.
+Every other fact about the root is read off its disc (see _package): its
+realness and whether it meets the unit circle.  There is no double-precision
+polish.  The refinement matters: resultant roots packed near the unit circle
+reach condition numbers beyond 1e13, so double precision alone cannot certify
+symmetry classes at 1e-8.
 
 Each Root carries its own disc radius; a RootSet is the roots, sorted once
 by (re, im), and the span.  No randomness anywhere; repeated runs emit
@@ -37,8 +39,8 @@ from functools import lru_cache
 
 from .cxhp import BITS, HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
-from .laurent import LaurentPoly
-from .respq import ResPoly, build_res, trivial_root_orders
+from .laurent import LaurentPoly, squarefree_refusal
+from .respq import ResPoly, build_res
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -187,39 +189,6 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         f"no convergence after {_ABERTH_ITERATIONS} iterations on degree {n}",
         stage="aberth", degree=n,
     )
-
-
-# ---------------------------------------------------------------------------
-# exact squarefree test
-
-# a prime of 61 bits: residues stay small ints, and a squarefree f fails the
-# test only when the prime divides its discriminant
-_PRIME = (1 << 61) - 1
-
-
-def _squarefree(int_coeffs: list[int]) -> bool:
-    """Whether gcd(f, f') = 1 modulo the prime 2^61 - 1 for the integer
-    polynomial f = sum_i int_coeffs[i] s^i, and the prime does not divide
-    its leading coefficient.  Then f is squarefree over Q: a square factor
-    g^2 of f over Z keeps its degree modulo the prime and would divide both
-    f and f' there.  False proves nothing over Q: the prime may divide the
-    discriminant of a squarefree f."""
-    # leading coefficient first; each pass divides a by b, leaving b and the
-    # remainder with its leading zeros dropped
-    a = [c % _PRIME for c in reversed(int_coeffs)]
-    b = [i * c % _PRIME for i, c in enumerate(int_coeffs)][:0:-1]
-    if a[0] == 0:
-        return False
-    while True:
-        while b and b[0] == 0:
-            b.pop(0)
-        if not b:
-            return len(a) == 1
-        inv = pow(b[0], -1, _PRIME)
-        for k in range(len(a) - len(b) + 1):
-            m = a[k] * inv % _PRIME
-            a[k : k + len(b)] = [(x - m * y) % _PRIME for x, y in zip(a[k : k + len(b)], b)]
-        a, b = b, a[len(a) - len(b) + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -452,58 +421,58 @@ def find_roots(f: LaurentPoly) -> RootSet:
     their count, with multiplicity, equals the span.  The roots +-1 are
     split off exactly (LaurentPoly.split_root): while f(x) = 0 for x = 1,
     then x = -1, f is divided by (s - x), and x becomes a root of that
-    order (its multiplicity) with radius 0 and the trivial_pm1 flag.  The
-    rest must be certified squarefree (_squarefree), or ValidationError is
-    raised: the test is modular, so that refusal does not by itself prove
-    a repeated root.
-    Only then is it solved, from one start, by the pipeline of the module
-    docstring; each disc holds one simple root, whose flags come from its
-    disc (_package).  A coefficient beyond the range of a double fails the
-    start at once.  A failure of either stage raises its ConvergenceFailure,
-    with coeff_bits set; its degree and coeff_bits are those of the
-    polynomial left after the split.  All roots are sorted once, by (re, im).
-    """
+    order.  The rest must be certified squarefree, or its ValidationError
+    is raised (laurent.squarefree_refusal); only then is it solved
+    (_solve_split)."""
     if f.is_zero:
         raise ValidationError("cannot take roots of the zero polynomial")
-    span = f.span
-    if span == 0:
+    if f.span == 0:
         return RootSet(roots=(), span=0)
     f = f.shift(-f.mindeg)
     if not all(isinstance(c, int) for c in f.coeffs.values()):
         raise ValidationError("find_roots needs a polynomial with int coefficients")
-    roots = []
-    for x in (1, -1):
-        order, f = f.split_root(x)
-        if order:
-            flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
-            roots.append(Root(complex(x), order, flags, 0.0))
-    if f.span:
-        int_coeffs = f.dense()[0]
-        if not _squarefree(int_coeffs):
-            raise ValidationError(
-                f"the degree-{f.span} polynomial left after the +-1 split is not certified "
-                "squarefree: gcd(f, f') != 1 modulo 2^61 - 1"
-            )
-        top = max(abs(c) for c in int_coeffs)
+    o1, f = f.split_root(1)
+    om1, f = f.split_root(-1)
+    quotient = tuple(f.dense()[0])
+    if f.span and (refused := squarefree_refusal(quotient)):
+        raise refused
+    return _solve_split((o1, om1), quotient)
+
+
+def _solve_split(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet:
+    """The roots of a polynomial split at +-1: 1 and -1 at the given orders
+    (their multiplicities), with radius 0 and the trivial_pm1 flag, and the
+    roots of the certified squarefree quotient (dense integer coefficients,
+    ascending), solved from one start by the pipeline of the module
+    docstring, one simple root per disc with its flags from the disc
+    (_package).  A coefficient beyond the range of a double fails the start
+    at once; either stage's ConvergenceFailure gets coeff_bits, and its
+    degree and coeff_bits are the quotient's.  Sorted once, by (re, im)."""
+    flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
+    roots = [Root(complex(x), order, flags, 0.0) for x, order in zip((1, -1), orders) if order]
+    degree = len(quotient) - 1
+    if degree:
+        top = max(abs(c) for c in quotient)
         try:
             if top > sys.float_info.max:
                 raise ConvergenceFailure(
                     f"a coefficient of {top.bit_length()} bits is beyond the range of a double: "
-                    f"no double-precision start on degree {f.span}",
-                    stage="aberth", degree=f.span,
+                    f"no double-precision start on degree {degree}",
+                    stage="aberth", degree=degree,
                 )
             import numpy as np
-            coeffs = np.asarray([complex(c) for c in int_coeffs], dtype=complex)
+            coeffs = np.asarray([complex(c) for c in quotient], dtype=complex)
             coeffs = coeffs / coeffs[-1]
             raw = [complex(z) for z in _aberth(coeffs)]
             # no double-precision polish after refinement: at condition
             # numbers ~1e13 a double Newton step would re-smear the root
-            z, bits, radii = _refine_hp(int_coeffs, raw)
-            roots += _package(int_coeffs, z, bits, radii)
+            z, bits, radii = _refine_hp(quotient, raw)
+            roots += _package(quotient, z, bits, radii)
         except ConvergenceFailure as exc:
             exc.coeff_bits = top.bit_length()
             raise
-    return RootSet(roots=tuple(sorted(roots, key=lambda r: (r.value.real, r.value.imag))), span=span)
+    roots.sort(key=lambda r: (r.value.real, r.value.imag))
+    return RootSet(roots=tuple(roots), span=sum(orders) + degree)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +480,10 @@ def find_roots(f: LaurentPoly) -> RootSet:
 
 
 @lru_cache(maxsize=256)
-def _solve(poly: LaurentPoly) -> RootSet | WhitenormError:
+def _solve(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet | WhitenormError:
     # lru_cache keeps no exceptions, so a failure is returned as a value
     try:
-        return find_roots(poly)
+        return _solve_split(orders, quotient)
     except WhitenormError as exc:
         return exc
 
@@ -525,17 +494,18 @@ def resultant_roots(p: int, q: int) -> RootSet:
 
 
 def resultant_rootset_of(r: ResPoly) -> RootSet:
-    """find_roots of res, after trivial_root_orders has certified the
-    exact orders of +-1 against the parity pattern of (p, q).
+    """The roots of res from its exact facts: the orders of +-1, checked
+    against the parity pattern of (p, q) (ResPoly.trivial_orders), and the
+    certified squarefree quotient (ResPoly.quotient), solved by the step
+    find_roots takes after its own split (_solve_split).
 
-    The solve is cached on the polynomial, failures included: res depends
+    The solve is cached on those facts, failures included: res depends
     only on |p - 2q| and q, so p/q and (4q - p)/q share one solve, and each
     polynomial is solved once per process.  RootSet is frozen, so sharing
     it is safe."""
     if r.is_degenerate:
         return RootSet(roots=(), span=0)
-    trivial_root_orders(r)
-    out = _solve(r.poly)
+    out = _solve(r.trivial_orders, r.quotient)
     if isinstance(out, WhitenormError):
         raise out
     return out

@@ -61,7 +61,7 @@ def suite_symmetries(p: int, q: int) -> str:
     r = respq.build_res(p, q)
     if r.is_degenerate:
         raise ScopeError("degenerate constant, no roots")
-    orders = respq.trivial_root_orders(r)
+    orders = r.trivial_orders
     negation_invariant = respq.check_symmetries(r)
     return (
         f"orders(+1,-1)={orders}, inversion/parity/mirror identities exact "

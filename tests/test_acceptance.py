@@ -16,7 +16,7 @@ from whitenorm.reps import (
     eigenvariety_polys,
     slice_f,
 )
-from whitenorm.respq import _closed_form, _oracle, build_res, check_symmetries, trivial_root_orders
+from whitenorm.respq import _closed_form, _oracle, build_res, check_symmetries
 from whitenorm.roots import classify, nontrivial_roots, resultant_roots
 from whitenorm.seminorm import (
     evaluate_norm,
@@ -142,11 +142,11 @@ def test_criterion_06_root_counts_and_simplicity():
 
 def test_criterion_07_lemma_suite():
     # trivial-root orders, exact
-    assert trivial_root_orders(build_res(-1, 1)) == (0, 2)
-    assert trivial_root_orders(build_res(1, 2)) == (2, 0)
-    assert trivial_root_orders(build_res(2, 1)) == (0, 0)
+    assert build_res(-1, 1).trivial_orders == (0, 2)
+    assert build_res(1, 2).trivial_orders == (2, 0)
+    assert build_res(2, 1).trivial_orders == (0, 0)
     for p, q in ROOT_SAMPLES:
-        o1, om1 = trivial_root_orders(build_res(p, q))
+        o1, om1 = build_res(p, q).trivial_orders
         if q % 2 == 0:
             assert (o1, om1) == (2, 0)
         else:

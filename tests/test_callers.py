@@ -1,8 +1,11 @@
 """Every public top-level function and class of the package, and every
-public non-dunder method of a public class, has a caller in the package,
-its scripts or its benchmark: code that only tests reach goes, or moves
-into the tests that use it.  And no check of the package is an assert
-statement, which python -O strips."""
+public method of a public class, has a caller in the package, its scripts
+or its benchmark: code that only tests reach goes, or moves into the tests
+that use it.  A public method has no leading underscore, or is __call__:
+unlike the operator dunders, which the package's own operators reach, a
+__call__ is an entry point like any named method, so it too needs a caller
+that names it.  And no check of the package is an assert statement, which
+python -O strips."""
 
 import ast
 from pathlib import Path
@@ -19,15 +22,19 @@ EXEMPT = {
 }
 
 
+def _public(name):
+    return not name.startswith("_") or name == "__call__"
+
+
 def _public_definitions():
     """(file, qualified name, name) of each public top-level function and
-    class, and of each public non-dunder method of a public class."""
+    class, and of each public method of a public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield path, node.name, node.name
                 for item in node.body if isinstance(node, ast.ClassDef) else ():
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
                         yield path, f"{node.name}.{item.name}", item.name
 
 

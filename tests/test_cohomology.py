@@ -8,7 +8,6 @@ from whitenorm.cohomology import (
     coboundary_matrix,
     d1_classification,
     d1_poly,
-    d1_roots,
     d2_check,
     d2_poly,
     det_P_reducible,
@@ -69,13 +68,38 @@ def test_det_p_zero_cases():
         assert abs(det_p_closed_form(root, 5, 1)) < 1e-10
 
 
+def _d1_numpy_roots(p, q):
+    dense, lo = d1_poly(p, q).dense()
+    assert lo == 0
+    return np.roots(dense[::-1])
+
+
 def test_d1_poly_and_roots():
     assert d1_poly(5, 1) == LaurentPoly({4: 5, 2: -62, 0: 5})
-    roots = d1_roots(5, 1)
-    vals = sorted(r.real for r in roots)
+    vals = sorted(_d1_numpy_roots(5, 1).real)
     assert vals[0] == pytest.approx(-vals[3]) and vals[1] == pytest.approx(-vals[2])
     with pytest.raises(DegenerateCase):
         d1_poly(4, 1)
+
+
+def test_d1_sign_rule_over_a_grid():
+    # d1 = A u^2 + B u + A in u = s^2: the discriminant identity and -B > 0
+    # make the axis of the roots the sign of A, which numpy's roots confirm
+    grid = [
+        (p, q) for p in range(-40, 41) for q in range(1, 15)
+        if math.gcd(abs(p), q) == 1 and p * (p - 4 * q) != 0
+    ]
+    for p, q in grid:
+        d1 = d1_poly(p, q)
+        a, b = d1[4], d1[2]
+        assert d1[0] == a and set(d1.coeffs) == {0, 2, 4}
+        assert b * b - 4 * a * a == 32 * (p - 2 * q) ** 2 * ((p - 2 * q) ** 2 + 4 * q * q)
+        assert -b > 0
+        axis = d1_classification(p, q)
+        assert axis == ("real" if a > 0 else "imaginary")
+        for r in _d1_numpy_roots(p, q):
+            off, on = (r.imag, r.real) if axis == "real" else (r.real, r.imag)
+            assert abs(off) <= 1e-6 * abs(on), (p, q, r)
 
 
 def test_d1_classification_ranges():

@@ -242,11 +242,32 @@ def test_count_prep_classes_solves_no_root(monkeypatch):
     # 129/64 is beyond the root solve's range; its count is exact without it
     import whitenorm.roots as roots_mod
 
-    def no_solve(poly):
+    def no_solve(*facts):
         raise AssertionError("count_prep_classes solved for roots")
 
     monkeypatch.setattr(roots_mod, "_solve", no_solve)
     assert count_prep_classes(129, 64).total == 382
+
+
+def test_count_prep_classes_certifies_squarefree(monkeypatch):
+    # the count is the degree of res's quotient after the +-1 split, which
+    # it reads only once the squarefree test has certified it
+    import whitenorm.laurent as laurent
+    from whitenorm import respq
+
+    tested = []
+    squarefree = laurent._squarefree
+    monkeypatch.setattr(laurent, "_squarefree", lambda c: tested.append(len(c) - 1) or squarefree(c))
+    respq._refusal.cache_clear()
+    assert count_prep_classes(129, 64).total == 382
+    assert tested == [254]
+    monkeypatch.setattr(laurent, "_squarefree", lambda c: False)
+    respq._refusal.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match="degree-254 polynomial .* not certified squarefree"):
+            count_prep_classes(129, 64)
+    finally:
+        respq._refusal.cache_clear()  # drop the planted refusal
 
 
 def test_count_prep_classes_checks_a_given_root_set():
@@ -294,11 +315,12 @@ def test_all_prep_classes_builds_res_once(monkeypatch):
         calls.append((p, q))
         return build(p, q)
 
-    # the root solve and every irreducible lift share one res_{p,q}
+    # the root solve and every irreducible lift share one res_{p,q}; the
+    # class count looks it up once more, for its squarefree certificate
     monkeypatch.setattr(reps_mod, "build_res", counting)
     monkeypatch.setattr(roots_mod, "build_res", counting)
     classes = all_prep_classes(65, 16)
-    assert calls == [(65, 16)]
+    assert calls == [(65, 16), (65, 16)]
     assert len(classes) == 128  # the minimal norm 3p - 4q - 3
 
 

@@ -12,7 +12,6 @@ from whitenorm.respq import (
     check_symmetries,
     nontrivial_root_bound,
     resolve_y_convention,
-    trivial_root_orders,
 )
 
 
@@ -65,11 +64,11 @@ def test_cached_filling_does_not_admit_float_twin():
 
 
 def test_trivial_root_orders():
-    assert trivial_root_orders(build_res(-1, 1)) == (0, 2)
-    assert trivial_root_orders(build_res(1, 2)) == (2, 0)
-    assert trivial_root_orders(build_res(2, 1)) == (0, 0)
+    assert build_res(-1, 1).trivial_orders == (0, 2)
+    assert build_res(1, 2).trivial_orders == (2, 0)
+    assert build_res(2, 1).trivial_orders == (0, 0)
     with pytest.raises(ValidationError):
-        trivial_root_orders(build_res(4, 1))
+        build_res(4, 1).trivial_orders
 
 
 def test_symmetries():
@@ -124,7 +123,7 @@ def test_structure_properties(pq):
         assert r.is_degenerate
         return
     assert poly.span == 2 * max(abs(p - 2 * q), 2 * q)
-    o1, om1 = trivial_root_orders(r)
+    o1, om1 = r.trivial_orders
     assert nontrivial_root_bound(p, q) == poly.span - o1 - om1 == _bound_table(p, q)
     check_symmetries(r)
 
@@ -163,7 +162,11 @@ def test_dickson_cosine_identity():
         dq = _dickson(q, x)
         for k in range(17):
             theta = 0.17 + 6.0 * k / 17
-            assert dq(2 * math.cos(theta)) == pytest.approx(2 * math.cos(q * theta), abs=2e-12)
+            # D_q at w by Horner's rule on its dense coefficients
+            w, (dense, lo), value = 2 * math.cos(theta), dq.dense(), 0.0
+            for c in reversed(dense):
+                value = value * w + c
+            assert value * w**lo == pytest.approx(2 * math.cos(q * theta), abs=2e-12)
 
 
 def test_symmetry_checker_catches_tampering():

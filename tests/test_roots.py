@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from whitenorm import respq
 from whitenorm.cohomology import d2_poly
 from whitenorm.cxhp import hp, hp_abs, hp_float
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
-from whitenorm.laurent import LaurentPoly
+from whitenorm.laurent import LaurentPoly, _squarefree
 from whitenorm.respq import build_res
 from whitenorm.roots import (
     RootSet,
     _refine_hp,
-    _squarefree,
     _sweep,
     classify,
     find_roots,
@@ -132,26 +132,37 @@ def test_imaginary_flag_needs_one_exponent_parity():
     assert [r.value for r in rs] == [-3, -1j, 1j]
 
 
-def _split_pm1(f: LaurentPoly) -> list[int]:
-    """The dense integer coefficients of f with its roots +-1 divided out,
-    as find_roots splits them."""
-    f = f.shift(-f.mindeg)
-    for x in (1, -1):
-        f = f.split_root(x)[1]
-    return f.dense()[0]
-
-
 def test_census_squarefree_after_pm1_split():
-    # every filling of the coprime |p| <= 33, q <= 10 grid, odd and even p,
-    # and the d2 obstruction polynomial: no repeated root off +-1
+    # every filling of the coprime |p| <= 33, q <= 10 grid, odd and even p:
+    # ResPoly's quotient is certified, and its degree is the span less the
+    # orders at +-1; and the d2 obstruction polynomial has no repeated root
     grid = [
         (p, q) for p in range(-33, 34) for q in range(1, 11)
         if math.gcd(abs(p), q) == 1 and p not in (0, 4 * q)
     ]
     assert len(grid) == 417
-    refused = [pq for pq in grid if not _squarefree(_split_pm1(build_res(*pq).poly))]
-    assert refused == []
-    assert _squarefree(_split_pm1(d2_poly()))
+    for pq in grid:
+        r = build_res(*pq)
+        assert len(r.quotient) - 1 == r.span - sum(r.trivial_orders), pq
+    assert len(find_roots(d2_poly())) == 40
+
+
+def test_mirror_fillings_share_one_split(monkeypatch):
+    # 3/5 and its mirror 17/5 = (4q - p)/q have one polynomial: one split at
+    # +1, one at -1 and one squarefree test serve both
+    import whitenorm.laurent as laurent
+
+    calls = []
+    split_root, squarefree = LaurentPoly.split_root, laurent._squarefree
+    monkeypatch.setattr(LaurentPoly, "split_root", lambda f, x: calls.append(x) or split_root(f, x))
+    monkeypatch.setattr(laurent, "_squarefree", lambda c: calls.append("squarefree") or squarefree(c))
+    respq._split.cache_clear()
+    respq._refusal.cache_clear()
+    for p in (3, 17):
+        r = build_res(p, 5)
+        assert r.trivial_orders == (0, 2)
+        assert len(r.quotient) - 1 == 18
+    assert calls == [1, -1, "squarefree"]
 
 
 def _rational_gcd_degree(coeffs: list[int]) -> int:

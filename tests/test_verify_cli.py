@@ -291,11 +291,11 @@ def test_root_solve_failure_is_cached(monkeypatch):
 
     calls = []
 
-    def failing(f):
-        calls.append(f)
+    def failing(orders, quotient):
+        calls.append(quotient)
         raise ConvergenceFailure("planted failure")
 
-    monkeypatch.setattr(roots_mod, "find_roots", failing)
+    monkeypatch.setattr(roots_mod, "_solve_split", failing)
     resultant_roots.cache_clear()
     try:
         report = run_verify(5, 1, SUITES)
@@ -304,6 +304,35 @@ def test_root_solve_failure_is_cached(monkeypatch):
     assert len(calls) == 1
     status = {r.suite: r.status for r in report.results}
     assert status["roots"] == status["preps"] == status["cohomology"] == "fail"
+
+
+def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
+    # every suite reads res's +-1 split and squarefree test off its ResPoly:
+    # one split_root per sign and one squarefree test per filling; the exact
+    # suites of a sweep run no squarefree test at all
+    import whitenorm.laurent as laurent
+    from whitenorm import cohomology, respq
+    from whitenorm.laurent import LaurentPoly
+
+    cohomology._d2_roots()  # d2's own split, once per process
+    calls = []
+    split_root, squarefree = LaurentPoly.split_root, laurent._squarefree
+    monkeypatch.setattr(LaurentPoly, "split_root", lambda f, x: calls.append(x) or split_root(f, x))
+    monkeypatch.setattr(laurent, "_squarefree", lambda c: calls.append("squarefree") or squarefree(c))
+    for p, q in [(5, 1), (-5, 3), (65, 3), (65, 16)]:
+        respq._split.cache_clear()
+        respq._refusal.cache_clear()
+        resultant_roots.cache_clear()
+        calls.clear()
+        assert run_verify(p, q, SUITES).ok
+        assert calls == [1, -1, "squarefree"], (p, q)
+    respq._split.cache_clear()
+    respq._refusal.cache_clear()
+    calls.clear()
+    assert main(["sweep", "--p-min", "-9", "--p-max", "9", "--q-max", "20",
+                 "--suite", "resultant,symmetries,seifert,linear", "--out", str(tmp_path / "s.csv")]) == 0
+    assert "squarefree" not in calls
+    assert 0 < len(calls) <= 2 * 164
 
 
 # stdout SHA-256 pinned here: of commands the benchmark does not run, and
