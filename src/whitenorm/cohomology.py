@@ -174,9 +174,10 @@ def _d2_roots() -> tuple[complex, ...]:
 
 def d2_check(p: int, q: int) -> float:
     """Minimal distance between the roots of d2 and the non-trivial roots of
-    the characterization polynomial; they must stay separated (d2 is not
-    monic, so its roots are never algebraic integers, while the resultant
-    is monic)."""
+    the characterization polynomial; they must stay separated.  d2 is
+    primitive and irreducible over Q (sympy 1.14's factor_list: content 1,
+    one factor) with leading coefficient 22, so none of its roots is an
+    algebraic integer, while every root of the monic resultant is one."""
     d2_roots = _d2_roots()
     res_roots = nontrivial_roots(resultant_roots(p, q)).values
     if not res_roots:

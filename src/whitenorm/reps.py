@@ -263,8 +263,9 @@ def _mat_to_complex(m: Mat2) -> Mat2:
 def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
     """The longitude eigenvalue t over a resultant root s: the one quadric
     branch, by the stable quadratic formula in fixed point, with s^p t^q = 1.
-    (Newton would crawl where the two branches collide, which happens at
-    every root when p is even and q = 1.)"""
+    (Newton would crawl where the two branches collide.  A collision forces
+    s^(2(p - 2q)) = 1, so |s| = 1, where no non-trivial root lies; only 2/1,
+    where p = 2q, collides, and at every root.)"""
     a, b, _ = peripheral_quadric_at(s)
     disc = (b * b - 4 * a).sqrt()
     if (b.to_complex().conjugate() * disc.to_complex()).real > 0:
@@ -351,8 +352,8 @@ def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[HPComplex, 
     """The sign-independent half of an irreducible class's reconstruction:
     s, a non-trivial root of res_{p,q} (coefficients res_dense), refined in
     fixed point, and the longitude eigenvalue t there."""
-    # the double-rounded s costs half the digits of t wherever the quadric
-    # branches collide; re-converge it on the exact resultant first
+    # the double-rounded s costs half the digits of t where the quadric
+    # branches collide (2/1 alone); re-converge it on the exact resultant first
     s_hp = _refine_on_int_poly(res_dense, HPComplex.from_complex(s))
     return s_hp, _solve_t_hp(s_hp, p, q)
 

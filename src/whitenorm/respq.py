@@ -6,8 +6,8 @@ with y = (-s^2 + 4 - s^-2)/2.  Since 2 T_q(y) = D_q(2y) for the Dickson
 polynomial D_q (D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}), the closed form
 is built as s^(p-2q) + (-1)^(q+1) D_q(-s^2 + 4 - s^-2) + s^(-p+2q), over the
 integers.  No convention is chosen at run time: build_res checks the closed
-form against the Sylvester elimination determinant for every filling, and
-the convention's name is the module constant Y_CONVENTION.
+form against the Sylvester determinant, one elimination per q, for every
+filling, and the convention's name is the module constant Y_CONVENTION.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ Y_CONVENTION = "y = (-s^2 + 4 - s^-2)/2"
 _W = LaurentPoly({2: -1, 0: 4, -2: -1})
 
 
+@lru_cache(maxsize=256)  # every p of a q shares D_q(w), as it shares _bands
 def _dickson(q: int, w: LaurentPoly) -> LaurentPoly:
     """D_q(w): D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}; 2 T_q(w/2)."""
     # start at (D_-1, D_0) = (w, 2), so that q steps give D_q
@@ -50,11 +51,24 @@ def _closed_form(p: int, q: int) -> LaurentPoly:
 _QUADRIC = (LaurentPoly({4: 1}), LaurentPoly({4: -1, 2: 4, 0: -1}), LaurentPoly({0: 1}))
 
 
+@lru_cache(maxsize=256)
+def _bands(q: int) -> tuple[LaurentPoly, ...]:
+    """(A, B, C) in Z[s] with Res_t(quadric, s^p t^q - 1) = A + s^p B + s^2p C
+    for every p: each filling row holds s^p once, and each Leibniz term takes
+    an exponent 0 to 4 from each of the q quadric rows, so A, B and C lie in
+    [0, 4q].  q's one determinant, at P = 4q + 1, splits into [kP, kP + 4q]."""
+    big = 4 * q + 1
+    filling = [LaurentPoly({big: 1})] + [LaurentPoly()] * (q - 1) + [LaurentPoly({0: -1})]
+    det = sylvester_resultant_t(list(_QUADRIC), filling)
+    bands = [{e % big: c for e, c in det.coeffs.items() if e // big == k} for k in range(3)]
+    return tuple(map(LaurentPoly, bands))
+
+
 def _oracle(p: int, q: int) -> LaurentPoly:
     """The Sylvester determinant eliminating t between the quadric and the
     filling condition s^p t^q - 1, for q > 0 (build_res validates first)."""
-    filling = [LaurentPoly({p: 1})] + [LaurentPoly()] * (q - 1) + [LaurentPoly({0: -1})]
-    return sylvester_resultant_t(list(_QUADRIC), filling)
+    a, b, c = _bands(q)
+    return a + b.shift(p) + c.shift(2 * p)
 
 
 def resolve_y_convention() -> str:

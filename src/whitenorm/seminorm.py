@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     RankUnexpected,
@@ -83,6 +84,8 @@ def _table(p: int, q: int, rng: SlopeRange) -> tuple[Slope, tuple[int, int, int]
     return Slope.of(4 * q, p - 2 * q), (p - 2 * q - 1, 2, 2 * q - 2), 3 * p - 4 * q - 3
 
 
+# typed, as respq.build_res: a sweep row's three readers share one profile
+@lru_cache(maxsize=256, typed=True)
 def seminorm_profile(p: int, q: int) -> SeminormProfile:
     """Boundary slopes, coefficients, minimal norm and Seifert norms for the
     p/q filling.  The Seifert norms have the closed form

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from whitenorm import respq
 from whitenorm.errors import ResultantIdentityMismatch, ValidationError
-from whitenorm.laurent import LaurentPoly
+from whitenorm.laurent import LaurentPoly, sylvester_resultant_t
 from whitenorm.respq import (
+    _QUADRIC,
     _dickson,
+    _oracle,
     build_res,
     check_symmetries,
     nontrivial_root_bound,
@@ -126,6 +128,16 @@ def test_structure_properties(pq):
     o1, om1 = r.trivial_orders
     assert nontrivial_root_bound(p, q) == poly.span - o1 - om1 == _bound_table(p, q)
     check_symmetries(r)
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_oracle_is_the_direct_determinant(q):
+    # _oracle reads every p off q's one elimination (_bands); it must equal
+    # the determinant eliminated at that p exactly, not up to units, also at
+    # even, non-coprime and negative p and at p = 0, 2q and 4q
+    for p in range(-4 * q - 9, 8 * q + 10):
+        filling = [LaurentPoly({p: 1})] + [LaurentPoly()] * (q - 1) + [LaurentPoly({0: -1})]
+        assert _oracle(p, q) == sylvester_resultant_t(list(_QUADRIC), filling), (p, q)
 
 
 def test_wrong_convention_fails_identity():

@@ -22,6 +22,8 @@ from whitenorm.roots import resultant_roots
 from whitenorm.verify import SUITES, run_verify
 
 DIGESTS = Path(__file__).resolve().parents[1] / "benchmark" / "digests.json"
+# the benchmark's exact-sweep workload: 164 rows, q <= 20
+EXACT_SWEEP = "sweep --p-min -9 --p-max 9 --q-max 20 --suite resultant,symmetries,seifert,linear"
 
 
 def test_run_verify_all_pass():
@@ -48,12 +50,13 @@ def test_seminorm_suites_derive_one_profile_each(monkeypatch):
         calls.append((p, q))
         return require(p, q)
 
-    # each suite builds one profile and passes it down to the character
-    # counts and the linear system
+    # each suite reads one profile and passes it down to the character
+    # counts and the linear system; the two suites share the cached one
     monkeypatch.setattr(seminorm_mod, "_require_scope", counting)
+    seminorm_mod.seminorm_profile.cache_clear()
     report = run_verify(5, 1, ("seifert", "linear"))
     assert report.summary == {"pass": 2, "fail": 0, "skipped": 0}
-    assert calls == [(5, 1), (5, 1)]
+    assert calls == [(5, 1)]
 
 
 def test_run_verify_p_even_partial():
@@ -329,8 +332,7 @@ def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
     respq._split.cache_clear()
     respq._refusal.cache_clear()
     calls.clear()
-    assert main(["sweep", "--p-min", "-9", "--p-max", "9", "--q-max", "20",
-                 "--suite", "resultant,symmetries,seifert,linear", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main([*EXACT_SWEEP.split(), "--out", str(tmp_path / "s.csv")]) == 0
     assert "squarefree" not in calls
     assert 0 < len(calls) <= 2 * 164
 
@@ -391,12 +393,39 @@ def test_cli_output_matches_benchmark_digest(command):
 
 
 def test_exact_sweep_csv_matches_benchmark_digest(tmp_path, capsys):
-    command = "sweep --p-min -9 --p-max 9 --q-max 20 --suite resultant,symmetries,seifert,linear"
     out = tmp_path / "sweep.csv"
-    assert main([*command.split(), "--out", str(out)]) == 0
+    assert main([*EXACT_SWEEP.split(), "--out", str(out)]) == 0
     capsys.readouterr()
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[EXACT_SWEEP]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_exact_sweep_eliminates_once_per_q(monkeypatch, tmp_path, capsys):
+    # build_res checks every filling, mirrors included, against the Sylvester
+    # determinant, and p enters it only as s^p: one elimination per q serves
+    # them all, 20 where one per filling made 310
+    import whitenorm.laurent as laurent
+    from whitenorm import respq
+
+    calls = []
+    det_exact = laurent.det_exact
+    monkeypatch.setattr(laurent, "det_exact", lambda m: calls.append(len(m)) or det_exact(m))
+    respq.build_res.cache_clear()
+    respq._bands.cache_clear()
+    assert main([*EXACT_SWEEP.split(), "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [q + 2 for q in range(1, 21)]
+
+
+def test_exact_sweep_derives_each_profile_once(tmp_path, capsys):
+    # the sweep row, the seifert suite and the linear suite share one profile
+    from whitenorm.seminorm import seminorm_profile
+
+    seminorm_profile.cache_clear()
+    assert main([*EXACT_SWEEP.split(), "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    info = seminorm_profile.cache_info()
+    assert (info.misses, info.hits) == (163, 2 * 163)
 
 
 def test_certified_zero_coordinates_print_exactly(capsys):
