@@ -2,20 +2,19 @@
 implementation of it.
 
 A value is (re, im) scaled by 2^bits.  BITS = 768 fraction bits (~230
-decimal digits) cover the worst amplification met in this package:
-verifying the filling relation multiplies entries of size |s|^p ~ 1e48,
-whose products cancel down to ~1e-14, and certifying root symmetry classes
-needs to beat condition numbers beyond 1e13.  768 bits is also the top
-rung of the root refinement's precision ladder (roots._RUNGS), whose lower
-rungs run the same kernel at 128, 256 and 512 bits.
+decimal digits) is the top rung of the root refinement's precision ladder
+(roots._RUNGS), whose lower rungs run the same kernel at 128, 256 and 512
+bits.  Reconstruction sizes its precision per class instead (reps._bits):
+the filling relation cancels entries of size max(|s|, 1/|s|)^|p| down to
+I, which at 129/32 takes more than 768 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
 takes the fraction bits as its last argument (default BITS), and serves
 the hot loops: root refinement (but for its Aberth repulsion sum, a double
 sum, see roots._sweep) and Newton steps on integer polynomials.
-`HPComplex` wraps the same kernel at BITS in operators for the matrix
-code.
+`HPComplex` wraps the same kernel in operators for the matrix code; each
+value carries its fraction bits, and an operation on two precisions raises.
 
 Only ring operations, division and square root are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -35,8 +34,16 @@ HP = tuple[int, int]
 # raw (re, im) kernel
 
 
+def _fixed(x: float, bits: int) -> int:
+    # exact at any bits, where round(ldexp(x, bits)) overflows past about
+    # 1020; inf and nan raise OverflowError and ValueError as round does
+    m, e = math.frexp(x)
+    shift = e - 53 + bits
+    return int(math.ldexp(m, 53)) << shift if shift >= 0 else round(math.ldexp(x, bits))
+
+
 def hp(z: complex, bits: int = BITS) -> HP:
-    return round(math.ldexp(z.real, bits)), round(math.ldexp(z.imag, bits))
+    return _fixed(z.real, bits), _fixed(z.imag, bits)
 
 
 def hp_int(n: int, bits: int = BITS) -> HP:
@@ -90,64 +97,66 @@ def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
 
 
 class HPComplex:
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "bits")
 
-    def __init__(self, re: int, im: int):
+    def __init__(self, re: int, im: int, bits: int):
         self.re = re
         self.im = im
+        self.bits = bits
 
     # -- conversions ---------------------------------------------------------
 
     @classmethod
-    def from_complex(cls, z) -> "HPComplex":
-        return cls(*hp(complex(z)))
+    def from_complex(cls, z, bits: int) -> "HPComplex":
+        return cls(*hp(complex(z), bits), bits)
 
     @classmethod
-    def from_int(cls, n: int) -> "HPComplex":
-        return cls(*hp_int(n))
+    def from_int(cls, n: int, bits: int) -> "HPComplex":
+        return cls(*hp_int(n, bits), bits)
 
     def to_complex(self) -> complex:
-        return hp_float((self.re, self.im))
+        return hp_float((self.re, self.im), self.bits)
 
     # -- arithmetic -----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "HPComplex":
+    def _coerce(self, other) -> "HPComplex":
         if isinstance(other, HPComplex):
+            if other.bits != self.bits:
+                raise ValueError(f"fixed-point operands at {self.bits} and {other.bits} bits")
             return other
         if isinstance(other, int):
-            return HPComplex.from_int(other)
-        return HPComplex.from_complex(other)
+            return HPComplex.from_int(other, self.bits)
+        return HPComplex.from_complex(other, self.bits)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return HPComplex(self.re + o.re, self.im + o.im)
+        return HPComplex(self.re + o.re, self.im + o.im, self.bits)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return HPComplex(self.re - o.re, self.im - o.im)
+        return HPComplex(self.re - o.re, self.im - o.im, self.bits)
 
     def __neg__(self):
-        return HPComplex(-self.re, -self.im)
+        return HPComplex(-self.re, -self.im, self.bits)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return HPComplex(*hp_mul((self.re, self.im), (o.re, o.im)))
+        return HPComplex(*hp_mul((self.re, self.im), (o.re, o.im), self.bits), self.bits)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return HPComplex(*hp_div((self.re, self.im), (o.re, o.im)))
+        return HPComplex(*hp_div((self.re, self.im), (o.re, o.im), self.bits), self.bits)
 
     def __eq__(self, other):
         o = self._coerce(other)
         return self.re == o.re and self.im == o.im
 
     def __abs__(self) -> float:
-        return hp_abs((self.re, self.im))
+        return hp_abs((self.re, self.im), self.bits)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -156,14 +165,14 @@ class HPComplex:
 
     def sqrt(self) -> "HPComplex":
         if self.is_zero():
-            return HPComplex(0, 0)
+            return self
         seed = cmath.sqrt(self.to_complex())
         if seed == 0:
             seed = 1e-150  # extreme underflow: let Newton recover
-        x = HPComplex.from_complex(seed)
+        x = HPComplex.from_complex(seed, self.bits)
         for _ in range(9):
             x = (x + self / x) / 2
         return x
 
     def __repr__(self):
-        return f"HPComplex({self.to_complex()!r})"
+        return f"HPComplex({self.to_complex()!r}, bits={self.bits})"

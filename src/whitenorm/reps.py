@@ -8,20 +8,21 @@ spellings which are evaluated redundantly to catch transcription slips.
 
 A class's kind is that of its source: a non-trivial root of res gives an
 irreducible class, a |p|-th root of unity a reducible one.  Each class is
-lifted once: s is refined in fixed point (on res, or on x^|p| - 1 if
-reducible) and, if irreducible, t is chosen there as the quadric branch
-with s^p t^q = 1.  One representation per meridian trace sign u = +-1 is
-then built from the lift and verified.
+lifted once, in fixed point at its own precision (_bits): s is refined (on
+res, or on x^|p| - 1 if reducible) and, if irreducible, t is chosen there
+as the quadric branch with s^p t^q = 1.  One representation per meridian
+trace sign u = +-1 is then built from the lift and verified.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 from .config import TOL
-from .cxhp import HPComplex, hp_div, hp_horner
+from .cxhp import HPComplex, hp_horner
 from .errors import (
     AmbiguousT,
     CountMismatch,
@@ -272,7 +273,7 @@ def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
         disc = -disc
     u = (disc - b) / 2
     t1 = u / a
-    t2 = HPComplex.from_int(1) / u if not u.is_zero() else t1
+    t2 = HPComplex.from_int(1, u.bits) / u if not u.is_zero() else t1
     sd = s.to_complex()
     sp = _power(sd, p)
     candidates = [t for t in (t1, t2) if abs(sp * _power(t.to_complex(), q) - 1) <= TOL.t_match]
@@ -291,22 +292,20 @@ def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
 _REFINE_GUARD = 1e-6
 
 
-def _refine_on_int_poly(coeffs: list[int], z: HPComplex) -> HPComplex:
-    """Newton-refine z on an exact integer polynomial; refuse to move farther
-    than _REFINE_GUARD from the start (the input must already be a root)."""
-    der = [i * c for i, c in enumerate(coeffs)][1:]
+def _refine_on_int_poly(value, z: HPComplex) -> HPComplex:
+    """Newton-refine z, at its own precision, on an exact integer polynomial
+    f, where value(z) = (f(z), f'(z)); refuse to move farther than
+    _REFINE_GUARD from the start (the input must already be a root)."""
     start = z.to_complex()
-    v = (z.re, z.im)
     for _ in range(10):
-        dv = hp_horner(der, v)
-        if dv == (0, 0):
+        f, df = value(z)
+        if df.is_zero():
             break
-        step = hp_div(hp_horner(coeffs, v), dv)
-        # a zero step leaves v a fixed point: every later step is zero too
-        if step == (0, 0):
+        step = f / df
+        # a zero step leaves z a fixed point: every later step is zero too
+        if step.is_zero():
             break
-        v = (v[0] - step[0], v[1] - step[1])
-    z = HPComplex(*v)
+        z = z - step
     if abs(z.to_complex() - start) > _REFINE_GUARD * (1 + abs(start)):
         raise ValidationError(
             f"{start} is not a root of the expected polynomial (moved by more than {_REFINE_GUARD})"
@@ -316,9 +315,9 @@ def _refine_on_int_poly(coeffs: list[int], z: HPComplex) -> HPComplex:
 
 def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
             m0: Mat2, m1: Mat2) -> PRep:
-    """Residual checks, all carried out in fixed-point high precision: the
-    filling product multiplies entries of size |s|^p, so double precision
-    could not certify 1e-8 there."""
+    """Residual checks, all carried out in fixed point at the class's
+    precision (_bits): the filling product cancels entries of size
+    max(|s|, 1/|s|)^|p|, so double precision could not certify 1e-8 there."""
     rel = (WORD_REL_LHS.evaluate(m0, m1) - WORD_REL_RHS.evaluate(m0, m1)).norm()
     l0 = WORD_L0.evaluate(m0, m1)
     l0_long = WORD_L0_LONG.evaluate(m0, m1)
@@ -348,28 +347,57 @@ def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
     return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
 
 
+# m0^p and l0^q = m0^-p have entries up to A = max(|s|, 1/|s|)^|p|, and
+# their product cancels terms of size A^2 down to I, so a truncation of
+# 2^-bits grows to about A^2 2^-bits in the filling residual.  128 guard
+# bits leave the computed residuals within about 2^-128 of the true ones:
+# room for the factors the bound omits (|c|, |p|, the word lengths) and
+# still some 100 bits below TOL.residual, so a passing residual certifies.
+_GUARD = 128
+
+
+def _bits(s: complex, p: int) -> int:
+    """Fraction bits for the class at s: 2|p| |log2 |s|| + _GUARD, rounded
+    up to a multiple of 64."""
+    return 64 * math.ceil((2 * abs(p) * abs(math.log2(abs(s))) + _GUARD) / 64)
+
+
 def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[HPComplex, HPComplex]:
     """The sign-independent half of an irreducible class's reconstruction:
     s, a non-trivial root of res_{p,q} (coefficients res_dense), refined in
-    fixed point, and the longitude eigenvalue t there."""
+    fixed point at the class's bits (_bits), and the longitude eigenvalue t."""
+    bits = _bits(s, p)
+    der = [i * c for i, c in enumerate(res_dense)][1:]
+
+    def value(z: HPComplex) -> tuple[HPComplex, HPComplex]:
+        return tuple(HPComplex(*hp_horner(f, (z.re, z.im), bits), bits) for f in (res_dense, der))
+
     # the double-rounded s costs half the digits of t where the quadric
     # branches collide (2/1 alone); re-converge it on the exact resultant first
-    s_hp = _refine_on_int_poly(res_dense, HPComplex.from_complex(s))
+    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, bits))
     return s_hp, _solve_t_hp(s_hp, p, q)
 
 
-def _lift_unity(k: int, p: int) -> HPComplex:
+def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
     """s = e^(2 pi i k/|p|), the eigenvalue of a reducible class, sharpened
-    on x^|p| - 1 so that the filling check is exact-grade."""
-    unity = [-1] + [0] * (abs(p) - 1) + [1]
-    return _refine_on_int_poly(unity, HPComplex.from_complex(cmath.exp(2j * cmath.pi * k / abs(p))))
+    on x^|p| - 1 at the class's precision so that the filling check is
+    exact-grade, and its longitude eigenvalue t = 1."""
+    n = abs(p)
+    s = cmath.exp(2j * cmath.pi * k / n)
+
+    def value(z: HPComplex) -> tuple[HPComplex, HPComplex]:
+        w = _power(z, n - 1)  # by repeated squaring
+        return z * w - 1, w * n
+
+    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, _bits(1, p)))  # |s| = 1 exactly
+    return s_hp, HPComplex.from_int(1, s_hp.bits)
 
 
 def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -> PRep:
     """The normal-form representation with meridian trace 2*sign_u over a
     lifted class, verified in fixed point and, if irreducible, on the
     variety equations."""
-    zero, one, u = HPComplex.from_int(0), HPComplex.from_int(1), HPComplex.from_int(sign_u)
+    zero, one, u = (HPComplex.from_int(n, s.bits) for n in (0, 1, sign_u))
     c = zero
     if kind == "irreducible":
         _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, -1))
@@ -543,5 +571,5 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
         )
     res_dense, _ = res.poly.dense()
     lifts = [("irreducible", *_lift(z, p, q, res_dense)) for z in chosen]
-    lifts += [("reducible", _lift_unity(k, p), HPComplex.from_int(1)) for k in ks]
+    lifts += [("reducible", *_lift_unity(k, p)) for k in ks]
     return [_build(p, q, sign, *lift) for lift in lifts for sign in (1, -1)]

@@ -1,6 +1,9 @@
-from hypothesis import given, settings, strategies as st
+import math
 
-from whitenorm.cxhp import hp_horner, hp_mul
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from whitenorm.cxhp import HPComplex, hp, hp_horner, hp_mul
 
 
 def _horner_by_hp_mul(int_coeffs, z, bits):
@@ -25,3 +28,36 @@ def _point(draw):
 def test_hp_horner_matches_hp_mul_reference(coeffs, point):
     z, bits = point
     assert hp_horner(coeffs, z, bits) == _horner_by_hp_mul(coeffs, z, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=-(2.0**250), max_value=2.0**250, allow_subnormal=True),
+    bits=st.sampled_from([128, 256, 512, 768]),
+)
+@example(x=5e-324, bits=128)
+@example(x=-2.2250738585072014e-308, bits=768)
+@example(x=1e-300, bits=256)
+@example(x=-(2.0**250), bits=768)
+def test_hp_is_exact_and_unchanged_up_to_768_bits(x, bits):
+    # the root ladder's conversions stay what ldexp and round made them
+    assert hp(complex(x, -x), bits) == (round(math.ldexp(x, bits)), round(math.ldexp(-x, bits)))
+
+
+def test_hp_converts_past_the_range_of_a_double():
+    assert hp(8.0, 2048) == (8 << 2048, 0)
+    assert hp(complex(-(2.0**1000), 2.0**-1074), 1100) == (-(1 << 2100), 1 << 26)
+    # inf and nan have no fixed point, and fail as round fails on them
+    for bits in (128, 2048):
+        with pytest.raises(OverflowError):
+            hp(complex(math.inf, 0), bits)
+        with pytest.raises(ValueError):
+            hp(complex(0, math.nan), bits)
+
+
+def test_hpcomplex_refuses_to_mix_precisions():
+    a, b = HPComplex.from_complex(0.5 + 2j, 128), HPComplex.from_complex(0.5 + 2j, 256)
+    assert (a * 2 - 1).to_complex() == (b * 2 - 1).to_complex() == 2j * 2
+    for op in (a.__add__, a.__sub__, a.__mul__, a.__truediv__, a.__eq__):
+        with pytest.raises(ValueError, match="128 and 256 bits"):
+            op(b)

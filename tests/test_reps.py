@@ -186,8 +186,8 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
     # det rho(mu0) = 1 + eps: a gap of 1e-9 is below TOL.residual but above
     # TOL.det_one, the one threshold of the det residual
     pr = reducible_5_1[0]
-    kind, s, t = pr.kind, HPComplex.from_complex(pr.eigen.s), HPComplex.from_complex(pr.eigen.t)
-    zero, one = HPComplex.from_int(0), HPComplex.from_int(1)
+    kind, s, t = pr.kind, HPComplex.from_complex(pr.eigen.s, 128), HPComplex.from_complex(pr.eigen.t, 128)
+    zero, one = HPComplex.from_int(0, 128), HPComplex.from_int(1, 128)
     m1 = Mat2(one, zero, one, one)
     for eps, fails in ((1e-9, True), (1e-11, False)):
         m0 = Mat2(s, zero, zero, one / s * (1 + eps))
@@ -293,15 +293,81 @@ def test_all_prep_classes_lifts_each_class_once(monkeypatch):
     calls = []
     refine = reps_mod._refine_on_int_poly
 
-    def counting(coeffs, z):
+    def counting(value, z):
         calls.append(z.to_complex())
-        return refine(coeffs, z)
+        return refine(value, z)
 
     monkeypatch.setattr(reps_mod, "_refine_on_int_poly", counting)
     classes = all_prep_classes(5, 1)
     # 2 irreducible + 2 reducible classes, each lifted once for both signs
     assert len(classes) == 8
     assert len(calls) == 4
+
+
+def _class_bits(monkeypatch, p, q):
+    """all_prep_classes(p, q) and the (s, fraction bits) of every build."""
+    import whitenorm.reps as reps_mod
+
+    seen = []
+    verify = reps_mod._verify
+
+    def spy(p, q, kind, sign_u, s, *rest):
+        seen.append((s.to_complex(), s.bits))
+        return verify(p, q, kind, sign_u, s, *rest)
+
+    monkeypatch.setattr(reps_mod, "_verify", spy)
+    return all_prep_classes(p, q), seen
+
+
+@pytest.mark.parametrize("pq", [(5, 1), (-5, 3), (65, 3), (65, 16), (129, 32)])
+def test_each_class_runs_at_its_filling_bound(monkeypatch, pq):
+    import whitenorm.reps as reps_mod
+
+    p, q = pq
+    classes, seen = _class_bits(monkeypatch, p, q)
+    assert len(seen) == len(classes) == count_prep_classes(p, q).total
+    for s, bits in seen:
+        assert bits % 64 == 0
+        assert bits >= 2 * abs(p) * abs(math.log2(abs(s))) + reps_mod._GUARD
+
+
+def test_all_prep_classes_129_32():
+    # 2 * 129 * |log2 0.138| = 737 of the flat 768 bits went to the filling
+    # check's amplification there, and its residual was 1.8e-6
+    assert len(all_prep_classes(129, 32)) == 256
+
+
+def test_precision_below_the_bound_fails_verification(monkeypatch):
+    import whitenorm.reps as reps_mod
+
+    # the class of 65/16 with |s| = 5.39 amplifies by 2^316: at 256 bits
+    # (guard -64) the filling residual is far over tolerance, not passed
+    s = max(nontrivial_roots(resultant_roots(65, 16)).values, key=abs)
+    assert reconstruct_prep(s, 1, 65, 16).residuals["filling"] <= 1e-30
+    monkeypatch.setattr(reps_mod, "_GUARD", -64)
+    with pytest.raises(VerificationFailure, match="'filling'"):
+        reconstruct_prep(s, 1, 65, 16)
+
+
+def test_reducible_lifts_square_instead_of_horner(monkeypatch):
+    import whitenorm.reps as reps_mod
+
+    calls = []
+    horner = reps_mod.hp_horner
+
+    def spy(coeffs, z, bits):
+        calls.append(len(coeffs))
+        return horner(coeffs, z, bits)
+
+    monkeypatch.setattr(reps_mod, "hp_horner", spy)
+    for k in range(1, 33):
+        s, t = reps_mod._lift_unity(k, 65)
+        assert (s.bits, t.bits) == (128, 128)
+        assert abs(s.to_complex() - cmath.exp(2j * cmath.pi * k / 65)) < 1e-15
+    assert calls == []
+    # the irreducible lifts still evaluate res by Horner
+    assert len(all_prep_classes(5, 1)) == 8
+    assert calls
 
 
 def test_all_prep_classes_builds_res_once(monkeypatch):

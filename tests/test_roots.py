@@ -251,12 +251,14 @@ def test_coefficient_beyond_double_range_fails_the_start():
 
 
 def test_fixed_point_overflow_fails_the_refinement():
-    # the root 2^900 has a double, but 2^900 * 2^128 has none: the start's
-    # conversion to fixed point overflows and the refinement fails at once
+    # cxhp.hp converts every finite double exactly, so the root 2^900, whose
+    # 2^900 * 2^128 has no double, certifies at 128 bits; an infinite start
+    # has no fixed point, and the refinement fails at once
+    assert [r.value for r in find_roots(LaurentPoly({1: 1, 0: -(2**900)}))] == [2.0**900]
     with pytest.raises(ConvergenceFailure, match="fixed-point conversion") as info:
-        find_roots(LaurentPoly({1: 1, 0: -(2**900)}))
+        _refine_hp([-1, 1], [complex(math.inf, 0)])
     assert info.value.stage == "refine"
-    assert (info.value.degree, info.value.coeff_bits, info.value.sweeps) == (1, 901, 0)
+    assert (info.value.degree, info.value.sweeps) == (1, 0)
 
 
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]

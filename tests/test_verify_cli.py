@@ -338,16 +338,16 @@ def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
 
 
 # stdout SHA-256 pinned here: of commands the benchmark does not run, and
-# of one whose benchmark digest is stale
+# of those whose benchmark digest is stale
 PREPS_DIGESTS = {
-    "preps 5 1": "c41cef04c2859181c1a34a6036509eb43e3068d7d4ec1615d4b17a2b5402aea9",
-    "preps -5 3": "9c7b2c70a3fabe727fa6cd19691b000eec2f557309a67ea9e110b2d75dd1619b",
-    "preps 2 1": "4c437182a1fdcac8779c229fc8ccb059165463b9000494b442ad0d6b9ed27ef3",
-    "preps 8 1": "09ec5237aabeafd7e80df61c34e6878c76223bb46b1592c752a1e7f05ebe453d",
-    "preps 7 2": "09379f19ee6595fa24755b6d35dc038a79acbd8f91108173ffbdeeac1278dc1b",
+    "preps 5 1": "942628f493ed8b959e67b8f939e1b77f9b59ec7b2981aa4fcb9184157d45ff84",
+    "preps -5 3": "c3d5887aeb3a9cb440b3468a366d0f82a0eac9070ea30cf0a6e4be2e1381347e",
+    "preps 2 1": "80e8d26a0be8aa1b8ba40aba5fddd0d4feffb2168c976334621e86f049765a7c",
+    "preps 8 1": "b629815b7439bac5f97d0746d9c512139dbe37f6ac344b4ddfa7382618f1e58b",
+    "preps 7 2": "18e40fe7d73a1805ec86a6044a27a51d7705bcff6dc7999f7e58fe82b8b270ba",
     # every byte of the 64 reducible entries at |p| = 65
-    "preps 65 3": "52cecc28eea3ec856fd04a80bbc9f3f4511feac9e31d1a83dd68db9e4d87e531",
-    "preps 65 16": "19832a7ba70aebf5820d95aa496e2c0c8d7727ab792b0ca895e80e29a53ec138",
+    "preps 65 3": "73a1d7f71a8e0cfcefe4848b5a5c0f9eeda8c6502a2514a7d828097653a894ba",
+    "preps 65 16": "c1401ee6559a9e7377c9d6aca13a506db9695ecfa1f3e935afe5977680c50e77",
     # certified zero coordinates print as 0.0 (imaginary roots at 8/1,
     # real ones at 7/2)
     "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
@@ -360,27 +360,29 @@ PREPS_DIGESTS = {
     "respq 5 1": "ebed83cde0c469dd046f05308fbbd9a49c155f74f7cead296a38d70f696b979e",
     "respq 5 1 --format text": "33b25f07b42f995d33743458530a3a9f8c29b0164021cc56bd0aa4fa5537aa80",
     "respq 4 1": "38c6cdb9552199501362cfdfc388db895e3226ef8d94fac3ce99eb1a684973ca",
-    "verify 2 1 --suite all": "1c27dad16340c1681901551302761eafbb0e224276870804a066271e80c5b239",
-    "verify 3 1 --suite all": "3636e9ea43aca6cbf6241f41d0068f80f37881cff403b1370ae43e4778c13ada",
+    "verify 2 1 --suite all": "038aef468be3241d4e1e255967616dc7269b6b0f493ca47c33b46b284aed2dab",
+    "verify 3 1 --suite all": "2cd3c9d964dddbd8382285b130f2f5d0756bcd486b610746a1b739e81b9a8ca1",
     "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
     # even-p fillings: their class count is checked against the closed form
     # and their roots are certified simple like those of odd p
-    "verify 8 1 --suite all": "8c096e90b60ddc0990acdb0ca7d54c5254b03ec20e31546a7f9bc7222822d2bf",
-    "verify 12 5 --suite all": "a308bab94f40aed85717621e148807331ff40d0bece0904c4adc3d91cf1944fd",
-    "verify 6 1 --suite all": "ee4efe552c2c9bd8b901fcf01136f724163cfd380964cd519acd5c7b0be321d9",
+    "verify 8 1 --suite all": "d2267428acf078af5e0679df61d9551ca7c5aeb6a0f520a739fd9d68745c2c8b",
+    "verify 12 5 --suite all": "8c39e1fc7dbcecace8de1ab1b1c55fc6a67e90f59c6c9e105f2d3fa88d707886",
+    "verify 6 1 --suite all": "55ec3377aa7a238ba172333cae6ecafd65a2ff1fdf70baeab85a4cdbbcc7128b",
     # norm JSON on each open range of p/q: (0, 2), (2, 4), (4, inf), (-inf, 0)
     "norm 1 1 --slope 3": "9761390ec80aac4c21678e84033e37c91cb210fb1ce8d7ec9980f7526bb21b82",
     "norm 7 2 --slope inf": "24b1eb19d28ec21eec279e7daa13c77320f8ceac2c0535ce2e9ce8a1b660bc51",
     "norm 65 16 --slope 1/1": "1eccca2264d6e9e49e3fce0f1edea43260f4eb39b8b0abdfc92d2496a4193338",
     "norm -5 3 --slope=-2/5": "a9ea2b4ddb68e9ad76be9b3720d9ef765577ae892d50bc045887572619b1a73e",
+    # benchmark/digests.json's verify-grid entries predate the residuals of
+    # per-class precision and are stale until they are re-recorded
+    "verify 5 1 --suite all": "5c49937e75a5ed67b5ccbec29ae69def4267fc5395b4d4e87d8576caa6839d15",
+    "verify -5 3 --suite all": "e980320444268bde95beb087cb8643e7832b2a8ec26e216f14ce70a52f1479c0",
+    "verify 65 3 --suite all": "2b075739bb8cb0fb703f5c5fb59a5aef353b587839449c6b32905efee70531ca",
+    "verify 65 16 --suite all": "5d6b287ca3d74be36c60a0f41a56907533a7c7582f11560a9806805efdc8ad27",
 }
-# every other roots-grid and verify-grid command, checked against the
-# benchmark's own digests
-GRID_COMMANDS = [
-    "roots 5 1", "roots -5 3", "roots 65 3", "roots 65 16", "roots 129 16",
-    "verify 5 1 --suite all", "verify -5 3 --suite all",
-    "verify 65 3 --suite all", "verify 65 16 --suite all",
-]
+# every other roots-grid command, checked against the benchmark's own
+# digests
+GRID_COMMANDS = ["roots 5 1", "roots -5 3", "roots 65 3", "roots 65 16", "roots 129 16"]
 
 
 @pytest.mark.parametrize("command", [*GRID_COMMANDS, *PREPS_DIGESTS])
