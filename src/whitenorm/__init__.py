@@ -13,7 +13,7 @@ from .reps import (
     reconstruct_prep,
 )
 from .respq import ResPoly, build_res
-from .roots import RootSet, classify, find_roots, nontrivial_roots, resultant_roots
+from .roots import RootSet, classify, nontrivial_roots, resultant_roots
 from .seminorm import (
     SeminormProfile,
     SlopeRange,
@@ -33,7 +33,6 @@ __all__ = [
     "ResPoly",
     "build_res",
     "RootSet",
-    "find_roots",
     "resultant_roots",
     "nontrivial_roots",
     "classify",

@@ -1,16 +1,14 @@
 """Small transcribable matrices controlling smoothness and simple-zero
 claims: coboundary spans, the reducible presentation matrix, the 6x6
 trace-pairing extension with its determinant closed form, and the two
-obstruction polynomials d1, d2 with their root-avoidance checks.
+obstruction polynomials d1, d2 with their exact checks: d1's roots by a
+sign rule, d2's avoidance of res by a modular gcd.
 
 Cochains are identified with C^6 via the entries of their values on the
 two meridian generators.
 """
 
 from __future__ import annotations
-
-import math
-from functools import lru_cache
 
 from .config import TOL
 from .errors import (
@@ -20,8 +18,8 @@ from .errors import (
     RankMismatch,
     ValidationError,
 )
-from .laurent import LaurentPoly
-from .roots import find_roots, nontrivial_roots, resultant_roots
+from .laurent import LaurentPoly, coprime
+from .respq import build_res
 
 
 def rank(m: np.ndarray) -> int:
@@ -167,24 +165,17 @@ def d2_poly() -> LaurentPoly:
     return LaurentPoly({2 * i: c for i, c in enumerate(_D2_COEFFS_EVEN)})
 
 
-@lru_cache(maxsize=1)
-def _d2_roots() -> tuple[complex, ...]:
-    return tuple(r.value for r in find_roots(d2_poly()))
-
-
-def d2_check(p: int, q: int) -> float:
-    """Minimal distance between the roots of d2 and the non-trivial roots of
-    the characterization polynomial; they must stay separated.  d2 is
-    primitive and irreducible over Q (sympy 1.14's factor_list: content 1,
-    one factor) with leading coefficient 22, so none of its roots is an
-    algebraic integer, while every root of the monic resultant is one."""
-    d2_roots = _d2_roots()
-    res_roots = nontrivial_roots(resultant_roots(p, q)).values
-    if not res_roots:
-        return math.inf
-    dist = min(abs(a - b) for a in d2_roots for b in res_roots)
-    if dist <= TOL.root_avoid:
+def d2_check(p: int, q: int) -> None:
+    """Prove that d2 and the characterization polynomial res share no root:
+    gcd(res, d2) = 1 modulo 2^61 - 1 (laurent.coprime), which divides
+    neither the leading 22 of d2 nor the leading 1 of the monic res.  No
+    root is solved.  It always holds: d2 is primitive and irreducible over Q
+    (sympy 1.14's factor_list: content 1, one factor) with leading
+    coefficient 22, so none of its roots is an algebraic integer, while
+    every root of the monic res is one.  A refusal raises
+    CommonRootSuspected; being modular, it alone proves no common root."""
+    if not coprime(build_res(p, q).poly.dense()[0], d2_poly().dense()[0]):
         raise CommonRootSuspected(
-            f"d2 and the ({p},{q}) characterization polynomial have roots within {dist:.2e}"
+            f"d2 and the ({p},{q}) characterization polynomial are not certified coprime: "
+            "gcd != 1 modulo 2^61 - 1"
         )
-    return dist

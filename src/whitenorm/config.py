@@ -24,7 +24,6 @@ class Tolerances:
     # linear algebra
     rank_rel: float = 1e-8         # singular values below rank_rel*smax -> 0
     det_rel: float = 1e-8          # relative determinant agreement
-    root_avoid: float = 1e-3       # min distance between disjoint root sets
 
 
 TOL = Tolerances()

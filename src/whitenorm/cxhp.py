@@ -9,12 +9,14 @@ the filling relation cancels entries of size max(|s|, 1/|s|)^|p| down to
 I, which at 129/32 takes more than 768 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
-`hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`) works on (re, im) int tuples,
-takes the fraction bits as its last argument (default BITS), and serves
-the hot loops: root refinement (but for its Aberth repulsion sum, a double
-sum, see roots._sweep) and Newton steps on integer polynomials.
-`HPComplex` wraps the same kernel in operators for the matrix code; each
-value carries its fraction bits, and an operation on two precisions raises.
+`hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`, and `hp_matmul`,
+`hp_matpow` on 2x2 matrices) works on (re, im) int tuples, takes the
+fraction bits as its last argument (default BITS), and serves the hot
+loops: root refinement (but for its Aberth repulsion sum, a double sum, see
+roots._sweep), Newton steps on integer polynomials and the group words of
+reconstruction (reps._verify).  `HPComplex` wraps the same kernel in
+operators for the scalar formulas of reconstruction; each value carries its
+fraction bits, and an operation on two precisions raises.
 
 Only ring operations, division and square root are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -28,6 +30,8 @@ import math
 BITS = 768
 
 HP = tuple[int, int]
+# a 2x2 matrix (a, b; c, d) as (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
+HPMat = tuple[int, int, int, int, int, int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,41 @@ def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
     return re, im
 
 
+def hp_matmul(x: HPMat, y: HPMat, bits: int = BITS) -> HPMat:
+    """The product x y.  Each entry sums two products, each truncated as
+    hp_mul truncates it, so the bits are those of the textbook formula
+    written with HPComplex operators."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return (
+        ((ar * er - ai * ei) >> bits) + ((br * gr - bi * gi) >> bits),
+        ((ar * ei + ai * er) >> bits) + ((br * gi + bi * gr) >> bits),
+        ((ar * fr - ai * fi) >> bits) + ((br * hr - bi * hi) >> bits),
+        ((ar * fi + ai * fr) >> bits) + ((br * hi + bi * hr) >> bits),
+        ((cr * er - ci * ei) >> bits) + ((dr * gr - di * gi) >> bits),
+        ((cr * ei + ci * er) >> bits) + ((dr * gi + di * gr) >> bits),
+        ((cr * fr - ci * fi) >> bits) + ((dr * hr - di * hi) >> bits),
+        ((cr * fi + ci * fr) >> bits) + ((dr * hi + di * hr) >> bits),
+    )
+
+
+def hp_matpow(x: HPMat, n: int, bits: int = BITS) -> HPMat:
+    """x^n for x of determinant 1, in the products reps.Mat2.power makes:
+    n < 0 starts from the inverse (d, -b; -c, a), the first factor is taken
+    as it is, and squaring stops after the top bit."""
+    if n < 0:
+        ar, ai, br, bi, cr, ci, dr, di = x
+        x, n = (dr, di, -br, -bi, -cr, -ci, ar, ai), -n
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else hp_matmul(out, x, bits)
+        n >>= 1
+        if n:
+            x = hp_matmul(x, x, bits)
+    return (1 << bits, 0, 0, 0, 0, 0, 1 << bits, 0) if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # operator wrapper
 
@@ -138,10 +177,17 @@ class HPComplex:
         o = self._coerce(other)
         return HPComplex(self.re - o.re, self.im - o.im, self.bits)
 
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return HPComplex(o.re - self.re, o.im - self.im, self.bits)
+
     def __neg__(self):
         return HPComplex(-self.re, -self.im, self.bits)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            # hp_mul by (n << bits, 0) multiplies each part by n exactly
+            return HPComplex(self.re * other, self.im * other, self.bits)
         o = self._coerce(other)
         return HPComplex(*hp_mul((self.re, self.im), (o.re, o.im), self.bits), self.bits)
 

@@ -28,15 +28,15 @@ class SymmetryViolation(WhitenormError):
 
 
 class ConvergenceFailure(WhitenormError):
-    """Root iteration did not converge.  find_roots makes one start and
+    """Root iteration did not converge.  The root solve makes one start and
     raises the failure of the first stage that fails.  The message names
     the check that failed; the attributes say where, at what size and how
     close, each None where the raiser does not know it:
 
     stage       "aberth" (the double-precision start) or "refine" (the
                 fixed-point sweeps and their inclusion discs)
-    degree      degree of the polynomial being solved: in find_roots, the
-                one left after the roots +-1 are split off
+    degree      degree of the polynomial being solved: the one left after
+                the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient
     bits        fraction bits of the last fixed-point rung
     sweeps      fixed-point sweeps made
@@ -96,4 +96,4 @@ class ClosedFormMismatch(WhitenormError):
 
 
 class CommonRootSuspected(WhitenormError):
-    """Two root sets that must be disjoint come closer than the threshold."""
+    """Two polynomials that must share no root are not certified coprime."""

@@ -216,6 +216,25 @@ class LaurentPoly:
 _PRIME = (1 << 61) - 1
 
 
+def _gcd_is_one(a: list[int], b: list[int]) -> bool:
+    """Whether gcd(a, b) = 1 modulo _PRIME, for residue lists with the
+    leading coefficient first and a[0] != 0; both lists are consumed.
+    Each pass divides the longer by the shorter, leaving the shorter and
+    the remainder with its leading zeros dropped."""
+    while True:
+        while b and b[0] == 0:
+            b.pop(0)
+        if not b:
+            return len(a) == 1
+        if len(a) < len(b):
+            a, b = b, a
+        inv = pow(b[0], -1, _PRIME)
+        for k in range(len(a) - len(b) + 1):
+            m = a[k] * inv % _PRIME
+            a[k : k + len(b)] = [(x - m * y) % _PRIME for x, y in zip(a[k : k + len(b)], b)]
+        a, b = b, a[len(a) - len(b) + 1 :]
+
+
 def _squarefree(int_coeffs: tuple[int, ...]) -> bool:
     """Whether gcd(f, f') = 1 modulo the prime 2^61 - 1 for the integer
     polynomial f = sum_i int_coeffs[i] s^i, and the prime does not divide
@@ -223,22 +242,20 @@ def _squarefree(int_coeffs: tuple[int, ...]) -> bool:
     g^2 of f over Z keeps its degree modulo the prime and would divide both
     f and f' there.  False proves nothing over Q: the prime may divide the
     discriminant of a squarefree f."""
-    # leading coefficient first; each pass divides a by b, leaving b and the
-    # remainder with its leading zeros dropped
     a = [c % _PRIME for c in reversed(int_coeffs)]
-    b = [i * c % _PRIME for i, c in enumerate(int_coeffs)][:0:-1]
     if a[0] == 0:
         return False
-    while True:
-        while b and b[0] == 0:
-            b.pop(0)
-        if not b:
-            return len(a) == 1
-        inv = pow(b[0], -1, _PRIME)
-        for k in range(len(a) - len(b) + 1):
-            m = a[k] * inv % _PRIME
-            a[k : k + len(b)] = [(x - m * y) % _PRIME for x, y in zip(a[k : k + len(b)], b)]
-        a, b = b, a[len(a) - len(b) + 1 :]
+    return _gcd_is_one(a, [i * c % _PRIME for i, c in enumerate(int_coeffs)][:0:-1])
+
+
+def coprime(f: list[int], g: list[int]) -> bool:
+    """Whether gcd(f, g) = 1 modulo the prime 2^61 - 1 for the non-zero
+    integer polynomials with ascending coefficients f and g, and the prime
+    divides neither leading coefficient.  Then f and g have no common root:
+    a common factor over Z keeps its degree modulo the prime.  False proves
+    nothing over Q."""
+    a, b = ([c % _PRIME for c in reversed(h)] for h in (f, g))
+    return a[0] != 0 and b[0] != 0 and _gcd_is_one(a, b)
 
 
 def squarefree_refusal(int_coeffs: tuple[int, ...]) -> ValidationError | None:

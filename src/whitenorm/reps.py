@@ -19,10 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .config import TOL
-from .cxhp import HPComplex, hp_horner
+from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_horner, hp_matmul, hp_matpow, hp_mul
 from .errors import (
     AmbiguousT,
     CountMismatch,
@@ -115,10 +115,12 @@ class GroupWord:
                 merged.append((gen, exp))
         return cls(tuple(merged))
 
-    def evaluate(self, m0: Mat2, m1: Mat2) -> Mat2:
+    def evaluate(self, m0, m1, mul=Mat2.__matmul__, power=Mat2.power):
+        """The word at m0, m1: each letter's power, multiplied from the left.
+        Mat2 by default; _verify passes cxhp's fixed-point product and power."""
         gens = (m0, m1)
-        factors = [gens[gen].power(exp) for gen, exp in self.letters]
-        return reduce(Mat2.__matmul__, factors) if factors else Mat2.identity()
+        factors = [power(gens[gen], exp) for gen, exp in self.letters]
+        return reduce(mul, factors) if factors else Mat2.identity()
 
 
 # relation: m0 m1 m0^-1 m1^-1 m0^-1 m1 m0 m1  =  m1 m0 m1 m0^-1 m1^-1 m0^-1 m1 m0
@@ -133,6 +135,9 @@ WORD_L0 = GroupWord.of((1, 1), (0, 1), (1, -1), (0, -1), (1, -1), (0, 1), (1, 1)
 
 # longitude of the surviving cusp
 WORD_L1 = GroupWord.of((0, 1), (1, 1), (0, -1), (1, -1), (0, -1), (1, 1), (0, 1), (1, -1))
+
+# the 7 letters WORD_REL_LHS and WORD_L1 begin with; each ends in one more m1^+-1
+_REL_L1_HEAD = GroupWord(WORD_REL_LHS.letters[:7])
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,8 @@ class EigenTuple:
 
 def eigenvariety_polys(e: EigenTuple) -> tuple[complex, complex, complex, complex, complex, complex]:
     """The three defining polynomials of the eigenvalue variety, plus their
-    three simplifications on the slice u^2 = 1."""
+    three simplifications on the slice u^2 = 1; complex or HPComplex
+    entries.  u enters only as u^2."""
     s2 = e.s * e.s
     s4 = s2 * s2
     s6 = s4 * s2
@@ -257,8 +263,8 @@ class PRep:
         return word.evaluate(self.m0, self.m1).trace()
 
 
-def _mat_to_complex(m: Mat2) -> Mat2:
-    return Mat2(m.a.to_complex(), m.b.to_complex(), m.c.to_complex(), m.d.to_complex())
+def _mat_to_complex(m: HPMat, bits: int) -> Mat2:
+    return Mat2(*(hp_float(m[i : i + 2], bits) for i in (0, 2, 4, 6)))
 
 
 def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
@@ -314,37 +320,45 @@ def _refine_on_int_poly(value, z: HPComplex) -> HPComplex:
 
 
 def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
-            m0: Mat2, m1: Mat2) -> PRep:
+            m0: HPMat, m1: HPMat) -> PRep:
     """Residual checks, all carried out in fixed point at the class's
-    precision (_bits): the filling product cancels entries of size
-    max(|s|, 1/|s|)^|p|, so double precision could not certify 1e-8 there."""
-    rel = (WORD_REL_LHS.evaluate(m0, m1) - WORD_REL_RHS.evaluate(m0, m1)).norm()
-    l0 = WORD_L0.evaluate(m0, m1)
-    l0_long = WORD_L0_LONG.evaluate(m0, m1)
-    l0_spellings = (l0 - l0_long).norm()
-    fill = (m0.power(p) @ l0.power(q) - Mat2.identity()).norm()
-    l1 = WORD_L1.evaluate(m0, m1)
-    trace_gap = abs(m1.trace() - 2 * sign_u)
-    det_gap = max(abs(m0.det() - 1), abs(m1.det() - 1))
+    precision (_bits, the bits of s): the filling product cancels entries of
+    size max(|s|, 1/|s|)^|p|, so double precision could not certify 1e-8
+    there.  The words run on cxhp's 2x2 kernel, whose bits are those of the
+    same products written with HPComplex operators."""
+    bits = s.bits
+    one = 1 << bits
+    mul, power = partial(hp_matmul, bits=bits), partial(hp_matpow, bits=bits)
+
+    def gap(x: HPMat, y: HPMat) -> float:
+        return max(hp_abs((x[i] - y[i], x[i + 1] - y[i + 1]), bits) for i in (0, 2, 4, 6))
+
+    def det_gap(m: HPMat) -> float:
+        ad, bc = hp_mul(m[0:2], m[6:8], bits), hp_mul(m[2:4], m[4:6], bits)
+        return hp_abs((ad[0] - bc[0] - one, ad[1] - bc[1]), bits)
+
+    head = _REL_L1_HEAD.evaluate(m0, m1, mul, power)
+    l0 = WORD_L0.evaluate(m0, m1, mul, power)
+    l1 = mul(head, power(m1, -1))
     residuals = {
-        "relator": rel,
-        "longitude_spellings": l0_spellings,
-        "filling": fill,
-        "trace_mu1": trace_gap,
-        "det": det_gap,
-        "t_entry": abs(l0.a - t),
+        "relator": gap(mul(head, m1), WORD_REL_RHS.evaluate(m0, m1, mul, power)),
+        "longitude_spellings": gap(l0, WORD_L0_LONG.evaluate(m0, m1, mul, power)),
+        "filling": gap(mul(power(m0, p), power(l0, q)), (one, 0, 0, 0, 0, 0, one, 0)),
+        "trace_mu1": hp_abs((m1[0] + m1[6] - (2 * sign_u << bits), m1[1] + m1[7]), bits),
+        "det": max(det_gap(m0), det_gap(m1)),
+        "t_entry": hp_abs((l0[0] - t.re, l0[1] - t.im), bits),
     }
     if kind == "irreducible":
-        residuals["trace_lambda1"] = abs(l1.trace() + 2)
-        residuals["v_entry"] = abs(l1.a + 1)
+        residuals["trace_lambda1"] = hp_abs((l1[0] + l1[6] + 2 * one, l1[1] + l1[7]), bits)
+        residuals["v_entry"] = hp_abs((l1[0] + one, l1[1]), bits)
     failing = {
         k: r for k, r in residuals.items()
         if r > {"trace_mu1": TOL.trace, "det": TOL.det_one}.get(k, TOL.residual)
     }
     if failing:
         raise VerificationFailure(f"({p},{q}) s={s.to_complex()}: residuals over tolerance: {failing}")
-    eigen = EigenTuple(s.to_complex(), t.to_complex(), complex(sign_u), l1.a.to_complex())
-    return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0), _mat_to_complex(m1), residuals)
+    eigen = EigenTuple(s.to_complex(), t.to_complex(), complex(sign_u), hp_float(l1[0:2], bits))
+    return PRep(p, q, kind, sign_u, eigen, _mat_to_complex(m0, bits), _mat_to_complex(m1, bits), residuals)
 
 
 # m0^p and l0^q = m0^-p have entries up to A = max(|s|, 1/|s|)^|p|, and
@@ -393,27 +407,36 @@ def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
     return s_hp, HPComplex.from_int(1, s_hp.bits)
 
 
-def _build(p: int, q: int, sign_u: int, kind: str, s: HPComplex, t: HPComplex) -> PRep:
-    """The normal-form representation with meridian trace 2*sign_u over a
-    lifted class, verified in fixed point and, if irreducible, on the
-    variety equations."""
-    zero, one, u = (HPComplex.from_int(n, s.bits) for n in (0, 1, sign_u))
-    c = zero
+def _build(p: int, q: int, kind: str, s: HPComplex, t: HPComplex,
+           signs: tuple[int, ...] = (1, -1)) -> list[PRep]:
+    """The normal-form representations with meridian trace 2*sign_u over a
+    lifted class, one per sign in signs, each verified in fixed point and,
+    if irreducible, on the variety equations.  Those run at the class's
+    precision too: their s^6 t^3 terms lose log2 |t| bits of a double,
+    13 at 255/64.  u enters them only as u^2 = 1, so they run once, at u = 1."""
+    bits = s.bits
+    one = HPComplex.from_int(1, bits)
+    s_inv = one / s
+    worst = 0.0
     if kind == "irreducible":
-        _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, -1))
-    prep = _verify(p, q, kind, sign_u, s, t, Mat2(s, c, zero, one / s), Mat2(u, zero, one, u))
-    if kind == "reducible":
-        return prep
-    # cross-checks on the variety equations (double precision is plenty here)
-    e = prep.eigen
-    h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(e.s, e.t, complex(sign_u), -1))
-    fval = slice_f(e.s, complex(sign_u), c.to_complex())
-    worst = max(abs(h1), abs(h2), abs(h3), abs(g1), abs(g2), abs(g3))
-    if worst > TOL.residual or abs(fval) > TOL.residual:
-        raise VerificationFailure(
-            f"({p},{q}) s={e.s}: variety residuals h/g={worst:.2e} f={abs(fval):.2e}"
-        )
-    return prep
+        worst = max(map(abs, eigenvariety_polys(EigenTuple(s, t, 1, -1))))
+    preps = []
+    for sign_u in signs:
+        u = HPComplex.from_int(sign_u, bits)
+        c = HPComplex.from_int(0, bits)
+        if kind == "irreducible":
+            _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, -1))
+        m0 = (s.re, s.im, c.re, c.im, 0, 0, s_inv.re, s_inv.im)
+        m1 = (u.re, 0, 0, 0, one.re, 0, u.re, 0)
+        prep = _verify(p, q, kind, sign_u, s, t, m0, m1)
+        if kind == "irreducible":
+            fval = abs(slice_f(prep.eigen.s, complex(sign_u), c.to_complex()))
+            if worst > TOL.residual or fval > TOL.residual:
+                raise VerificationFailure(
+                    f"({p},{q}) s={prep.eigen.s}: variety residuals h/g={worst:.2e} f={fval:.2e}"
+                )
+        preps.append(prep)
+    return preps
 
 
 def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
@@ -430,7 +453,8 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
         raise ValidationError(
             "s in {0, +1, -1} never yields a representation of the filled manifold"
         )
-    return _build(p, q, sign_u, "irreducible", *_lift(s, p, q, build_res(p, q).poly.dense()[0]))
+    lift = _lift(s, p, q, build_res(p, q).poly.dense()[0])
+    return _build(p, q, "irreducible", *lift, signs=(sign_u,))[0]
 
 
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
@@ -572,4 +596,4 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     res_dense, _ = res.poly.dense()
     lifts = [("irreducible", *_lift(z, p, q, res_dense)) for z in chosen]
     lifts += [("reducible", *_lift_unity(k, p)) for k in ks]
-    return [_build(p, q, sign, *lift) for lift in lifts for sign in (1, -1)]
+    return [prep for lift in lifts for prep in _build(p, q, *lift)]

@@ -1,13 +1,12 @@
 """Complex root extraction with certified inclusion discs and the
 classification of resultant roots (real / imaginary / unit circle).
 
-One pipeline, for polynomials with integer coefficients (find_roots).  The
-trivial roots +-1 are split off exactly first: while f(x) = 0 for x = 1, then
-x = -1, f is divided by (s - x), and x becomes a root of that order with
-radius 0.  The rest must be certified squarefree exactly
-(laurent.squarefree_refusal), so every other root is simple.  For res the
-split and the certificate are respq.ResPoly's, and resultant_rootset_of
-enters the pipeline after them (_solve_split).  On the rest, a deterministic
+One pipeline (_solve_split), for an integer polynomial whose trivial roots
++-1 are split off exactly first, each a root of its exact order with radius
+0, and whose rest is certified squarefree exactly, so every other root is
+simple.  For res the split and the certificate are respq.ResPoly's
+(LaurentPoly.split_root, laurent.squarefree_refusal), and
+resultant_rootset_of passes them in.  On the rest, a deterministic
 double-precision simultaneous iteration (Aberth-Ehrlich, Newton-polygon
 starting radii, golden-angle phases) gives a start.  Gauss-Seidel Aberth
 sweeps refine it on the exact coefficients in fixed point (plain python ints,
@@ -38,8 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cxhp import BITS, HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
-from .errors import ConvergenceFailure, ClassificationViolation, ValidationError, WhitenormError
-from .laurent import LaurentPoly, squarefree_refusal
+from .errors import ConvergenceFailure, ClassificationViolation, WhitenormError
 from .respq import ResPoly, build_res
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -392,8 +390,8 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
     holds for real roots only: with mixed parities a centre may land on
     re = 0 exactly, and the root is not flagged imaginary.  A root is on
     the unit circle when its disc meets |s| = 1.  f has no root at +-1
-    (find_roots split them off), so no root here is trivial.  Each root
-    carries its disc's radius.  Unsorted; find_roots sorts."""
+    (split off before the solve), so no root here is trivial.  Each root
+    carries its disc's radius.  Unsorted; _solve_split sorts."""
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     roots = []
@@ -411,32 +409,6 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
         )
         roots.append(Root(value, 1, flags, radius))
     return roots
-
-
-def find_roots(f: LaurentPoly) -> RootSet:
-    """Roots of the non-zero Laurent polynomial f with integer
-    coefficients, each with a certified inclusion disc.
-
-    Exponent units s^k are stripped first, so only non-zero roots exist and
-    their count, with multiplicity, equals the span.  The roots +-1 are
-    split off exactly (LaurentPoly.split_root): while f(x) = 0 for x = 1,
-    then x = -1, f is divided by (s - x), and x becomes a root of that
-    order.  The rest must be certified squarefree, or its ValidationError
-    is raised (laurent.squarefree_refusal); only then is it solved
-    (_solve_split)."""
-    if f.is_zero:
-        raise ValidationError("cannot take roots of the zero polynomial")
-    if f.span == 0:
-        return RootSet(roots=(), span=0)
-    f = f.shift(-f.mindeg)
-    if not all(isinstance(c, int) for c in f.coeffs.values()):
-        raise ValidationError("find_roots needs a polynomial with int coefficients")
-    o1, f = f.split_root(1)
-    om1, f = f.split_root(-1)
-    quotient = tuple(f.dense()[0])
-    if f.span and (refused := squarefree_refusal(quotient)):
-        raise refused
-    return _solve_split((o1, om1), quotient)
 
 
 def _solve_split(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet:
@@ -496,8 +468,8 @@ def resultant_roots(p: int, q: int) -> RootSet:
 def resultant_rootset_of(r: ResPoly) -> RootSet:
     """The roots of res from its exact facts: the orders of +-1, checked
     against the parity pattern of (p, q) (ResPoly.trivial_orders), and the
-    certified squarefree quotient (ResPoly.quotient), solved by the step
-    find_roots takes after its own split (_solve_split).
+    certified squarefree quotient (ResPoly.quotient), solved by the
+    pipeline's one entry (_solve_split).
 
     The solve is cached on those facts, failures included: res depends
     only on |p - 2q| and q, so p/q and (4q - p)/q share one solve, and each
@@ -516,7 +488,7 @@ resultant_roots.cache_clear = _solve.cache_clear
 
 
 def nontrivial_roots(rs: RootSet) -> RootSet:
-    """The roots other than the +-1 that find_roots split off exactly."""
+    """The roots other than the +-1 split off exactly before the solve."""
     return RootSet(roots=tuple(r for r in rs if not r.flags.trivial_pm1), span=rs.span)
 
 

@@ -218,11 +218,12 @@ def test_criterion_09_cohomology_checks():
                   (5, 2), (7, 2), (1, 4), (11, 3), (3, 4), (13, 4)]
     for p, q in d1_samples:
         cohomology.d1_classification(p, q)
-    # d2 avoidance on samples
-    gaps = [cohomology.d2_check(p, q) for p, q in [(5, 1), (-1, 1), (7, 2), (-5, 3)]]
-    assert min(gaps) > 1e-3
+    # d2 avoidance on samples: gcd(res, d2) = 1 modulo 2^61 - 1, or it raises
+    d2_samples = [(5, 1), (-1, 1), (7, 2), (-5, 3)]
+    for p, q in d2_samples:
+        cohomology.d2_check(p, q)
     _ok(9, f"ranks 3/5, det within {worst:.1e}, d1 classes on 20 samples, "
-           f"d2 gap >= {min(gaps):.2e}")
+           f"d2 coprime to res on {len(d2_samples)} samples")
 
 
 def test_criterion_10_scope_behavior(capsys):

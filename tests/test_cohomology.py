@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,24 +123,21 @@ def test_d2_checksum():
 
 
 def test_d2_root_avoidance():
-    assert d2_check(5, 1) > 1e-3
-    assert d2_check(-1, 1) > 1e-3
+    # the exact check passes, and the roots agree: d2's, by numpy, stay
+    # clear of res's certified ones
+    d2_roots = np.roots(d2_poly().dense()[0][::-1])
+    for p, q in [(5, 1), (-1, 1), (7, 2), (-5, 3)]:
+        assert d2_check(p, q) is None
+        res_roots = nontrivial_roots(resultant_roots(p, q)).values
+        assert min(abs(a - b) for a in d2_roots for b in res_roots) > 1e-3
 
 
 def test_d2_detects_planted_collision(monkeypatch):
     import whitenorm.cohomology as co
 
-    # plant the characterization roots directly onto d2 roots
-    d2_roots = [r.value for r in co.find_roots(d2_poly())]
-
-    class FakeRoot:
-        def __init__(self, v):
-            self.value = v
-
-    class FakeSet:
-        values = [d2_roots[0]]
-
-    monkeypatch.setattr(co, "nontrivial_roots", lambda rs: FakeSet)
-    monkeypatch.setattr(co, "resultant_roots", lambda p, q: None)
-    with pytest.raises(CommonRootSuspected):
+    # plant a characterization polynomial that shares a factor with d2,
+    # which is irreducible: (s^2 - 5) d2
+    planted = LaurentPoly({2: 1, 0: -5}) * d2_poly()
+    monkeypatch.setattr(co, "build_res", lambda p, q: SimpleNamespace(poly=planted))
+    with pytest.raises(CommonRootSuspected, match=r"\(5,1\) .* not certified coprime"):
         co.d2_check(5, 1)

@@ -4,15 +4,14 @@ A sample of coprime fillings with |p| <= 255 and q <= 64, of degree 128
 to 514, certifies: every root lies in its own inclusion disc, the discs are
 pairwise disjoint, the classification holds and the class count equals its
 closed form.  Two named fillings beyond the range fail at the stage that
-names them.  113/56, 127/16 and -129/8 reconstruct every class, and 255/64
-fails at the double-precision variety check.  The whole file takes about
-1 min on a shared 2-core VM, so it is marked slow and runs only with
-`pytest -m slow`.
+names them.  113/56, 127/16, -129/8 and 255/64 reconstruct every class.
+The whole file takes about 1 min on a shared 2-core VM, so it is marked
+slow and runs only with `pytest -m slow`.
 """
 
 import pytest
 
-from whitenorm.errors import ConvergenceFailure, VerificationFailure
+from whitenorm.errors import ConvergenceFailure
 from whitenorm.reps import all_prep_classes, count_prep_classes, expected_class_total
 from whitenorm.roots import classify, resultant_roots
 
@@ -52,13 +51,10 @@ def test_outside_envelope_fails_at_its_stage(pq, stage, message):
     assert info.value.stage == stage
 
 
-@pytest.mark.parametrize("pq", [(113, 56), (127, 16), (-129, 8)], ids=lambda pq: f"{pq[0]}_{pq[1]}")
+# 255/64's class at s = 0.095 builds at 1920 bits; its variety check, once
+# run in double precision, failed there at h/g = 6.5e-8
+@pytest.mark.parametrize(
+    "pq", [(113, 56), (127, 16), (-129, 8), (255, 64)], ids=lambda pq: f"{pq[0]}_{pq[1]}"
+)
 def test_envelope_filling_reconstructs(pq):
     assert len(all_prep_classes(*pq)) == count_prep_classes(*pq).total
-
-
-def test_255_64_fails_at_the_variety_check():
-    # the class at s = 0.095 builds at 1920 bits and passes its fixed-point
-    # residuals; the double-precision eigenvariety cross-check does not
-    with pytest.raises(VerificationFailure, match=r"s=\(0\.095\d*\+0j\): variety residuals h/g="):
-        all_prep_classes(255, 64)

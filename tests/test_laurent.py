@@ -349,3 +349,16 @@ def test_json_roundtrip():
     data = f.to_json_coeffs()
     assert data == {"-2": "3", "0": str(-(10**30)), "5": "7"}
     assert LaurentPoly({int(e): int(c) for e, c in data.items()}) == f
+
+
+def test_coprime_modulo_the_prime_in_either_order():
+    # laurent.coprime shares _squarefree's Euclid loop, which divides the
+    # longer residue list by the shorter whichever comes first
+    factor, other = LaurentPoly({1: 1, 0: -2}), LaurentPoly({4: 1, 1: 3, 0: 5})
+    f = (factor * LaurentPoly({2: 1, 0: 1})).dense()[0]
+    g = (factor * other).dense()[0]
+    h = other.dense()[0]
+    assert not laurent.coprime(f, g) and not laurent.coprime(g, f)
+    assert laurent.coprime(f, h) and laurent.coprime(h, f)
+    # a leading coefficient the prime divides proves nothing: refused
+    assert not laurent.coprime([1, 2**61 - 1], h)

@@ -187,10 +187,11 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
     # TOL.det_one, the one threshold of the det residual
     pr = reducible_5_1[0]
     kind, s, t = pr.kind, HPComplex.from_complex(pr.eigen.s, 128), HPComplex.from_complex(pr.eigen.t, 128)
-    zero, one = HPComplex.from_int(0, 128), HPComplex.from_int(1, 128)
-    m1 = Mat2(one, zero, one, one)
+    one = HPComplex.from_int(1, 128)
+    m1 = (one.re, 0, 0, 0, one.re, 0, one.re, 0)
     for eps, fails in ((1e-9, True), (1e-11, False)):
-        m0 = Mat2(s, zero, zero, one / s * (1 + eps))
+        d = one / s * (1 + eps)
+        m0 = (s.re, s.im, 0, 0, 0, 0, d.re, d.im)
         if fails:
             with pytest.raises(VerificationFailure, match=r"over tolerance: \{'det': [^,]+\}$"):
                 _verify(5, 1, kind, 1, s, t, m0, m1)

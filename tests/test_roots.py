@@ -8,22 +8,35 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from whitenorm import respq
-from whitenorm.cohomology import d2_poly
+from whitenorm.cohomology import d2_check, d2_poly
 from whitenorm.cxhp import hp, hp_abs, hp_float
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
-from whitenorm.laurent import LaurentPoly, _squarefree
+from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
 from whitenorm.roots import (
     RootSet,
     _refine_hp,
+    _solve_split,
     _sweep,
     classify,
-    find_roots,
     nontrivial_roots,
     resultant_roots,
 )
 
 SQ2 = math.sqrt(2)
+
+
+def find_roots(f: LaurentPoly) -> RootSet:
+    """The root pipeline on a non-zero integer polynomial f, with the exact
+    facts ResPoly gives it for res: the exponent unit stripped, +-1 split
+    off with their orders, the rest certified squarefree or refused."""
+    f = f.shift(-f.mindeg)
+    o1, f = f.split_root(1)
+    om1, f = f.split_root(-1)
+    quotient = tuple(f.dense()[0])
+    if refused := squarefree_refusal(quotient):
+        raise refused
+    return _solve_split((o1, om1), quotient)
 
 
 def test_quadratic_difference():
@@ -45,18 +58,6 @@ def test_multiple_root_on_axis_prints_exact_zero():
     # ever holds more than one root
     with pytest.raises(ValidationError, match="not certified squarefree"):
         find_roots(LaurentPoly({2: 1, 0: -4}) ** 2 * LaurentPoly({2: 1, 0: 9}))
-
-
-def test_zero_polynomial_rejected():
-    with pytest.raises(ValidationError):
-        find_roots(LaurentPoly())
-
-
-def test_non_integer_coefficients_rejected():
-    with pytest.raises(ValidationError):
-        find_roots(LaurentPoly({2: 1, 0: 0.5}))
-    with pytest.raises(ValidationError):
-        find_roots(LaurentPoly({2: 1 + 0j, 0: -1 + 0j}))
 
 
 def test_refine_failure_names_degree_and_step(monkeypatch):
@@ -132,19 +133,28 @@ def test_imaginary_flag_needs_one_exponent_parity():
     assert [r.value for r in rs] == [-3, -1j, 1j]
 
 
+# every filling of the coprime |p| <= 33, q <= 10 grid, odd and even p
+CENSUS = [
+    (p, q) for p in range(-33, 34) for q in range(1, 11)
+    if math.gcd(abs(p), q) == 1 and p not in (0, 4 * q)
+]
+
+
 def test_census_squarefree_after_pm1_split():
-    # every filling of the coprime |p| <= 33, q <= 10 grid, odd and even p:
     # ResPoly's quotient is certified, and its degree is the span less the
     # orders at +-1; and the d2 obstruction polynomial has no repeated root
-    grid = [
-        (p, q) for p in range(-33, 34) for q in range(1, 11)
-        if math.gcd(abs(p), q) == 1 and p not in (0, 4 * q)
-    ]
-    assert len(grid) == 417
-    for pq in grid:
+    assert len(CENSUS) == 417
+    for pq in CENSUS:
         r = build_res(*pq)
         assert len(r.quotient) - 1 == r.span - sum(r.trivial_orders), pq
     assert len(find_roots(d2_poly())) == 40
+
+
+def test_census_d2_coprime_to_res():
+    # gcd(res, d2) = 1 modulo 2^61 - 1 on every census filling
+    assert len(CENSUS) == 417
+    for pq in CENSUS:
+        d2_check(*pq)
 
 
 def test_mirror_fillings_share_one_split(monkeypatch):

@@ -314,10 +314,9 @@ def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
     # one split_root per sign and one squarefree test per filling; the exact
     # suites of a sweep run no squarefree test at all
     import whitenorm.laurent as laurent
-    from whitenorm import cohomology, respq
+    from whitenorm import respq
     from whitenorm.laurent import LaurentPoly
 
-    cohomology._d2_roots()  # d2's own split, once per process
     calls = []
     split_root, squarefree = LaurentPoly.split_root, laurent._squarefree
     monkeypatch.setattr(LaurentPoly, "split_root", lambda f, x: calls.append(x) or split_root(f, x))
@@ -360,25 +359,26 @@ PREPS_DIGESTS = {
     "respq 5 1": "ebed83cde0c469dd046f05308fbbd9a49c155f74f7cead296a38d70f696b979e",
     "respq 5 1 --format text": "33b25f07b42f995d33743458530a3a9f8c29b0164021cc56bd0aa4fa5537aa80",
     "respq 4 1": "38c6cdb9552199501362cfdfc388db895e3226ef8d94fac3ce99eb1a684973ca",
-    "verify 2 1 --suite all": "038aef468be3241d4e1e255967616dc7269b6b0f493ca47c33b46b284aed2dab",
-    "verify 3 1 --suite all": "2cd3c9d964dddbd8382285b130f2f5d0756bcd486b610746a1b739e81b9a8ca1",
+    "verify 2 1 --suite all": "12d04cb195fc6dabff2fc2fc98d9e269ce9dc00e01fcf21dfa471104649be57f",
+    "verify 3 1 --suite all": "fc3ca2aead3ec76a58063a4ca40cdea04c3ccf83100b069cea54a84695b334cd",
     "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
     # even-p fillings: their class count is checked against the closed form
     # and their roots are certified simple like those of odd p
-    "verify 8 1 --suite all": "d2267428acf078af5e0679df61d9551ca7c5aeb6a0f520a739fd9d68745c2c8b",
-    "verify 12 5 --suite all": "8c39e1fc7dbcecace8de1ab1b1c55fc6a67e90f59c6c9e105f2d3fa88d707886",
-    "verify 6 1 --suite all": "55ec3377aa7a238ba172333cae6ecafd65a2ff1fdf70baeab85a4cdbbcc7128b",
+    "verify 8 1 --suite all": "a5c519c4e09ab1fae3e28368fbf55b73b99ca3b910e37ccc97db31ce5bfa4519",
+    "verify 12 5 --suite all": "28a5d5c1fd26c172e1dbfc57382db5658e33ae212ac5417dae1d6feb57e6f197",
+    "verify 6 1 --suite all": "466a24db700813727359acf640441d6e33db6ea0945ef86e7294089365f28f11",
     # norm JSON on each open range of p/q: (0, 2), (2, 4), (4, inf), (-inf, 0)
     "norm 1 1 --slope 3": "9761390ec80aac4c21678e84033e37c91cb210fb1ce8d7ec9980f7526bb21b82",
     "norm 7 2 --slope inf": "24b1eb19d28ec21eec279e7daa13c77320f8ceac2c0535ce2e9ce8a1b660bc51",
     "norm 65 16 --slope 1/1": "1eccca2264d6e9e49e3fce0f1edea43260f4eb39b8b0abdfc92d2496a4193338",
     "norm -5 3 --slope=-2/5": "a9ea2b4ddb68e9ad76be9b3720d9ef765577ae892d50bc045887572619b1a73e",
     # benchmark/digests.json's verify-grid entries predate the residuals of
-    # per-class precision and are stale until they are re-recorded
-    "verify 5 1 --suite all": "5c49937e75a5ed67b5ccbec29ae69def4267fc5395b4d4e87d8576caa6839d15",
-    "verify -5 3 --suite all": "e980320444268bde95beb087cb8643e7832b2a8ec26e216f14ce70a52f1479c0",
-    "verify 65 3 --suite all": "2b075739bb8cb0fb703f5c5fb59a5aef353b587839449c6b32905efee70531ca",
-    "verify 65 16 --suite all": "5d6b287ca3d74be36c60a0f41a56907533a7c7582f11560a9806805efdc8ad27",
+    # per-class precision and the exact d2 check's text, and are stale until
+    # they are re-recorded
+    "verify 5 1 --suite all": "43898d820020a34c652f52e925ab09c25962a7936549b89779b50b31a3e3d04b",
+    "verify -5 3 --suite all": "3b8a8983bc9072bfc97865482d43a0d8392f9457a2993448ac9c8786108cfcf8",
+    "verify 65 3 --suite all": "1db6c28d00a8f1a5eceb56b34c8bb9ee5b0bceeb08fffdf8d24dac767285142e",
+    "verify 65 16 --suite all": "d2219c82a0c8ae2c0673d1c60610cdb87dd87ad158e74779de6c06c41296b80b",
 }
 # every other roots-grid command, checked against the benchmark's own
 # digests
@@ -506,3 +506,27 @@ def test_class_count_mismatch_fails_preps(monkeypatch, capsys):
         reps_mod.all_prep_classes(5, 1)
     assert main(["preps", "5", "1"]) == 2
     assert "CountMismatch" in capsys.readouterr().err
+
+
+_THREADS_CHILD = (
+    "import os, sys; from whitenorm.cli import main; code = main(['roots', '5', '1']); "
+    "print(code, len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_cli_runs_numpy_on_one_thread(user_value):
+    # the roots command imports numpy, whose OpenBLAS would start a worker
+    # per core; cli.main asks for one thread unless the user chose a count
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if user_value:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    child = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    code, tasks, value = child.stderr.split()
+    assert (code, value) == ("0", user_value or "1")
+    if user_value is None:
+        assert tasks == "1"
