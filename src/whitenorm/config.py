@@ -19,7 +19,6 @@ class Tolerances:
     residual: float = 1e-8         # relator / filling / variety residuals
     trace: float = 1e-9            # |tr rho(mu1) -+ 2|
     det_one: float = 1e-10         # |det - 1| for constructed matrices
-    t_match: float = 1e-7          # |s^p t^q - 1| selecting the t branch
     faithful_defect: float = 1e-3  # filling defect required at s = +-1
     # linear algebra
     rank_rel: float = 1e-8         # singular values below rank_rel*smax -> 0

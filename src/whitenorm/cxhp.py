@@ -12,19 +12,19 @@ Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`, and `hp_matmul`,
 `hp_matpow` on 2x2 matrices) works on (re, im) int tuples, takes the
 fraction bits as its last argument (default BITS), and serves the hot
-loops: root refinement (but for its Aberth repulsion sum, a double sum, see
-roots._sweep), Newton steps on integer polynomials and the group words of
-reconstruction (reps._verify).  `HPComplex` wraps the same kernel in
-operators for the scalar formulas of reconstruction; each value carries its
+loops: root refinement (`hp_horner`'s one user; its Aberth repulsion sum
+is a double sum, see roots._sweep) and the group words of reconstruction
+(reps._verify).  `HPComplex` wraps the same kernel in
+operators for the scalar formulas of reconstruction, the Newton lifts on
+res's closed form and on x^|p| - 1 among them; each value carries its
 fraction bits, and an operation on two precisions raises.
 
-Only ring operations, division and square root are provided; everything is
+Only ring operations and division are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 BITS = 768
@@ -206,19 +206,6 @@ class HPComplex:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    # -- functions ------------------------------------------------------------
-
-    def sqrt(self) -> "HPComplex":
-        if self.is_zero():
-            return self
-        seed = cmath.sqrt(self.to_complex())
-        if seed == 0:
-            seed = 1e-150  # extreme underflow: let Newton recover
-        x = HPComplex.from_complex(seed, self.bits)
-        for _ in range(9):
-            x = (x + self / x) / 2
-        return x
 
     def __repr__(self):
         return f"HPComplex({self.to_complex()!r}, bits={self.bits})"

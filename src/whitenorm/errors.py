@@ -58,14 +58,6 @@ class ClassificationViolation(WhitenormError):
     """A root-classification assertion failed; the message names it."""
 
 
-class AmbiguousT(WhitenormError):
-    """Both quadratic branches satisfy the filling eigenvalue condition."""
-
-
-class NoT(WhitenormError):
-    """Neither quadratic branch satisfies the filling eigenvalue condition."""
-
-
 class SingularPoint(WhitenormError):
     """Eigenvalue tuple where the inverse parametrization is undefined."""
 

@@ -9,9 +9,10 @@ spellings which are evaluated redundantly to catch transcription slips.
 A class's kind is that of its source: a non-trivial root of res gives an
 irreducible class, a |p|-th root of unity a reducible one.  Each class is
 lifted once, in fixed point at its own precision (_bits): s is refined (on
-res, or on x^|p| - 1 if reducible) and, if irreducible, t is chosen there
-as the quadric branch with s^p t^q = 1.  One representation per meridian
-trace sign u = +-1 is then built from the lift and verified.
+res's closed form, or on x^|p| - 1 if reducible) and, if irreducible, t is
+read off the same closed form at s, with no branch to choose.  One
+representation per meridian trace sign u = +-1 is then built from the lift
+and verified.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 from .config import TOL
-from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_horner, hp_matmul, hp_matpow, hp_mul
-from .errors import (
-    AmbiguousT,
-    CountMismatch,
-    NoT,
-    SingularPoint,
-    ValidationError,
-    VerificationFailure,
-)
+from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_matmul, hp_matpow, hp_mul
+from .errors import CountMismatch, SingularPoint, ValidationError, VerificationFailure
 from .respq import build_res
 from .roots import RootSet, nontrivial_roots, resultant_rootset_of
 from .slopes import validate_filling
@@ -205,18 +199,9 @@ def eigenvariety_polys(e: EigenTuple) -> tuple[complex, complex, complex, comple
     return h1, h2, h3, g1, g2, g3
 
 
-def peripheral_quadric_at(s: complex) -> tuple[complex, complex, complex]:
-    """Coefficients (a, b, c) of the t-quadric at a fixed s, complex or
-    HPComplex (c is the constant 1 either way)."""
-    s2 = s * s
-    s4 = s2 * s2
-    return s4, -s4 + 4 * s2 - 1, 1 + 0j
-
-
-def _power(base: complex, n: int) -> complex:
-    if n < 0:
-        return 1 / _power(base, -n)
-    out = 1 + 0j
+def _power(base: HPComplex, n: int) -> HPComplex:
+    """base^n for n >= 0, by repeated squaring."""
+    out = HPComplex.from_int(1, base.bits)
     while n:
         if n & 1:
             out *= base
@@ -267,40 +252,14 @@ def _mat_to_complex(m: HPMat, bits: int) -> Mat2:
     return Mat2(*(hp_float(m[i : i + 2], bits) for i in (0, 2, 4, 6)))
 
 
-def _solve_t_hp(s: HPComplex, p: int, q: int) -> HPComplex:
-    """The longitude eigenvalue t over a resultant root s: the one quadric
-    branch, by the stable quadratic formula in fixed point, with s^p t^q = 1.
-    (Newton would crawl where the two branches collide.  A collision forces
-    s^(2(p - 2q)) = 1, so |s| = 1, where no non-trivial root lies; only 2/1,
-    where p = 2q, collides, and at every root.)"""
-    a, b, _ = peripheral_quadric_at(s)
-    disc = (b * b - 4 * a).sqrt()
-    if (b.to_complex().conjugate() * disc.to_complex()).real > 0:
-        disc = -disc
-    u = (disc - b) / 2
-    t1 = u / a
-    t2 = HPComplex.from_int(1, u.bits) / u if not u.is_zero() else t1
-    sd = s.to_complex()
-    sp = _power(sd, p)
-    candidates = [t for t in (t1, t2) if abs(sp * _power(t.to_complex(), q) - 1) <= TOL.t_match]
-    if not candidates:
-        raise NoT(f"no quadric branch satisfies the filling relation at s={sd}")
-    # Collided branches differ by the square root of the fixed-point rounding,
-    # far below 1e-5.  Distinct branches that both pass have t1/t2 a q-th root
-    # of unity, so they sit ~2*pi/|q| apart relative to |t|, far above 1e-5.
-    if len(candidates) == 2 and abs(t1 - t2) > 1e-5 * (1 + abs(t1) + abs(t2)):
-        raise AmbiguousT(f"both quadric branches satisfy the filling relation at s={sd}")
-    return candidates[0]
-
-
 # A double-rounded root moves by ~1e-16 relative under Newton; a move of
 # 1e-6 relative, ten orders more, means the start was no root.
 _REFINE_GUARD = 1e-6
 
 
 def _refine_on_int_poly(value, z: HPComplex) -> HPComplex:
-    """Newton-refine z, at its own precision, on an exact integer polynomial
-    f, where value(z) = (f(z), f'(z)); refuse to move farther than
+    """Newton-refine z, at its own precision, on an exact integer (Laurent)
+    polynomial f, where value(z) = (f(z), f'(z)); refuse to move farther than
     _REFINE_GUARD from the start (the input must already be a root)."""
     start = z.to_complex()
     for _ in range(10):
@@ -376,20 +335,60 @@ def _bits(s: complex, p: int) -> int:
     return 64 * math.ceil((2 * abs(p) * abs(math.log2(abs(s))) + _GUARD) / 64)
 
 
-def _lift(s: complex, p: int, q: int, res_dense: list[int]) -> tuple[HPComplex, HPComplex]:
+def _closed_form(z: HPComplex, p: int, q: int) -> tuple[HPComplex, ...]:
+    """The pieces of res_{p,q}'s closed form z^m + z^-m + (-1)^(q+1) D_q(w)
+    at z, m = p - 2q and w = 4 - z^2 - z^-2 (respq._closed_form): z^m,
+    z^-m, w, D_q(w) and dD_q/dw.  The power is raised on whichever of z,
+    1/z lies outside the unit circle and the other one is its inverse, since
+    a power of a small number keeps only the absolute precision of its
+    base.  D and its derivative share one three-term loop, started as
+    respq._dickson starts."""
+    m = p - 2 * q
+    one = HPComplex.from_int(1, z.bits)
+    outside = abs(z) >= 1
+    big = _power(z if outside else one / z, abs(m))
+    small = one / big
+    zm, zm_inv = (big, small) if outside == (m >= 0) else (small, big)
+    z2 = z * z
+    w = 4 - z2 - one / z2
+    # (D_-1, D_0) = (w, 2) and (D'_-1, D'_0) = (1, 0); D'_(k+1) = D_k + w D'_k - D'_(k-1)
+    d_prev, d, dd_prev, dd = w, one * 2, one, one * 0
+    for _ in range(q):
+        d_prev, d, dd_prev, dd = d, w * d - d_prev, dd, d + w * dd - dd_prev
+    return zm, zm_inv, w, d, dd
+
+
+def _lift(s: complex, p: int, q: int) -> tuple[HPComplex, HPComplex]:
     """The sign-independent half of an irreducible class's reconstruction:
-    s, a non-trivial root of res_{p,q} (coefficients res_dense), refined in
-    fixed point at the class's bits (_bits), and the longitude eigenvalue t."""
-    bits = _bits(s, p)
-    der = [i * c for i, c in enumerate(res_dense)][1:]
+    s, a non-trivial root of res_{p,q}, refined in fixed point at the
+    class's bits (_bits) on res's closed form, and the longitude eigenvalue
+    t read off that form.
+
+    With tau = s^2 t and x = -w, the quadric is tau + 1/tau = x and the
+    filling relation tau^q = s^-m.  Since tau^q - tau^-q =
+    (tau - 1/tau) E_(q-1)(x) and E_(q-1)(x) = (-1)^(q+1) D_q'(w)/q,
+    tau - 1/tau is delta below.  D_q'(w) vanishes at a root only if
+    s^(2m) = 1: never at a non-trivial root, none of which lies on |s| = 1,
+    and at 2/1 (m = 0) D_1' = 1.  tau is taken from whichever of x +- delta
+    does not cancel.  It is on the quadric only at an exact root, so s is
+    converged on the closed form first: near p = 2q, res's dense
+    coefficients would cost s some 110 bits to cancellation (97/48)."""
+    m, sign = p - 2 * q, 1 if q % 2 else -1
 
     def value(z: HPComplex) -> tuple[HPComplex, HPComplex]:
-        return tuple(HPComplex(*hp_horner(f, (z.re, z.im), bits), bits) for f in (res_dense, der))
+        zm, zm_inv, w, d, dd = _closed_form(z, p, q)
+        # dw/dz = 2 (z^-2 - z^2)/z, and z^-2 = 4 - w - z^2
+        return zm + zm_inv + sign * d, (m * (zm - zm_inv) + 2 * sign * dd * (4 - w - 2 * z * z)) / z
 
-    # the double-rounded s costs half the digits of t where the quadric
-    # branches collide (2/1 alone); re-converge it on the exact resultant first
-    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, bits))
-    return s_hp, _solve_t_hp(s_hp, p, q)
+    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, _bits(s, p)))
+    zm, zm_inv, w, _, dd = _closed_form(s_hp, p, q)
+    delta = sign * q * (zm_inv - zm) / dd
+    x = -w
+    if abs(x + delta) >= abs(x - delta):
+        tau = (x + delta) / 2
+    else:
+        tau = HPComplex.from_int(2, s_hp.bits) / (x - delta)
+    return s_hp, tau / (s_hp * s_hp)
 
 
 def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
@@ -441,10 +440,16 @@ def _build(p: int, q: int, kind: str, s: HPComplex, t: HPComplex,
 
 def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
     """Build and verify the irreducible parabolic representation at s, a
-    non-trivial root of res_{p,q}: t comes from the quadric, v = -1, and c
-    from the inverse parametrization.  (all_prep_classes builds the
-    reducible classes, at the |p|-th roots of unity, itself.)
+    non-trivial root of res_{p,q}: s is refined on res's closed form, t is
+    read off it (_lift), v = -1, and c comes from the inverse
+    parametrization.  A filling validate_filling refuses, p/q in {0, 4}
+    (res has no roots) and an s that is no root raise ValidationError.
+    (all_prep_classes builds the reducible classes, at the |p|-th roots of
+    unity, itself.)
     """
+    validate_filling(p, q)
+    if p == 0 or p == 4 * q:
+        raise ValidationError("p/q in {0, 4}: res has no roots")
     if sign_u not in (1, -1):
         raise ValidationError("sign_u must be +-1")
     # Non-trivial resultant roots stay clear of +-1 (no disc meets |s| = 1),
@@ -453,8 +458,7 @@ def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
         raise ValidationError(
             "s in {0, +1, -1} never yields a representation of the filled manifold"
         )
-    lift = _lift(s, p, q, build_res(p, q).poly.dense()[0])
-    return _build(p, q, "irreducible", *lift, signs=(sign_u,))[0]
+    return _build(p, q, "irreducible", *_lift(s, p, q), signs=(sign_u,))[0]
 
 
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
@@ -593,7 +597,6 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
             f"({p},{q}): {2 * (len(chosen) + len(ks))} classes chosen up to s ~ 1/s, "
             f"{count.total} counted"
         )
-    res_dense, _ = res.poly.dense()
-    lifts = [("irreducible", *_lift(z, p, q, res_dense)) for z in chosen]
+    lifts = [("irreducible", *_lift(z, p, q)) for z in chosen]
     lifts += [("reducible", *_lift_unity(k, p)) for k in ks]
     return [prep for lift in lifts for prep in _build(p, q, *lift)]

@@ -157,10 +157,6 @@ def suite_cohomology(p: int, q: int) -> str:
             if rk != 3:
                 raise VerificationFailure(f"coboundary rank {rk} != 3")
             checks.append("coboundary rank 3 (irreducible)")
-    rk_red = cohomology.rank(cohomology.coboundary_matrix(cmath.exp(0.821j), 1.0))
-    if rk_red != 3:
-        raise VerificationFailure(f"reducible coboundary rank {rk_red}")
-    checks.append("coboundary rank 3 (reducible)")
     if abs(p) >= 3:
         s_unit = cmath.exp(2j * cmath.pi / abs(p))
         cohomology.reducible_presentation_matrix(s_unit, p, q)
@@ -172,7 +168,7 @@ def suite_cohomology(p: int, q: int) -> str:
     if not _degenerate(p, q):
         cohomology.d2_check(p, q)
         checks.append("gcd(res, d2) = 1 mod 2^61 - 1")
-    return "; ".join(checks)
+    return "; ".join(checks) or "no check applies at p = 0"
 
 
 _SUITE_FUNCS = {

@@ -29,8 +29,9 @@ def test_coboundary_rank_three():
     pr = reconstruct_prep(z, 1, 2, 1)
     s, a, _ = prep_to_partially_diagonal(pr)
     assert rank(coboundary_matrix(s, a)) == 3
-    # the reducible case a = 1 keeps rank 3
-    assert rank(coboundary_matrix(0.3 + 0.7j, 1.0)) == 3
+    # the reducible case a = 1 keeps rank 3, on and off the unit circle
+    for s in (0.3 + 0.7j, cmath.exp(0.821j)):
+        assert rank(coboundary_matrix(s, 1.0)) == 3
     # degenerating s -> 1 loses rank
     assert rank(coboundary_matrix(1 + 1e-12, 0.4 + 0.3j)) < 3
 

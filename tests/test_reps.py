@@ -5,7 +5,7 @@ import math
 import pytest
 
 from whitenorm.cxhp import HPComplex
-from whitenorm.errors import CountMismatch, NoT, SingularPoint, ValidationError, VerificationFailure
+from whitenorm.errors import CountMismatch, SingularPoint, ValidationError, VerificationFailure
 from whitenorm.reps import (
     EigenTuple,
     GroupWord,
@@ -27,6 +27,14 @@ from whitenorm.reps import (
 from whitenorm.roots import nontrivial_roots, resultant_roots
 
 SQ2 = math.sqrt(2)
+
+
+def _quadric(s, t):
+    """s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, the t-quadric of the eigenvalue
+    variety at u^2 = 1, v = -1, for complex or HPComplex s and t."""
+    s2 = s * s
+    s4 = s2 * s2
+    return s4 * t * t + (4 * s2 - s4 - 1) * t + 1
 
 
 @pytest.fixture(scope="module")
@@ -90,21 +98,17 @@ def test_relator_difference_factors_through_slice_f():
 def test_variety_polynomials_tie_together():
     # on u^2 = 1 the three full polynomials reduce to the three slice ones,
     # and the slice ones factor through the peripheral quadric
-    from whitenorm.reps import peripheral_quadric_at
-
     for s, t, v in [(1.3 + 0.4j, 0.7 - 0.2j, -0.3 + 1.1j), (0.6, 2.0, 0.5), (2 + 1j, 0.3, 1.7 - 0.4j)]:
         for u in (1, -1):
             h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(s, t, u, v))
             for h, g in ((h1, g1), (h2, g2), (h3, g3)):
                 assert abs(h - g) < 1e-10 * (1 + abs(g))
-            a, b, c0 = peripheral_quadric_at(s)
-            k2 = a * t * t + b * t + c0
+            k2 = _quadric(s, t)
             assert abs(g1 - (t - 1) * k2) < 1e-10 * (1 + abs(k2))
     # at v = -1 the third slice polynomial is s^2 times the quadric
     s, t = 1.2 - 0.5j, 0.8 + 0.3j
     *_, g3 = eigenvariety_polys(EigenTuple(s, t, 1, -1))
-    a, b, c0 = peripheral_quadric_at(s)
-    assert abs(g3 - s * s * (a * t * t + b * t + c0)) < 1e-10
+    assert abs(g3 - s * s * _quadric(s, t)) < 1e-10
 
 
 def test_eigenvariety_at_special_points():
@@ -122,17 +126,20 @@ def test_eigenvariety_at_special_points():
     assert max(abs(x) for x in h[:3]) > 0.1
 
 
-def test_solve_t():
-    from whitenorm.reps import peripheral_quadric_at
-
-    # at s = 1 + sqrt 2 the quadric branches collide (2/1); the branch is
-    # chosen in fixed point, so t keeps its full double precision
+def test_solve_t(monkeypatch):
+    # at 2/1 (m = 0) the quadric branches collide at every root: s^2 t = 1,
+    # and a real s gives a t whose imaginary part is exactly 0.0
     s = SQ2 + 1
     t = reconstruct_prep(s, 1, 2, 1).eigen.t
     assert t == pytest.approx(3 - 2 * SQ2, abs=1e-12)
     assert t == pytest.approx(s**-2, abs=1e-12)
+    _, lifts = _lifts(monkeypatch, 2, 1)
+    assert len(lifts) == 4  # two classes up to s ~ 1/s, both signs
+    for _, s_hp, t_hp in lifts:
+        assert s_hp.im == t_hp.im == 0
+        assert t_hp.to_complex() == pytest.approx(s_hp.to_complex() ** -2, abs=1e-12)
     # s = 1 formal case: the quadric is (t + 1)^2, which forces t = -1
-    assert peripheral_quadric_at(1) == (1, 2, 1)
+    assert _quadric(1, -1) == 0 and _quadric(1, -1 + 1e-3) != 0
     # conjugation symmetry
     rs = nontrivial_roots(resultant_roots(-1, 1))
     z = next(v for v in rs.values if v.imag > 0)
@@ -205,10 +212,22 @@ def test_reconstruct_rejects_trivial_s():
             reconstruct_prep(s, 1, 5, 1)
     with pytest.raises(ValidationError):
         reconstruct_prep(SQ2 + 1, 2, 2, 1)
-    # a point that is no root at all: either the quadric has no matching
-    # branch (NoT) or the exact-root refinement guard trips
-    with pytest.raises((ValidationError, NoT)):
+    # a point that is no root at all: the exact-root refinement guard trips
+    with pytest.raises(ValidationError, match="not a root"):
         reconstruct_prep(3.7 + 0.1j, 1, 2, 1)
+
+
+def test_reconstruct_refuses_what_has_no_root():
+    # the filling is judged before s: no lift runs where res has no roots
+    for p, q, match in [
+        (5, 0, "q > 0"),
+        (6, 4, "not coprime"),
+        (0, 1, r"p/q in \{0, 4\}"),
+        (4, 1, r"p/q in \{0, 4\}"),
+        (5, 1, "not a root"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            reconstruct_prep(0.5 + 0.2j, 1, p, q)
 
 
 def test_discrete_faithful_points_do_not_fill():
@@ -305,16 +324,17 @@ def test_all_prep_classes_lifts_each_class_once(monkeypatch):
     assert len(calls) == 4
 
 
-def _class_bits(monkeypatch, p, q):
-    """all_prep_classes(p, q) and the (s, fraction bits) of every build."""
+def _lifts(monkeypatch, p, q):
+    """all_prep_classes(p, q) and the fixed-point (kind, s, t) of every
+    build."""
     import whitenorm.reps as reps_mod
 
     seen = []
     verify = reps_mod._verify
 
-    def spy(p, q, kind, sign_u, s, *rest):
-        seen.append((s.to_complex(), s.bits))
-        return verify(p, q, kind, sign_u, s, *rest)
+    def spy(p, q, kind, sign_u, s, t, *rest):
+        seen.append((kind, s, t))
+        return verify(p, q, kind, sign_u, s, t, *rest)
 
     monkeypatch.setattr(reps_mod, "_verify", spy)
     return all_prep_classes(p, q), seen
@@ -325,11 +345,58 @@ def test_each_class_runs_at_its_filling_bound(monkeypatch, pq):
     import whitenorm.reps as reps_mod
 
     p, q = pq
-    classes, seen = _class_bits(monkeypatch, p, q)
+    classes, seen = _lifts(monkeypatch, p, q)
     assert len(seen) == len(classes) == count_prep_classes(p, q).total
-    for s, bits in seen:
-        assert bits % 64 == 0
-        assert bits >= 2 * abs(p) * abs(math.log2(abs(s))) + reps_mod._GUARD
+    for _, s, _ in seen:
+        assert s.bits % 64 == 0
+        assert s.bits >= 2 * abs(p) * abs(math.log2(abs(s.to_complex()))) + reps_mod._GUARD
+
+
+@pytest.mark.parametrize("pq", [(5, 1), (-5, 3), (65, 3), (65, 16)])
+def test_closed_form_t_is_on_the_quadric(monkeypatch, pq):
+    # t is read off res's closed form, which puts it on the quadric only at
+    # an exact root: within 2^16 units of the class's last bit, relative to
+    # the quadric's largest term
+    _, seen = _lifts(monkeypatch, *pq)
+    irreducible = [(s, t) for kind, s, t in seen if kind == "irreducible"]
+    assert len(irreducible) == count_prep_classes(*pq).irreducible
+    for s, t in irreducible:
+        scale = max(abs(s * s * s * s * t * t), abs(s * s * s * s * t), 1.0)
+        assert abs(_quadric(s, t)) <= math.ldexp(scale, 16 - s.bits)
+
+
+def test_closed_form_pieces_match_res():
+    # reps._closed_form's pieces against the Laurent polynomials respq
+    # builds, and build_res certifies, summed term by term in doubles
+    import whitenorm.reps as reps_mod
+    from whitenorm.respq import _W, _closed_form, _dickson
+
+    def at(poly, z, derivative=False):
+        terms = [c * (e * z ** (e - 1) if derivative else z**e) for e, c in poly.coeffs.items()]
+        return sum(terms), sum(map(abs, terms))
+
+    for p, q in [(5, 1), (-5, 3), (2, 1), (7, 2), (65, 16)]:
+        sign = 1 if q % 2 else -1
+        for z in (0.7 + 0.4j, 1.3 - 0.6j, -0.5 - 1.2j):
+            zm, zm_inv, w, d, dd = (
+                v.to_complex() for v in reps_mod._closed_form(HPComplex.from_complex(z, 256), p, q)
+            )
+            assert zm == pytest.approx(z ** (p - 2 * q), rel=1e-12)
+            assert zm_inv == pytest.approx(z ** (2 * q - p), rel=1e-12)
+            assert w == pytest.approx(4 - z * z - z**-2, rel=1e-12)
+            for got, (want, scale) in [
+                (zm + zm_inv + sign * d, at(_closed_form(p, q), z)),
+                (d, at(_dickson(q, _W), z)),
+                (dd * 2 * (z**-3 - z), at(_dickson(q, _W), z, derivative=True)),  # dD/dz
+            ]:
+                assert abs(got - want) <= 1e-12 * scale
+
+
+def test_lift_reaches_the_class_precision():
+    # t is on the quadric only at an exact root: lifted by dense Horner on
+    # res instead of the closed form, 33/16's worst residual is 2.5e-30
+    worst = max(r for pr in all_prep_classes(33, 16) for r in pr.residuals.values())
+    assert worst <= 1e-33
 
 
 def test_all_prep_classes_129_32():
@@ -350,25 +417,30 @@ def test_precision_below_the_bound_fails_verification(monkeypatch):
         reconstruct_prep(s, 1, 65, 16)
 
 
-def test_reducible_lifts_square_instead_of_horner(monkeypatch):
+def test_reconstruction_makes_no_horner_call(monkeypatch):
+    import whitenorm.cxhp as cxhp
     import whitenorm.reps as reps_mod
+    import whitenorm.roots as roots_mod
 
+    for p, q in [(5, 1), (65, 16)]:
+        resultant_roots(p, q)  # the root solve alone evaluates by Horner
     calls = []
-    horner = reps_mod.hp_horner
+    horner = cxhp.hp_horner
 
     def spy(coeffs, z, bits):
         calls.append(len(coeffs))
         return horner(coeffs, z, bits)
 
-    monkeypatch.setattr(reps_mod, "hp_horner", spy)
+    monkeypatch.setattr(cxhp, "hp_horner", spy)
+    monkeypatch.setattr(roots_mod, "hp_horner", spy)
     for k in range(1, 33):
         s, t = reps_mod._lift_unity(k, 65)
         assert (s.bits, t.bits) == (128, 128)
         assert abs(s.to_complex() - cmath.exp(2j * cmath.pi * k / 65)) < 1e-15
-    assert calls == []
-    # the irreducible lifts still evaluate res by Horner
+    # the irreducible lifts evaluate res's closed form, not its dense form
     assert len(all_prep_classes(5, 1)) == 8
-    assert calls
+    assert len(all_prep_classes(65, 16)) == 128
+    assert calls == []
 
 
 def test_all_prep_classes_builds_res_once(monkeypatch):
@@ -382,8 +454,8 @@ def test_all_prep_classes_builds_res_once(monkeypatch):
         calls.append((p, q))
         return build(p, q)
 
-    # the root solve and every irreducible lift share one res_{p,q}; the
-    # class count looks it up once more, for its squarefree certificate
+    # the root solve reads res_{p,q} once, and the class count looks it up
+    # once more, for its squarefree certificate; the lifts read none
     monkeypatch.setattr(reps_mod, "build_res", counting)
     monkeypatch.setattr(roots_mod, "build_res", counting)
     classes = all_prep_classes(65, 16)

@@ -339,14 +339,14 @@ def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
 # stdout SHA-256 pinned here: of commands the benchmark does not run, and
 # of those whose benchmark digest is stale
 PREPS_DIGESTS = {
-    "preps 5 1": "942628f493ed8b959e67b8f939e1b77f9b59ec7b2981aa4fcb9184157d45ff84",
-    "preps -5 3": "c3d5887aeb3a9cb440b3468a366d0f82a0eac9070ea30cf0a6e4be2e1381347e",
-    "preps 2 1": "80e8d26a0be8aa1b8ba40aba5fddd0d4feffb2168c976334621e86f049765a7c",
-    "preps 8 1": "b629815b7439bac5f97d0746d9c512139dbe37f6ac344b4ddfa7382618f1e58b",
-    "preps 7 2": "18e40fe7d73a1805ec86a6044a27a51d7705bcff6dc7999f7e58fe82b8b270ba",
+    "preps 5 1": "445c9d13adc0e3a18a24cab4615fb39d8a833b4b9c3443e6307f2bacfddf19af",
+    "preps -5 3": "5d9c6bf50c14fa5886907bf2fe9993b7517deb00bc1aef74242d856a7e49cae0",
+    "preps 2 1": "1e6fcde8fd4b63b556c7daae35045d3586b1804569a4b3e6f11eb96c6ec2e01f",
+    "preps 8 1": "a8579aa37b9bf8b6f2079a76488d777a1844c24d9a7ef80da44eb527dcac9e29",
+    "preps 7 2": "ba7f2ea661942060962e81394e10fec71ed25bff90f845a2f6461b98d2d0bcf3",
     # every byte of the 64 reducible entries at |p| = 65
-    "preps 65 3": "73a1d7f71a8e0cfcefe4848b5a5c0f9eeda8c6502a2514a7d828097653a894ba",
-    "preps 65 16": "c1401ee6559a9e7377c9d6aca13a506db9695ecfa1f3e935afe5977680c50e77",
+    "preps 65 3": "7cc4cad5eab062d1c1bddbab43dc017eeaff4aed26c430ff171a0ae84390f924",
+    "preps 65 16": "63cdf2bf09d6a1d86d3617f749f90b1fb01fcd85ba5f017319f25545c139cd7d",
     # certified zero coordinates print as 0.0 (imaginary roots at 8/1,
     # real ones at 7/2)
     "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
@@ -359,26 +359,27 @@ PREPS_DIGESTS = {
     "respq 5 1": "ebed83cde0c469dd046f05308fbbd9a49c155f74f7cead296a38d70f696b979e",
     "respq 5 1 --format text": "33b25f07b42f995d33743458530a3a9f8c29b0164021cc56bd0aa4fa5537aa80",
     "respq 4 1": "38c6cdb9552199501362cfdfc388db895e3226ef8d94fac3ce99eb1a684973ca",
-    "verify 2 1 --suite all": "12d04cb195fc6dabff2fc2fc98d9e269ce9dc00e01fcf21dfa471104649be57f",
-    "verify 3 1 --suite all": "fc3ca2aead3ec76a58063a4ca40cdea04c3ccf83100b069cea54a84695b334cd",
-    "verify 4 1 --suite all": "a79076c68d02c410991a61596864149396aa76a366d8ee7415024028dbf938fb",
+    "verify 2 1 --suite all": "c80118c6a3e8ee1babefb9bd6935d8a0c66a1dc63d1adc7acfb0f1270da51db9",
+    "verify 3 1 --suite all": "d43991027562d7b43abb52e7fb5099f0e722dd157705c6380c39b46e03fe5419",
+    "verify 4 1 --suite all": "f3ce3a5b5ffbe8c3124edd4cd1fe9b40b92b275fa3ad393204563a5c942ba6e2",
     # even-p fillings: their class count is checked against the closed form
     # and their roots are certified simple like those of odd p
-    "verify 8 1 --suite all": "a5c519c4e09ab1fae3e28368fbf55b73b99ca3b910e37ccc97db31ce5bfa4519",
-    "verify 12 5 --suite all": "28a5d5c1fd26c172e1dbfc57382db5658e33ae212ac5417dae1d6feb57e6f197",
-    "verify 6 1 --suite all": "466a24db700813727359acf640441d6e33db6ea0945ef86e7294089365f28f11",
+    "verify 8 1 --suite all": "4ceff978c440df5d3c4d64ebc2924f4a8454819bac0d424335245d1d04ce3b39",
+    "verify 12 5 --suite all": "e7ad544dd3b5ef6a1e8001629c2c4d2a99a19e62587d946536d5dfbcdd58367e",
+    "verify 6 1 --suite all": "d680d6e79e66290fc3bbce4bb5e2a250f8f303ac9840c11914b3040c8562f916",
     # norm JSON on each open range of p/q: (0, 2), (2, 4), (4, inf), (-inf, 0)
     "norm 1 1 --slope 3": "9761390ec80aac4c21678e84033e37c91cb210fb1ce8d7ec9980f7526bb21b82",
     "norm 7 2 --slope inf": "24b1eb19d28ec21eec279e7daa13c77320f8ceac2c0535ce2e9ce8a1b660bc51",
     "norm 65 16 --slope 1/1": "1eccca2264d6e9e49e3fce0f1edea43260f4eb39b8b0abdfc92d2496a4193338",
     "norm -5 3 --slope=-2/5": "a9ea2b4ddb68e9ad76be9b3720d9ef765577ae892d50bc045887572619b1a73e",
     # benchmark/digests.json's verify-grid entries predate the residuals of
-    # per-class precision and the exact d2 check's text, and are stale until
-    # they are re-recorded
-    "verify 5 1 --suite all": "43898d820020a34c652f52e925ab09c25962a7936549b89779b50b31a3e3d04b",
-    "verify -5 3 --suite all": "3b8a8983bc9072bfc97865482d43a0d8392f9457a2993448ac9c8786108cfcf8",
-    "verify 65 3 --suite all": "1db6c28d00a8f1a5eceb56b34c8bb9ee5b0bceeb08fffdf8d24dac767285142e",
-    "verify 65 16 --suite all": "d2219c82a0c8ae2c0673d1c60610cdb87dd87ad158e74779de6c06c41296b80b",
+    # per-class precision and of the closed-form lift, and the cohomology
+    # suite's exact d2 text and dropped constant coboundary check; they are
+    # stale until they are re-recorded
+    "verify 5 1 --suite all": "8beaaafd8172bf3b8b96046229d9a55a26810c254b20327b70e722a6eb469e6d",
+    "verify -5 3 --suite all": "1f50af5f67948ffcc8bdbb66066a70c0d4eacc8752107cc86cf78b741088addd",
+    "verify 65 3 --suite all": "1c0ad1d1a61c36175283a3565d8a9b6046cc62445414c03e01a8d4f8fc4defc9",
+    "verify 65 16 --suite all": "ba643d60ab2044e8ed016ffe0d043be0e5b8314e352c4de9757d14040d0c6e76",
 }
 # every other roots-grid command, checked against the benchmark's own
 # digests
