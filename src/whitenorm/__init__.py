@@ -10,7 +10,6 @@ from .reps import (
     PRep,
     all_prep_classes,
     count_prep_classes,
-    reconstruct_prep,
 )
 from .respq import ResPoly, build_res
 from .roots import RootSet, classify, nontrivial_roots, resultant_roots
@@ -40,7 +39,6 @@ __all__ = [
     "GroupWord",
     "EigenTuple",
     "PRep",
-    "reconstruct_prep",
     "count_prep_classes",
     "all_prep_classes",
     "Slope",

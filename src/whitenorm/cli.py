@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # numpy's largest BLAS call here is a 6x6 SVD or determinant, but
+    # numpy serves the root solve alone, on elementwise arrays, but
     # OpenBLAS starts a worker per core at numpy's import.  On a 2-core VM
     # the second thread spun 0.13-0.16 s of CPU per process (verify 5 1
     # --suite all: 0.41 -> 0.24 s; roots 65 3: 0.40 -> 0.26 s).  One thread,

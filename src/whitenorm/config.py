@@ -7,7 +7,8 @@ or paired with its inverse on a threshold: its inclusion disc certifies
 it, and its realness and whether it meets the unit circle are read off
 that disc (see roots).  Every root off +-1 is simple, by an exact
 squarefree test, and the trivial roots +-1 are split off exactly with
-their orders.
+their orders.  Nor is a rank or a determinant judged on one: the
+cohomology ranks and det P are identities in s and p/q (see cohomology).
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,6 @@ class Tolerances:
     trace: float = 1e-9            # |tr rho(mu1) -+ 2|
     det_one: float = 1e-10         # |det - 1| for constructed matrices
     faithful_defect: float = 1e-3  # filling defect required at s = +-1
-    # linear algebra
-    rank_rel: float = 1e-8         # singular values below rank_rel*smax -> 0
-    det_rel: float = 1e-8          # relative determinant agreement
 
 
 TOL = Tolerances()

@@ -79,13 +79,5 @@ class RankUnexpected(WhitenormError):
     """The norm linear system rank differs from the one expected in range."""
 
 
-class RankMismatch(WhitenormError):
-    """Numeric matrix rank differs from its asserted value."""
-
-
-class ClosedFormMismatch(WhitenormError):
-    """Numeric determinant disagrees with its closed form."""
-
-
 class CommonRootSuspected(WhitenormError):
     """Two polynomials that must share no root are not certified coprime."""

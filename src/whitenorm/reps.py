@@ -438,29 +438,6 @@ def _build(p: int, q: int, kind: str, s: HPComplex, t: HPComplex,
     return preps
 
 
-def reconstruct_prep(s: complex, sign_u: int, p: int, q: int) -> PRep:
-    """Build and verify the irreducible parabolic representation at s, a
-    non-trivial root of res_{p,q}: s is refined on res's closed form, t is
-    read off it (_lift), v = -1, and c comes from the inverse
-    parametrization.  A filling validate_filling refuses, p/q in {0, 4}
-    (res has no roots) and an s that is no root raise ValidationError.
-    (all_prep_classes builds the reducible classes, at the |p|-th roots of
-    unity, itself.)
-    """
-    validate_filling(p, q)
-    if p == 0 or p == 4 * q:
-        raise ValidationError("p/q in {0, 4}: res has no roots")
-    if sign_u not in (1, -1):
-        raise ValidationError("sign_u must be +-1")
-    # Non-trivial resultant roots stay clear of +-1 (no disc meets |s| = 1),
-    # so 1e-9 only rejects +-1 up to rounding.
-    if abs(s) == 0 or abs(s - 1) < 1e-9 or abs(s + 1) < 1e-9:
-        raise ValidationError(
-            "s in {0, +1, -1} never yields a representation of the filled manifold"
-        )
-    return _build(p, q, "irreducible", *_lift(s, p, q), signs=(sign_u,))[0]
-
-
 def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
     """The four-fold family of representations at s = +-1, u = +-1 attached
     to the complete structure of the unfilled exterior: the images of m0,
@@ -477,28 +454,6 @@ def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
 def discrete_faithful_filling_defect(p: int, q: int, s: int, u: int) -> float:
     m0, _, l0 = discrete_faithful_matrices(s, u)
     return (m0.power(p) @ l0.power(q) - Mat2.identity()).norm()
-
-
-# ---------------------------------------------------------------------------
-# the partially diagonal slice (diagonal m0, parabolic m1)
-
-
-def prep_to_partially_diagonal(prep: PRep) -> tuple[complex, complex, int]:
-    """Conjugate a normal-form representation into the partially diagonal
-    slice; returns (s, a, sign)."""
-    s = prep.eigen.s
-    c = prep.m0.b
-    x = c / (s - 1 / s)
-    conj = Mat2(1, x, 0, 1)
-    m1 = conj @ prep.m1 @ conj.inverse_sl2()
-    sign = 1 if abs(m1.trace() - 2) < abs(m1.trace() + 2) else -1
-    # an upper unipotent conjugator leaves the lower-left entry as it is, so
-    # m1.c is the normal form's 1 (exactly 1.0 on every class of 5/1, -5/3,
-    # 65/3, 65/16, 7/2, 2/1, 8/1, -1/1 and 12/5); 1e-9, the scale of
-    # TOL.trace, fails only a conjugation gone wrong at O(1)
-    if abs(m1.c - 1) > 1e-9:
-        raise VerificationFailure("slice conversion lost the unit corner entry")
-    return s, m1.a, sign
 
 
 # ---------------------------------------------------------------------------

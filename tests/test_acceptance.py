@@ -191,27 +191,37 @@ def test_criterion_08_representation_residuals():
 
 
 def test_criterion_09_cohomology_checks():
-    import cmath
+    # the matrices over Z[s, 1/s], their p/q row scaled by q
+    from test_cohomology import (
+        ONE,
+        Q2,
+        QUARTIC,
+        S2,
+        const,
+        coboundary_matrix,
+        det_p_closed_form,
+        minor,
+        over_s,
+        presentation_matrix,
+        trace_pairing_matrix,
+    )
 
-    # coboundary rank 3 at sampled slice parameters
-    from whitenorm.reps import prep_to_partially_diagonal, reconstruct_prep
+    from whitenorm.laurent import det_exact
 
-    z = nontrivial_roots(resultant_roots(5, 1)).values[0]
-    s, a, _ = prep_to_partially_diagonal(reconstruct_prep(z, 1, 5, 1))
-    assert cohomology.rank(cohomology.coboundary_matrix(s, a)) == 3
-    assert cohomology.rank(cohomology.coboundary_matrix(0.4 + 0.8j, 1.0)) == 3
-    # reducible presentation rank 5 at odd roots of unity
+    # coboundary rank 3 wherever s^2 != 1, for every a: the (3, 4, 6) minor
+    # is -2 (s^2 - 1)/s^2, proven by ten values of a (degree <= 9 in a)
+    for a in range(10):
+        assert minor(coboundary_matrix(a), (3, 4, 6)) == over_s(const(-2) * Q2, 2)
+    # reducible presentation rank 5 wherever p != 0 and s^2 != 1: two
+    # minors, r times quartics s^4 - s^2 +- 1 that share no root
     for p in range(3, 16, 2):
-        cohomology.reducible_presentation_matrix(cmath.exp(2j * cmath.pi / p), p, 1)
-    # determinant closed form on 50 deterministic samples
-    worst = 0.0
-    for k in range(50):
-        r = 0.5 + 1.5 * k / 49
-        s0 = r * cmath.exp(2j * math.pi * ((k * 0.6180339887) % 1.0))
-        det = cohomology.det_P_reducible(s0, 5, 1)
-        closed = cohomology.det_p_closed_form(s0, 5, 1)
-        worst = max(worst, abs(det - closed) / abs(closed))
-    assert worst <= 1e-8
+        m = presentation_matrix(p, 1)
+        assert minor(m, (1, 2, 3, 4, 6)) == over_s(const(4 * p) * Q2 * Q2 * (S2 * S2 - S2 + ONE), 2)
+        assert minor(m, (1, 2, 3, 5, 6)) == over_s(const(-2 * p) * Q2 ** 4 * QUARTIC, 2)
+    # det P equals its closed form identically: affine in r, so two values
+    # of r prove it
+    for p, q in [(5, 1), (-5, 3)]:
+        assert det_exact(trace_pairing_matrix(p, q)) == det_p_closed_form(p)
     # obstruction polynomial root classes across the three ranges
     d1_samples = [(5, 1), (9, 2), (13, 3), (25, 4), (7, 1), (11, 2), (-1, 1),
                   (-3, 2), (-7, 3), (-9, 4), (-5, 1), (-11, 3), (1, 1), (3, 2),
@@ -222,7 +232,7 @@ def test_criterion_09_cohomology_checks():
     d2_samples = [(5, 1), (-1, 1), (7, 2), (-5, 3)]
     for p, q in d2_samples:
         cohomology.d2_check(p, q)
-    _ok(9, f"ranks 3/5, det within {worst:.1e}, d1 classes on 20 samples, "
+    _ok(9, "ranks 3/5 and det P exact in s and r, d1 classes on 20 samples, "
            f"d2 coprime to res on {len(d2_samples)} samples")
 
 

@@ -1,73 +1,141 @@
-import cmath
 import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from whitenorm.cohomology import (
-    coboundary_matrix,
-    d1_classification,
-    d1_poly,
-    d2_check,
-    d2_poly,
-    det_P_reducible,
-    det_p_closed_form,
-    rank,
-    reducible_presentation_matrix,
-    trace_pairing_matrix,
-)
+from whitenorm.cohomology import d1_classification, d1_poly, d2_check, d2_poly
 from whitenorm.errors import CommonRootSuspected, DegenerateCase
-from whitenorm.laurent import LaurentPoly
-from whitenorm.reps import prep_to_partially_diagonal, reconstruct_prep
+from whitenorm.laurent import LaurentPoly, det_exact
 from whitenorm.roots import nontrivial_roots, resultant_roots
+
+# The cohomology matrices over Z[s, 1/s], exact references for the identities
+# the verify suite relies on (whitenorm.cohomology names them).  Cochains are
+# C^6 via the entries of their values on the two meridians; the p/q row is
+# scaled by q, so every entry is an integer Laurent polynomial.
+
+
+def const(n):
+    return LaurentPoly.constant(n)
+
+
+ONE, ZERO, S2 = const(1), const(0), LaurentPoly({2: 1})
+Q2 = S2 - ONE  # s^2 - 1
+QUARTIC = S2 * S2 - S2 - ONE  # s^4 - s^2 - 1
+
+
+def over_s(f, k):
+    """f / s^k."""
+    return f.shift(-k)
+
+
+def coboundary_matrix(a):
+    """3x6 span of the coboundaries in the partially diagonal slice
+    (diagonal meridian eigenvalue s, parabolic parameter a, an integer
+    here); a = 1 is the reducible case."""
+    return [
+        [ZERO, ONE - S2, ZERO, const(a), const(1 - a * a), ONE],
+        [ZERO, ZERO, ZERO, const(2 * (a - 1) ** 2), const(-2 * a * (a - 1) ** 2), const(2 * (a - 2))],
+        [ZERO, ZERO, over_s(Q2, 2), const((2 - a) * (a - 1) ** 2), const((a - 1) ** 4), const(-(a - 1) * (a - 3))],
+    ]
+
+
+def presentation_matrix(p, q):
+    """5x6 presentation matrix of the twisted cohomology at a non-abelian
+    reducible representation, its last row scaled by q."""
+    return [
+        [ZERO, ONE - S2, ZERO, ONE, ZERO, ONE],
+        [ZERO, ZERO, ZERO, ZERO, ZERO, const(-2)],
+        [ZERO, ZERO, ONE - S2, ZERO, ZERO, ZERO],
+        [ZERO, const(-2) * Q2, ZERO, over_s(const(-2) * Q2 * Q2, 2), over_s(Q2 * Q2 * QUARTIC, 2), ZERO],
+        [const(p), ZERO, ZERO, ZERO, over_s(const(q) * (S2 * S2 - ONE), 2), ZERO],
+    ]
+
+
+def trace_pairing_matrix(p, q):
+    """The presentation matrix extended by the trace-pairing row, normalized
+    so the determinant identity holds on the nose: the relation-cocycle row
+    enters scaled by s^-2 and the third coboundary row by -s^-2.  Its p/q
+    row is scaled by q."""
+    m = presentation_matrix(p, q)
+    # the one non-trivial linear condition the 8-letter relation puts on
+    # cocycles at a non-abelian reducible representation
+    relation = [ZERO, const(-2) * Q2, ZERO, const(-2) * Q2 * Q2, over_s(Q2 * Q2 * QUARTIC, 2), ZERO]
+    return [
+        m[0],
+        m[1],
+        [ZERO, ZERO, over_s(Q2, 2), ZERO, ZERO, ZERO],
+        [over_s(v, 2) for v in relation],
+        m[4],
+        [ZERO, ZERO, ZERO, ZERO, ONE, ZERO],
+    ]
+
+
+def minor(m, cols):
+    """The minor of m on the given 1-based columns, all rows."""
+    return det_exact([[row[j - 1] for j in cols] for row in m])
+
+
+def _at_unit(f, x):
+    """f at s = x, for x = +-1."""
+    return sum(c * x ** (e % 2) for e, c in f.coeffs.items())
 
 
 def test_coboundary_rank_three():
-    # at a genuine irreducible representation's slice parameters
-    z = nontrivial_roots(resultant_roots(2, 1)).values[-1]
-    pr = reconstruct_prep(z, 1, 2, 1)
-    s, a, _ = prep_to_partially_diagonal(pr)
-    assert rank(coboundary_matrix(s, a)) == 3
-    # the reducible case a = 1 keeps rank 3, on and off the unit circle
-    for s in (0.3 + 0.7j, cmath.exp(0.821j)):
-        assert rank(coboundary_matrix(s, 1.0)) == 3
-    # degenerating s -> 1 loses rank
-    assert rank(coboundary_matrix(1 + 1e-12, 0.4 + 0.3j)) < 3
+    # each 3x3 minor has degree <= 9 in a (rows of degree 2, 3, 4), so ten
+    # integer values of a prove these identities in a and s
+    for a in range(10):
+        m = coboundary_matrix(a)
+        assert minor(m, (2, 3, 4)) == over_s(const(2 * (a - 1) ** 2) * Q2 * Q2, 2)
+        assert minor(m, (2, 3, 6)) == over_s(const(2 * (a - 2)) * Q2 * Q2, 2)
+        assert minor(m, (2, 3, 5)) == over_s(const(-2 * a * (a - 1) ** 2) * Q2 * Q2, 2)
+        # rank 3 wherever s^2 != 1, whatever a: this minor alone is a unit
+        # times s^2 - 1
+        assert minor(m, (3, 4, 6)) == over_s(const(-2) * Q2, 2)
+        # and below 3 at s = +-1, where every minor vanishes
+        for cols in combinations(range(1, 7), 3):
+            f = minor(m, cols)
+            assert _at_unit(f, 1) == _at_unit(f, -1) == 0, (a, cols)
 
 
 def test_presentation_matrix_rank_five():
-    for p in (3, 5, 7, 15):
-        for k in (1, 2):
-            s = cmath.exp(2j * cmath.pi * k / p)
-            m = reducible_presentation_matrix(s, p, 1)
-            assert m.shape == (5, 6) and rank(m) == 5
+    # column 1 is r e_5, so both minors are r times a polynomial in s
+    # alone, here the q-scaled p; their quartics s^4 - s^2 +- 1 differ by 2
+    # and share no root, so the rank is 5 wherever p != 0 and s^2 != 1
+    for p, q in [(5, 1), (-5, 3), (65, 16), (3, 1)]:
+        m = presentation_matrix(p, q)
+        assert minor(m, (1, 2, 3, 4, 6)) == over_s(const(4 * p) * Q2 * Q2 * (S2 * S2 - S2 + ONE), 2)
+        assert minor(m, (1, 2, 3, 5, 6)) == over_s(const(-2 * p) * Q2 ** 4 * QUARTIC, 2)
 
 
 def test_presentation_matrix_degenerates_at_one():
-    m = reducible_presentation_matrix(1.0 + 0j, 5, 1)
-    assert rank(m) < 5
+    # at s = +-1 every 5x5 minor vanishes: no rank 5 there
+    for p, q in [(5, 1), (-5, 3), (7, 2)]:
+        m = presentation_matrix(p, q)
+        for cols in combinations(range(1, 7), 5):
+            f = minor(m, cols)
+            assert _at_unit(f, 1) == _at_unit(f, -1) == 0, cols
+
+
+def det_p_closed_form(p):
+    """q det P = 4p (s^2 - 1)^2 (s^4 - 2 s^2 + 2)/s^4."""
+    return over_s(const(4 * p) * Q2 * Q2 * (S2 * S2 - const(2) * S2 + const(2)), 4)
 
 
 def test_det_p_matches_closed_form_on_grid():
-    worst = 0.0
-    for k in range(50):
-        r = 0.5 + 1.5 * k / 49
-        s = r * cmath.exp(2j * math.pi * ((k * 0.6180339887) % 1.0))
-        det = det_P_reducible(s, 5, 1)
-        closed = det_p_closed_form(s, 5, 1)
-        worst = max(worst, abs(det - closed) / abs(closed))
-    assert worst <= 1e-8
+    # det P is affine in r = p/q (one row holds r), so two independent
+    # (p, q) prove the identity for every r; the rest are spot checks
+    for p, q in [(5, 1), (0, 1), (-5, 3), (65, 16), (7, 2)]:
+        assert det_exact(trace_pairing_matrix(p, q)) == det_p_closed_form(p)
 
 
 def test_det_p_zero_cases():
-    s = cmath.exp(2j * cmath.pi / 5)
-    assert abs(complex(np.linalg.det(trace_pairing_matrix(s, 0, 1)))) < 1e-12
-    # the quartic factor vanishes only off the unit circle
-    for s2 in (1 + 1j, 1 - 1j):
-        root = cmath.sqrt(s2)
-        assert abs(abs(root) - 1) > 0.1
-        assert abs(det_p_closed_form(root, 5, 1)) < 1e-10
+    # det P vanishes at p = 0, and at s^2 = 1 +- i, the roots of its
+    # quartic: |s^2|^2 = 2, so off the unit circle
+    assert det_exact(trace_pairing_matrix(0, 1)).is_zero
+    for u in (1 + 1j, 1 - 1j):
+        assert u * u - 2 * u + 2 == 0 and u.real ** 2 + u.imag ** 2 == 2
 
 
 def _d1_numpy_roots(p, q):

@@ -13,6 +13,8 @@ from whitenorm.reps import (
     WORD_L0,
     WORD_REL_LHS,
     WORD_REL_RHS,
+    _build,
+    _lift,
     _verify,
     all_prep_classes,
     count_prep_classes,
@@ -20,8 +22,6 @@ from whitenorm.reps import (
     discrete_faithful_matrices,
     eigenvariety_polys,
     inverse_eigenvalue_map,
-    prep_to_partially_diagonal,
-    reconstruct_prep,
     slice_f,
 )
 from whitenorm.roots import nontrivial_roots, resultant_roots
@@ -35,6 +35,13 @@ def _quadric(s, t):
     s2 = s * s
     s4 = s2 * s2
     return s4 * t * t + (4 * s2 - s4 - 1) * t + 1
+
+
+def _reconstruct(s, sign_u, p, q):
+    """The verified irreducible representation at s, a non-trivial root of
+    res_{p,q}, with meridian trace 2 sign_u: the one-class slice of
+    all_prep_classes."""
+    return _build(p, q, "irreducible", *_lift(s, p, q), signs=(sign_u,))[0]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +67,7 @@ def test_mat2_power_and_inverse():
 
 
 def test_longitude_spellings_agree_at_prep():
-    pr = reconstruct_prep(SQ2 + 1, 1, 2, 1)
+    pr = _reconstruct(SQ2 + 1, 1, 2, 1)
     assert pr.residuals["longitude_spellings"] < 1e-12
 
 
@@ -130,7 +137,7 @@ def test_solve_t(monkeypatch):
     # at 2/1 (m = 0) the quadric branches collide at every root: s^2 t = 1,
     # and a real s gives a t whose imaginary part is exactly 0.0
     s = SQ2 + 1
-    t = reconstruct_prep(s, 1, 2, 1).eigen.t
+    t = _reconstruct(s, 1, 2, 1).eigen.t
     assert t == pytest.approx(3 - 2 * SQ2, abs=1e-12)
     assert t == pytest.approx(s**-2, abs=1e-12)
     _, lifts = _lifts(monkeypatch, 2, 1)
@@ -143,14 +150,14 @@ def test_solve_t(monkeypatch):
     # conjugation symmetry
     rs = nontrivial_roots(resultant_roots(-1, 1))
     z = next(v for v in rs.values if v.imag > 0)
-    t_z = reconstruct_prep(z, 1, -1, 1).eigen.t
-    assert reconstruct_prep(z.conjugate(), 1, -1, 1).eigen.t == pytest.approx(t_z.conjugate())
+    t_z = _reconstruct(z, 1, -1, 1).eigen.t
+    assert _reconstruct(z.conjugate(), 1, -1, 1).eigen.t == pytest.approx(t_z.conjugate())
 
 
 def test_inverse_eigenvalue_map():
     s = 0.7 + 0.2j
     assert inverse_eigenvalue_map(EigenTuple(s, 1, 1, 1))[2] == 0
-    t = reconstruct_prep(SQ2 + 1, 1, 2, 1).eigen.t
+    t = _reconstruct(SQ2 + 1, 1, 2, 1).eigen.t
     _, _, c = inverse_eigenvalue_map(EigenTuple(SQ2 + 1, t, 1, -1))
     s0 = SQ2 + 1
     assert c == pytest.approx((s0 * s0 * (t - 1) + 2) * s0 / (s0 * s0 - 1), abs=1e-9)
@@ -161,7 +168,7 @@ def test_inverse_eigenvalue_map():
 
 
 def test_reconstruct_irreducible():
-    pr = reconstruct_prep(SQ2 + 1, 1, 2, 1)
+    pr = _reconstruct(SQ2 + 1, 1, 2, 1)
     assert pr.kind == "irreducible"
     assert pr.residuals["relator"] <= 1e-8
     assert pr.residuals["filling"] <= 1e-8
@@ -175,7 +182,7 @@ def test_reconstruct_irreducible():
 
 def test_reconstruct_both_signs():
     for sign in (1, -1):
-        pr = reconstruct_prep(SQ2 + 1, sign, 2, 1)
+        pr = _reconstruct(SQ2 + 1, sign, 2, 1)
         assert abs(pr.m1.trace() - 2 * sign) < 1e-9
 
 
@@ -206,28 +213,11 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
             assert abs(_verify(5, 1, kind, 1, s, t, m0, m1).residuals["det"] - eps) < 1e-13
 
 
-def test_reconstruct_rejects_trivial_s():
-    for s in (1.0, -1.0, 0.0):
-        with pytest.raises(ValidationError):
-            reconstruct_prep(s, 1, 5, 1)
-    with pytest.raises(ValidationError):
-        reconstruct_prep(SQ2 + 1, 2, 2, 1)
-    # a point that is no root at all: the exact-root refinement guard trips
-    with pytest.raises(ValidationError, match="not a root"):
-        reconstruct_prep(3.7 + 0.1j, 1, 2, 1)
-
-
 def test_reconstruct_refuses_what_has_no_root():
-    # the filling is judged before s: no lift runs where res has no roots
-    for p, q, match in [
-        (5, 0, "q > 0"),
-        (6, 4, "not coprime"),
-        (0, 1, r"p/q in \{0, 4\}"),
-        (4, 1, r"p/q in \{0, 4\}"),
-        (5, 1, "not a root"),
-    ]:
-        with pytest.raises(ValidationError, match=match):
-            reconstruct_prep(0.5 + 0.2j, 1, p, q)
+    # the lift refines s on res's closed form and refuses a start that moves
+    for s, p, q in [(3.7 + 0.1j, 2, 1), (0.5 + 0.2j, 5, 1)]:
+        with pytest.raises(ValidationError, match="not a root"):
+            _lift(s, p, q)
 
 
 def test_discrete_faithful_points_do_not_fill():
@@ -245,7 +235,7 @@ def test_character_pairing_s_and_inverse():
     for p, q in [(2, 1), (-1, 1), (5, 1)]:
         vals = nontrivial_roots(resultant_roots(p, q)).values
         z = vals[0]
-        pa, pb = reconstruct_prep(z, 1, p, q), reconstruct_prep(1 / z, 1, p, q)
+        pa, pb = _reconstruct(z, 1, p, q), _reconstruct(1 / z, 1, p, q)
         for w in words:
             assert abs(pa.trace_of(w) - pb.trace_of(w)) < 1e-7
 
@@ -411,10 +401,10 @@ def test_precision_below_the_bound_fails_verification(monkeypatch):
     # the class of 65/16 with |s| = 5.39 amplifies by 2^316: at 256 bits
     # (guard -64) the filling residual is far over tolerance, not passed
     s = max(nontrivial_roots(resultant_roots(65, 16)).values, key=abs)
-    assert reconstruct_prep(s, 1, 65, 16).residuals["filling"] <= 1e-30
+    assert _reconstruct(s, 1, 65, 16).residuals["filling"] <= 1e-30
     monkeypatch.setattr(reps_mod, "_GUARD", -64)
     with pytest.raises(VerificationFailure, match="'filling'"):
-        reconstruct_prep(s, 1, 65, 16)
+        _reconstruct(s, 1, 65, 16)
 
 
 def test_reconstruction_makes_no_horner_call(monkeypatch):
@@ -461,20 +451,3 @@ def test_all_prep_classes_builds_res_once(monkeypatch):
     classes = all_prep_classes(65, 16)
     assert calls == [(65, 16), (65, 16)]
     assert len(classes) == 128  # the minimal norm 3p - 4q - 3
-
-
-def test_prep_to_partially_diagonal_roundtrip():
-    # in the slice m0 = diag(s, 1/s), m1 parabolic with corner entry a, the
-    # trace +2 relation deflates to -(s^2-1)^2 a^2 + (s^2-1)(s^2-3) a - 2 and
-    # the longitude eigenvalue is t = a/(2-a); the trace -2 slice maps onto
-    # it by the central twist m1 -> -m1, i.e. a -> -a
-    for sign in (1, -1):
-        pr = reconstruct_prep(SQ2 + 1, sign, 2, 1)
-        s, a, got_sign = prep_to_partially_diagonal(pr)
-        assert got_sign == sign
-        a *= sign
-        s2 = s * s
-        assert abs(-((s2 - 1) ** 2) * a * a + (s2 - 1) * (s2 - 3) * a - 2) <= 1e-8
-        t = a / (2 - a)
-        assert abs(s2 * t - 1) <= 1e-8  # the 2/1 filling: s^2 t = 1
-        assert t == pytest.approx(pr.eigen.t, abs=1e-8)

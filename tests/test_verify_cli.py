@@ -261,6 +261,7 @@ run("sweep", "--p-min", "-3", "--p-max", "3", "--q-max", "3",
     "--suite", "resultant,symmetries,seifert,linear", "--out", sys.argv[1])
 run("respq", "5", "1")
 run("norm", "-1", "1", "--slope", "inf")
+run("verify", "129", "64", "--suite", "cohomology")
 assert "numpy" not in sys.modules, "the exact path loaded numpy"
 run("roots", "5", "1")
 assert "numpy" in sys.modules, "the root solve ran without numpy"
@@ -306,7 +307,19 @@ def test_root_solve_failure_is_cached(monkeypatch):
         resultant_roots.cache_clear()  # drop the planted failure
     assert len(calls) == 1
     status = {r.suite: r.status for r in report.results}
-    assert status["roots"] == status["preps"] == status["cohomology"] == "fail"
+    assert status["roots"] == status["preps"] == "fail"
+    assert status["cohomology"] == "pass"  # it solves no root
+
+
+def test_cohomology_suite_solves_no_root():
+    # -89/16 and 129/64 lie past the root solve's range: it fails there at
+    # stage "aberth" and at stage "refine"
+    resultant_roots.cache_clear()
+    for p, q in [(-89, 16), (129, 64)]:
+        report = run_verify(p, q, ("cohomology",))
+        assert report.ok and report.results[0].status == "pass", report.results
+        assert report.results[0].details.startswith("coboundary rank 3 (irreducible); presentation rank 5")
+    assert resultant_roots.cache_info().misses == 0
 
 
 def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
