@@ -1,23 +1,22 @@
 """Fixed-point complex arithmetic on plain python ints: the package's one
 implementation of it.
 
-A value is (re, im) scaled by 2^bits.  BITS = 768 fraction bits (~230
-decimal digits) is the top rung of the root refinement's precision ladder
-(roots._RUNGS), whose lower rungs run the same kernel at 128, 256 and 512
-bits.  Reconstruction sizes its precision per class instead (reps._bits):
-the filling relation cancels entries of size max(|s|, 1/|s|)^|p| down to
-I, which at 129/32 takes more than 768 bits.
+A value is (re, im) scaled by 2^bits, and the caller always says how many
+fraction bits: the root refinement climbs a ladder of 128 to 768 bits
+(roots._RUNGS), and reconstruction sizes its precision per class
+(reps._bits), since the filling relation cancels entries of size
+max(|s|, 1/|s|)^|p| down to I, which at 129/32 takes more than 768 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`, and `hp_matmul`,
 `hp_matpow` on 2x2 matrices) works on (re, im) int tuples, takes the
-fraction bits as its last argument (default BITS), and serves the hot
-loops: root refinement (`hp_horner`'s one user; its Aberth repulsion sum
-is a double sum, see roots._sweep) and the group words of reconstruction
-(reps._verify).  `HPComplex` wraps the same kernel in
-operators for the scalar formulas of reconstruction, the Newton lifts on
-res's closed form and on x^|p| - 1 among them; each value carries its
-fraction bits, and an operation on two precisions raises.
+fraction bits as its last argument, and serves the hot loops: root
+refinement (`hp_horner`'s one user; its Aberth repulsion sum is a double
+sum, see roots._sweep) and the group words of reconstruction
+(reps._verify).  `HPComplex` wraps the same kernel in operators for the
+scalar formulas of reconstruction, the Newton lifts on res's closed form
+and on x^|p| - 1 among them; each value carries its fraction bits, and an
+operation on two precisions raises.
 
 Only ring operations and division are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -26,8 +25,6 @@ deterministic, so identical inputs give identical bits on every platform.
 from __future__ import annotations
 
 import math
-
-BITS = 768
 
 HP = tuple[int, int]
 # a 2x2 matrix (a, b; c, d) as (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
@@ -46,20 +43,20 @@ def _fixed(x: float, bits: int) -> int:
     return int(math.ldexp(m, 53)) << shift if shift >= 0 else round(math.ldexp(x, bits))
 
 
-def hp(z: complex, bits: int = BITS) -> HP:
+def hp(z: complex, bits: int) -> HP:
     return _fixed(z.real, bits), _fixed(z.imag, bits)
 
 
-def hp_int(n: int, bits: int = BITS) -> HP:
+def hp_int(n: int, bits: int) -> HP:
     return n << bits, 0
 
 
-def hp_float(v: HP, bits: int = BITS) -> complex:
+def hp_float(v: HP, bits: int) -> complex:
     one = 1 << bits
     return complex(v[0] / one, v[1] / one)
 
 
-def hp_abs(v: HP, bits: int = BITS) -> float:
+def hp_abs(v: HP, bits: int) -> float:
     """|v| / 2^bits as a float, to a relative error below 2^-51 (int to
     float, hypot): beyond 500 bits the parts are shifted down first, so a
     huge value stays inside float range."""
@@ -68,13 +65,13 @@ def hp_abs(v: HP, bits: int = BITS) -> float:
     return math.ldexp(math.hypot(re >> shift, im >> shift), shift - bits)
 
 
-def hp_mul(u: HP, v: HP, bits: int = BITS) -> HP:
+def hp_mul(u: HP, v: HP, bits: int) -> HP:
     a, b = u
     c, d = v
     return (a * c - b * d) >> bits, (a * d + b * c) >> bits
 
 
-def hp_div(u: HP, v: HP, bits: int = BITS) -> HP:
+def hp_div(u: HP, v: HP, bits: int) -> HP:
     a, b = u
     c, d = v
     den = c * c + d * d
@@ -83,7 +80,7 @@ def hp_div(u: HP, v: HP, bits: int = BITS) -> HP:
     return ((a * c + b * d) << bits) // den, ((b * c - a * d) << bits) // den
 
 
-def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
+def hp_horner(int_coeffs: list[int], z: HP, bits: int) -> HP:
     """Value at z of the polynomial with ascending integer coefficients.
 
     Each product, hp_mul's formula inline on local ints, truncates both
@@ -96,7 +93,7 @@ def hp_horner(int_coeffs: list[int], z: HP, bits: int = BITS) -> HP:
     return re, im
 
 
-def hp_matmul(x: HPMat, y: HPMat, bits: int = BITS) -> HPMat:
+def hp_matmul(x: HPMat, y: HPMat, bits: int) -> HPMat:
     """The product x y.  Each entry sums two products, each truncated as
     hp_mul truncates it, so the bits are those of the textbook formula
     written with HPComplex operators."""
@@ -114,7 +111,7 @@ def hp_matmul(x: HPMat, y: HPMat, bits: int = BITS) -> HPMat:
     )
 
 
-def hp_matpow(x: HPMat, n: int, bits: int = BITS) -> HPMat:
+def hp_matpow(x: HPMat, n: int, bits: int) -> HPMat:
     """x^n for x of determinant 1, in the products reps.Mat2.power makes:
     n < 0 starts from the inverse (d, -b; -c, a), the first factor is taken
     as it is, and squaring stops after the top bit."""
@@ -203,9 +200,6 @@ class HPComplex:
 
     def __abs__(self) -> float:
         return hp_abs((self.re, self.im), self.bits)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def __repr__(self):
         return f"HPComplex({self.to_complex()!r}, bits={self.bits})"

@@ -8,9 +8,11 @@ spellings which are evaluated redundantly to catch transcription slips.
 
 A class's kind is that of its source: a non-trivial root of res gives an
 irreducible class, a |p|-th root of unity a reducible one.  Each class is
-lifted once, in fixed point at its own precision (_bits): s is refined (on
-res's closed form, or on x^|p| - 1 if reducible) and, if irreducible, t is
-read off the same closed form at s, with no branch to choose.  One
+lifted once, in fixed point at its own precision (_bits): s is refined by a
+fixed number of Newton steps (_newton), from its certified disc's centre on
+res's closed form, or from a double on x^|p| - 1 if reducible, and an
+irreducible lift must end in its root's disc.  If irreducible, t is read
+off the same closed form at s, with no branch to choose.  One
 representation per meridian trace sign u = +-1 is then built from the lift
 and verified.
 """
@@ -26,7 +28,7 @@ from .config import TOL
 from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_matmul, hp_matpow, hp_mul
 from .errors import CountMismatch, SingularPoint, ValidationError, VerificationFailure
 from .respq import build_res
-from .roots import RootSet, nontrivial_roots, resultant_rootset_of
+from .roots import CERTIFY_BITS, Root, RootSet, nontrivial_roots, resultant_rootset_of
 from .slopes import validate_filling
 
 
@@ -252,29 +254,15 @@ def _mat_to_complex(m: HPMat, bits: int) -> Mat2:
     return Mat2(*(hp_float(m[i : i + 2], bits) for i in (0, 2, 4, 6)))
 
 
-# A double-rounded root moves by ~1e-16 relative under Newton; a move of
-# 1e-6 relative, ten orders more, means the start was no root.
-_REFINE_GUARD = 1e-6
-
-
-def _refine_on_int_poly(value, z: HPComplex) -> HPComplex:
-    """Newton-refine z, at its own precision, on an exact integer (Laurent)
-    polynomial f, where value(z) = (f(z), f'(z)); refuse to move farther than
-    _REFINE_GUARD from the start (the input must already be a root)."""
-    start = z.to_complex()
-    for _ in range(10):
+def _newton(value, z: HPComplex, good: int) -> HPComplex:
+    """Newton steps on f from z, a start good to `good` bits, at z's
+    precision, where value(z) = (f(z), f'(z)).  Each step doubles the good
+    bits, and the steps stop once they reach twice z's bits: one step past
+    the precision, for margin.  A zero f' raises ZeroDivisionError."""
+    while good < 2 * z.bits:
         f, df = value(z)
-        if df.is_zero():
-            break
-        step = f / df
-        # a zero step leaves z a fixed point: every later step is zero too
-        if step.is_zero():
-            break
-        z = z - step
-    if abs(z.to_complex() - start) > _REFINE_GUARD * (1 + abs(start)):
-        raise ValidationError(
-            f"{start} is not a root of the expected polynomial (moved by more than {_REFINE_GUARD})"
-        )
+        z = z - f / df
+        good *= 2
     return z
 
 
@@ -358,11 +346,13 @@ def _closed_form(z: HPComplex, p: int, q: int) -> tuple[HPComplex, ...]:
     return zm, zm_inv, w, d, dd
 
 
-def _lift(s: complex, p: int, q: int) -> tuple[HPComplex, HPComplex]:
+def _lift(root: Root, p: int, q: int) -> tuple[HPComplex, HPComplex]:
     """The sign-independent half of an irreducible class's reconstruction:
-    s, a non-trivial root of res_{p,q}, refined in fixed point at the
-    class's bits (_bits) on res's closed form, and the longitude eigenvalue
-    t read off that form.
+    s, a non-trivial root of res_{p,q}, refined by Newton's method (_newton)
+    in fixed point at the class's bits (_bits) on res's closed form, from
+    its disc's centre, which is good to CERTIFY_BITS; and the longitude
+    eigenvalue t read off that form.  A lift that ends outside the root's
+    disc raises VerificationFailure.
 
     With tau = s^2 t and x = -w, the quadric is tau + 1/tau = x and the
     filling relation tau^q = s^-m.  Since tau^q - tau^-q =
@@ -380,7 +370,12 @@ def _lift(s: complex, p: int, q: int) -> tuple[HPComplex, HPComplex]:
         # dw/dz = 2 (z^-2 - z^2)/z, and z^-2 = 4 - w - z^2
         return zm + zm_inv + sign * d, (m * (zm - zm_inv) + 2 * sign * dd * (4 - w - 2 * z * z)) / z
 
-    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, _bits(s, p)))
+    bits = _bits(root.value, p)
+    shift = bits - root.bits
+    re, im = (c << shift if shift >= 0 else c >> -shift for c in root.centre)
+    s_hp = _newton(value, HPComplex(re, im, bits), CERTIFY_BITS)
+    if not root.holds(s_hp.to_complex()):
+        raise VerificationFailure(f"({p},{q}): the lift from s={root.value} left its root's disc")
     zm, zm_inv, w, _, dd = _closed_form(s_hp, p, q)
     delta = sign * q * (zm_inv - zm) / dd
     x = -w
@@ -393,8 +388,9 @@ def _lift(s: complex, p: int, q: int) -> tuple[HPComplex, HPComplex]:
 
 def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
     """s = e^(2 pi i k/|p|), the eigenvalue of a reducible class, sharpened
-    on x^|p| - 1 at the class's precision so that the filling check is
-    exact-grade, and its longitude eigenvalue t = 1."""
+    from its double by Newton's method (_newton) on x^|p| - 1 at the class's
+    precision so that the filling check is exact-grade, and its longitude
+    eigenvalue t = 1."""
     n = abs(p)
     s = cmath.exp(2j * cmath.pi * k / n)
 
@@ -402,7 +398,8 @@ def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
         w = _power(z, n - 1)  # by repeated squaring
         return z * w - 1, w * n
 
-    s_hp = _refine_on_int_poly(value, HPComplex.from_complex(s, _bits(1, p)))  # |s| = 1 exactly
+    # |s| = 1 exactly, and cmath's double is good to 52 bits
+    s_hp = _newton(value, HPComplex.from_complex(s, _bits(1, p)), 52)
     return s_hp, HPComplex.from_int(1, s_hp.bits)
 
 
@@ -541,8 +538,8 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     # |z| > 1.  A certified imaginary z (re exactly 0.0) precedes 1/z when
     # im(z) < 0.
     chosen = [
-        z for z in nontrivial_roots(rootset).values
-        if (z.imag < 0 if z.real == 0.0 else (z.real > 0) == (abs(z) < 1))
+        r for r in nontrivial_roots(rootset)
+        if (r.value.imag < 0 if r.value.real == 0.0 else (r.value.real > 0) == (abs(r.value) < 1))
     ]
     # the reducible classes: k ~ |p| - k is s ~ 1/s, and k = 0 and k = |p|/2
     # are s = +-1
@@ -552,6 +549,6 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
             f"({p},{q}): {2 * (len(chosen) + len(ks))} classes chosen up to s ~ 1/s, "
             f"{count.total} counted"
         )
-    lifts = [("irreducible", *_lift(z, p, q)) for z in chosen]
+    lifts = [("irreducible", *_lift(r, p, q)) for r in chosen]
     lifts += [("reducible", *_lift_unity(k, p)) for k in ks]
     return [prep for lift in lifts for prep in _build(p, q, *lift)]

@@ -26,12 +26,13 @@ _W = LaurentPoly({2: -1, 0: 4, -2: -1})
 
 
 @lru_cache(maxsize=256)  # every p of a q shares D_q(w), as it shares _bands
-def _dickson(q: int, w: LaurentPoly) -> LaurentPoly:
-    """D_q(w): D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1}; 2 T_q(w/2)."""
+def _dickson(q: int) -> LaurentPoly:
+    """D_q(w) at w = _W: D_0 = 2, D_1 = w, D_{k+1} = w D_k - D_{k-1};
+    2 T_q(w/2)."""
     # start at (D_-1, D_0) = (w, 2), so that q steps give D_q
-    d_prev, d = w, LaurentPoly({0: 2})
+    d_prev, d = _W, LaurentPoly({0: 2})
     for _ in range(q):
-        d_prev, d = d, w * d - d_prev
+        d_prev, d = d, _W * d - d_prev
     return d
 
 
@@ -39,7 +40,7 @@ def _closed_form(p: int, q: int) -> LaurentPoly:
     """s^(p-2q) + (-1)^(q+1) D_q(w) + s^(-p+2q), with w = -s^2 + 4 - s^-2.
 
     At p = 2q the two ends add up to the constant 2."""
-    middle = _dickson(q, _W)
+    middle = _dickson(q)
     if q % 2 == 0:
         middle = -middle
     return middle + LaurentPoly({p - 2 * q: 1}) + LaurentPoly({-p + 2 * q: 1})

@@ -12,11 +12,10 @@ starting radii, golden-angle phases) gives a start.  Gauss-Seidel Aberth
 sweeps refine it on the exact coefficients in fixed point (plain python ints,
 see cxhp), but for the repulsion sum, a double sum: the step depends on it
 only to second order (_sweep).  The sweeps run on a ladder of 128, 256, 512
-and 768 fraction bits whose top rung is cxhp.BITS.  They climb a rung once
-the rung is exhausted, every |f(z)| within the error of its own evaluation,
-and stop when pairwise disjoint Gerschgorin-Weierstrass inclusion discs,
-computed afterwards from the exact coefficients, certify every root to
-2^-100.  Each disc then holds exactly one root, a simple one, and this is the
+and 768 fraction bits.  They climb a rung once the rung is exhausted, every
+|f(z)| within the error of its own evaluation, and stop when pairwise
+disjoint Gerschgorin-Weierstrass inclusion discs, computed afterwards from
+the exact coefficients, certify every root to 2^-100.  Each disc then holds exactly one root, a simple one, and this is the
 one root certificate: the printed double lies within 2^-53 |z| + r of it.
 Every other fact about the root is read off its disc (see _package): its
 realness and whether it meets the unit circle.  There is no double-precision
@@ -24,9 +23,11 @@ polish.  The refinement matters: resultant roots packed near the unit circle
 reach condition numbers beyond 1e13, so double precision alone cannot certify
 symmetry classes at 1e-8.
 
-Each Root carries its own disc radius; a RootSet is the roots, sorted once
-by (re, im), and the span.  No randomness anywhere; repeated runs emit
-identical bytes, whatever rung the ladder stopped at.
+Each Root carries its own disc: the radius, and the fixed-point centre at
+its rung's bits, from which reps lifts the root with no second solve.  A
+RootSet is the roots, sorted once by (re, im), and the span.  No randomness
+anywhere; repeated runs emit identical bytes, whatever rung the ladder
+stopped at.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cxhp import BITS, HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
+from .cxhp import HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from .errors import ConvergenceFailure, ClassificationViolation, WhitenormError
 from .respq import ResPoly, build_res
 
@@ -61,6 +62,12 @@ class Root:
     multiplicity: int  # the exact order of +-1; every other root is simple
     flags: RootFlags
     radius: float  # of its inclusion disc about value; 0.0 for the exact +-1
+    centre: HP  # the disc's fixed-point centre; (+-1, 0) for the exact +-1
+    bits: int  # the centre's fraction bits: its rung's, 0 for the exact +-1
+
+    def holds(self, z: complex) -> bool:
+        """Whether z lies in the root's disc, rounded outward (_reach)."""
+        return abs(z - self.value) <= _reach(self.value, self.radius)
 
 
 @dataclass(frozen=True)
@@ -192,15 +199,15 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fixed-point refinement on a precision ladder (raw cxhp kernel in the hot loop)
 
-# Fraction bits of the refinement rungs.  The top rung is the kernel's BITS,
-# so a filling that settled at that precision before the ladder existed
-# still has the same room.
-_RUNGS = (128, 256, 512, BITS)
+# Fraction bits of the refinement rungs.  The top rung is the flat
+# precision the kernel had before the ladder existed, so a filling that
+# settled there still has the same room.
+_RUNGS = (128, 256, 512, 768)
 # The ladder stops once every inclusion radius is below 2^-100 (1 + |z|):
 # 47 bits past double precision, so the double rounding of a disc's centre
 # is that of its root unless the root lies within 2^-100 of a rounding
-# boundary.
-_CERTIFY_BITS = 100
+# boundary.  reps lifts each root from its centre, good to this many bits.
+CERTIFY_BITS = 100
 # Sweeps _refine_hp makes on all rungs together before it gives up.
 _SWEEPS = 48
 # Relative error bound of one cxhp.hp_abs value (below 2^-51) and of one
@@ -274,11 +281,11 @@ def _refine_hp(int_coeffs: list[int], raw: list[complex]) -> tuple[list[HP], int
         for _ in range(_SWEEPS):
             step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
             steps.append(step.bit_length() - 1 - bits)
-            if not (exhausted or steps[-1] < -_CERTIFY_BITS):
+            if not (exhausted or steps[-1] < -CERTIFY_BITS):
                 continue
             radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
             if disjoint and all(
-                r < math.ldexp(1.0 + abs(hp_float(v, bits)), -_CERTIFY_BITS) for r, v in zip(radii, z)
+                r < math.ldexp(1.0 + abs(hp_float(v, bits)), -CERTIFY_BITS) for r, v in zip(radii, z)
             ):
                 return z, bits, radii
             if exhausted and bits < _RUNGS[-1]:
@@ -373,11 +380,6 @@ def _reach(value: complex, radius: float) -> float:
     return radius + _REL * (1.0 + abs(value))
 
 
-def _meets_unit_circle(value: complex, radius: float) -> bool:
-    """Whether a root's disc meets |s| = 1: its flag, and classify's check."""
-    return abs(abs(value) - 1.0) <= _reach(value, radius)
-
-
 # ---------------------------------------------------------------------------
 # the root pipeline
 
@@ -391,23 +393,25 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
     re = 0 exactly, and the root is not flagged imaginary.  A root is on
     the unit circle when its disc meets |s| = 1.  f has no root at +-1
     (split off before the solve), so no root here is trivial.  Each root
-    carries its disc's radius.  Unsorted; _solve_split sorts."""
+    carries its disc: the radius and the centre, whose coordinate is zeroed
+    with the value's, so a lift from it stays on the axis.  Unsorted;
+    _solve_split sorts."""
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     roots = []
     for i, radius in enumerate(radii):
-        value = hp_float(z[i], bits)
+        (re, im), value = z[i], hp_float(z[i], bits)
         real = _on_axis(z, bits, radii, i, 1)
         imaginary = not real and parity and _on_axis(z, bits, radii, i, -1)
         if real:
-            value = complex(value.real, 0.0)
+            im, value = 0, complex(value.real, 0.0)
         elif imaginary:
-            value = complex(0.0, value.imag)
+            re, value = 0, complex(0.0, value.imag)
         flags = RootFlags(
             trivial_pm1=False, real=real, imaginary=imaginary,
-            unit_circle=_meets_unit_circle(value, radius),
+            unit_circle=abs(abs(value) - 1.0) <= _reach(value, radius),
         )
-        roots.append(Root(value, 1, flags, radius))
+        roots.append(Root(value, 1, flags, radius, (re, im), bits))
     return roots
 
 
@@ -421,7 +425,7 @@ def _solve_split(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet:
     at once; either stage's ConvergenceFailure gets coeff_bits, and its
     degree and coeff_bits are the quotient's.  Sorted once, by (re, im)."""
     flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
-    roots = [Root(complex(x), order, flags, 0.0) for x, order in zip((1, -1), orders) if order]
+    roots = [Root(complex(x), order, flags, 0.0, (x, 0), 0) for x, order in zip((1, -1), orders) if order]
     degree = len(quotient) - 1
     if degree:
         top = max(abs(c) for c in quotient)
@@ -524,7 +528,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     """Count the real and pure imaginary roots among the non-trivial ones,
     from their certified flags, and compare against the closed-form
     expectations; fail when the disc of a non-trivial root meets |s| = 1
-    (_meets_unit_circle on each Root's value and radius).  The report's circle
+    (its unit_circle flag, set by _package).  The report's circle
     gap and separation are those of the printed values."""
     nt = nontrivial_roots(rs)
     real = sum(r.flags.real for r in nt)
@@ -542,7 +546,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     values = nt.values
     gaps = [abs(abs(v) - 1.0) for v in values]
     min_gap = min(gaps) if gaps else math.inf
-    met = [r.value for r in nt if _meets_unit_circle(r.value, r.radius)]
+    met = [r.value for r in nt if r.flags.unit_circle]
     if met:
         worst = min(met, key=lambda v: abs(abs(v) - 1.0))
         raise ClassificationViolation(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from whitenorm.cxhp import HPComplex
+from whitenorm.cxhp import HPComplex, hp
 from whitenorm.errors import CountMismatch, SingularPoint, ValidationError, VerificationFailure
 from whitenorm.reps import (
     EigenTuple,
@@ -24,7 +24,7 @@ from whitenorm.reps import (
     inverse_eigenvalue_map,
     slice_f,
 )
-from whitenorm.roots import nontrivial_roots, resultant_roots
+from whitenorm.roots import Root, RootFlags, nontrivial_roots, resultant_roots
 
 SQ2 = math.sqrt(2)
 
@@ -38,10 +38,16 @@ def _quadric(s, t):
 
 
 def _reconstruct(s, sign_u, p, q):
-    """The verified irreducible representation at s, a non-trivial root of
-    res_{p,q}, with meridian trace 2 sign_u: the one-class slice of
-    all_prep_classes."""
-    return _build(p, q, "irreducible", *_lift(s, p, q), signs=(sign_u,))[0]
+    """The verified irreducible representation at the non-trivial root of
+    res_{p,q} nearest s, with meridian trace 2 sign_u: the one-class slice
+    of all_prep_classes."""
+    root = min(nontrivial_roots(resultant_roots(p, q)), key=lambda r: abs(r.value - s))
+    return _build(p, q, "irreducible", *_lift(root, p, q), signs=(sign_u,))[0]
+
+
+def _planted(s, radius=0.0, bits=128):
+    """A Root at s, which no solve certified, its centre at `bits`."""
+    return Root(s, 1, RootFlags(False, False, False, False), radius, hp(s, bits), bits)
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +220,21 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
 
 
 def test_reconstruct_refuses_what_has_no_root():
-    # the lift refines s on res's closed form and refuses a start that moves
+    # the lift refines s on res's closed form from its disc's centre and
+    # refuses to end outside the disc
     for s, p, q in [(3.7 + 0.1j, 2, 1), (0.5 + 0.2j, 5, 1)]:
-        with pytest.raises(ValidationError, match="not a root"):
-            _lift(s, p, q)
+        with pytest.raises(VerificationFailure, match="left its root's disc"):
+            _lift(_planted(s, 2.0**-100), p, q)
+
+
+def test_lift_divides_by_a_zero_derivative():
+    # res is palindromic, so res'(1) = 0: the lift from s = 1 divides by
+    # zero instead of returning its start
+    with pytest.raises(ZeroDivisionError):
+        _lift(_planted(1 + 0j), 5, 1)
+    exact = Root(1 + 0j, 1, RootFlags(True, True, False, True), 0.0, (1, 0), 0)
+    with pytest.raises(ZeroDivisionError):
+        _lift(exact, 5, 1)
 
 
 def test_discrete_faithful_points_do_not_fill():
@@ -301,17 +318,39 @@ def test_all_prep_classes_lifts_each_class_once(monkeypatch):
     import whitenorm.reps as reps_mod
 
     calls = []
-    refine = reps_mod._refine_on_int_poly
+    newton = reps_mod._newton
 
-    def counting(value, z):
+    def counting(value, z, good):
         calls.append(z.to_complex())
-        return refine(value, z)
+        return newton(value, z, good)
 
-    monkeypatch.setattr(reps_mod, "_refine_on_int_poly", counting)
+    monkeypatch.setattr(reps_mod, "_newton", counting)
     classes = all_prep_classes(5, 1)
     # 2 irreducible + 2 reducible classes, each lifted once for both signs
     assert len(classes) == 8
     assert len(calls) == 4
+
+
+def test_each_lift_makes_its_planned_steps(monkeypatch):
+    # from a start good to g bits, Newton doubles the good bits each step:
+    # ceil(log2(2 bits / g)) evaluations reach twice the class's bits
+    import whitenorm.reps as reps_mod
+
+    counts = []
+    newton = reps_mod._newton
+
+    def counting(value, z, good):
+        calls = []
+        out = newton(lambda w: calls.append(w) or value(w), z, good)
+        counts.append((len(calls), math.ceil(math.log2(2 * z.bits / good))))
+        return out
+
+    monkeypatch.setattr(reps_mod, "_newton", counting)
+    assert len(all_prep_classes(65, 3)) == 180
+    assert len(counts) == 90
+    assert all(made == planned < 10 for made, planned in counts)
+    # the loop with a 10-step cap made 359, 11 lifts running all 10
+    assert sum(made for made, _ in counts) < 359
 
 
 def _lifts(monkeypatch, p, q):
@@ -359,7 +398,7 @@ def test_closed_form_pieces_match_res():
     # reps._closed_form's pieces against the Laurent polynomials respq
     # builds, and build_res certifies, summed term by term in doubles
     import whitenorm.reps as reps_mod
-    from whitenorm.respq import _W, _closed_form, _dickson
+    from whitenorm.respq import _closed_form, _dickson
 
     def at(poly, z, derivative=False):
         terms = [c * (e * z ** (e - 1) if derivative else z**e) for e, c in poly.coeffs.items()]
@@ -376,8 +415,8 @@ def test_closed_form_pieces_match_res():
             assert w == pytest.approx(4 - z * z - z**-2, rel=1e-12)
             for got, (want, scale) in [
                 (zm + zm_inv + sign * d, at(_closed_form(p, q), z)),
-                (d, at(_dickson(q, _W), z)),
-                (dd * 2 * (z**-3 - z), at(_dickson(q, _W), z, derivative=True)),  # dD/dz
+                (d, at(_dickson(q), z)),
+                (dd * 2 * (z**-3 - z), at(_dickson(q), z, derivative=True)),  # dD/dz
             ]:
                 assert abs(got - want) <= 1e-12 * scale
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -161,24 +162,27 @@ def test_build_res_rejects_tampered_closed_form(monkeypatch):
 
 
 def test_dickson_bases():
-    x = LaurentPoly({1: 1})
-    assert _dickson(0, x) == LaurentPoly({0: 2})
-    assert _dickson(1, x) == x
-    assert _dickson(2, x) == LaurentPoly({2: 1, 0: -2})
-    assert _dickson(3, x) == LaurentPoly({3: 1, 1: -3})
+    # D_q at w = -s^2 + 4 - s^-2
+    w, two, three = respq._W, LaurentPoly({0: 2}), LaurentPoly({0: 3})
+    assert w == LaurentPoly({2: -1, 0: 4, -2: -1})
+    assert _dickson(0) == two
+    assert _dickson(1) == w
+    assert _dickson(2) == w * w - two
+    assert _dickson(3) == w**3 - three * w
 
 
 def test_dickson_cosine_identity():
-    x = LaurentPoly({1: 1})
+    # D_q(2 cosh psi) = 2 cosh(q psi), the hyperbolic side of
+    # D_q(2 cos theta) = 2 cos(q theta): at s = e^(i phi),
+    # w = 4 - s^2 - s^-2 = 4 - 2 cos(2 phi) = 2 cosh psi
     for q in range(13):
-        dq = _dickson(q, x)
+        dq = _dickson(q)
         for k in range(17):
-            theta = 0.17 + 6.0 * k / 17
-            # D_q at w by Horner's rule on its dense coefficients
-            w, (dense, lo), value = 2 * math.cos(theta), dq.dense(), 0.0
-            for c in reversed(dense):
-                value = value * w + c
-            assert value * w**lo == pytest.approx(2 * math.cos(q * theta), abs=2e-12)
+            phi = 0.17 + 6.0 * k / 17
+            s, psi = cmath.exp(1j * phi), math.acosh(2 - math.cos(2 * phi))
+            terms = [c * s**e for e, c in dq.coeffs.items()]
+            # the terms cancel near w = 2, so the bound scales with their sizes
+            assert abs(sum(terms) - 2 * math.cosh(q * psi)) <= 1e-12 * sum(map(abs, terms))
 
 
 def test_symmetry_checker_catches_tampering():

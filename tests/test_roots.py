@@ -15,6 +15,7 @@ from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
 from whitenorm.roots import (
     RootSet,
+    _package,
     _refine_hp,
     _solve_split,
     _sweep,
@@ -417,13 +418,17 @@ def test_classification_raises_on_planted_violation():
 
 
 def test_classification_rejects_disc_meeting_unit_circle():
+    # _package owns the circle flag and classify reads it: the first disc,
+    # widened to reach |s| = 1, is flagged, and the root set then fails
     rs = resultant_roots(5, 1)
-    i = next(k for k, r in enumerate(rs) if not r.flags.trivial_pm1)
-    roots = list(rs.roots)
-    # now reaches |s| = 1
-    roots[i] = dataclasses.replace(roots[i], radius=abs(abs(rs.values[i]) - 1.0) * 1.001)
+    nt = list(nontrivial_roots(rs))
+    radii = [r.radius for r in nt]
+    radii[0] = abs(abs(nt[0].value) - 1.0) * 1.001
+    wide = _package(list(build_res(5, 1).quotient), [r.centre for r in nt], nt[0].bits, radii)
+    assert [r.flags.unit_circle for r in wide] == [True, False, False, False]
+    trivial = [r for r in rs if r.flags.trivial_pm1]
     with pytest.raises(ClassificationViolation, match="unit circle"):
-        classify(dataclasses.replace(rs, roots=tuple(roots)), 5, 1)
+        classify(dataclasses.replace(rs, roots=tuple(trivial + wide)), 5, 1)
     classify(rs, 5, 1)
 
 

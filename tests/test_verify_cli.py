@@ -352,14 +352,14 @@ def test_exact_facts_once_per_filling(monkeypatch, tmp_path):
 # stdout SHA-256 pinned here: of commands the benchmark does not run, and
 # of those whose benchmark digest is stale
 PREPS_DIGESTS = {
-    "preps 5 1": "445c9d13adc0e3a18a24cab4615fb39d8a833b4b9c3443e6307f2bacfddf19af",
-    "preps -5 3": "5d9c6bf50c14fa5886907bf2fe9993b7517deb00bc1aef74242d856a7e49cae0",
+    "preps 5 1": "6aa138eb223d789aaa47e6ab833421cbfef9bb0c250a0788b483e085cccf4349",
+    "preps -5 3": "6de26981198287c8b9ce8d0408f6092a9d50544ba4951015a31175a172b6ec6c",
     "preps 2 1": "1e6fcde8fd4b63b556c7daae35045d3586b1804569a4b3e6f11eb96c6ec2e01f",
-    "preps 8 1": "a8579aa37b9bf8b6f2079a76488d777a1844c24d9a7ef80da44eb527dcac9e29",
-    "preps 7 2": "ba7f2ea661942060962e81394e10fec71ed25bff90f845a2f6461b98d2d0bcf3",
+    "preps 8 1": "ea34be713e4406b4c11925447d4e340536e075998ad234eeb5cf9c87d8f3c7a0",
+    "preps 7 2": "901408ac32171829a243d96d40f154fffae676f83d19c1de22cf0031173f64be",
     # every byte of the 64 reducible entries at |p| = 65
-    "preps 65 3": "7cc4cad5eab062d1c1bddbab43dc017eeaff4aed26c430ff171a0ae84390f924",
-    "preps 65 16": "63cdf2bf09d6a1d86d3617f749f90b1fb01fcd85ba5f017319f25545c139cd7d",
+    "preps 65 3": "ca24c326eeeffffb0fa6ed3bf7c1fc7df7a4d3f1db89a0075724849b174a6b01",
+    "preps 65 16": "95cab6c231cf53e90c89ab260367436a61d68aa6b3eb318002ebc6b2cf921d7b",
     # certified zero coordinates print as 0.0 (imaginary roots at 8/1,
     # real ones at 7/2)
     "roots 8 1": "fdf3c8c5b35e144f0d24b9d55545d19a22d6f0c24e544af774191042e726063d",
@@ -377,7 +377,7 @@ PREPS_DIGESTS = {
     "verify 4 1 --suite all": "f3ce3a5b5ffbe8c3124edd4cd1fe9b40b92b275fa3ad393204563a5c942ba6e2",
     # even-p fillings: their class count is checked against the closed form
     # and their roots are certified simple like those of odd p
-    "verify 8 1 --suite all": "4ceff978c440df5d3c4d64ebc2924f4a8454819bac0d424335245d1d04ce3b39",
+    "verify 8 1 --suite all": "3d9083f784a2a175bf6f27acb0d04f0d13708085b51117dc2bd34c4d32ab7556",
     "verify 12 5 --suite all": "e7ad544dd3b5ef6a1e8001629c2c4d2a99a19e62587d946536d5dfbcdd58367e",
     "verify 6 1 --suite all": "d680d6e79e66290fc3bbce4bb5e2a250f8f303ac9840c11914b3040c8562f916",
     # norm JSON on each open range of p/q: (0, 2), (2, 4), (4, inf), (-inf, 0)
@@ -386,11 +386,11 @@ PREPS_DIGESTS = {
     "norm 65 16 --slope 1/1": "1eccca2264d6e9e49e3fce0f1edea43260f4eb39b8b0abdfc92d2496a4193338",
     "norm -5 3 --slope=-2/5": "a9ea2b4ddb68e9ad76be9b3720d9ef765577ae892d50bc045887572619b1a73e",
     # benchmark/digests.json's verify-grid entries predate the residuals of
-    # per-class precision and of the closed-form lift, and the cohomology
-    # suite's exact d2 text and dropped constant coboundary check; they are
-    # stale until they are re-recorded
-    "verify 5 1 --suite all": "8beaaafd8172bf3b8b96046229d9a55a26810c254b20327b70e722a6eb469e6d",
-    "verify -5 3 --suite all": "1f50af5f67948ffcc8bdbb66066a70c0d4eacc8752107cc86cf78b741088addd",
+    # per-class precision, of the closed-form lift and of the lift from the
+    # disc centres, and the cohomology suite's exact d2 text and dropped
+    # constant coboundary check; they are stale until they are re-recorded
+    "verify 5 1 --suite all": "c850e316f806062d982b15c0024f122272486cb810ea0aee49d19d0dcbb7a680",
+    "verify -5 3 --suite all": "24b02b9a0e065d3f960cd5d9967396e0ef114108d7112ffb02052efab7efe3fc",
     "verify 65 3 --suite all": "1c0ad1d1a61c36175283a3565d8a9b6046cc62445414c03e01a8d4f8fc4defc9",
     "verify 65 16 --suite all": "ba643d60ab2044e8ed016ffe0d043be0e5b8314e352c4de9757d14040d0c6e76",
 }
