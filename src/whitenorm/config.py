@@ -9,6 +9,10 @@ that disc (see roots).  Every root off +-1 is simple, by an exact
 squarefree test, and the trivial roots +-1 are split off exactly with
 their orders.  Nor is a rank or a determinant judged on one: the
 cohomology ranks and det P are identities in s and p/q (see cohomology).
+A class's place on the eigenvalue variety has no threshold of its own: at
+u = +-1, v = -1 its relator residual decides it, by exact identities (see
+reps).  Nor has the faithful points' filling defect, a closed form of at
+least 2 sqrt(2) q (see verify).
 """
 
 from dataclasses import dataclass
@@ -17,10 +21,9 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # representation residuals
-    residual: float = 1e-8         # relator / filling / variety residuals
-    trace: float = 1e-9            # |tr rho(mu1) -+ 2|
-    det_one: float = 1e-10         # |det - 1| for constructed matrices
-    faithful_defect: float = 1e-3  # filling defect required at s = +-1
+    residual: float = 1e-8   # every residual but trace_mu1 and det
+    trace: float = 1e-9      # |tr rho(mu1) -+ 2|
+    det_one: float = 1e-10   # |det - 1| for constructed matrices
 
 
 TOL = Tolerances()

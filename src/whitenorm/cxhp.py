@@ -16,7 +16,8 @@ sum, see roots._sweep) and the group words of reconstruction
 (reps._verify).  `HPComplex` wraps the same kernel in operators for the
 scalar formulas of reconstruction, the Newton lifts on res's closed form
 and on x^|p| - 1 among them; each value carries its fraction bits, and an
-operation on two precisions raises.
+operation on two precisions raises, as does one on a float or complex
+operand, which from_complex converts explicitly.
 
 Only ring operations and division are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.
@@ -162,7 +163,9 @@ class HPComplex:
             return other
         if isinstance(other, int):
             return HPComplex.from_int(other, self.bits)
-        return HPComplex.from_complex(other, self.bits)
+        # a double carries 53 bits into arithmetic of hundreds: convert it
+        # on purpose, with from_complex
+        raise TypeError(f"fixed-point operand must be HPComplex or int, not {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -116,18 +116,6 @@ class LaurentPoly:
         """Multiply by the unit s^k."""
         return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only exist for monomials; use shift")
-        result = LaurentPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 

@@ -1,4 +1,4 @@
-"""SL2(C) matrices, group words, the eigenvalue variety, and the
+"""SL2(C) matrices, group words, the inverse eigenvalue map, and the
 reconstruction of parabolic representations from resultant roots.
 
 The fundamental group of the unfilled two-bridge link exterior is generated
@@ -14,7 +14,8 @@ res's closed form, or from a double on x^|p| - 1 if reducible, and an
 irreducible lift must end in its root's disc.  If irreducible, t is read
 off the same closed form at s, with no branch to choose.  One
 representation per meridian trace sign u = +-1 is then built from the lift
-and verified.
+and verified by its residuals, whose relator residual alone decides the
+eigenvalue-variety equations there (_build).
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class Mat2:
             self.c * o.b + self.d * o.d,
         )
 
-    def __sub__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
@@ -80,9 +78,6 @@ class Mat2:
             if n:
                 base = base @ base
         return Mat2.identity() if out is None else out
-
-    def norm(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +132,7 @@ _REL_L1_HEAD = GroupWord(WORD_REL_LHS.letters[:7])
 
 
 # ---------------------------------------------------------------------------
-# the eigenvalue variety
-
-
-def slice_f(s: complex, u: complex, c: complex) -> complex:
-    """Defining polynomial of the normal-form slice of the representation
-    variety; cubic in the off-diagonal parameter c."""
-    if s == 0 or u == 0:
-        raise ValidationError("s and u must be non-zero")
-    si, ui = 1 / s, 1 / u
-    return (
-        (s - si) * (u - ui)
-        + c * (si * si * ui * ui - ui * ui - si * si + 4 - s * s - u * u + s * s * u * u)
-        + c * c * (2 * si * ui - s * ui - si * u + 2 * s * u)
-        + c * c * c
-    )
+# peripheral eigenvalues and the normal form
 
 
 @dataclass(frozen=True)
@@ -167,38 +148,6 @@ class EigenTuple:
     def __post_init__(self):
         if 0 in (self.s, self.t, self.u, self.v):
             raise ValidationError("eigenvalues must be non-zero")
-
-
-def eigenvariety_polys(e: EigenTuple) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """The three defining polynomials of the eigenvalue variety, plus their
-    three simplifications on the slice u^2 = 1; complex or HPComplex
-    entries.  u enters only as u^2."""
-    s2 = e.s * e.s
-    s4 = s2 * s2
-    s6 = s4 * s2
-    t, u, v = e.t, e.u, e.v
-    t2, t3 = t * t, t * t * t
-    u2 = u * u
-    u4, u6 = u2 * u2, u2 * u2 * u2
-    v2, v3 = v * v, v * v * v
-    h1 = (
-        t - s2 * t + s2 * t2 - s4 * t2 - u2 - 2 * s2 * t * u2 + s4 * t * u2
-        - t2 * u2 + 2 * s2 * t2 * u2 + s4 * t3 * u2 + t * u4 - s2 * t * u4
-        + s2 * t2 * u4 - s4 * t2 * u4
-    )
-    h2 = (
-        s2 - v - s4 * v + u2 * v + 2 * s2 * u2 * v + s4 * u2 * v - s2 * u4 * v
-        + s2 * v2 - u2 * v2 - 2 * s2 * u2 * v2 - s4 * u2 * v2 + u4 * v2
-        + s4 * u4 * v2 - s2 * u4 * v3
-    )
-    h3 = (
-        s4 * t - s6 * t - s2 * t * u2 + s4 * t * u2 + s6 * t2 * u2 - s2 * u2 * v
-        + u4 * v + s2 * u4 * v - 2 * s4 * t * u4 * v - u6 * v + s2 * u6 * v2
-    )
-    g1 = (t - 1) * (t * (t - 1) * s4 + 4 * t * s2 + (1 - t))
-    g2 = s2 * (1 - v) * (v + 1) * (v + 1)
-    g3 = s2 * (t * (t - 1) * s4 + 2 * t * (1 - v) * s2 + (v2 - t))
-    return h1, h2, h3, g1, g2, g3
 
 
 def _power(base: HPComplex, n: int) -> HPComplex:
@@ -406,16 +355,18 @@ def _lift_unity(k: int, p: int) -> tuple[HPComplex, HPComplex]:
 def _build(p: int, q: int, kind: str, s: HPComplex, t: HPComplex,
            signs: tuple[int, ...] = (1, -1)) -> list[PRep]:
     """The normal-form representations with meridian trace 2*sign_u over a
-    lifted class, one per sign in signs, each verified in fixed point and,
-    if irreducible, on the variety equations.  Those run at the class's
-    precision too: their s^6 t^3 terms lose log2 |t| bits of a double,
-    13 at 255/64.  u enters them only as u^2 = 1, so they run once, at u = 1."""
+    lifted class, one per sign in signs, each verified in fixed point
+    (_verify).  The relator residual is also the class's variety check: at
+    u = +-1 and v = -1 the relator difference is [[-c, 0], [(s^2 - 1)/s, c]]
+    times the slice polynomial f, f = c s^2 Q/(s^2 - 1)^2 with Q the
+    peripheral quadric, and the eigenvalue variety's polynomials are
+    multiples of Q, all exact identities in s and t (tests/test_reps.py
+    proves them).  So at an irreducible class, where s^2 != 1 and c != 0
+    (at c = 0, l1's upper-left entry is 1 and v_entry refuses it), they
+    vanish exactly where the relator holds."""
     bits = s.bits
     one = HPComplex.from_int(1, bits)
     s_inv = one / s
-    worst = 0.0
-    if kind == "irreducible":
-        worst = max(map(abs, eigenvariety_polys(EigenTuple(s, t, 1, -1))))
     preps = []
     for sign_u in signs:
         u = HPComplex.from_int(sign_u, bits)
@@ -424,33 +375,8 @@ def _build(p: int, q: int, kind: str, s: HPComplex, t: HPComplex,
             _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, -1))
         m0 = (s.re, s.im, c.re, c.im, 0, 0, s_inv.re, s_inv.im)
         m1 = (u.re, 0, 0, 0, one.re, 0, u.re, 0)
-        prep = _verify(p, q, kind, sign_u, s, t, m0, m1)
-        if kind == "irreducible":
-            fval = abs(slice_f(prep.eigen.s, complex(sign_u), c.to_complex()))
-            if worst > TOL.residual or fval > TOL.residual:
-                raise VerificationFailure(
-                    f"({p},{q}) s={prep.eigen.s}: variety residuals h/g={worst:.2e} f={fval:.2e}"
-                )
-        preps.append(prep)
+        preps.append(_verify(p, q, kind, sign_u, s, t, m0, m1))
     return preps
-
-
-def discrete_faithful_matrices(s: int, u: int) -> tuple[Mat2, Mat2, Mat2]:
-    """The four-fold family of representations at s = +-1, u = +-1 attached
-    to the complete structure of the unfilled exterior: the images of m0,
-    m1, and the longitude word l0 = -I + parabolic part with corner -4su.
-    These never factor through any filling."""
-    if s not in (1, -1) or u not in (1, -1):
-        raise ValidationError("discrete faithful points have s, u in {+-1}")
-    m0 = Mat2(s, -s * u + 1j, 0, s)
-    m1 = Mat2(u, 0, 1, u)
-    l0 = WORD_L0.evaluate(m0, m1)
-    return m0, m1, l0
-
-
-def discrete_faithful_filling_defect(p: int, q: int, s: int, u: int) -> float:
-    m0, _, l0 = discrete_faithful_matrices(s, u)
-    return (m0.power(p) @ l0.power(q) - Mat2.identity()).norm()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cohomology, reps, respq, seminorm
-from .config import TOL
 from .errors import ScopeError, ValidationError, VerificationFailure, WhitenormError
 from .roots import classify, resultant_roots
 from .slopes import INFINITY, Slope, validate_filling
@@ -91,17 +90,19 @@ def suite_roots(p: int, q: int) -> str:
 
 def suite_preps(p: int, q: int) -> str:
     """Reconstruct one representation per class (reps checks every
-    residual and the number of classes) and report the worst residual."""
+    residual and the number of classes) and report the worst residual and
+    the faithful points' filling defect."""
     if _degenerate(p, q):
         raise ScopeError("characterization polynomial is a unit: no irreducible classes")
     classes = reps.all_prep_classes(p, q)
     reducible = sum(pr.kind == "reducible" for pr in classes)
     worst = max(v for pr in classes for v in pr.residuals.values())
-    defect = min(
-        reps.discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)
-    )
-    if defect <= TOL.faithful_defect:
-        raise VerificationFailure(f"faithful point fills to {defect:.2e}")
+    # the faithful points s, u = +-1 of the unfilled exterior: with
+    # U(x) = [[1, x], [0, 1]], m0 = s U(-u + is) and l0 = -U(4u), so
+    # m0^p l0^q = s^p (-1)^q U(u(4q - p) + ips).  Its corner, at least
+    # 2 sqrt(2) q, outweighs the diagonal's gap of 0 or 2 from I, so it is
+    # the filling defect at all four points: none fills
+    defect = abs(complex(4 * q - p, p))
     detail = (
         f"{reducible} reducible + {len(classes) - reducible} irreducible classes"
         f", worst residual {worst:.1e}, faithful defect {defect:.1e}"

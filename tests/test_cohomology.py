@@ -106,7 +106,7 @@ def test_presentation_matrix_rank_five():
     for p, q in [(5, 1), (-5, 3), (65, 16), (3, 1)]:
         m = presentation_matrix(p, q)
         assert minor(m, (1, 2, 3, 4, 6)) == over_s(const(4 * p) * Q2 * Q2 * (S2 * S2 - S2 + ONE), 2)
-        assert minor(m, (1, 2, 3, 5, 6)) == over_s(const(-2 * p) * Q2 ** 4 * QUARTIC, 2)
+        assert minor(m, (1, 2, 3, 5, 6)) == over_s(const(-2 * p) * Q2 * Q2 * Q2 * Q2 * QUARTIC, 2)
 
 
 def test_presentation_matrix_degenerates_at_one():

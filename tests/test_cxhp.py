@@ -65,6 +65,18 @@ def test_hpcomplex_refuses_to_mix_precisions():
             op(b)
 
 
+def test_hpcomplex_refuses_a_double():
+    # a double carries 53 bits into arithmetic of up to 1920: an operand is
+    # HPComplex or int, and a double enters only through from_complex
+    a = HPComplex.from_int(3, 256)
+    ops = (a.__add__, a.__radd__, a.__sub__, a.__rsub__, a.__mul__, a.__rmul__, a.__truediv__, a.__eq__)
+    for other in (0.5, 1e-9, 2j, 1 + 0j):
+        for op in ops:
+            with pytest.raises(TypeError, match="HPComplex or int, not (float|complex)"):
+                op(other)
+    assert a * 2 - 1 + HPComplex.from_complex(0.5, 256) == HPComplex.from_complex(5.5, 256)
+
+
 def _hp_entry(draw, bits):
     # |z| up to about 4, parts of either sign, so every shift truncates
     part = st.integers(-(4 << bits), 4 << bits)

@@ -51,8 +51,8 @@ def test_outside_envelope_fails_at_its_stage(pq, stage, message):
     assert info.value.stage == stage
 
 
-# 255/64's class at s = 0.095 builds at 1920 bits; its variety check, once
-# run in double precision, failed there at h/g = 6.5e-8
+# 255/64's class at s = 0.095 builds at 1920 bits, where every residual,
+# the relator's with the variety equations it decides, runs in fixed point
 @pytest.mark.parametrize(
     "pq", [(113, 56), (127, 16), (-129, 8), (255, 64)], ids=lambda pq: f"{pq[0]}_{pq[1]}"
 )

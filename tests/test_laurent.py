@@ -268,9 +268,9 @@ def test_bareiss_zero_pivot_and_singular():
 def test_unit_pivot_after_row_swap():
     # column 0 has its only unit s^2 in row 1: one swap, so the sign flips
     two, three = LaurentPoly.constant(2), LaurentPoly.constant(3)
-    m = [[two, S], [S**2, three]]
+    m = [[two, S], [S * S, three]]
     assert det_exact(m) == det_cofactor(m) == LaurentPoly({0: 6, 3: -1})
-    m3 = [[two, S, ONE], [S**2, three, S + ONE], [S + ONE, LaurentPoly(), LaurentPoly({0: 5})]]
+    m3 = [[two, S, ONE], [S * S, three, S + ONE], [S + ONE, LaurentPoly(), LaurentPoly({0: 5})]]
     assert det_exact(m3) == det_cofactor(m3)
 
 
@@ -287,7 +287,7 @@ def test_no_unit_pivot_is_bareiss_only():
     m = [
         [LaurentPoly({0: 2}), S + ONE, LaurentPoly({1: 3})],
         [S + LaurentPoly({0: 2}), LaurentPoly({0: 2}), LaurentPoly()],
-        [LaurentPoly(), S**2 + ONE, LaurentPoly({0: 3})],
+        [LaurentPoly(), S * S + ONE, LaurentPoly({0: 3})],
     ]
     assert not any(entry.is_unit for row in m for entry in row)
     assert det_exact(m) == det_cofactor(m)
@@ -295,7 +295,7 @@ def test_no_unit_pivot_is_bareiss_only():
 
 def test_unit_steps_then_singular_remainder():
     # one unit column, then the trailing block [[x, y], [2x, 2y]] with no unit
-    a, b, c, d = S + ONE, LaurentPoly({-1: 3}), LaurentPoly({0: 2}), S**2
+    a, b, c, d = S + ONE, LaurentPoly({-1: 3}), LaurentPoly({0: 2}), S * S
     x, y = S + LaurentPoly({0: 2}), LaurentPoly({0: 3})
     m = [[ONE, a, b], [c, c * a + x, c * b + y], [d, d * a + x + x, d * b + y + y]]
     assert det_exact(m).is_zero

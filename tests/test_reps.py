@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,23 +20,96 @@ from whitenorm.reps import (
     _verify,
     all_prep_classes,
     count_prep_classes,
-    discrete_faithful_filling_defect,
-    discrete_faithful_matrices,
-    eigenvariety_polys,
     inverse_eigenvalue_map,
-    slice_f,
 )
 from whitenorm.roots import Root, RootFlags, nontrivial_roots, resultant_roots
+from whitenorm.verify import suite_preps
 
 SQ2 = math.sqrt(2)
 
 
 def _quadric(s, t):
     """s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, the t-quadric of the eigenvalue
-    variety at u^2 = 1, v = -1, for complex or HPComplex s and t."""
+    variety at u^2 = 1, v = -1, for Fraction, complex or HPComplex s
+    and t."""
     s2 = s * s
     s4 = s2 * s2
     return s4 * t * t + (4 * s2 - s4 - 1) * t + 1
+
+
+# The eigenvalue variety and the normal-form slice, as references: the
+# package checks neither, since at every class it builds (u = +-1, v = -1)
+# both are exact multiples of the relator residual, which reps._verify
+# thresholds.  The tests below prove those identities.
+
+
+def slice_f(s, u, c):
+    """Defining polynomial of the normal-form slice of the representation
+    variety; cubic in the off-diagonal parameter c.  Exact at Fraction
+    arguments (1 / u with an int u is a float)."""
+    si, ui = 1 / s, 1 / u
+    return (
+        (s - si) * (u - ui)
+        + c * (si * si * ui * ui - ui * ui - si * si + 4 - s * s - u * u + s * s * u * u)
+        + c * c * (2 * si * ui - s * ui - si * u + 2 * s * u)
+        + c * c * c
+    )
+
+
+def eigenvariety_polys(s, t, u, v):
+    """The three defining polynomials h1, h2, h3 of the eigenvalue variety at
+    peripheral eigenvalues (s, t, u, v), plus their simplifications g1, g2,
+    g3 on the slice u^2 = 1.  u enters only as u^2."""
+    s2 = s * s
+    s4 = s2 * s2
+    s6 = s4 * s2
+    t2, t3 = t * t, t * t * t
+    u2 = u * u
+    u4, u6 = u2 * u2, u2 * u2 * u2
+    v2, v3 = v * v, v * v * v
+    h1 = (
+        t - s2 * t + s2 * t2 - s4 * t2 - u2 - 2 * s2 * t * u2 + s4 * t * u2
+        - t2 * u2 + 2 * s2 * t2 * u2 + s4 * t3 * u2 + t * u4 - s2 * t * u4
+        + s2 * t2 * u4 - s4 * t2 * u4
+    )
+    h2 = (
+        s2 - v - s4 * v + u2 * v + 2 * s2 * u2 * v + s4 * u2 * v - s2 * u4 * v
+        + s2 * v2 - u2 * v2 - 2 * s2 * u2 * v2 - s4 * u2 * v2 + u4 * v2
+        + s4 * u4 * v2 - s2 * u4 * v3
+    )
+    h3 = (
+        s4 * t - s6 * t - s2 * t * u2 + s4 * t * u2 + s6 * t2 * u2 - s2 * u2 * v
+        + u4 * v + s2 * u4 * v - 2 * s4 * t * u4 * v - u6 * v + s2 * u6 * v2
+    )
+    g1 = (t - 1) * (t * (t - 1) * s4 + 4 * t * s2 + (1 - t))
+    g2 = s2 * (1 - v) * (v + 1) * (v + 1)
+    g3 = s2 * (t * (t - 1) * s4 + 2 * t * (1 - v) * s2 + (v2 - t))
+    return h1, h2, h3, g1, g2, g3
+
+
+def discrete_faithful_matrices(s, u):
+    """The four-fold family of representations at s = +-1, u = +-1 attached
+    to the complete structure of the unfilled exterior: the images of m0,
+    m1, and the longitude word l0, on Gaussian-integer entries."""
+    m0 = Mat2(s, -s * u + 1j, 0, s)
+    m1 = Mat2(u, 0, 1, u)
+    return m0, m1, WORD_L0.evaluate(m0, m1)
+
+
+def discrete_faithful_filling_defect(p, q, s, u):
+    """The largest entry of m0^p l0^q - I at the faithful point (s, u)."""
+    m0, _, l0 = discrete_faithful_matrices(s, u)
+    return _gap(m0.power(p) @ l0.power(q), Mat2.identity())
+
+
+def _gap(x, y):
+    """The largest entry of x - y, for 2x2 matrices."""
+    return max(abs(a - b) for a, b in zip(dataclasses.astuple(x), dataclasses.astuple(y)))
+
+
+def _grid(n):
+    """n distinct Fractions, none of them 0 or +-1."""
+    return [Fraction(2 * k + 1, 2) for k in range(n)]
 
 
 def _reconstruct(s, sign_u, p, q):
@@ -67,7 +142,7 @@ def test_word_normalization_and_identity():
 
 def test_mat2_power_and_inverse():
     m = Mat2(2, 1, 0, 0.5)
-    assert (m.power(3) @ m.power(-3) - Mat2.identity()).norm() < 1e-12
+    assert _gap(m.power(3) @ m.power(-3), Mat2.identity()) < 1e-12
     assert m.power(0) == Mat2.identity() and m.power(1) == m and m.power(-1) == m.inverse_sl2()
     assert abs(m.inverse_sl2().det() - 1) < 1e-15
 
@@ -80,63 +155,92 @@ def test_longitude_spellings_agree_at_prep():
 def test_longitude_identity_at_reducible(reducible_5_1):
     for pr in reducible_5_1:
         l0 = WORD_L0.evaluate(pr.m0, pr.m1)
-        assert (l0 - Mat2.identity()).norm() < 1e-12
+        assert _gap(l0, Mat2.identity()) < 1e-12
 
 
 def test_slice_f_values():
-    assert slice_f(2, 1, 0) == 0
-    assert slice_f(1, 1, 1) == pytest.approx(5.0)
-    with pytest.raises(ValidationError):
-        slice_f(0, 1, 1)
+    one = Fraction(1)
+    assert slice_f(Fraction(2), one, Fraction(0)) == 0
+    assert slice_f(one, one, one) == 5
 
 
 def test_relator_difference_factors_through_slice_f():
     # the image of (lhs - rhs) of the relation at the normal form is the
     # fixed matrix [[-c, c(u^2-1)/u], [(s^2-1)/s, c]] times f(s, u, c);
-    # this pins the 8-letter words and the slice polynomial jointly
-    for s, u, c in [
-        (1.7, 0.6, 0.9),
-        (0.8, 1.9, -0.7),
-        (1.3 + 0.2j, 0.8 - 0.1j, 0.4 + 0.7j),
-        (0.7j, 1.1, 0.3 - 0.2j),
-    ]:
-        m0 = Mat2(s, c, 0, 1 / s)
-        m1 = Mat2(u, 0, 1, 1 / u)
-        diff = WORD_REL_LHS.evaluate(m0, m1) - WORD_REL_RHS.evaluate(m0, m1)
+    # this pins the 8-letter words and the slice polynomial jointly.  Each
+    # word has four letters m0^+-1, whose entries are s, c, 1/s or s, -c,
+    # 1/s, and four m1^+-1, of entries u, 1, 1/u: its entries are Laurent
+    # in s and u of exponents in [-4, 4] and of degree <= 4 in c, and so
+    # are the predicted ones.  So s^4 u^4 times the difference has degree
+    # <= 8 in s and in u and <= 4 in c, and zero on a 9 x 9 x 5 grid it is
+    # zero
+    for s, u, c in product(_grid(9), _grid(9), _grid(5)):
+        m0, m1 = Mat2(s, c, 0, 1 / s), Mat2(u, 0, 1, 1 / u)
+        lhs, rhs = WORD_REL_LHS.evaluate(m0, m1), WORD_REL_RHS.evaluate(m0, m1)
         f = slice_f(s, u, c)
-        pred = Mat2(-c * f, c * (u * u - 1) / u * f, (s * s - 1) / s * f, c * f)
-        assert (diff - pred).norm() <= 1e-12 * max(1.0, diff.norm())
+        pred = (-c * f, c * (u * u - 1) / u * f, (s * s - 1) / s * f, c * f)
+        assert [x - y for x, y in zip(dataclasses.astuple(lhs), dataclasses.astuple(rhs))] == list(pred)
 
 
 def test_variety_polynomials_tie_together():
-    # on u^2 = 1 the three full polynomials reduce to the three slice ones,
-    # and the slice ones factor through the peripheral quadric
-    for s, t, v in [(1.3 + 0.4j, 0.7 - 0.2j, -0.3 + 1.1j), (0.6, 2.0, 0.5), (2 + 1j, 0.3, 1.7 - 0.4j)]:
+    # on u^2 = 1 the three full polynomials reduce to the three slice ones
+    # for every s, t, v: h - g has degree <= 6 in s, <= 3 in t and <= 3 in
+    # v, so zero on a 7 x 4 x 4 grid it is zero
+    for s, t, v in product(_grid(7), _grid(4), _grid(4)):
         for u in (1, -1):
-            h1, h2, h3, g1, g2, g3 = eigenvariety_polys(EigenTuple(s, t, u, v))
-            for h, g in ((h1, g1), (h2, g2), (h3, g3)):
-                assert abs(h - g) < 1e-10 * (1 + abs(g))
-            k2 = _quadric(s, t)
-            assert abs(g1 - (t - 1) * k2) < 1e-10 * (1 + abs(k2))
-    # at v = -1 the third slice polynomial is s^2 times the quadric
-    s, t = 1.2 - 0.5j, 0.8 + 0.3j
-    *_, g3 = eigenvariety_polys(EigenTuple(s, t, 1, -1))
-    assert abs(g3 - s * s * _quadric(s, t)) < 1e-10
+            h1, h2, h3, g1, g2, g3 = eigenvariety_polys(s, t, u, v)
+            assert (h1, h2, h3) == (g1, g2, g3)
+    # the slice ones factor through the peripheral quadric Q: g1 = (t - 1) Q
+    # for every v, and at v = -1, g2 = 0 and g3 = s^2 Q.  Each difference has
+    # degree <= 6 in s and <= 3 in t: a 7 x 4 grid proves it
+    for s, t in product(_grid(7), _grid(4)):
+        *_, g1, g2, g3 = eigenvariety_polys(s, t, 1, -1)
+        assert (g1, g2, g3) == ((t - 1) * _quadric(s, t), 0, s * s * _quadric(s, t))
+
+
+def test_slice_f_is_the_quadric_at_the_classes():
+    # at u = +-1 and v = -1 the inverse map gives c = s u (s^2 t - s^2 + 2)
+    # / (s^2 - 1): c (s^2 - 1) has degree <= 3 in s and <= 1 in t by its
+    # formula, so a 4 x 2 grid proves it
+    for s, t in product(_grid(4), _grid(2)):
+        for u in (Fraction(1), Fraction(-1)):
+            _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, Fraction(-1)))
+            assert c * (s * s - 1) == s * u * (s * s * t - s * s + 2)
+    # and there f(s, u, c) = c s^2 Q / (s^2 - 1)^2: times s^2 (s^2 - 1)^3, the
+    # difference is a polynomial of degree <= 11 in s and <= 3 in t (c^3
+    # gives s^5 u N^3 with N = s^2 t - s^2 + 2), so a 12 x 4 grid proves it.
+    # With the relator's factorization: at a class (s^2 != 1, c != 0) the
+    # relator holds exactly where Q, f and every h and g vanish
+    for s, t in product(_grid(12), _grid(4)):
+        for u in (Fraction(1), Fraction(-1)):
+            c = s * u * (s * s * t - s * s + 2) / (s * s - 1)
+            assert slice_f(s, u, c) == c * s * s * _quadric(s, t) / (s * s - 1) ** 2
+
+
+def test_a_class_at_c_zero_misses_v():
+    # c = 0 would make the normal form reducible, where l1's upper-left
+    # entry is 1, not v = -1: v_entry fails it by 2, so an irreducible class
+    # passes only with c != 0
+    one = HPComplex.from_int(1, 128)
+    s, t = HPComplex.from_complex(0.378 - 0.441j, 128), HPComplex.from_complex(0.3 + 0.1j, 128)
+    s_inv = one / s
+    m0 = (s.re, s.im, 0, 0, 0, 0, s_inv.re, s_inv.im)
+    m1 = (one.re, 0, 0, 0, one.re, 0, one.re, 0)
+    with pytest.raises(VerificationFailure, match="'v_entry': 2.0"):
+        _verify(5, 1, "irreducible", 1, s, t, m0, m1)
 
 
 def test_eigenvariety_at_special_points():
     # complete-structure points: h1 = h2 = h3 = 0 at s^2 = u^2 = 1, t = v = -1
     for s in (1, -1):
         for u in (1, -1):
-            h1, h2, h3, *_ = eigenvariety_polys(EigenTuple(s, -1, u, -1))
-            assert max(abs(h1), abs(h2), abs(h3)) < 1e-12
+            assert eigenvariety_polys(s, -1, u, -1)[:3] == (0, 0, 0)
     # reducible points: g1 = g2 = g3 = 0 at (s, 1, +-1, 1)
     for u in (1, -1):
-        *_, g1, g2, g3 = eigenvariety_polys(EigenTuple(0.3 + 0.4j, 1, u, 1))
-        assert max(abs(g1), abs(g2), abs(g3)) < 1e-12
+        assert eigenvariety_polys(Fraction(3, 5), 1, u, 1)[3:] == (0, 0, 0)
     # a tuple off the variety leaves visible residue
-    h = eigenvariety_polys(EigenTuple(1.3, 0.7, 0.9, 1.1))
-    assert max(abs(x) for x in h[:3]) > 0.1
+    h = eigenvariety_polys(Fraction(13, 10), Fraction(7, 10), Fraction(9, 10), Fraction(11, 10))
+    assert max(abs(x) for x in h[:3]) > Fraction(1, 10)
 
 
 def test_solve_t(monkeypatch):
@@ -210,7 +314,7 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
     one = HPComplex.from_int(1, 128)
     m1 = (one.re, 0, 0, 0, one.re, 0, one.re, 0)
     for eps, fails in ((1e-9, True), (1e-11, False)):
-        d = one / s * (1 + eps)
+        d = one / s * HPComplex.from_complex(1 + eps, 128)
         m0 = (s.re, s.im, 0, 0, 0, 0, d.re, d.im)
         if fails:
             with pytest.raises(VerificationFailure, match=r"over tolerance: \{'det': [^,]+\}$"):
@@ -238,13 +342,26 @@ def test_lift_divides_by_a_zero_derivative():
 
 
 def test_discrete_faithful_points_do_not_fill():
-    for s in (1, -1):
-        for u in (1, -1):
-            m0, m1, _ = discrete_faithful_matrices(s, u)
-            rel = (WORD_REL_LHS.evaluate(m0, m1) - WORD_REL_RHS.evaluate(m0, m1)).norm()
-            assert rel < 1e-12
-            for p, q in [(5, 1), (-1, 1), (7, 2), (1, 1)]:
-                assert discrete_faithful_filling_defect(p, q, s, u) > 1e-3
+    # with U(x) = [[1, x], [0, 1]], m0 = s U(-u + is) and l0 = -U(4u) at the
+    # four faithful points, where the relation holds exactly, so
+    # m0^p l0^q = s^p (-1)^q U(u(4q - p) + ips) for every p and q
+    def unipotent(k, x):
+        return Mat2(k, k * x, 0, k)
+
+    for s, u in product((1, -1), (1, -1)):
+        m0, m1, l0 = discrete_faithful_matrices(s, u)
+        assert m0 == unipotent(s, -u + s * 1j) and l0 == unipotent(-1, 4 * u)
+        assert WORD_REL_LHS.evaluate(m0, m1) == WORD_REL_RHS.evaluate(m0, m1)
+        for p, q in product(range(-40, 41), range(1, 13)):
+            k = s**p * (-1) ** q
+            assert m0.power(p) @ l0.power(q) == unipotent(k, u * (4 * q - p) + 1j * p * s)
+    # so the corner is the defect at all four points, to the last bit, and
+    # it is all the preps suite computes
+    for p, q in [(5, 1), (-1, 1), (7, 2), (1, 1), (65, 16), (-129, 8)]:
+        defects = {discrete_faithful_filling_defect(p, q, s, u) for s in (1, -1) for u in (1, -1)}
+        assert defects == {abs(complex(4 * q - p, p))}
+        assert defects.pop() >= 2 * math.sqrt(2) * q
+    assert "faithful defect 5.1e+00," in suite_preps(5, 1)
 
 
 def test_character_pairing_s_and_inverse():

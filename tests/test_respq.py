@@ -168,7 +168,7 @@ def test_dickson_bases():
     assert _dickson(0) == two
     assert _dickson(1) == w
     assert _dickson(2) == w * w - two
-    assert _dickson(3) == w**3 - three * w
+    assert _dickson(3) == w * w * w - three * w
 
 
 def test_dickson_cosine_identity():

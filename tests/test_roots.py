@@ -49,7 +49,8 @@ def test_quadratic_difference():
 def test_multiple_root_clustering():
     # (s - 2)^2 (s + 1)^2 (s - 5): the double root -1 is split off exactly,
     # and the double root 2 left after it is refused before any sweep
-    f = (LaurentPoly({1: 1, 0: -2}) ** 2) * (LaurentPoly({1: 1, 0: 1}) ** 2) * LaurentPoly({1: 1, 0: -5})
+    s_2, s1 = LaurentPoly({1: 1, 0: -2}), LaurentPoly({1: 1, 0: 1})
+    f = s_2 * s_2 * s1 * s1 * LaurentPoly({1: 1, 0: -5})
     with pytest.raises(ValidationError, match="degree-3 polynomial .* not certified squarefree"):
         find_roots(f)
 
@@ -58,7 +59,7 @@ def test_multiple_root_on_axis_prints_exact_zero():
     # (s^2 - 4)^2 (s^2 + 9): the double roots +-2 are refused, so no disc
     # ever holds more than one root
     with pytest.raises(ValidationError, match="not certified squarefree"):
-        find_roots(LaurentPoly({2: 1, 0: -4}) ** 2 * LaurentPoly({2: 1, 0: 9}))
+        find_roots(LaurentPoly({2: 1, 0: -4}) * LaurentPoly({2: 1, 0: -4}) * LaurentPoly({2: 1, 0: 9}))
 
 
 def test_refine_failure_names_degree_and_step(monkeypatch):
@@ -111,7 +112,7 @@ def test_failing_solve_makes_one_start(monkeypatch):
 def test_multiple_pm1_roots_split_exactly(other, order):
     # (s - 1)^3 (s - 3) and (s - 1)^4 (s^2 + 3): a multiple root at 1
     # converges linearly in the sweeps, so it is divided out, not solved
-    rs = find_roots(LaurentPoly({1: 1, 0: -1}) ** order * other)
+    rs = find_roots(math.prod([LaurentPoly({1: 1, 0: -1})] * order, start=other))
     one = [r for r in rs if r.flags.trivial_pm1]
     assert [(r.value, r.multiplicity, r.radius) for r in one] == [(1, order, 0.0)]
     assert sum(r.multiplicity for r in rs) == rs.span == order + other.span
@@ -301,7 +302,8 @@ def test_near_double_root_climbs_past_128_bits(monkeypatch):
     # 1 - 2 s^12 (10 - s)^2 (Mignotte's construction) has two real roots
     # 10 -+ 7.07e-7, whose discs come apart only past 128 bits; the factor
     # 100 s - 1001 puts a third root 1e-2 away
-    mignotte = LaurentPoly({0: 1}) - LaurentPoly({12: 2}) * LaurentPoly({1: -1, 0: 10}) ** 2
+    ten_minus_s = LaurentPoly({1: -1, 0: 10})
+    mignotte = LaurentPoly({0: 1}) - LaurentPoly({12: 2}) * ten_minus_s * ten_minus_s
     rs = find_roots(mignotte * LaurentPoly({1: 100, 0: -1001}))
     assert rungs[0] == 128 and max(rungs) > 128
     assert sum(r.multiplicity for r in rs) == 15 and all(r.multiplicity == 1 for r in rs)
