@@ -1,12 +1,10 @@
 """Culler-Shalen seminorms, parabolic representations and verification
 suites for Dehn fillings of the Whitehead link exterior."""
 
-from .config import TOL, Tolerances
 from .laurent import LaurentPoly, sylvester_resultant_t
 from .reps import (
     EigenTuple,
     GroupWord,
-    Mat2,
     PRep,
     all_prep_classes,
     count_prep_classes,
@@ -25,8 +23,6 @@ from .slopes import Slope, distance
 from .verify import SUITES, run_verify
 
 __all__ = [
-    "TOL",
-    "Tolerances",
     "LaurentPoly",
     "sylvester_resultant_t",
     "ResPoly",
@@ -35,7 +31,6 @@ __all__ = [
     "resultant_roots",
     "nontrivial_roots",
     "classify",
-    "Mat2",
     "GroupWord",
     "EigenTuple",
     "PRep",

@@ -113,9 +113,9 @@ def hp_matmul(x: HPMat, y: HPMat, bits: int) -> HPMat:
 
 
 def hp_matpow(x: HPMat, n: int, bits: int) -> HPMat:
-    """x^n for x of determinant 1, in the products reps.Mat2.power makes:
-    n < 0 starts from the inverse (d, -b; -c, a), the first factor is taken
-    as it is, and squaring stops after the top bit."""
+    """x^n for x of determinant 1: n < 0 starts from the inverse
+    (d, -b; -c, a), the first factor is taken as it is, and squaring stops
+    after the top bit.  x^0 is the identity."""
     if n < 0:
         ar, ai, br, bi, cr, ci, dr, di = x
         x, n = (dr, di, -br, -bi, -cr, -ci, ar, ai), -n
@@ -171,8 +171,6 @@ class HPComplex:
         o = self._coerce(other)
         return HPComplex(self.re + o.re, self.im + o.im, self.bits)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         return HPComplex(self.re - o.re, self.im - o.im, self.bits)
@@ -196,10 +194,6 @@ class HPComplex:
     def __truediv__(self, other):
         o = self._coerce(other)
         return HPComplex(*hp_div((self.re, self.im), (o.re, o.im), self.bits), self.bits)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return self.re == o.re and self.im == o.im
 
     def __abs__(self) -> float:
         return hp_abs((self.re, self.im), self.bits)

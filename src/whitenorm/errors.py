@@ -58,10 +58,6 @@ class ClassificationViolation(WhitenormError):
     """A root-classification assertion failed; the message names it."""
 
 
-class SingularPoint(WhitenormError):
-    """Eigenvalue tuple where the inverse parametrization is undefined."""
-
-
 class VerificationFailure(WhitenormError):
     """A verification check failed: a residual of a reconstructed
     representation, or a check of a verification suite."""

@@ -85,19 +85,6 @@ class RootSet:
     def values(self) -> list[complex]:
         return [r.value for r in self.roots]
 
-    def disc_overlaps(self) -> list[tuple[int, int]]:
-        """Index pairs whose discs D(value, radius) must meet, however the
-        centres rounded: |v_a - v_b| + 2^-53 (|re| + |im| of both; none for an
-        exact 0.0) <= r_a + r_b, with slack _REL.  A certified set has none."""
-        rs = self.roots
-        ulp = [2.0**-53 * (abs(r.value.real) + abs(r.value.imag)) for r in rs]
-        return [
-            (i, j)
-            for i, a in enumerate(rs)
-            for j, b in enumerate(rs[i + 1 :], i + 1)
-            if (abs(a.value - b.value) + ulp[i] + ulp[j]) * (1.0 + _REL) <= a.radius + b.radius
-        ]
-
 
 # ---------------------------------------------------------------------------
 # double-precision stage

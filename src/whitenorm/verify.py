@@ -68,18 +68,14 @@ def suite_symmetries(p: int, q: int) -> str:
 
 
 def suite_roots(p: int, q: int) -> str:
-    """Disjoint inclusion discs, symmetry classes, circle gap.  The count
-    needs no check here: the exact +-1 split, the squarefree test and the
-    disjoint discs fix it at nontrivial_root_bound.  Nor does the distance
-    between roots: disjoint discs, one simple root each, already prove the
-    roots distinct."""
+    """Symmetry classes and circle gap of the certified roots.  Neither the
+    count nor the discs need a check here: the root solve returns only
+    discs it proved pairwise disjoint, one simple root each, and the exact
+    +-1 split, the squarefree test and those discs fix the count at
+    nontrivial_root_bound."""
     if _degenerate(p, q):
         raise ScopeError("degenerate constant, no roots")
     rs = resultant_roots(p, q)
-    met = rs.disc_overlaps()
-    if met:
-        i, j = met[0]
-        raise VerificationFailure(f"inclusion discs about {rs.values[i]} and {rs.values[j]} overlap")
     rep = classify(rs, p, q)
     bound = respq.nontrivial_root_bound(p, q)
     return (

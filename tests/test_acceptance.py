@@ -8,6 +8,7 @@ import math
 import time
 
 from whitenorm.cli import main
+from whitenorm.cxhp import hp_float
 from whitenorm.reps import all_prep_classes, count_prep_classes
 from whitenorm.respq import _closed_form, _oracle, build_res, check_symmetries
 from whitenorm.roots import classify, nontrivial_roots, resultant_roots
@@ -174,7 +175,7 @@ def test_criterion_08_representation_residuals():
             assert pr.residuals["trace_mu1"] <= 1e-9, (p, q)
             e = pr.eigen
             h1, h2, h3, *_ = eigenvariety_polys(e.s, e.t, complex(pr.sign_u), e.v)
-            fval = slice_f(e.s, complex(pr.sign_u), pr.m0.b)
+            fval = slice_f(e.s, complex(pr.sign_u), hp_float(pr.m0[2:4], pr.bits))
             assert max(abs(h1), abs(h2), abs(h3)) <= 1e-8, (p, q)
             assert abs(fval) <= 1e-8, (p, q)
             for k, v in pr.residuals.items():

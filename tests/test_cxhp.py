@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from whitenorm.cxhp import HPComplex, hp, hp_horner, hp_matmul, hp_matpow, hp_mul
-from whitenorm.reps import WORD_L1, WORD_REL_LHS, Mat2
+from whitenorm.reps import WORD_L1, WORD_REL_LHS
+
+from test_reps import Mat2
 
 
 def _horner_by_hp_mul(int_coeffs, z, bits):
@@ -60,7 +62,7 @@ def test_hp_converts_past_the_range_of_a_double():
 def test_hpcomplex_refuses_to_mix_precisions():
     a, b = HPComplex.from_complex(0.5 + 2j, 128), HPComplex.from_complex(0.5 + 2j, 256)
     assert (a * 2 - 1).to_complex() == (b * 2 - 1).to_complex() == 2j * 2
-    for op in (a.__add__, a.__sub__, a.__mul__, a.__truediv__, a.__eq__):
+    for op in (a.__add__, a.__sub__, a.__mul__, a.__truediv__):
         with pytest.raises(ValueError, match="128 and 256 bits"):
             op(b)
 
@@ -69,12 +71,13 @@ def test_hpcomplex_refuses_a_double():
     # a double carries 53 bits into arithmetic of up to 1920: an operand is
     # HPComplex or int, and a double enters only through from_complex
     a = HPComplex.from_int(3, 256)
-    ops = (a.__add__, a.__radd__, a.__sub__, a.__rsub__, a.__mul__, a.__rmul__, a.__truediv__, a.__eq__)
+    ops = (a.__add__, a.__sub__, a.__rsub__, a.__mul__, a.__rmul__, a.__truediv__)
     for other in (0.5, 1e-9, 2j, 1 + 0j):
         for op in ops:
             with pytest.raises(TypeError, match="HPComplex or int, not (float|complex)"):
                 op(other)
-    assert a * 2 - 1 + HPComplex.from_complex(0.5, 256) == HPComplex.from_complex(5.5, 256)
+    b = a * 2 - 1 + HPComplex.from_complex(0.5, 256)
+    assert (b.re, b.im) == hp(5.5, 256)
 
 
 def _hp_entry(draw, bits):
@@ -99,8 +102,8 @@ def test_hp_matmul_matches_hpcomplex_operators(pair, n):
     # the raw kernel truncates each entry product as HPComplex.__mul__ does
     (x, y), bits = pair
     assert hp_matmul(_raw(x), _raw(y), bits) == _raw(x @ y)
-    # and hp_matpow makes Mat2.power's products (both invert by the det-1
-    # formula, whatever the determinant)
+    # and hp_matpow makes the reference Mat2.power's products (both invert
+    # by the det-1 formula, whatever the determinant)
     assert hp_matpow(_raw(x), n, bits) == _raw(x.power(n))
     assert hp_matpow(_raw(x), 0, bits) == (1 << bits, 0, 0, 0, 0, 0, 1 << bits, 0)
 

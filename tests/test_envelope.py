@@ -15,6 +15,8 @@ from whitenorm.errors import ConvergenceFailure
 from whitenorm.reps import all_prep_classes, count_prep_classes, expected_class_total
 from whitenorm.roots import classify, resultant_roots
 
+from test_roots import printed_discs_apart
+
 pytestmark = pytest.mark.slow
 
 ENVELOPE = [
@@ -29,7 +31,7 @@ def test_envelope_filling_certifies(pq):
     p, q = pq
     rs = resultant_roots(p, q)
     assert sum(r.multiplicity for r in rs) == rs.span
-    assert rs.disc_overlaps() == []
+    assert printed_discs_apart(rs)
     assert all(r.radius < 2.0**-100 * (1 + abs(r.value)) for r in rs)
     classify(rs, p, q)
     assert count_prep_classes(p, q, rs).total == expected_class_total(p, q)

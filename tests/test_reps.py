@@ -1,17 +1,18 @@
 import cmath
 import dataclasses
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
-from whitenorm.cxhp import HPComplex, hp
-from whitenorm.errors import CountMismatch, SingularPoint, ValidationError, VerificationFailure
+from whitenorm.cxhp import HPComplex, hp, hp_float, hp_matmul, hp_matpow
+from whitenorm.errors import CountMismatch, ValidationError, VerificationFailure
 from whitenorm.reps import (
-    EigenTuple,
     GroupWord,
-    Mat2,
     WORD_L0,
     WORD_REL_LHS,
     WORD_REL_RHS,
@@ -20,7 +21,6 @@ from whitenorm.reps import (
     _verify,
     all_prep_classes,
     count_prep_classes,
-    inverse_eigenvalue_map,
 )
 from whitenorm.roots import Root, RootFlags, nontrivial_roots, resultant_roots
 from whitenorm.verify import suite_preps
@@ -35,6 +35,81 @@ def _quadric(s, t):
     s2 = s * s
     s4 = s2 * s2
     return s4 * t * t + (4 * s2 - s4 - 1) * t + 1
+
+
+@dataclass(frozen=True)
+class Mat2:
+    """A 2x2 matrix over any ring: Fraction, complex or HPComplex entries.
+    The reference arithmetic of the identities below; the package computes
+    in cxhp's fixed-point kernel alone, whose hp_matmul and hp_matpow make
+    the products of __matmul__ and power (tests/test_cxhp.py)."""
+
+    a: object
+    b: object
+    c: object
+    d: object
+
+    @classmethod
+    def identity(cls) -> "Mat2":
+        return cls(1, 0, 0, 1)
+
+    def __matmul__(self, o: "Mat2") -> "Mat2":
+        return Mat2(
+            self.a * o.a + self.b * o.c,
+            self.a * o.b + self.b * o.d,
+            self.c * o.a + self.d * o.c,
+            self.c * o.b + self.d * o.d,
+        )
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def trace(self):
+        return self.a + self.d
+
+    def inverse_sl2(self) -> "Mat2":
+        # the inverse for det = 1
+        return Mat2(self.d, -self.b, -self.c, self.a)
+
+    def power(self, n: int) -> "Mat2":
+        # starts from the first factor and stops squaring after the top bit
+        base = self if n >= 0 else self.inverse_sl2()
+        n = abs(n)
+        out = None
+        while n:
+            if n & 1:
+                out = base if out is None else out @ base
+            n >>= 1
+            if n:
+                base = base @ base
+        return Mat2.identity() if out is None else out
+
+
+def _at(word, m0, m1):
+    """The word at Mat2 generators."""
+    return word.evaluate(m0, m1, Mat2.__matmul__, Mat2.power)
+
+
+def _mat(m, bits):
+    """A fixed-point matrix of a class (PRep.m0, m1, l0) as a Mat2 of
+    doubles."""
+    return Mat2(*(hp_float(m[i : i + 2], bits) for i in (0, 2, 4, 6)))
+
+
+def _trace(pr, word):
+    """The trace of a word at a class, in fixed point at its bits, as a
+    double."""
+    mul, power = partial(hp_matmul, bits=pr.bits), partial(hp_matpow, bits=pr.bits)
+    return _mat(word.evaluate(pr.m0, pr.m1, mul, power), pr.bits).trace()
+
+
+def inverse_eigenvalue_map(s, t, u, v):
+    """The normal form's off-diagonal parameter c at peripheral eigenvalues
+    (s, t, u, v): m0 = [[s, c], [0, 1/s]] and m1 = [[u, 0], [1, u]] put l0's
+    and l1's upper-left entries at t and v.  Undefined at s = +-1 and
+    s^2 = u^2.  reps._build computes it at u = +-1, v = -1 inline, in the
+    same operations."""
+    return (s * s * (t - 1) + u * u * (1 - v)) / ((s * s - u * u) / (s * u))
 
 
 # The eigenvalue variety and the normal-form slice, as references: the
@@ -93,7 +168,7 @@ def discrete_faithful_matrices(s, u):
     m1, and the longitude word l0, on Gaussian-integer entries."""
     m0 = Mat2(s, -s * u + 1j, 0, s)
     m1 = Mat2(u, 0, 1, u)
-    return m0, m1, WORD_L0.evaluate(m0, m1)
+    return m0, m1, _at(WORD_L0, m0, m1)
 
 
 def discrete_faithful_filling_defect(p, q, s, u):
@@ -133,7 +208,11 @@ def reducible_5_1():
 
 
 def test_word_normalization_and_identity():
-    assert GroupWord.of().evaluate(Mat2(2, 0, 0, 0.5), Mat2(1, 0, 1, 1)) == Mat2.identity()
+    assert _at(GroupWord.of(), Mat2(2, 0, 0, 0.5), Mat2(1, 0, 1, 1)) == Mat2.identity()
+    bits = 128
+    m = (1 << bits, 0, 3 << bits, 0, 0, 0, 1 << bits, 0)
+    mul, power = partial(hp_matmul, bits=bits), partial(hp_matpow, bits=bits)
+    assert GroupWord.of().evaluate(m, m, mul, power) == (1 << bits, 0, 0, 0, 0, 0, 1 << bits, 0)
     w = GroupWord.of((0, 1), (0, -1), (1, 2))
     assert w.letters == ((1, 2),)
     with pytest.raises(ValidationError):
@@ -153,9 +232,11 @@ def test_longitude_spellings_agree_at_prep():
 
 
 def test_longitude_identity_at_reducible(reducible_5_1):
+    # the l0 a class carries is the one _verify evaluated
+    mul, power = partial(hp_matmul, bits=128), partial(hp_matpow, bits=128)
     for pr in reducible_5_1:
-        l0 = WORD_L0.evaluate(pr.m0, pr.m1)
-        assert _gap(l0, Mat2.identity()) < 1e-12
+        assert pr.bits == 128 and pr.l0 == WORD_L0.evaluate(pr.m0, pr.m1, mul, power)
+        assert _gap(_mat(pr.l0, pr.bits), Mat2.identity()) < 1e-12
 
 
 def test_slice_f_values():
@@ -176,7 +257,7 @@ def test_relator_difference_factors_through_slice_f():
     # zero
     for s, u, c in product(_grid(9), _grid(9), _grid(5)):
         m0, m1 = Mat2(s, c, 0, 1 / s), Mat2(u, 0, 1, 1 / u)
-        lhs, rhs = WORD_REL_LHS.evaluate(m0, m1), WORD_REL_RHS.evaluate(m0, m1)
+        lhs, rhs = _at(WORD_REL_LHS, m0, m1), _at(WORD_REL_RHS, m0, m1)
         f = slice_f(s, u, c)
         pred = (-c * f, c * (u * u - 1) / u * f, (s * s - 1) / s * f, c * f)
         assert [x - y for x, y in zip(dataclasses.astuple(lhs), dataclasses.astuple(rhs))] == list(pred)
@@ -204,7 +285,7 @@ def test_slice_f_is_the_quadric_at_the_classes():
     # formula, so a 4 x 2 grid proves it
     for s, t in product(_grid(4), _grid(2)):
         for u in (Fraction(1), Fraction(-1)):
-            _, _, c = inverse_eigenvalue_map(EigenTuple(s, t, u, Fraction(-1)))
+            c = inverse_eigenvalue_map(s, t, u, Fraction(-1))
             assert c * (s * s - 1) == s * u * (s * s * t - s * s + 2)
     # and there f(s, u, c) = c s^2 Q / (s^2 - 1)^2: times s^2 (s^2 - 1)^3, the
     # difference is a polynomial of degree <= 11 in s and <= 3 in t (c^3
@@ -252,7 +333,7 @@ def test_solve_t(monkeypatch):
     assert t == pytest.approx(s**-2, abs=1e-12)
     _, lifts = _lifts(monkeypatch, 2, 1)
     assert len(lifts) == 4  # two classes up to s ~ 1/s, both signs
-    for _, s_hp, t_hp in lifts:
+    for _, s_hp, t_hp, *_ in lifts:
         assert s_hp.im == t_hp.im == 0
         assert t_hp.to_complex() == pytest.approx(s_hp.to_complex() ** -2, abs=1e-12)
     # s = 1 formal case: the quadric is (t + 1)^2, which forces t = -1
@@ -264,17 +345,24 @@ def test_solve_t(monkeypatch):
     assert _reconstruct(z.conjugate(), 1, -1, 1).eigen.t == pytest.approx(t_z.conjugate())
 
 
-def test_inverse_eigenvalue_map():
-    s = 0.7 + 0.2j
-    assert inverse_eigenvalue_map(EigenTuple(s, 1, 1, 1))[2] == 0
-    t = _reconstruct(SQ2 + 1, 1, 2, 1).eigen.t
-    _, _, c = inverse_eigenvalue_map(EigenTuple(SQ2 + 1, t, 1, -1))
-    s0 = SQ2 + 1
-    assert c == pytest.approx((s0 * s0 * (t - 1) + 2) * s0 / (s0 * s0 - 1), abs=1e-9)
-    with pytest.raises(SingularPoint):
-        inverse_eigenvalue_map(EigenTuple(1, 1, 1, 1))
-    with pytest.raises(SingularPoint):
-        inverse_eigenvalue_map(EigenTuple(0.5, 1, 0.5, 1))
+def test_inverse_eigenvalue_map(monkeypatch):
+    # c = 0 at t = v = 1, the reducible classes; undefined at s = +-1 and at
+    # s^2 = u^2
+    half, one = Fraction(1, 2), Fraction(1)
+    assert inverse_eigenvalue_map(Fraction(7, 10), one, one, one) == 0
+    for s, u in [(one, one), (-one, one), (half, half), (half, -half)]:
+        with pytest.raises(ZeroDivisionError):
+            inverse_eigenvalue_map(s, one, u, one)
+    # _build's c is the map's at (s, t, u, -1), to the last bit of the
+    # class's fixed point
+    for p, q in [(2, 1), (5, 1), (65, 16)]:
+        with monkeypatch.context() as patch:
+            _, seen = _lifts(patch, p, q)
+        irreducible = [x[1:] for x in seen if x[0] == "irreducible"]
+        assert len(irreducible) == count_prep_classes(p, q).irreducible
+        for s, t, sign_u, m0 in irreducible:
+            c = inverse_eigenvalue_map(s, t, HPComplex.from_int(sign_u, s.bits), -1)
+            assert m0[2:4] == (c.re, c.im)
 
 
 def test_reconstruct_irreducible():
@@ -293,7 +381,7 @@ def test_reconstruct_irreducible():
 def test_reconstruct_both_signs():
     for sign in (1, -1):
         pr = _reconstruct(SQ2 + 1, sign, 2, 1)
-        assert abs(pr.m1.trace() - 2 * sign) < 1e-9
+        assert abs(_mat(pr.m1, pr.bits).trace() - 2 * sign) < 1e-9
 
 
 def test_reconstruct_reducible(reducible_5_1):
@@ -306,9 +394,10 @@ def test_reconstruct_reducible(reducible_5_1):
         assert abs(pr.eigen.t - 1) < 1e-9
 
 
-def test_det_gap_is_judged_by_det_one(reducible_5_1):
-    # det rho(mu0) = 1 + eps: a gap of 1e-9 is below TOL.residual but above
-    # TOL.det_one, the one threshold of the det residual
+def test_det_gap_is_judged_by_the_residual_bound(reducible_5_1):
+    # det rho(mu0) = 1 + eps: a gap of 1e-9 is above the one bound of every
+    # residual, 1e-10, and one of 1e-11 below it.  The gap moves the
+    # longitude and filling residuals too, by a few eps
     pr = reducible_5_1[0]
     kind, s, t = pr.kind, HPComplex.from_complex(pr.eigen.s, 128), HPComplex.from_complex(pr.eigen.t, 128)
     one = HPComplex.from_int(1, 128)
@@ -317,10 +406,27 @@ def test_det_gap_is_judged_by_det_one(reducible_5_1):
         d = one / s * HPComplex.from_complex(1 + eps, 128)
         m0 = (s.re, s.im, 0, 0, 0, 0, d.re, d.im)
         if fails:
-            with pytest.raises(VerificationFailure, match=r"over tolerance: \{'det': [^,]+\}$"):
+            with pytest.raises(VerificationFailure, match=r"'det': 1\.0000000\d*e-09"):
                 _verify(5, 1, kind, 1, s, t, m0, m1)
         else:
             assert abs(_verify(5, 1, kind, 1, s, t, m0, m1).residuals["det"] - eps) < 1e-13
+
+
+def test_relator_gap_is_judged_by_the_residual_bound(reducible_5_1):
+    # at a reducible class (t = 1, u = 1), c != 0 moves the relator by
+    # 2 |s - 1/s| |c| (the slice polynomial is f = 2c + O(c^2) there): a gap
+    # of 1e-9 is over the bound
+    pr = reducible_5_1[0]
+    s = HPComplex.from_complex(pr.eigen.s, 128)
+    one = HPComplex.from_int(1, 128)
+    s_inv = one / s
+    c = HPComplex.from_complex(1e-9 / (2 * abs(pr.eigen.s - 1 / pr.eigen.s)), 128)
+    m0 = (s.re, s.im, c.re, c.im, 0, 0, s_inv.re, s_inv.im)
+    m1 = (one.re, 0, 0, 0, one.re, 0, one.re, 0)
+    with pytest.raises(VerificationFailure) as info:
+        _verify(5, 1, "reducible", 1, s, one, m0, m1)
+    relator = float(re.search(r"'relator': ([^,}]+)", str(info.value)).group(1))
+    assert relator == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_reconstruct_refuses_what_has_no_root():
@@ -351,7 +457,7 @@ def test_discrete_faithful_points_do_not_fill():
     for s, u in product((1, -1), (1, -1)):
         m0, m1, l0 = discrete_faithful_matrices(s, u)
         assert m0 == unipotent(s, -u + s * 1j) and l0 == unipotent(-1, 4 * u)
-        assert WORD_REL_LHS.evaluate(m0, m1) == WORD_REL_RHS.evaluate(m0, m1)
+        assert _at(WORD_REL_LHS, m0, m1) == _at(WORD_REL_RHS, m0, m1)
         for p, q in product(range(-40, 41), range(1, 13)):
             k = s**p * (-1) ** q
             assert m0.power(p) @ l0.power(q) == unipotent(k, u * (4 * q - p) + 1j * p * s)
@@ -371,7 +477,7 @@ def test_character_pairing_s_and_inverse():
         z = vals[0]
         pa, pb = _reconstruct(z, 1, p, q), _reconstruct(1 / z, 1, p, q)
         for w in words:
-            assert abs(pa.trace_of(w) - pb.trace_of(w)) < 1e-7
+            assert abs(_trace(pa, w) - _trace(pb, w)) < 1e-7
 
 
 def test_count_prep_classes():
@@ -428,7 +534,8 @@ def test_all_prep_classes_5_1():
     kinds = sorted(pr.kind for pr in classes)
     assert kinds.count("reducible") == 4 and kinds.count("irreducible") == 4
     for pr in classes:
-        assert abs(pr.m0.det() - 1) <= 1e-10 and abs(pr.m1.det() - 1) <= 1e-10
+        assert abs(_mat(pr.m0, pr.bits).det() - 1) <= 1e-10
+        assert abs(_mat(pr.m1, pr.bits).det() - 1) <= 1e-10
 
 
 def test_all_prep_classes_lifts_each_class_once(monkeypatch):
@@ -471,16 +578,16 @@ def test_each_lift_makes_its_planned_steps(monkeypatch):
 
 
 def _lifts(monkeypatch, p, q):
-    """all_prep_classes(p, q) and the fixed-point (kind, s, t) of every
-    build."""
+    """all_prep_classes(p, q) and the fixed-point (kind, s, t, sign_u, m0)
+    of every build."""
     import whitenorm.reps as reps_mod
 
     seen = []
     verify = reps_mod._verify
 
-    def spy(p, q, kind, sign_u, s, t, *rest):
-        seen.append((kind, s, t))
-        return verify(p, q, kind, sign_u, s, t, *rest)
+    def spy(p, q, kind, sign_u, s, t, m0, m1):
+        seen.append((kind, s, t, sign_u, m0))
+        return verify(p, q, kind, sign_u, s, t, m0, m1)
 
     monkeypatch.setattr(reps_mod, "_verify", spy)
     return all_prep_classes(p, q), seen
@@ -493,7 +600,7 @@ def test_each_class_runs_at_its_filling_bound(monkeypatch, pq):
     p, q = pq
     classes, seen = _lifts(monkeypatch, p, q)
     assert len(seen) == len(classes) == count_prep_classes(p, q).total
-    for _, s, _ in seen:
+    for _, s, *_ in seen:
         assert s.bits % 64 == 0
         assert s.bits >= 2 * abs(p) * abs(math.log2(abs(s.to_complex()))) + reps_mod._GUARD
 
@@ -504,7 +611,7 @@ def test_closed_form_t_is_on_the_quadric(monkeypatch, pq):
     # an exact root: within 2^16 units of the class's last bit, relative to
     # the quadric's largest term
     _, seen = _lifts(monkeypatch, *pq)
-    irreducible = [(s, t) for kind, s, t in seen if kind == "irreducible"]
+    irreducible = [(s, t) for kind, s, t, *_ in seen if kind == "irreducible"]
     assert len(irreducible) == count_prep_classes(*pq).irreducible
     for s, t in irreducible:
         scale = max(abs(s * s * s * s * t * t), abs(s * s * s * s * t), 1.0)

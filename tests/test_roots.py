@@ -14,6 +14,7 @@ from whitenorm.errors import ClassificationViolation, ConvergenceFailure, Valida
 from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
 from whitenorm.roots import (
+    _REL,
     RootSet,
     _package,
     _refine_hp,
@@ -38,6 +39,22 @@ def find_roots(f: LaurentPoly) -> RootSet:
     if refused := squarefree_refusal(quotient):
         raise refused
     return _solve_split((o1, om1), quotient)
+
+
+def printed_discs_apart(rs: RootSet) -> bool:
+    """Whether every two roots' discs about their printed doubles v stay
+    apart however the centres rounded: |v_a - v_b| + 2^-53 (|re| + |im|) of
+    both > r_a + r_b, with slack _REL.  The root solve proves the discs
+    about its fixed-point centres c disjoint, |c_a - c_b| > r_a + r_b, and a
+    printed value lies within 2^-53 (|re| + |im|) of its centre, so off the
+    axes the sum bounds |c_a - c_b| from above and every certified set
+    passes."""
+    ulp = [2.0**-53 * (abs(r.value.real) + abs(r.value.imag)) for r in rs]
+    return all(
+        (abs(a.value - b.value) + ulp[i] + ulp[j]) * (1.0 + _REL) > a.radius + b.radius
+        for i, a in enumerate(rs)
+        for j, b in enumerate(rs.roots[i + 1 :], i + 1)
+    )
 
 
 def test_quadratic_difference():
@@ -220,7 +237,7 @@ def test_close_simple_roots_stay_apart():
     assert [r.multiplicity for r in rs] == [1, 1]
     assert [r.value for r in rs] == [3.0, (3 * 10**8 + 1) / 10**8]
     assert all(r.flags.real and r.value.imag == 0.0 for r in rs)
-    assert rs.disc_overlaps() == []
+    assert printed_discs_apart(rs)
 
 
 def test_roots_closer_than_a_double_apart():
@@ -231,15 +248,12 @@ def test_roots_closer_than_a_double_apart():
     assert [(r.value, r.multiplicity, r.flags.real) for r in rs] == [(3.0, 1, True)] * 2
     assert all(0 < r.radius < 2.0**-62 for r in rs)
     # the printed doubles coincide, but the rounding of the centres leaves
-    # room for disjoint discs, so no pair is reported
-    assert rs.disc_overlaps() == []
-
-
-def test_disc_overlaps_reports_discs_that_must_meet():
-    # two discs of radius 0.1 about one printed value meet wherever the
-    # rounding put their centres
-    root = dataclasses.replace(next(iter(find_roots(LaurentPoly({1: 1, 0: -3})))), radius=0.1)
-    assert RootSet(roots=(root, root), span=2).disc_overlaps() == [(0, 1)]
+    # room for disjoint discs
+    assert printed_discs_apart(rs)
+    # two discs of radius 0.1 about one printed value would meet wherever
+    # the rounding put their centres
+    root = dataclasses.replace(rs.roots[0], radius=0.1)
+    assert not printed_discs_apart(RootSet(roots=(root, root), span=2))
 
 
 def test_failed_start_reports_only_its_failure():
@@ -279,7 +293,7 @@ ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
 @pytest.mark.parametrize("pq", [*ROOTS_GRID, (8, 1), (7, 2), (89, 44)])
 def test_rootset_carries_disjoint_discs(pq):
     rs = resultant_roots(*pq)
-    assert rs.disc_overlaps() == []
+    assert printed_discs_apart(rs)
     for root in rs:
         assert 0 <= root.radius < 2.0**-100 * (1 + abs(root.value))
         assert root.flags.real == (root.value.imag == 0.0)
@@ -310,7 +324,7 @@ def test_near_double_root_climbs_past_128_bits(monkeypatch):
     near = [r.value for r in rs if abs(r.value - 10) < 1e-3]
     assert len(near) == 2 and all(v.imag == 0.0 for v in near)
     assert abs(near[1].real - near[0].real - 2 / math.sqrt(2e12)) < 1e-10
-    assert rs.disc_overlaps() == []
+    assert printed_discs_apart(rs)
 
 
 def _spy_sweeps(monkeypatch, before=None):
