@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import reps, seminorm
@@ -254,13 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # numpy serves the root solve alone, on elementwise arrays, but
-    # OpenBLAS starts a worker per core at numpy's import.  On a 2-core VM
-    # the second thread spun 0.13-0.16 s of CPU per process (verify 5 1
-    # --suite all: 0.41 -> 0.24 s; roots 65 3: 0.40 -> 0.26 s).  One thread,
-    # unless the user set a count; import whitenorm loads no numpy, so this
-    # runs before numpy's first import
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value that starts with "-" for an option unless it is

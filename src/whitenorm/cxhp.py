@@ -2,22 +2,22 @@
 implementation of it.
 
 A value is (re, im) scaled by 2^bits, and the caller always says how many
-fraction bits: the root refinement climbs a ladder of 128 to 768 bits
-(roots._RUNGS), and reconstruction sizes its precision per class
+fraction bits: the root solve lifts its start on a ladder of 128 to 768
+bits (roots._RUNGS), and reconstruction sizes its precision per class
 (reps._bits), since the filling relation cancels entries of size
 max(|s|, 1/|s|)^|p| down to I, which at 129/32 takes more than 768 bits.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`, and `hp_matmul`,
 `hp_matpow` on 2x2 matrices) works on (re, im) int tuples, takes the
-fraction bits as its last argument, and serves the hot loops: root
-refinement (`hp_horner`'s one user; its Aberth repulsion sum is a double
-sum, see roots._sweep) and the group words of reconstruction
-(reps._verify).  `HPComplex` wraps the same kernel in operators for the
-scalar formulas of reconstruction, the Newton lifts on res's closed form
-and on x^|p| - 1 among them; each value carries its fraction bits, and an
-operation on two precisions raises, as does one on a float or complex
-operand, which from_complex converts explicitly.
+fraction bits as its last argument, and serves the hot loops: the
+inclusion discs of the root solve (roots._inclusion_discs, `hp_horner`'s
+one user) and the group words of reconstruction (reps._verify).
+`HPComplex` wraps the same kernel in operators for scalar formulas, the
+Newton lifts on res's closed form (respq._res_value) and on x^|p| - 1
+among them; each value carries its fraction bits, and an operation on two
+precisions raises, as does one on a float or complex operand, which
+from_complex converts explicitly.
 
 Only ring operations and division are provided; everything is
 deterministic, so identical inputs give identical bits on every platform.

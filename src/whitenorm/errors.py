@@ -28,30 +28,25 @@ class SymmetryViolation(WhitenormError):
 
 
 class ConvergenceFailure(WhitenormError):
-    """Root iteration did not converge.  The root solve makes one start and
-    raises the failure of the first stage that fails.  The message names
-    the check that failed; the attributes say where, at what size and how
-    close, each None where the raiser does not know it:
+    """The root solve did not certify.  It makes one start and raises the
+    failure of the first stage that fails.  The message names the check
+    that failed; the attributes say where and at what size, each None where
+    the raiser does not know it:
 
-    stage       "aberth" (the double-precision start) or "refine" (the
-                fixed-point sweeps and their inclusion discs)
+    stage       "start" (the start found other than degree-many roots) or
+                "discs" (the inclusion discs certified at no rung)
     degree      degree of the polynomial being solved: the one left after
                 the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient
     bits        fraction bits of the last fixed-point rung
-    sweeps      fixed-point sweeps made
-    steps       base-2 exponent of each sweep's largest step
     """
 
-    def __init__(self, message: str, *, stage=None, degree=None, coeff_bits=None,
-                 bits=None, sweeps=None, steps=()):
+    def __init__(self, message: str, *, stage=None, degree=None, coeff_bits=None, bits=None):
         super().__init__(message)
         self.stage = stage
         self.degree = degree
         self.coeff_bits = coeff_bits
         self.bits = bits
-        self.sweeps = sweeps
-        self.steps = tuple(steps)
 
 
 class ClassificationViolation(WhitenormError):

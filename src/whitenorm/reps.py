@@ -9,13 +9,13 @@ spellings which are evaluated redundantly to catch transcription slips.
 A class's kind is that of its source: a non-trivial root of res gives an
 irreducible class, a |p|-th root of unity a reducible one.  Each class is
 lifted once, in fixed point at its own precision (_bits): s is refined by a
-fixed number of Newton steps (_newton), from its certified disc's centre on
-res's closed form, or from a double on x^|p| - 1 if reducible, and an
-irreducible lift must end in its root's disc.  If irreducible, t is read
-off the same closed form at s, with no branch to choose.  One
-representation per meridian trace sign u = +-1 is then built from the lift
-and verified by its residuals, whose relator residual alone decides the
-eigenvalue-variety equations there (_build).  A class keeps the fixed-point
+fixed number of Newton steps (respq._newton), from its certified disc's
+centre on res's closed form (respq._res_value), or from a double on
+x^|p| - 1 if reducible, and an irreducible lift must end in its root's
+disc.  If irreducible, t is read off the same closed form at s, with no
+branch to choose.  One representation per meridian trace sign u = +-1 is
+then built from the lift and verified by its residuals, whose relator
+residual alone decides the eigenvalue-variety equations there (_build).  A class keeps the fixed-point
 matrices its residuals were computed from, and no double-precision copy.
 """
 
@@ -28,7 +28,7 @@ from functools import partial, reduce
 
 from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_matmul, hp_matpow, hp_mul
 from .errors import CountMismatch, ValidationError, VerificationFailure
-from .respq import build_res
+from .respq import _closed_form_hp, _newton, _power, _res_value, build_res
 from .roots import CERTIFY_BITS, Root, RootSet, nontrivial_roots, resultant_rootset_of
 from .slopes import validate_filling
 
@@ -104,17 +104,6 @@ class EigenTuple:
             raise ValidationError("eigenvalues must be non-zero")
 
 
-def _power(base: HPComplex, n: int) -> HPComplex:
-    """base^n for n >= 0, by repeated squaring."""
-    out = HPComplex.from_int(1, base.bits)
-    while n:
-        if n & 1:
-            out *= base
-        base *= base
-        n >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -135,18 +124,6 @@ class PRep:
     l0: HPMat
     bits: int
     residuals: dict
-
-
-def _newton(value, z: HPComplex, good: int) -> HPComplex:
-    """Newton steps on f from z, a start good to `good` bits, at z's
-    precision, where value(z) = (f(z), f'(z)).  Each step doubles the good
-    bits, and the steps stop once they reach twice z's bits: one step past
-    the precision, for margin.  A zero f' raises ZeroDivisionError."""
-    while good < 2 * z.bits:
-        f, df = value(z)
-        z = z - f / df
-        good *= 2
-    return z
 
 
 def _verify(p: int, q: int, kind: str, sign_u: int, s: HPComplex, t: HPComplex,
@@ -208,35 +185,12 @@ def _bits(s: complex, p: int) -> int:
     return 64 * math.ceil((2 * abs(p) * abs(math.log2(abs(s))) + _GUARD) / 64)
 
 
-def _closed_form(z: HPComplex, p: int, q: int) -> tuple[HPComplex, ...]:
-    """The pieces of res_{p,q}'s closed form z^m + z^-m + (-1)^(q+1) D_q(w)
-    at z, m = p - 2q and w = 4 - z^2 - z^-2 (respq._closed_form): z^m,
-    z^-m, w, D_q(w) and dD_q/dw.  The power is raised on whichever of z,
-    1/z lies outside the unit circle and the other one is its inverse, since
-    a power of a small number keeps only the absolute precision of its
-    base.  D and its derivative share one three-term loop, started as
-    respq._dickson starts."""
-    m = p - 2 * q
-    one = HPComplex.from_int(1, z.bits)
-    outside = abs(z) >= 1
-    big = _power(z if outside else one / z, abs(m))
-    small = one / big
-    zm, zm_inv = (big, small) if outside == (m >= 0) else (small, big)
-    z2 = z * z
-    w = 4 - z2 - one / z2
-    # (D_-1, D_0) = (w, 2) and (D'_-1, D'_0) = (1, 0); D'_(k+1) = D_k + w D'_k - D'_(k-1)
-    d_prev, d, dd_prev, dd = w, one * 2, one, one * 0
-    for _ in range(q):
-        d_prev, d, dd_prev, dd = d, w * d - d_prev, dd, d + w * dd - dd_prev
-    return zm, zm_inv, w, d, dd
-
-
 def _lift(root: Root, p: int, q: int) -> tuple[HPComplex, HPComplex]:
     """The sign-independent half of an irreducible class's reconstruction:
-    s, a non-trivial root of res_{p,q}, refined by Newton's method (_newton)
-    in fixed point at the class's bits (_bits) on res's closed form, from
-    its disc's centre, which is good to CERTIFY_BITS; and the longitude
-    eigenvalue t read off that form.  A lift that ends outside the root's
+    s, a non-trivial root of res_{p,q}, refined by Newton's method
+    (respq._newton) in fixed point at the class's bits (_bits) on res's
+    closed form (respq._res_value), from its disc's centre, which is good
+    to CERTIFY_BITS; and the longitude eigenvalue t read off that form.  A lift that ends outside the root's
     disc raises VerificationFailure.
 
     With tau = s^2 t and x = -w, the quadric is tau + 1/tau = x and the
@@ -249,19 +203,13 @@ def _lift(root: Root, p: int, q: int) -> tuple[HPComplex, HPComplex]:
     converged on the closed form first: near p = 2q, res's dense
     coefficients would cost s some 110 bits to cancellation (97/48)."""
     m, sign = p - 2 * q, 1 if q % 2 else -1
-
-    def value(z: HPComplex) -> tuple[HPComplex, HPComplex]:
-        zm, zm_inv, w, d, dd = _closed_form(z, p, q)
-        # dw/dz = 2 (z^-2 - z^2)/z, and z^-2 = 4 - w - z^2
-        return zm + zm_inv + sign * d, (m * (zm - zm_inv) + 2 * sign * dd * (4 - w - 2 * z * z)) / z
-
     bits = _bits(root.value, p)
     shift = bits - root.bits
     re, im = (c << shift if shift >= 0 else c >> -shift for c in root.centre)
-    s_hp = _newton(value, HPComplex(re, im, bits), CERTIFY_BITS)
+    s_hp = _newton(partial(_res_value, m=m, q=q), HPComplex(re, im, bits), CERTIFY_BITS)
     if not root.holds(s_hp.to_complex()):
         raise VerificationFailure(f"({p},{q}): the lift from s={root.value} left its root's disc")
-    zm, zm_inv, w, _, dd = _closed_form(s_hp, p, q)
+    zm, zm_inv, w, _, dd = _closed_form_hp(s_hp, m, q)
     delta = sign * q * (zm_inv - zm) / dd
     x = -w
     if abs(x + delta) >= abs(x - delta):

@@ -8,6 +8,10 @@ is built as s^(p-2q) + (-1)^(q+1) D_q(-s^2 + 4 - s^-2) + s^(-p+2q), over the
 integers.  No convention is chosen at run time: build_res checks the closed
 form against the Sylvester determinant, one elimination per q, for every
 filling, and the convention's name is the module constant Y_CONVENTION.
+
+The closed form is also evaluated in fixed point (_res_value), for the
+Newton steps (_newton) of the root solve and of reconstruction: near p = 2q
+res's dense coefficients cancel badly, the closed form does not.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cxhp import HPComplex
 from .errors import ResultantIdentityMismatch, SymmetryViolation, ValidationError
 from .laurent import LaurentPoly, squarefree_refusal, sylvester_resultant_t
 from .slopes import validate_filling
@@ -44,6 +49,59 @@ def _closed_form(p: int, q: int) -> LaurentPoly:
     if q % 2 == 0:
         middle = -middle
     return middle + LaurentPoly({p - 2 * q: 1}) + LaurentPoly({-p + 2 * q: 1})
+
+
+def _power(base: HPComplex, n: int) -> HPComplex:
+    """base^n for n >= 0, by repeated squaring."""
+    out = HPComplex.from_int(1, base.bits)
+    while n:
+        if n & 1:
+            out *= base
+        base *= base
+        n >>= 1
+    return out
+
+
+def _newton(value, z: HPComplex, good: int) -> HPComplex:
+    """Newton steps on f from z, a start good to `good` bits, at z's
+    precision, where value(z) = (f(z), f'(z)).  Each step doubles the good
+    bits, and the steps stop once they reach twice z's bits: one step past
+    the precision, for margin.  A zero f' raises ZeroDivisionError."""
+    while good < 2 * z.bits:
+        f, df = value(z)
+        z = z - f / df
+        good *= 2
+    return z
+
+
+def _closed_form_hp(z: HPComplex, m: int, q: int) -> tuple[HPComplex, ...]:
+    """The pieces of res's closed form z^m + z^-m + (-1)^(q+1) D_q(w) at z,
+    m = p - 2q and w = 4 - z^2 - z^-2 (_closed_form): z^m, z^-m, w, D_q(w)
+    and dD_q/dw.  The power is raised on whichever of z, 1/z lies outside
+    the unit circle and the other one is its inverse, since a power of a
+    small number keeps only the absolute precision of its base.  D and its
+    derivative share one three-term loop, started as _dickson starts."""
+    one = HPComplex.from_int(1, z.bits)
+    outside = abs(z) >= 1
+    big = _power(z if outside else one / z, abs(m))
+    small = one / big
+    zm, zm_inv = (big, small) if outside == (m >= 0) else (small, big)
+    z2 = z * z
+    w = 4 - z2 - one / z2
+    # (D_-1, D_0) = (w, 2) and (D'_-1, D'_0) = (1, 0); D'_(k+1) = D_k + w D'_k - D'_(k-1)
+    d_prev, d, dd_prev, dd = w, one * 2, one, one * 0
+    for _ in range(q):
+        d_prev, d, dd_prev, dd = d, w * d - d_prev, dd, d + w * dd - dd_prev
+    return zm, zm_inv, w, d, dd
+
+
+def _res_value(z: HPComplex, m: int, q: int) -> tuple[HPComplex, HPComplex]:
+    """res's closed form and its derivative at z (_closed_form_hp), the
+    value _newton takes."""
+    zm, zm_inv, w, d, dd = _closed_form_hp(z, m, q)
+    sign = 1 if q % 2 else -1
+    # dw/dz = 2 (z^-2 - z^2)/z, and z^-2 = 4 - w - z^2
+    return zm + zm_inv + sign * d, (m * (zm - zm_inv) + 2 * sign * dd * (4 - w - 2 * z * z)) / z
 
 
 # s^4 t^2 + (-s^4 + 4 s^2 - 1) t + 1, the quadric in t cutting out the

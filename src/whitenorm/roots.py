@@ -1,47 +1,47 @@
-"""Complex root extraction with certified inclusion discs and the
-classification of resultant roots (real / imaginary / unit circle).
+"""The certified roots of res and their classification (real / imaginary /
+unit circle).
 
-One pipeline (_solve_split), for an integer polynomial whose trivial roots
-+-1 are split off exactly first, each a root of its exact order with radius
-0, and whose rest is certified squarefree exactly, so every other root is
-simple.  For res the split and the certificate are respq.ResPoly's
-(LaurentPoly.split_root, laurent.squarefree_refusal), and
-resultant_rootset_of passes them in.  On the rest, a deterministic
-double-precision simultaneous iteration (Aberth-Ehrlich, Newton-polygon
-starting radii, golden-angle phases) gives a start.  Gauss-Seidel Aberth
-sweeps refine it on the exact coefficients in fixed point (plain python ints,
-see cxhp), but for the repulsion sum, a double sum: the step depends on it
-only to second order (_sweep).  The sweeps run on a ladder of 128, 256, 512
-and 768 fraction bits.  They climb a rung once the rung is exhausted, every
-|f(z)| within the error of its own evaluation, and stop when pairwise
-disjoint Gerschgorin-Weierstrass inclusion discs, computed afterwards from
-the exact coefficients, certify every root to 2^-100.  Each disc then holds exactly one root, a simple one, and this is the
-one root certificate: the printed double lies within 2^-53 |z| + r of it.
-Every other fact about the root is read off its disc (see _package): its
-realness and whether it meets the unit circle.  There is no double-precision
-polish.  The refinement matters: resultant roots packed near the unit circle
-reach condition numbers beyond 1e13, so double precision alone cannot certify
-symmetry classes at 1e-8.
+res's roots +-1 are split off exactly first, at their exact orders with
+radius 0, and the quotient left is certified squarefree exactly
+(respq.ResPoly's trivial_orders and quotient), so every other root is
+simple.  Those roots solve res's filling equation: with tau + 1/tau =
+s^2 - 4 + s^-2, tau^q s^m = 1 and m = p - 2q, in logs sigma = log s and
+theta = log tau,
 
-Each Root carries its own disc: the radius, and the fixed-point centre at
-its rung's bits, from which reps lifts the root with no second solve.  A
+    cosh theta = cosh 2 sigma - 2,    q theta + m sigma = 2 pi i k
+
+for an integer label k: Thurston's Dehn filling equation in the form
+SnapPea solves it (Thurston 1979, ch. 4-5; Weeks 2005), here at every
+label.  The start (_start) runs Newton's method at the label of each seed
+of a fixed grid, walks from each new root to the labels k +- 1 by a
+predictor-corrector step (Allgower & Georg 2003), and adds each root's
+images under res's symmetries, until it holds n distinct doubles.  Each is
+lifted by Newton's method on the closed form in fixed point (respq._newton,
+plain python ints, see cxhp), at 128, 256, 512 and 768 fraction bits in
+turn, until pairwise disjoint Gerschgorin-Weierstrass inclusion discs from
+the exact dense coefficients certify every root to 2^-100 (_certify).  The
+start needs none of its thresholds to be right: n pairwise disjoint discs
+about a squarefree polynomial of degree n hold one root each, so a wrong
+or missing start point can only fail the solve.  The disc is the one root
+certificate: the printed double lies within 2^-53 |z| + r of its root, and
+every other fact about the root is read off it (_package).
+
+Each Root carries its disc: the radius, and the fixed-point centre at its
+rung's bits, from which reps lifts the root with no second solve.  A
 RootSet is the roots, sorted once by (re, im), and the span.  No randomness
-anywhere; repeated runs emit identical bytes, whatever rung the ladder
-stopped at.
+anywhere; repeated runs emit identical bytes, whatever rung certified.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .cxhp import HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
+from .cxhp import HP, HPComplex, hp_abs, hp_float, hp_horner
 from .errors import ConvergenceFailure, ClassificationViolation, WhitenormError
-from .respq import ResPoly, build_res
-
-_GOLDEN = (math.sqrt(5) - 1) / 2
+from .respq import ResPoly, _newton, _res_value, build_res
 
 
 # ---------------------------------------------------------------------------
@@ -87,208 +87,143 @@ class RootSet:
 
 
 # ---------------------------------------------------------------------------
-# double-precision stage
+# the start: res's filling equation, label by label
+
+# The seeds: on circles of these radii about 0, at _PHASES phases each, half
+# a step off the axes, with both branches of tau.  The order is fixed, so
+# the start is deterministic.
+_RADII = (1.0, 1.5, 0.7, 2.5, 1.2, 1.05, 3.5)
+_PHASES = 64
+# Newton steps a start point may take, and the step in sigma that ends them:
+# the next step, about its square, is below double precision
+_STEPS = 40
+_CONVERGED = 1e-12
+# Two doubles within this of each other, relative to 1 + |s|, are taken as
+# one root; two roots this close fail the start
+_SAME = 1e-9
+# A double this close to +-1 is taken as one of the roots split off exactly,
+# which are double roots: Newton's method stops short of them by about the
+# square root of double precision
+_TRIVIAL = 1e-6
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    import numpy as np
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _correct(sigma: complex, k: int, m: int, q: int) -> complex | None:
+    """Newton's method on g(sigma) = cosh theta - cosh 2 sigma + 2 with
+    theta = (2 pi i k - m sigma)/q, the filling equation at label k, from
+    sigma; None when it does not converge."""
+    label = 2j * math.pi * k
+    try:
+        for _ in range(_STEPS):
+            theta = (label - m * sigma) / q
+            g = cmath.cosh(theta) - cmath.cosh(2 * sigma) + 2
+            step = g / (-m / q * cmath.sinh(theta) - 2 * cmath.sinh(2 * sigma))
+            sigma -= step
+            if abs(step) < _CONVERGED:
+                return sigma
+    except (ArithmeticError, ValueError):
+        pass
+    return None
 
 
-def _initial_points(coeffs: np.ndarray) -> np.ndarray:
-    """One starting radius per edge of the upper Newton polygon of
-    (i, log|c_i|), phases from the golden-ratio sequence: the one start of
-    MPSolve (Bini & Fiorentino, Numer. Algorithms 23 (2000))."""
-    import numpy as np
-    n = len(coeffs) - 1
-    pts = [(i, math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
-    hull: list[tuple[int, float]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) - (pt[0] - x1) * (y2 - y1) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    radii = np.empty(n)
-    pos = 0
-    for (i1, y1), (i2, y2) in zip(hull, hull[1:]):
-        r = math.exp((y1 - y2) / (i2 - i1))
-        radii[pos : pos + (i2 - i1)] = r
-        pos += i2 - i1
-    k = np.arange(n)
-    angles = 2.0 * math.pi * ((k * _GOLDEN + 0.29) % 1.0)
-    return radii * np.exp(1j * angles)
+def _reduce(sigma: complex, k: int, m: int, q: int) -> tuple[complex, int]:
+    """(sigma, k) with sigma's and theta's imaginary parts brought into
+    [-pi, pi] by deck translations: sigma - 2 pi i j is label k - m j, and
+    theta - 2 pi i l is label k - q l.  The root and its neighbours along
+    the curve stay the same; cosh keeps its precision."""
+    j = round(sigma.imag / (2 * math.pi))
+    sigma, k = sigma - 2j * math.pi * j, k - m * j
+    return sigma, k - q * round(((2j * math.pi * k - m * sigma) / q).imag / (2 * math.pi))
 
 
-# the iteration budget of the one double-precision pass
-_ABERTH_ITERATIONS = 2000
+def _seeds(m: int, q: int):
+    """(sigma, k) for each seed of the grid, k the label of its point of the
+    quadric on either branch of tau."""
+    for radius in _RADII:
+        for j in range(_PHASES):
+            s = cmath.rect(radius, 2 * math.pi * (j + 0.5) / _PHASES)
+            sigma = cmath.log(s)
+            x = s * s + 1 / (s * s) - 4
+            root = cmath.sqrt(x * x - 4)
+            for tau in ((x + root) / 2, (x - root) / 2):
+                yield sigma, round((q * cmath.log(tau) + m * sigma).imag / (2 * math.pi))
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """The simultaneous-iteration pass.  Stops when corrections hit machine
-    level, or when every iterate is backward-stable and corrections are
-    small (the stall of ill-conditioned roots).  Fails at the first iterate
-    that is not finite: the repulsion sums then make every iterate NaN, and
-    neither stopping test can pass."""
-    import numpy as np
-    n = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    exponents = np.arange(len(coeffs))
-    z = _initial_points(coeffs)
-    # a start that overflows or divides by zero ends in its ConvergenceFailure,
-    # which is all a caller can act on; numpy's warnings would only add noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(1, _ABERTH_ITERATIONS + 1):
-            pv = _horner(coeffs, z)
-            dv = _horner(dcoeffs, z)
-            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            diff[diff == 0] = 1e-300
-            repulse = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - newton * repulse
-            denom[denom == 0] = 1.0
-            step = newton / denom
-            z = z - step
-            if not np.isfinite(z).all():
-                raise ConvergenceFailure(
-                    f"double-precision start overflowed at iteration {it} on degree {n}: "
-                    "an iterate is not finite",
-                    stage="aberth", degree=n,
-                )
-            worst = float((np.abs(step) / (1.0 + np.abs(z))).max())
-            # about 22 ulps of a double (eps = 2.2e-16): a smaller correction
-            # only moves the iterate inside its own rounding noise, and the
-            # fixed-point sweeps take every root on from here
-            if worst < 5e-15:
-                return z
-            # ill-conditioned roots keep jittering inside their cond*eps ball, so
-            # corrections never shrink; accept on backward stability alone.  Two
-            # iterates doubled up on one root never give pairwise disjoint
-            # discs, so the sweeps move them apart or fail at stage "refine".
-            # Horner's rounding error is at most about 2n u sum_i |c_i||z|^i
-            # (u = 2^-53), which reaches 1e-13 at degree 450, so this asks for
-            # no more than double precision can tell at the degrees solved here
-            scale = np.sum(np.abs(coeffs) * np.abs(z[:, None]) ** exponents[None, :], axis=1)
-            if (np.abs(_horner(coeffs, z)) <= 1e-13 * scale).all():
-                return z
-    raise ConvergenceFailure(
-        f"no convergence after {_ABERTH_ITERATIONS} iterations on degree {n}",
-        stage="aberth", degree=n,
-    )
+def _start(m: int, q: int, n: int) -> list[complex]:
+    """n distinct doubles near the non-trivial roots of res, m = p - 2q, on
+    its filling equation: Newton's method at each seed's label (_seeds,
+    _correct), and from each new root walks to the labels k + 1, k + 2, ...
+    and k - 1, k - 2, ..., each step the tangent predictor
+    sigma +- 2 pi i / G'(sigma), G = q theta + m sigma, then Newton, until
+    Newton fails or meets a known root.  A new root's images conj(s), 1/s,
+    1/conj(s), and -s of each for p even, are added with it.  Raises
+    ConvergenceFailure(stage="start") unless the count ends at n."""
+    found: list[complex] = []
+    cells: dict[tuple[int, int], list[complex]] = {}
+
+    def cell(s: complex) -> tuple[int, int]:
+        return round(s.real * 1e6), round(s.imag * 1e6)
+
+    def known(s: complex) -> bool:
+        re, im = cell(s)
+        return any(
+            abs(s - t) <= _SAME * (1 + abs(s))
+            for dr in (-1, 0, 1) for di in (-1, 0, 1) for t in cells.get((re + dr, im + di), ())
+        )
+
+    def add(sigma: complex | None) -> bool:
+        """Whether e^sigma is a new root; if so, it is found with its images."""
+        if sigma is None or known(s := cmath.exp(sigma)) or min(abs(s - 1), abs(s + 1)) < _TRIVIAL:
+            return False
+        images = [s, s.conjugate(), 1 / s, 1 / s.conjugate()]
+        for z in images + [-z for z in images] * (m % 2 == 0):
+            if not known(z):
+                found.append(z)
+                cells.setdefault(cell(z), []).append(z)
+        return True
+
+    def walk(sigma: complex, k: int, d: int) -> None:
+        while True:
+            sigma, k = _reduce(sigma, k, m, q)
+            theta = (2j * math.pi * k - m * sigma) / q
+            try:
+                sigma += d * 2j * math.pi / (2 * q * cmath.sinh(2 * sigma) / cmath.sinh(theta) + m)
+            except (ArithmeticError, ValueError):
+                return
+            k += d
+            sigma = _correct(sigma, k, m, q)
+            if not add(sigma):
+                return
+
+    for sigma, k in _seeds(m, q):
+        if len(found) >= n:
+            break
+        sigma = _correct(sigma, k, m, q)
+        if add(sigma):
+            walk(sigma, k, 1)
+            walk(sigma, k, -1)
+    if len(found) != n:
+        raise ConvergenceFailure(
+            f"the start found {len(found)} distinct roots of the filling equation, "
+            f"where degree {n} has {n}",
+            stage="start", degree=n,
+        )
+    return found
 
 
 # ---------------------------------------------------------------------------
-# fixed-point refinement on a precision ladder (raw cxhp kernel in the hot loop)
+# the certificate: fixed-point lifts on a precision ladder and inclusion discs
 
-# Fraction bits of the refinement rungs.  The top rung is the flat
-# precision the kernel had before the ladder existed, so a filling that
-# settled there still has the same room.
+# Fraction bits of the rungs, in the order they are tried.
 _RUNGS = (128, 256, 512, 768)
-# The ladder stops once every inclusion radius is below 2^-100 (1 + |z|):
+# The discs certify once every inclusion radius is below 2^-100 (1 + |z|):
 # 47 bits past double precision, so the double rounding of a disc's centre
 # is that of its root unless the root lies within 2^-100 of a rounding
 # boundary.  reps lifts each root from its centre, good to this many bits.
 CERTIFY_BITS = 100
-# Sweeps _refine_hp makes on all rungs together before it gives up.
-_SWEEPS = 48
+_START_BITS = 30  # good bits of a start point, whose last step was below 2^-39
 # Relative error bound of one cxhp.hp_abs value (below 2^-51) and of one
 # float product, with room.
 _REL = 2.0**-50
-
-
-def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> tuple[int, bool]:
-    """One Gauss-Seidel Aberth sweep over z in place, at `bits` fraction
-    bits.  f, f', N = f/f' and the step N / (1 - N S_k) are fixed point,
-    the repulsion sum S_k = sum_{j != k} 1 / (z_k - z_j) a double sum: an
-    error d in it moves the step by about N^2 d (Aberth, Math. Comp. 27
-    (1973)), and the discs come afterwards from the exact coefficients.
-    Returns the largest step component in units of 2^-bits, and whether the
-    rung is exhausted (MPSolve's criterion): every |f(z_k)| is within
-    _horner_error plus 4 * 2^-bits |f'(z_k)| for the rounding of z_k."""
-    import numpy as np
-    # hi + lo, two doubles: z_k - z_j keeps double precision if hi_k = hi_j
-    def split(v: HP) -> tuple[complex, complex]:
-        h = hp(hp_float(v, bits), bits)
-        return hp_float(h, bits), hp_float((v[0] - h[0], v[1] - h[1]), bits)
-
-    hi, lo = map(np.array, zip(*map(split, z)))
-    max_step = 0
-    exhausted = True
-    for k in range(len(z)):
-        pv = hp_horner(int_coeffs, z[k], bits)
-        dv = hp_horner(dcoeffs, z[k], bits)
-        noise = _horner_error(len(z), z[k], bits) + math.ldexp(hp_abs(dv, bits), 2 - bits)
-        exhausted = exhausted and hp_abs(pv, bits) <= noise
-        if dv == (0, 0):
-            continue
-        newton = hp_div(pv, dv, bits)
-        dz = (hi[k] - hi) + (lo[k] - lo)
-        nr = hp_mul(newton, hp(complex((1.0 / dz[dz != 0]).sum()), bits), bits)
-        den = ((1 << bits) - nr[0], -nr[1])
-        if den == (0, 0):
-            den = hp_int(1, bits)
-        step = hp_div(newton, den, bits)
-        z[k] = (z[k][0] - step[0], z[k][1] - step[1])
-        hi[k], lo[k] = split(z[k])
-        max_step = max(max_step, abs(step[0]), abs(step[1]))
-    return max_step, exhausted
-
-
-def _refine_hp(int_coeffs: list[int], raw: list[complex]) -> tuple[list[HP], int, list[float]]:
-    """Gauss-Seidel Aberth sweeps (_sweep) on the exact integer
-    coefficients, on the precision ladder _RUNGS, warm-started from the
-    double-precision multiset; badly assigned iterates migrate to uncovered
-    roots on the way.  f must be squarefree.  The repulsion sum is a double
-    sum: an error d in it moves a step by about N^2 d (_sweep), and the
-    discs are computed afterwards, from the exact coefficients.
-
-    The ladder climbs a rung after a sweep that finds the rung exhausted
-    (_sweep), and only then.  The inclusion discs are computed after such a
-    sweep, or after one whose largest step is below 2^-100, which may
-    certify before the rung is exhausted; the ladder stops once every radius
-    is below 2^-100 (1 + |z_i|) and the discs are pairwise disjoint.  At
-    the top rung it sweeps on until they do; after _SWEEPS sweeps in all
-    it raises ConvergenceFailure.
-
-    Returns the fixed-point centres, the fraction bits of the rung they
-    are at and their inclusion radii (see _inclusion_discs)."""
-    n = len(int_coeffs) - 1
-    dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
-    bits = _RUNGS[0]
-    steps: list[int] = []
-    # cxhp.hp and hp_float pass through doubles; caught here, off the hot loop
-    try:
-        z = [hp(v, bits) for v in raw]
-        for _ in range(_SWEEPS):
-            step, exhausted = _sweep(int_coeffs, dcoeffs, z, bits)
-            steps.append(step.bit_length() - 1 - bits)
-            if not (exhausted or steps[-1] < -CERTIFY_BITS):
-                continue
-            radii, disjoint = _inclusion_discs(int_coeffs, z, bits)
-            if disjoint and all(
-                r < math.ldexp(1.0 + abs(hp_float(v, bits)), -CERTIFY_BITS) for r, v in zip(radii, z)
-            ):
-                return z, bits, radii
-            if exhausted and bits < _RUNGS[-1]:
-                up = _RUNGS[_RUNGS.index(bits) + 1] - bits
-                z = [(re << up, im << up) for re, im in z]
-                bits += up
-    except OverflowError as exc:
-        raise ConvergenceFailure(
-            f"a fixed-point conversion overflowed a double at {bits} bits on degree {n}: {exc}",
-            stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
-        ) from exc
-    raise ConvergenceFailure(
-        f"high-precision sweeps did not settle on degree {n} in {_SWEEPS} sweeps: "
-        f"the last sweep's largest step was 2^{steps[-1]}",
-        stage="refine", degree=n, bits=bits, sweeps=len(steps), steps=steps,
-    )
 
 
 def _horner_error(n: int, z: HP, bits: int) -> float:
@@ -382,7 +317,7 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
     (split off before the solve), so no root here is trivial.  Each root
     carries its disc: the radius and the centre, whose coordinate is zeroed
     with the value's, so a lift from it stays on the axis.  Unsorted;
-    _solve_split sorts."""
+    _solve_res sorts."""
     # f(-s) = +-f(s): the roots are symmetric about the imaginary axis too
     parity = len({k % 2 for k, c in enumerate(int_coeffs) if c}) == 1
     roots = []
@@ -402,37 +337,48 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
     return roots
 
 
-def _solve_split(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet:
-    """The roots of a polynomial split at +-1: 1 and -1 at the given orders
-    (their multiplicities), with radius 0 and the trivial_pm1 flag, and the
-    roots of the certified squarefree quotient (dense integer coefficients,
-    ascending), solved from one start by the pipeline of the module
-    docstring, one simple root per disc with its flags from the disc
-    (_package).  A coefficient beyond the range of a double fails the start
-    at once; either stage's ConvergenceFailure gets coeff_bits, and its
-    degree and coeff_bits are the quotient's.  Sorted once, by (re, im)."""
+def _certify(quotient: tuple[int, ...], start: list[complex], m: int, q: int) -> list[Root]:
+    """The start's doubles lifted by Newton's method on res's closed form
+    (respq._res_value), from _START_BITS good bits, at each rung of _RUNGS
+    in turn, until the inclusion discs about the lifts (_inclusion_discs,
+    on the quotient's exact coefficients) are pairwise disjoint and every
+    radius is below 2^-CERTIFY_BITS (1 + |z|); then one root per disc
+    (_package).  A rung at which a value overflows a double certifies
+    nothing.  Raises ConvergenceFailure(stage="discs") when no rung
+    certifies, with the bits of the last."""
+    n = len(quotient) - 1
+    value = partial(_res_value, m=m, q=q)
+    for bits in _RUNGS:
+        lifts = [_newton(value, HPComplex.from_complex(v, bits), _START_BITS) for v in start]
+        z = [(v.re, v.im) for v in lifts]
+        try:
+            radii, disjoint = _inclusion_discs(quotient, z, bits)
+        except OverflowError as exc:
+            why = f"a value overflowed a double ({exc})"
+            continue
+        if disjoint and all(r < math.ldexp(1 + abs(v), -CERTIFY_BITS) for r, v in zip(radii, lifts)):
+            return _package(quotient, z, bits, radii)
+        why = f"the discs were not pairwise disjoint and below 2^-{CERTIFY_BITS}"
+    raise ConvergenceFailure(
+        f"no rung of {_RUNGS} fraction bits certified degree {n}: at {bits} bits {why}",
+        stage="discs", degree=n, bits=bits,
+    )
+
+
+def _solve_res(orders: tuple[int, int], quotient: tuple[int, ...], m: int, q: int) -> RootSet:
+    """The roots of res, m = p - 2q: 1 and -1 at the given orders, with
+    radius 0 and the trivial_pm1 flag, and those of the certified
+    squarefree quotient (dense, ascending) from _start and _certify.  Either
+    stage's ConvergenceFailure gets coeff_bits, the bit length of the
+    quotient's largest coefficient.  Sorted once, by (re, im)."""
     flags = RootFlags(trivial_pm1=True, real=True, imaginary=False, unit_circle=True)
     roots = [Root(complex(x), order, flags, 0.0, (x, 0), 0) for x, order in zip((1, -1), orders) if order]
     degree = len(quotient) - 1
     if degree:
-        top = max(abs(c) for c in quotient)
         try:
-            if top > sys.float_info.max:
-                raise ConvergenceFailure(
-                    f"a coefficient of {top.bit_length()} bits is beyond the range of a double: "
-                    f"no double-precision start on degree {degree}",
-                    stage="aberth", degree=degree,
-                )
-            import numpy as np
-            coeffs = np.asarray([complex(c) for c in quotient], dtype=complex)
-            coeffs = coeffs / coeffs[-1]
-            raw = [complex(z) for z in _aberth(coeffs)]
-            # no double-precision polish after refinement: at condition
-            # numbers ~1e13 a double Newton step would re-smear the root
-            z, bits, radii = _refine_hp(quotient, raw)
-            roots += _package(quotient, z, bits, radii)
+            roots += _certify(quotient, _start(m, q, degree), m, q)
         except ConvergenceFailure as exc:
-            exc.coeff_bits = top.bit_length()
+            exc.coeff_bits = max(abs(c) for c in quotient).bit_length()
             raise
     roots.sort(key=lambda r: (r.value.real, r.value.imag))
     return RootSet(roots=tuple(roots), span=sum(orders) + degree)
@@ -443,10 +389,10 @@ def _solve_split(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet:
 
 
 @lru_cache(maxsize=256)
-def _solve(orders: tuple[int, int], quotient: tuple[int, ...]) -> RootSet | WhitenormError:
+def _solve(orders: tuple[int, int], quotient: tuple[int, ...], m: int, q: int) -> RootSet | WhitenormError:
     # lru_cache keeps no exceptions, so a failure is returned as a value
     try:
-        return _solve_split(orders, quotient)
+        return _solve_res(orders, quotient, m, q)
     except WhitenormError as exc:
         return exc
 
@@ -459,16 +405,16 @@ def resultant_roots(p: int, q: int) -> RootSet:
 def resultant_rootset_of(r: ResPoly) -> RootSet:
     """The roots of res from its exact facts: the orders of +-1, checked
     against the parity pattern of (p, q) (ResPoly.trivial_orders), and the
-    certified squarefree quotient (ResPoly.quotient), solved by the
-    pipeline's one entry (_solve_split).
+    certified squarefree quotient (ResPoly.quotient), solved on res's
+    filling equation (_solve_res).
 
-    The solve is cached on those facts, failures included: res depends
-    only on |p - 2q| and q, so p/q and (4q - p)/q share one solve, and each
-    polynomial is solved once per process.  RootSet is frozen, so sharing
-    it is safe."""
+    The solve is cached on those facts and |p - 2q|, failures included:
+    res depends only on |p - 2q| and q, so p/q and (4q - p)/q share one
+    solve, and each polynomial is solved once per process.  RootSet is
+    frozen, so sharing it is safe."""
     if r.is_degenerate:
         return RootSet(roots=(), span=0)
-    out = _solve(r.trivial_orders, r.quotient)
+    out = _solve(r.trivial_orders, r.quotient, abs(r.p - 2 * r.q), r.q)
     if isinstance(out, WhitenormError):
         raise out
     return out

@@ -619,10 +619,9 @@ def test_closed_form_t_is_on_the_quadric(monkeypatch, pq):
 
 
 def test_closed_form_pieces_match_res():
-    # reps._closed_form's pieces against the Laurent polynomials respq
+    # respq._closed_form_hp's pieces against the Laurent polynomials respq
     # builds, and build_res certifies, summed term by term in doubles
-    import whitenorm.reps as reps_mod
-    from whitenorm.respq import _closed_form, _dickson
+    from whitenorm.respq import _closed_form, _closed_form_hp, _dickson
 
     def at(poly, z, derivative=False):
         terms = [c * (e * z ** (e - 1) if derivative else z**e) for e, c in poly.coeffs.items()]
@@ -632,7 +631,7 @@ def test_closed_form_pieces_match_res():
         sign = 1 if q % 2 else -1
         for z in (0.7 + 0.4j, 1.3 - 0.6j, -0.5 - 1.2j):
             zm, zm_inv, w, d, dd = (
-                v.to_complex() for v in reps_mod._closed_form(HPComplex.from_complex(z, 256), p, q)
+                v.to_complex() for v in _closed_form_hp(HPComplex.from_complex(z, 256), p - 2 * q, q)
             )
             assert zm == pytest.approx(z ** (p - 2 * q), rel=1e-12)
             assert zm_inv == pytest.approx(z ** (2 * q - p), rel=1e-12)

@@ -13,25 +13,19 @@ from whitenorm.cxhp import hp, hp_abs, hp_float
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
-from whitenorm.roots import (
-    _REL,
-    RootSet,
-    _package,
-    _refine_hp,
-    _solve_split,
-    _sweep,
-    classify,
-    nontrivial_roots,
-    resultant_roots,
-)
+from whitenorm.roots import _REL, RootSet, _package, classify, nontrivial_roots, resultant_roots
+
+import reference_solver as ref
+from reference_solver import _refine_hp, _solve_split, _sweep
 
 SQ2 = math.sqrt(2)
 
 
 def find_roots(f: LaurentPoly) -> RootSet:
-    """The root pipeline on a non-zero integer polynomial f, with the exact
-    facts ResPoly gives it for res: the exponent unit stripped, +-1 split
-    off with their orders, the rest certified squarefree or refused."""
+    """The reference solver (reference_solver) on a non-zero integer
+    polynomial f, with the exact facts ResPoly gives res: the exponent unit
+    stripped, +-1 split off with their orders, the rest certified
+    squarefree or refused."""
     f = f.shift(-f.mindeg)
     o1, f = f.split_root(1)
     om1, f = f.split_root(-1)
@@ -80,41 +74,33 @@ def test_multiple_root_on_axis_prints_exact_zero():
 
 
 def test_refine_failure_names_degree_and_step(monkeypatch):
-    import whitenorm.roots as roots_mod
-
     # one sweep from a start far off +-sqrt(2) cannot reach a 2^-95 step
-    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
+    monkeypatch.setattr(ref, "_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure, match=r"degree 2 in 1 sweeps: .* 2\^-\d+$"):
         _refine_hp([-2, 0, 1], [1 + 0.5j, -1 - 0.3j])
 
 
 def test_forced_refine_failure_names_stage_degree_and_step(monkeypatch):
-    import whitenorm.roots as roots_mod
-
-    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
+    monkeypatch.setattr(ref, "_SWEEPS", 1)
     f = build_res(5, 1).poly
-    with pytest.raises(ConvergenceFailure) as info:
+    with pytest.raises(ConvergenceFailure, match=r"in 1 sweeps: the last sweep's largest step was 2\^-\d+$") as info:
         find_roots(f)
     exc = info.value
     # only s^4 - 3s^3 + 5s^2 - 3s + 1, left after the double root -1 is
     # split off, reaches the sweeps
-    assert (exc.stage, exc.degree, exc.sweeps, exc.bits) == ("refine", 4, 1, 128)
-    assert exc.coeff_bits == 3
-    assert len(exc.steps) == 1 and str(exc).endswith(f"largest step was 2^{exc.steps[-1]}")
+    assert (exc.stage, exc.degree, exc.bits, exc.coeff_bits) == ("refine", 4, 128, 3)
 
 
 def test_failing_solve_makes_one_start(monkeypatch):
-    import whitenorm.roots as roots_mod
-
     starts = []
-    aberth = roots_mod._aberth
+    aberth = ref._aberth
 
     def spy(coeffs, *args):
         starts.append(len(coeffs) - 1)
         return aberth(coeffs, *args)
 
-    monkeypatch.setattr(roots_mod, "_aberth", spy)
-    monkeypatch.setattr(roots_mod, "_SWEEPS", 1)
+    monkeypatch.setattr(ref, "_aberth", spy)
+    monkeypatch.setattr(ref, "_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure) as info:
         find_roots(build_res(5, 1).poly)
     # the refinement's own failure is raised, with no second start
@@ -283,8 +269,7 @@ def test_fixed_point_overflow_fails_the_refinement():
     assert [r.value for r in find_roots(LaurentPoly({1: 1, 0: -(2**900)}))] == [2.0**900]
     with pytest.raises(ConvergenceFailure, match="fixed-point conversion") as info:
         _refine_hp([-1, 1], [complex(math.inf, 0)])
-    assert info.value.stage == "refine"
-    assert (info.value.degree, info.value.sweeps) == (1, 0)
+    assert (info.value.stage, info.value.degree, info.value.bits) == ("refine", 1, 128)
 
 
 ROOTS_GRID = [(5, 1), (-5, 3), (65, 3), (65, 16), (65, 23), (129, 16)]
@@ -302,17 +287,93 @@ def test_rootset_carries_disjoint_discs(pq):
     assert all(r.radius > 0 for r in nontrivial_roots(rs))
 
 
-def test_near_double_root_climbs_past_128_bits(monkeypatch):
+def _same_roots(pq):
+    """Whether resultant_roots(*pq) and the reference solver give the same
+    roots: values, multiplicities and every flag."""
+    r = build_res(*pq)
+    want = _solve_split(r.trivial_orders, r.quotient)
+    return [(x.value, x.multiplicity, x.flags) for x in resultant_roots(*pq)] == [
+        (x.value, x.multiplicity, x.flags) for x in want
+    ]
+
+
+def test_resultant_roots_match_the_reference():
+    # the two solves share no step before the discs: a start point lost,
+    # doubled or misplaced on the filling equation would show here
+    fillings = [pq for pq in CENSUS if pq[1] <= 6]
+    assert len(fillings) == 253
+    assert [pq for pq in fillings if not _same_roots(pq)] == []
+
+
+@pytest.mark.slow
+def test_resultant_roots_match_the_reference_on_the_census():
+    assert [pq for pq in CENSUS if not _same_roots(pq)] == []
+
+
+def test_forced_start_failure_names_the_count(monkeypatch):
+    import whitenorm.roots as roots_mod
+
+    # with no seed the start finds none of 5/1's four roots
+    monkeypatch.setattr(roots_mod, "_RADII", ())
+    resultant_roots.cache_clear()
+    try:
+        with pytest.raises(ConvergenceFailure, match="found 0 distinct roots .*, where degree 4 has 4$") as info:
+            resultant_roots(5, 1)
+    finally:
+        resultant_roots.cache_clear()  # drop the planted failure
+    exc = info.value
+    assert (exc.stage, exc.degree, exc.coeff_bits, exc.bits) == ("start", 4, 3, None)
+
+
+@pytest.mark.parametrize(
+    "fault, why",
+    [
+        (None, None),
+        ("overlap", "the discs were not pairwise disjoint and below 2^-100"),
+        # as at 1025/512, where cxhp.hp_abs passes 2^1024 at every rung
+        ("overflow", "a value overflowed a double (planted)"),
+    ],
+)
+def test_forced_discs_failure_names_the_last_rung(monkeypatch, fault, why):
     import whitenorm.roots as roots_mod
 
     rungs = []
     certify = roots_mod._inclusion_discs
 
+    def planted(int_coeffs, z, bits):
+        rungs.append(bits)
+        if fault == "overflow":
+            raise OverflowError("planted")
+        radii, disjoint = certify(int_coeffs, z, bits)
+        return radii, disjoint and fault is None
+
+    monkeypatch.setattr(roots_mod, "_inclusion_discs", planted)
+    resultant_roots.cache_clear()
+    try:
+        if fault is None:
+            # the first rung that certifies ends the solve
+            assert {r.bits for r in nontrivial_roots(resultant_roots(5, 1))} == {128}
+            assert rungs == [128]
+            return
+        with pytest.raises(ConvergenceFailure) as info:
+            resultant_roots(5, 1)
+    finally:
+        resultant_roots.cache_clear()  # drop the planted failure
+    assert rungs == [128, 256, 512, 768]
+    exc = info.value
+    assert str(exc) == f"no rung of (128, 256, 512, 768) fraction bits certified degree 4: at 768 bits {why}"
+    assert (exc.stage, exc.degree, exc.coeff_bits, exc.bits) == ("discs", 4, 3, 768)
+
+
+def test_near_double_root_climbs_past_128_bits(monkeypatch):
+    rungs = []
+    certify = ref._inclusion_discs
+
     def spy(int_coeffs, z, bits):
         rungs.append(bits)
         return certify(int_coeffs, z, bits)
 
-    monkeypatch.setattr(roots_mod, "_inclusion_discs", spy)
+    monkeypatch.setattr(ref, "_inclusion_discs", spy)
     # 1 - 2 s^12 (10 - s)^2 (Mignotte's construction) has two real roots
     # 10 -+ 7.07e-7, whose discs come apart only past 128 bits; the factor
     # 100 s - 1001 puts a third root 1e-2 away
@@ -328,11 +389,10 @@ def test_near_double_root_climbs_past_128_bits(monkeypatch):
 
 
 def _spy_sweeps(monkeypatch, before=None):
-    """The fraction bits of every _sweep call; `before(z, bits)` runs first."""
-    import whitenorm.roots as roots_mod
-
+    """The fraction bits of every reference _sweep call; `before(z, bits)`
+    runs first."""
     rungs = []
-    sweep = roots_mod._sweep
+    sweep = ref._sweep
 
     def spy(int_coeffs, dcoeffs, z, bits):
         if before:
@@ -340,12 +400,13 @@ def _spy_sweeps(monkeypatch, before=None):
         rungs.append(bits)
         return sweep(int_coeffs, dcoeffs, z, bits)
 
-    monkeypatch.setattr(roots_mod, "_sweep", spy)
+    monkeypatch.setattr(ref, "_sweep", spy)
     return rungs
 
 
-# sweeps and final rung, which repeat exactly: a repulsion sum too coarse
-# to keep the step's convergence shows here and not as timing noise
+# the reference solver's sweeps and final rung, which repeat exactly: a
+# repulsion sum too coarse to keep the step's convergence shows here and not
+# as timing noise
 @pytest.mark.parametrize(
     "pq, sweeps, bits",
     [((5, 1), 2, 128), ((65, 16), 3, 128), ((65, 23), 10, 256), ((129, 16), 3, 128)],
