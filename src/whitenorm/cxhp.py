@@ -2,10 +2,10 @@
 implementation of it.
 
 A value is (re, im) scaled by 2^bits, and the caller always says how many
-fraction bits: the root solve lifts its start on a ladder of 128 to 768
-bits (roots._RUNGS), and reconstruction sizes its precision per class
-(reps._bits), since the filling relation cancels entries of size
-max(|s|, 1/|s|)^|p| down to I, which at 129/32 takes more than 768 bits.
+fraction bits: the root solve lifts its start at the bits its discs'
+bound plans from the doubles (roots._plan), and reconstruction sizes its
+precision per class (reps._bits), since the filling relation cancels
+entries of size max(|s|, 1/|s|)^|p| down to I: 896 bits at 129/32.
 
 Two layers share one set of formulas.  The raw kernel (`hp`, `hp_int`,
 `hp_float`, `hp_abs`, `hp_mul`, `hp_div`, `hp_horner`, and `hp_matmul`,
@@ -86,7 +86,7 @@ def hp_horner(int_coeffs: list[int], z: HP, bits: int) -> HP:
 
     Each product, hp_mul's formula inline on local ints, truncates both
     parts by less than one unit of 2^-bits, so the value is off by less than
-    sqrt(2) * sum_{k<n} |z|^k units, n the degree (see roots._horner_error)."""
+    sqrt(2) * sum_{k<n} |z|^k units, n the degree (see roots._horner_log2)."""
     zr, zi = z
     re = im = 0
     for c in reversed(int_coeffs):

@@ -34,11 +34,11 @@ class ConvergenceFailure(WhitenormError):
     the raiser does not know it:
 
     stage       "start" (the start found other than degree-many roots) or
-                "discs" (the inclusion discs certified at no rung)
+                "discs" (the inclusion discs did not certify at the planned bits)
     degree      degree of the polynomial being solved: the one left after
                 the roots +-1 are split off
     coeff_bits  bit length of its largest coefficient
-    bits        fraction bits of the last fixed-point rung
+    bits        fraction bits the lifts and discs were planned at (roots._plan)
     """
 
     def __init__(self, message: str, *, stage=None, degree=None, coeff_bits=None, bits=None):

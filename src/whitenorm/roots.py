@@ -15,21 +15,22 @@ SnapPea solves it (Thurston 1979, ch. 4-5; Weeks 2005), here at every
 label.  The start (_start) runs Newton's method at the label of each seed
 of a fixed grid, walks from each new root to the labels k +- 1 by a
 predictor-corrector step (Allgower & Georg 2003), and adds each root's
-images under res's symmetries, until it holds n distinct doubles.  Each is
-lifted by Newton's method on the closed form in fixed point (respq._newton,
-plain python ints, see cxhp), at 128, 256, 512 and 768 fraction bits in
-turn, until pairwise disjoint Gerschgorin-Weierstrass inclusion discs from
-the exact dense coefficients certify every root to 2^-100 (_certify).  The
+images under res's symmetries, until it holds n distinct doubles.  The
+discs' own bound, read off the doubles, plans one precision (_plan); each
+double is lifted once at it by Newton's method on the closed form in fixed
+point (respq._newton, plain python ints, see cxhp), and pairwise disjoint
+Gerschgorin-Weierstrass inclusion discs from the exact dense coefficients,
+computed once, must certify every root to 2^-100 (_certify).  The
 start needs none of its thresholds to be right: n pairwise disjoint discs
 about a squarefree polynomial of degree n hold one root each, so a wrong
 or missing start point can only fail the solve.  The disc is the one root
 certificate: the printed double lies within 2^-53 |z| + r of its root, and
 every other fact about the root is read off it (_package).
 
-Each Root carries its disc: the radius, and the fixed-point centre at its
-rung's bits, from which reps lifts the root with no second solve.  A
+Each Root carries its disc: the radius, and the fixed-point centre at the
+planned bits, from which reps lifts the root with no second solve.  A
 RootSet is the roots, sorted once by (re, im), and the span.  No randomness
-anywhere; repeated runs emit identical bytes, whatever rung certified.
+anywhere; repeated runs emit identical bytes, whatever bits certified.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 
 from .cxhp import HP, HPComplex, hp_abs, hp_float, hp_horner
@@ -63,7 +65,7 @@ class Root:
     flags: RootFlags
     radius: float  # of its inclusion disc about value; 0.0 for the exact +-1
     centre: HP  # the disc's fixed-point centre; (+-1, 0) for the exact +-1
-    bits: int  # the centre's fraction bits: its rung's, 0 for the exact +-1
+    bits: int  # the centre's fraction bits, planned by _plan; 0 for the exact +-1
 
     def holds(self, z: complex) -> bool:
         """Whether z lies in the root's disc, rounded outward (_reach)."""
@@ -211,26 +213,37 @@ def _start(m: int, q: int, n: int) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# the certificate: fixed-point lifts on a precision ladder and inclusion discs
+# the certificate: fixed-point lifts at one planned precision, inclusion discs
 
-# Fraction bits of the rungs, in the order they are tried.
-_RUNGS = (128, 256, 512, 768)
 # The discs certify once every inclusion radius is below 2^-100 (1 + |z|):
 # 47 bits past double precision, so the double rounding of a disc's centre
 # is that of its root unless the root lies within 2^-100 of a rounding
 # boundary.  reps lifts each root from its centre, good to this many bits.
 CERTIFY_BITS = 100
 _START_BITS = 30  # good bits of a start point, whose last step was below 2^-39
-# Relative error bound of one cxhp.hp_abs value (below 2^-51) and of one
-# float product, with room.
-_REL = 2.0**-50
+_MARGIN = 1  # bits the plan keeps above the largest need it reads off the start
+_REL = 2.0**-50  # relative error bound of one cxhp.hp_abs value (below 2^-51) or float product
 
 
-def _horner_error(n: int, z: HP, bits: int) -> float:
-    """Bound on the truncation error of hp_horner at z on degree n, capped
-    at 2^1000: under sqrt(2) sum_{k<n} |z|^k units of 2^-bits."""
-    az = hp_abs(z, bits) * (1.0 + _REL)
-    return 2.0 ** min(math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits, 1000.0)
+def _horner_log2(n: int, az: float, bits: int) -> float:
+    """log2 of 1.5 n max(1, az)^(n-1) 2^-bits, a bound on the truncation
+    error of hp_horner at |z| <= az on degree n (sqrt(2) sum_{k<n} az^k units)."""
+    return math.log2(1.5 * n) + (n - 1) * math.log2(max(1.0, az)) - bits
+
+
+def _plan(int_coeffs: list[int], start: list[complex]) -> int:
+    """The fraction bits of the lifts and discs: the bits each root needs,
+    read in logs off its distinct double (_start) from _inclusion_discs'
+    radius with |f(z_i)| at its truncation bound (_horner_log2), for
+    2^-CERTIFY_BITS (1 + |z_i|); their largest plus _MARGIN, at least 128,
+    rounded up to a multiple of 64."""
+    n, lead = len(start), math.log2(abs(int_coeffs[-1]))
+    need = max(
+        math.log2(n) + _horner_log2(n, abs(z), 0) - lead + CERTIFY_BITS - math.log2(1 + abs(z))
+        - sum(math.log2(abs(z - w)) for w in start if w != z)
+        for z in start
+    )
+    return 64 * math.ceil(max(128, need + _MARGIN) / 64)
 
 
 def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[list[float], bool]:
@@ -246,9 +259,10 @@ def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[lis
     pairwise disjoint, each holds exactly one root, a simple one.
 
     |f(z_i)| is the fixed-point Horner value plus its truncation bound
-    (_horner_error); the denominator is a float product whose rounding is
-    covered by a relative factor.  Returns the radii, infinite for
-    coincident centres, and whether the discs are pairwise disjoint."""
+    (_horner_log2), each divided by the denominator's 2^e before it becomes
+    a float; the denominator, a float mantissa and that exponent, has its
+    rounding covered by a relative factor.  Returns the radii, infinite for
+    coincident centres and past float range, and whether they are disjoint."""
     n = len(z)
     dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -260,21 +274,22 @@ def _inclusion_discs(int_coeffs: list[int], z: list[HP], bits: int) -> tuple[lis
     slack = 1.0 + 2 * (n + 2) * _REL
     radii = []
     for i, zi in enumerate(z):
-        num = hp_abs(hp_horner(int_coeffs, zi, bits), bits) * (1.0 + _REL) + _horner_error(n, zi, bits)
         m, e = lead_m, lead_e
         for j in range(n):
             if j != i:
                 m, k = math.frexp(m * dist[i][j])
                 e += k
-        if m == 0.0 or math.frexp(num)[1] - e > 1000:
+        value = hp_horner(int_coeffs, zi, bits)
+        error = _horner_log2(n, hp_abs(zi, bits) * (1.0 + _REL), bits) - e
+        if m == 0.0 or max(error, max(map(abs, value)).bit_length() - bits - e) > 1000:
             radii.append(math.inf)
             continue
         # below 2^-1022 a float loses relative precision; clamp outward
-        radii.append(max(math.ldexp(n * num / m * slack, -e), 2.0**-1022))
+        num = max(hp_abs(value, bits + e) * (1.0 + _REL) + 2.0**error, 2.0**-1022)
+        radii.append(n * num / m * slack)
     disjoint = all(
         dist[i][j] * (1.0 - _REL) > (radii[i] + radii[j]) * (1.0 + _REL)
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i in range(n) for j in range(i + 1, n)
     )
     return radii, disjoint
 
@@ -286,7 +301,7 @@ def _on_axis(z: list[HP], bits: int, radii: list[float], i: int, sign: int) -> b
     real, then lies in the disc again; with sign -1 likewise when moreover
     all exponents of f have one parity.  The disc holds one root, so that
     root is its own mirror and lies on the axis."""
-    if abs(z[i][1] if sign == 1 else z[i][0]) > math.ldexp(radii[i], bits):
+    if Fraction(abs(z[i][1] if sign == 1 else z[i][0]), 1 << bits) > radii[i]:
         return False
     mre, mim = sign * z[i][0], -sign * z[i][1]
     return all(
@@ -338,30 +353,24 @@ def _package(int_coeffs: list[int], z: list[HP], bits: int, radii: list[float]) 
 
 
 def _certify(quotient: tuple[int, ...], start: list[complex], m: int, q: int) -> list[Root]:
-    """The start's doubles lifted by Newton's method on res's closed form
-    (respq._res_value), from _START_BITS good bits, at each rung of _RUNGS
-    in turn, until the inclusion discs about the lifts (_inclusion_discs,
-    on the quotient's exact coefficients) are pairwise disjoint and every
-    radius is below 2^-CERTIFY_BITS (1 + |z|); then one root per disc
-    (_package).  A rung at which a value overflows a double certifies
-    nothing.  Raises ConvergenceFailure(stage="discs") when no rung
-    certifies, with the bits of the last."""
-    n = len(quotient) - 1
+    """The start's doubles, each lifted once at the planned bits (_plan)
+    by Newton's method on res's closed form (respq._res_value) from
+    _START_BITS good bits, and the inclusion discs about the lifts, once,
+    on the quotient's exact coefficients.  Disjoint discs with every radius
+    below 2^-CERTIFY_BITS (1 + |z|) give one root each (_package); else
+    ConvergenceFailure(stage="discs") names the bits and the worst miss."""
+    n, bits = len(quotient) - 1, _plan(quotient, start)
     value = partial(_res_value, m=m, q=q)
-    for bits in _RUNGS:
-        lifts = [_newton(value, HPComplex.from_complex(v, bits), _START_BITS) for v in start]
-        z = [(v.re, v.im) for v in lifts]
-        try:
-            radii, disjoint = _inclusion_discs(quotient, z, bits)
-        except OverflowError as exc:
-            why = f"a value overflowed a double ({exc})"
-            continue
-        if disjoint and all(r < math.ldexp(1 + abs(v), -CERTIFY_BITS) for r, v in zip(radii, lifts)):
-            return _package(quotient, z, bits, radii)
-        why = f"the discs were not pairwise disjoint and below 2^-{CERTIFY_BITS}"
+    lifts = [_newton(value, HPComplex.from_complex(v, bits), _START_BITS) for v in start]
+    z = [(v.re, v.im) for v in lifts]
+    radii, disjoint = _inclusion_discs(quotient, z, bits)
+    if disjoint and all(r < math.ldexp(1 + abs(v), -CERTIFY_BITS) for r, v in zip(radii, lifts)):
+        return _package(quotient, z, bits, radii)
+    miss = max(math.log2(r) + CERTIFY_BITS - math.log2(1 + abs(v)) for r, v in zip(radii, lifts))
+    why = "they were not pairwise disjoint" if miss < 0 else f"the worst radius missed by {miss:.1f} bits"
     raise ConvergenceFailure(
-        f"no rung of {_RUNGS} fraction bits certified degree {n}: at {bits} bits {why}",
-        stage="discs", degree=n, bits=bits,
+        f"the discs at the planned {bits} fraction bits did not certify degree {n} to 2^-{CERTIFY_BITS} "
+        f"(1 + |z|): {why}", stage="discs", degree=n, bits=bits,
     )
 
 
@@ -452,9 +461,7 @@ def _closed_form_real_count(p: int, q: int) -> int:
 
 
 def _closed_form_imaginary_count(p: int, q: int) -> int:
-    if p % 4 != 0:
-        return 0
-    return 4 if (p > 4 * q > 0 or p < 0) else 0
+    return 4 if p % 4 == 0 and (p > 4 * q > 0 or p < 0) else 0
 
 
 def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
@@ -477,8 +484,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
             f"({p},{q}): found {imag} imaginary non-trivial roots, expected {exp_imag}"
         )
     values = nt.values
-    gaps = [abs(abs(v) - 1.0) for v in values]
-    min_gap = min(gaps) if gaps else math.inf
+    min_gap = min((abs(abs(v) - 1.0) for v in values), default=math.inf)
     met = [r.value for r in nt if r.flags.unit_circle]
     if met:
         worst = min(met, key=lambda v: abs(abs(v) - 1.0))
@@ -486,14 +492,8 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
             f"({p},{q}): non-trivial root {worst} sits on the unit circle "
             f"(gap {abs(abs(worst) - 1.0):.2e})"
         )
-    seps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]]
-    min_sep = min(seps) if seps else math.inf
+    min_sep = min((abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]), default=math.inf)
     return ClassificationReport(
-        p=p,
-        q=q,
-        n_nontrivial=len(nt),
-        real_count=real,
-        imaginary_count=imag,
-        min_unit_circle_gap=min_gap,
-        min_separation=min_sep,
+        p=p, q=q, n_nontrivial=len(nt), real_count=real, imaginary_count=imag,
+        min_unit_circle_gap=min_gap, min_separation=min_sep,
     )

@@ -27,17 +27,19 @@ import numpy as np
 from whitenorm.cxhp import HP, hp, hp_abs, hp_div, hp_float, hp_horner, hp_int, hp_mul
 from whitenorm.errors import ConvergenceFailure
 from whitenorm.roots import (
-    _RUNGS,
+    _REL,
     CERTIFY_BITS,
     Root,
     RootFlags,
     RootSet,
-    _horner_error,
+    _horner_log2,
     _inclusion_discs,
     _package,
 )
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+# Fraction bits of the rungs, in the order the sweeps climb them.
+_RUNGS = (128, 256, 512, 768)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -132,6 +134,12 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
 
 # Sweeps _refine_hp makes on all rungs together before it gives up.
 _SWEEPS = 48
+
+
+def _horner_error(n: int, z: HP, bits: int) -> float:
+    """The package's bound on the truncation error of hp_horner at z on
+    degree n (roots._horner_log2), capped at 2^1000 for _sweep's noise."""
+    return 2.0 ** min(_horner_log2(n, hp_abs(z, bits) * (1.0 + _REL), bits), 1000.0)
 
 
 def _sweep(int_coeffs: list[int], dcoeffs: list[int], z: list[HP], bits: int) -> tuple[int, bool]:

@@ -1,11 +1,11 @@
 """The envelope of the root solve (README, "Roots with certificates").
 
-A sample of coprime fillings with |p| <= 255 and q <= 80, of degree 128
+A sample of coprime fillings with |p| <= 257 and q <= 128, of degree 128
 to 514, certifies: every root lies in its own inclusion disc, the discs are
 pairwise disjoint, the classification holds and the class count equals its
-closed form.  The sample holds the seven fillings that the generic Aberth
+closed form.  The sample holds eight fillings that the generic Aberth
 pipeline, the tests' reference solver, fails: 129/64, -129/32, -89/16,
-115/57, 161/80, 117/58 and -1/64.  113/56, 127/16, -129/8 and 255/64
+115/57, 161/80, 117/58, -1/64 and 257/128.  113/56, 127/16, -129/8 and 255/64
 reconstruct every class.  The whole file is marked slow and runs only with
 `pytest -m slow`.
 """
@@ -24,6 +24,7 @@ ENVELOPE = [
     (129, 32), (65, 32), (81, 40), (97, 48), (-97, 48),
     (49, 64), (-65, 64), (-129, 64), (1, 64), (255, 64),
     (129, 64), (-129, 32), (-89, 16), (115, 57), (161, 80), (117, 58), (-1, 64),
+    (257, 128),
 ]
 
 

@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -13,7 +15,16 @@ from whitenorm.cxhp import hp, hp_abs, hp_float
 from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
 from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
-from whitenorm.roots import _REL, RootSet, _package, classify, nontrivial_roots, resultant_roots
+from whitenorm.roots import (
+    _REL,
+    RootSet,
+    _inclusion_discs,
+    _on_axis,
+    _package,
+    classify,
+    nontrivial_roots,
+    resultant_roots,
+)
 
 import reference_solver as ref
 from reference_solver import _refine_hp, _solve_split, _sweep
@@ -307,7 +318,10 @@ def test_resultant_roots_match_the_reference():
 
 @pytest.mark.slow
 def test_resultant_roots_match_the_reference_on_the_census():
-    assert [pq for pq in CENSUS if not _same_roots(pq)] == []
+    # the rest of the census: tier-1 compares the fillings with q <= 6
+    fillings = [pq for pq in CENSUS if pq[1] > 6]
+    assert len(fillings) == 164
+    assert [pq for pq in fillings if not _same_roots(pq)] == []
 
 
 def test_forced_start_failure_names_the_count(monkeypatch):
@@ -325,44 +339,90 @@ def test_forced_start_failure_names_the_count(monkeypatch):
     assert (exc.stage, exc.degree, exc.coeff_bits, exc.bits) == ("start", 4, 3, None)
 
 
-@pytest.mark.parametrize(
-    "fault, why",
-    [
-        (None, None),
-        ("overlap", "the discs were not pairwise disjoint and below 2^-100"),
-        # as at 1025/512, where cxhp.hp_abs passes 2^1024 at every rung
-        ("overflow", "a value overflowed a double (planted)"),
-    ],
-)
-def test_forced_discs_failure_names_the_last_rung(monkeypatch, fault, why):
+@pytest.mark.parametrize("fault", [None, "overlap", "wide"])
+def test_one_lift_and_one_disc_computation_at_the_planned_bits(monkeypatch, fault):
     import whitenorm.roots as roots_mod
 
-    rungs = []
-    certify = roots_mod._inclusion_discs
+    plans, lifts, discs = [], [], []
+    plan, newton, certify = roots_mod._plan, roots_mod._newton, roots_mod._inclusion_discs
+
+    def planned(int_coeffs, start):
+        plans.append(plan(int_coeffs, start))
+        return plans[-1]
+
+    def lift(value, z, good):
+        lifts.append(z.bits)
+        return newton(value, z, good)
 
     def planted(int_coeffs, z, bits):
-        rungs.append(bits)
-        if fault == "overflow":
-            raise OverflowError("planted")
+        discs.append(bits)
         radii, disjoint = certify(int_coeffs, z, bits)
+        if fault == "wide":
+            radii = [math.ldexp(r, 90) for r in radii]
         return radii, disjoint and fault is None
 
+    monkeypatch.setattr(roots_mod, "_plan", planned)
+    monkeypatch.setattr(roots_mod, "_newton", lift)
     monkeypatch.setattr(roots_mod, "_inclusion_discs", planted)
     resultant_roots.cache_clear()
     try:
         if fault is None:
-            # the first rung that certifies ends the solve
-            assert {r.bits for r in nontrivial_roots(resultant_roots(5, 1))} == {128}
-            assert rungs == [128]
-            return
-        with pytest.raises(ConvergenceFailure) as info:
-            resultant_roots(5, 1)
+            assert {r.bits for r in nontrivial_roots(resultant_roots(65, 23))} == {192}
+        else:
+            with pytest.raises(ConvergenceFailure) as info:
+                resultant_roots(65, 23)
     finally:
         resultant_roots.cache_clear()  # drop the planted failure
-    assert rungs == [128, 256, 512, 768]
+    # 65/23's need, 142 bits, plans 192: one lift per double, one set of discs
+    degree = len(build_res(65, 23).quotient) - 1
+    assert plans == discs == [192] and lifts == [192] * degree
+    if fault is None:
+        return
     exc = info.value
-    assert str(exc) == f"no rung of (128, 256, 512, 768) fraction bits certified degree 4: at 768 bits {why}"
-    assert (exc.stage, exc.degree, exc.coeff_bits, exc.bits) == ("discs", 4, 3, 768)
+    why = "they were not pairwise disjoint" if fault == "overlap" else r"the worst radius missed by \d+\.\d bits"
+    assert re.fullmatch(
+        rf"the discs at the planned 192 fraction bits did not certify degree {degree} to 2\^-100 \(1 \+ \|z\|\): {why}",
+        str(exc),
+    )
+    assert (exc.stage, exc.degree, exc.bits) == ("discs", degree, 192)
+
+
+@pytest.mark.parametrize("pq, bits", [((5, 1), 128), ((65, 23), 192), ((97, 48), 256)])
+def test_root_bits_are_the_planned_bits(pq, bits):
+    # the plan's 128-bit floor, and needs of 142 and 225 bits read off the start
+    assert {r.bits for r in nontrivial_roots(resultant_roots(*pq))} == {bits}
+
+
+def test_radius_keeps_its_stated_bound_past_2_1000():
+    # centres exactly on the roots of (s - A)(s - A - 2^340)(s - A - 2^341),
+    # A = 2^800: the Horner value is 0, and each radius is n times the
+    # truncation bound 1.5 n |z|^(n-1) 2^-bits over the gaps, some 2^795,
+    # above the target and the roots' separation alike
+    roots, bits = [2**800, 2**800 + 2**340, 2**800 + 2**341], 128
+    e1, e2, e3 = sum(roots), roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2], math.prod(roots)
+    radii, disjoint = _inclusion_discs([-e3, e2, -e1, 1], [(r << bits, 0) for r in roots], bits)
+    for r, radius in zip(roots, radii):
+        gaps = sum(math.log2(abs(r - w)) for w in roots if w != r)
+        assert math.log2(radius) >= math.log2(3 * 1.5 * 3) + 2 * math.log2(r) - bits - gaps - 1e-9
+    assert not disjoint
+
+
+def test_discs_stay_finite_past_float_range():
+    # at the doubles of the roots 2^200 e^(i pi k/4) of s^8 - 2^1600, |f| is
+    # about 2^1550, past float range, and the denominator about 2^1403
+    z = [hp(cmath.rect(2.0**200, math.pi * k / 4), 128) for k in range(8)]
+    radii, disjoint = _inclusion_discs([-(2**1600), 0, 0, 0, 0, 0, 0, 0, 1], z, 128)
+    assert all(r < 2.0**160 for r in radii) and disjoint
+
+
+def test_axis_test_is_exact_past_float_range():
+    # radius 2^-200 at 1408 bits is 2^1208 units, past float range: the disc
+    # about 1 + 2^-200 i touches the real axis, one unit further it does not
+    bits = 1408
+    z = [(1 << bits, 1 << (bits - 200)), (-(1 << bits), 3 << bits)]
+    assert _on_axis(z, bits, [2.0**-200] * 2, 0, 1)
+    z[0] = (1 << bits, (1 << (bits - 200)) + 1)
+    assert not _on_axis(z, bits, [2.0**-200] * 2, 0, 1)
 
 
 def test_near_double_root_climbs_past_128_bits(monkeypatch):

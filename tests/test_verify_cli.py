@@ -500,9 +500,12 @@ def test_overlapping_discs_fail_roots_suite(monkeypatch, capsys):
     finally:
         resultant_roots.cache_clear()  # drop the planted failure
     suite = json.loads(capsys.readouterr().out)["suites"][0]
-    # discs never certified disjoint: no rung of the ladder certifies
+    # the one set of discs, at the 128 bits planned for 5/1, is not disjoint
     assert suite["status"] == "fail"
-    assert "no rung of (128, 256, 512, 768) fraction bits certified degree 4: at 768 bits" in suite["details"]
+    assert (
+        "the discs at the planned 128 fraction bits did not certify degree 4 to 2^-100 (1 + |z|): "
+        "they were not pairwise disjoint"
+    ) in suite["details"]
 
 
 def test_close_roots_with_disjoint_discs_pass_roots_suite(monkeypatch, capsys):
