@@ -2,7 +2,8 @@
 
 Subcommands: norm, respq, roots, preps, verify, sweep.
 Exit codes: 0 success, 1 argument/validation error, 2 verification failure,
-3 scope exclusion (p even or slope 3), 4 I/O error.
+3 scope exclusion (p even or slope 3 for norm; p/q in {0, 4} for preps),
+4 I/O error.
 
 Output is deterministic byte-for-byte: fixed JSON key order, no randomness
 in any numeric path.
@@ -21,8 +22,8 @@ from .cxhp import HPMat, hp_float
 from .errors import ScopeError, ValidationError, WhitenormError
 from .respq import Y_CONVENTION, build_res
 from .roots import resultant_roots
-from .slopes import INFINITY, Slope, validate_filling
-from .verify import SUITES, run_verify
+from .slopes import INFINITY, Slope
+from .verify import SUITES, run_verify, select_suites
 
 
 def _emit(payload: dict) -> None:
@@ -136,20 +137,13 @@ def cmd_preps(args) -> int:
     return 0
 
 
-def _parse_suites(items: list[str]) -> tuple[str, ...]:
-    names: list[str] = []
-    for item in items:
-        names.extend(x.strip() for x in item.split(",") if x.strip())
-    for n in names:
-        if n not in SUITES and n != "all":
-            raise ValidationError(f"unknown suite {n!r}; choose from {', '.join(SUITES)} or all")
-    if not names or "all" in names:
-        return SUITES
-    return tuple(dict.fromkeys(names))
+def _suite_names(items: list[str]) -> list[str]:
+    """The names of the --suite comma lists; verify.select_suites checks them."""
+    return [x.strip() for item in items for x in item.split(",") if x.strip()]
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(args.p, args.q, _parse_suites(args.suite))
+    report = run_verify(args.p, args.q, _suite_names(args.suite))
     _emit(
         {
             "schema": 1,
@@ -166,7 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    suites = _parse_suites(args.suite)
+    suites = select_suites(_suite_names(args.suite))
     header = [
         "p", "q", "range", "beta1", "beta2", "beta3",
         "a1", "a2", "a3", "s_min", "norm_inf", "seifert1", "seifert2", "seifert3",
@@ -266,9 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    # each command's first call (seminorm_profile, build_res, run_verify) validates p, q
     try:
-        if "p" in vars(args):
-            validate_filling(args.p, args.q)
         return args.func(args)
     except ScopeError as exc:
         print(f"scope: {exc}", file=sys.stderr)

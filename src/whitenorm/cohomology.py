@@ -24,7 +24,7 @@ which proves each minor named below with laurent.det_exact.  Columns are
 
 from __future__ import annotations
 
-from .errors import CommonRootSuspected, DegenerateCase
+from .errors import ScopeError, VerificationFailure
 from .laurent import LaurentPoly, coprime
 from .respq import build_res
 
@@ -37,7 +37,7 @@ def d1_poly(p: int, q: int) -> LaurentPoly:
     """p(p-4q) s^4 + (-6p^2 + 24pq - 32q^2) s^2 + p(p-4q)."""
     lead = p * (p - 4 * q)
     if lead == 0:
-        raise DegenerateCase("d1 degenerates when p(p-4q) = 0")
+        raise ScopeError("d1 degenerates when p(p-4q) = 0")
     return LaurentPoly({4: lead, 2: -6 * p * p + 24 * p * q - 32 * q * q, 0: lead})
 
 
@@ -69,9 +69,9 @@ def d2_check(p: int, q: int) -> None:
     (sympy 1.14's factor_list: content 1, one factor) with leading
     coefficient 22, so none of its roots is an algebraic integer, while
     every root of the monic res is one.  A refusal raises
-    CommonRootSuspected; being modular, it alone proves no common root."""
+    VerificationFailure; being modular, it alone proves no common root."""
     if not coprime(build_res(p, q).poly.dense()[0], d2_poly().dense()[0]):
-        raise CommonRootSuspected(
+        raise VerificationFailure(
             f"d2 and the ({p},{q}) characterization polynomial are not certified coprime: "
             "gcd != 1 modulo 2^61 - 1"
         )

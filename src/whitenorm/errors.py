@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all whitenorm modules."""
+"""Exception hierarchy shared by all whitenorm modules: one class per
+outcome.  The CLI exits 1 on ValidationError, 3 on ScopeError and 2 on any
+other WhitenormError; a verify suite that raises ScopeError is skipped and
+one that raises any other WhitenormError fails.  The message names the
+check or the refusal."""
 
 
 class WhitenormError(Exception):
@@ -10,21 +14,11 @@ class ValidationError(WhitenormError, ValueError):
 
 
 class ScopeError(WhitenormError):
-    """Input outside the proven scope (p even, or p/q on an excluded slope),
-    or a filling outside a verification suite's scope (p/q in {0, 4} for the
-    suites that need roots)."""
-
-
-class DegenerateCase(WhitenormError):
-    """Closed-form formula undefined for this (p, q)."""
-
-
-class ResultantIdentityMismatch(WhitenormError):
-    """Sylvester determinant and closed form disagree after normalization."""
-
-
-class SymmetryViolation(WhitenormError):
-    """A resultant symmetry identity failed; the message names it."""
+    """A valid filling outside a computation's scope, raised by the layer
+    that owns the fact: p even or slope 3 for the seminorm's closed forms
+    (seminorm), and p/q in {0, 4}, where res is a unit constant, for its
+    roots (ResPoly.trivial_orders), its class count (reps.count_prep_classes)
+    and d1 (cohomology.d1_poly)."""
 
 
 class ConvergenceFailure(WhitenormError):
@@ -49,26 +43,8 @@ class ConvergenceFailure(WhitenormError):
         self.bits = bits
 
 
-class ClassificationViolation(WhitenormError):
-    """A root-classification assertion failed; the message names it."""
-
-
 class VerificationFailure(WhitenormError):
-    """A verification check failed: a residual of a reconstructed
-    representation, or a check of a verification suite."""
-
-
-class CountMismatch(WhitenormError):
-    """Numeric class count disagrees with the closed-form count."""
-
-
-class SystemInconsistent(WhitenormError):
-    """The norm linear system has no solution (distance-table bug)."""
-
-
-class RankUnexpected(WhitenormError):
-    """The norm linear system rank differs from the one expected in range."""
-
-
-class CommonRootSuspected(WhitenormError):
-    """Two polynomials that must share no root are not certified coprime."""
+    """A check failed: an exact identity of res (the Sylvester certificate,
+    a symmetry, the +-1 orders), a class count, the norm system, a
+    classification of the certified roots, d2's coprimality, a residual of
+    a reconstructed representation, or a check of a verification suite."""

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 from .cxhp import HPComplex, HPMat, hp_abs, hp_float, hp_matmul, hp_matpow, hp_mul
-from .errors import CountMismatch, ValidationError, VerificationFailure
+from .errors import ScopeError, ValidationError, VerificationFailure
 from .respq import _closed_form_hp, _newton, _power, _res_value, build_res
 from .roots import CERTIFY_BITS, Root, RootSet, nontrivial_roots, resultant_rootset_of
-from .slopes import validate_filling
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +307,19 @@ def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCo
     """Count conjugacy classes of parabolic representations from exact facts
     alone, with no root solve: the reducible closed form plus the degree of
     res's certified squarefree quotient (ResPoly.quotient), the span of res
-    minus its exact orders at +-1, every root of which is simple.  A
-    quotient the squarefree test refuses raises ValidationError.  A
-    disagreement with the closed-form total, for any p, raises
-    CountMismatch, and so does a given rootset whose non-trivial roots do
-    not number exactly the count.
+    minus its exact orders at +-1, every root of which is simple.  build_res
+    validates (p, q).  At p/q in {0, 4} res is a unit constant, and
+    ScopeError is raised.  A quotient the squarefree test refuses raises
+    ValidationError.  A disagreement with the closed-form total, for any p,
+    raises VerificationFailure, and so does a given rootset whose
+    non-trivial roots do not number exactly the count.
     """
-    validate_filling(p, q)
-    if p == 0 or p == 4 * q:
-        raise ValidationError("p/q in {0, 4} is outside the counting range")
-    irreducible = len(build_res(p, q).quotient) - 1
+    r = build_res(p, q)
+    if r.is_degenerate:
+        raise ScopeError("characterization polynomial is a unit: no irreducible classes")
+    irreducible = len(r.quotient) - 1
     if rootset is not None and len(nontrivial_roots(rootset)) != irreducible:
-        raise CountMismatch(
+        raise VerificationFailure(
             f"({p},{q}): {len(nontrivial_roots(rootset))} non-trivial roots in the root set, "
             f"{irreducible} exactly"
         )
@@ -327,7 +327,7 @@ def count_prep_classes(p: int, q: int, rootset: RootSet | None = None) -> PrepCo
     total = reducible + irreducible
     expected = expected_class_total(p, q)
     if total != expected:
-        raise CountMismatch(
+        raise VerificationFailure(
             f"({p},{q}): {total} classes found but the closed form gives {expected}"
         )
     return PrepCount(p, q, reducible, irreducible, total)
@@ -341,7 +341,7 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     pair the member met first in the root set's (re, im) order represents
     it, so |s| may be below 1 (at 5/1 the first class has s = 0.378 -
     0.441i).  The classes built must number count_prep_classes' total, or
-    CountMismatch is raised."""
+    VerificationFailure is raised."""
     res = build_res(p, q)
     rootset = resultant_rootset_of(res)
     count = count_prep_classes(p, q, rootset=rootset)
@@ -358,7 +358,7 @@ def all_prep_classes(p: int, q: int) -> list[PRep]:
     # are s = +-1
     ks = range(1, (abs(p) - 1) // 2 + 1)
     if 2 * (len(chosen) + len(ks)) != count.total:
-        raise CountMismatch(
+        raise VerificationFailure(
             f"({p},{q}): {2 * (len(chosen) + len(ks))} classes chosen up to s ~ 1/s, "
             f"{count.total} counted"
         )

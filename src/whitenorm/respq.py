@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cxhp import HPComplex
-from .errors import ResultantIdentityMismatch, SymmetryViolation, ValidationError
+from .errors import ScopeError, ValidationError, VerificationFailure
 from .laurent import LaurentPoly, squarefree_refusal, sylvester_resultant_t
 from .slopes import validate_filling
 
@@ -164,13 +164,15 @@ class ResPoly:
         """Exact vanishing orders of res at s = +1 and s = -1, by the split
         LaurentPoly.split_root makes, checked against the parity pattern:
         q even gives (2, 0); p and q both odd give (0, 2); q odd with p even
-        gives (0, 0).  Computed over the integers, not predicted."""
+        gives (0, 0).  Computed over the integers, not predicted.  At p/q
+        in {0, 4} res is a unit constant with no roots, and ScopeError is
+        raised."""
         if self.is_degenerate:
-            raise ValidationError("degenerate polynomial (p/q in {0, 4}) has no roots")
+            raise ScopeError("degenerate constant, no roots")
         orders = _split(self.poly)[:2]
         expected = (2, 0) if self.q % 2 == 0 else (0, 2) if self.p % 2 else (0, 0)
         if orders != expected:
-            raise SymmetryViolation(
+            raise VerificationFailure(
                 f"trivial-root orders {orders} differ from the parity pattern {expected} "
                 f"for ({self.p}, {self.q})"
             )
@@ -212,7 +214,7 @@ def build_res(p: int, q: int) -> ResPoly:
     validate_filling(p, q)
     closed = _closed_form(p, q).normalize_unit()
     if closed != _oracle(p, q).normalize_unit():
-        raise ResultantIdentityMismatch(
+        raise VerificationFailure(
             f"closed form and Sylvester determinant disagree for ({p}, {q}) "
             f"under {Y_CONVENTION}"
         )
@@ -225,16 +227,16 @@ def check_symmetries(r: ResPoly) -> bool:
     res_{p,q} = res_{-p+4q,q} up to units.  Returns whether s -> -s fixes res."""
     poly = r.poly
     if not poly.substitute_inv().unit_equal(poly):
-        raise SymmetryViolation(f"s -> 1/s invariance fails for ({r.p}, {r.q})")
+        raise VerificationFailure(f"s -> 1/s invariance fails for ({r.p}, {r.q})")
     neg_holds = poly.substitute_neg().unit_equal(poly)
     neg_expected = r.p % 2 == 0
     if neg_holds != neg_expected:
-        raise SymmetryViolation(
+        raise VerificationFailure(
             f"s -> -s invariance is {neg_holds} but p parity predicts {neg_expected} "
             f"for ({r.p}, {r.q})"
         )
     if not build_res(-r.p + 4 * r.q, r.q).poly.unit_equal(poly):
-        raise SymmetryViolation(f"p -> -p+4q mirror identity fails for ({r.p}, {r.q})")
+        raise VerificationFailure(f"p -> -p+4q mirror identity fails for ({r.p}, {r.q})")
     return neg_holds
 
 
@@ -242,6 +244,7 @@ def nontrivial_root_bound(p: int, q: int) -> int:
     """The span of res minus its orders at +-1 (ResPoly.trivial_orders
     alone): its number of distinct roots off {0, +-1}, all simple as
     ResPoly.quotient certifies for count_prep_classes and the root solve.
-    build_res validates (p, q); p/q in {0, 4} has no roots and raises."""
+    build_res validates (p, q); p/q in {0, 4} has no roots, and
+    trivial_orders raises ScopeError."""
     r = build_res(p, q)
     return r.span - sum(r.trivial_orders)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .cxhp import HP, HPComplex, hp_abs, hp_float, hp_horner
-from .errors import ConvergenceFailure, ClassificationViolation, WhitenormError
+from .errors import ConvergenceFailure, VerificationFailure, WhitenormError
 from .respq import ResPoly, _newton, _res_value, build_res
 
 
@@ -425,7 +425,7 @@ def resultant_rootset_of(r: ResPoly) -> RootSet:
         return RootSet(roots=(), span=0)
     out = _solve(r.trivial_orders, r.quotient, abs(r.p - 2 * r.q), r.q)
     if isinstance(out, WhitenormError):
-        raise out
+        raise out.with_traceback(None)  # else each raise grows the cached traceback
     return out
 
 
@@ -476,11 +476,11 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     exp_real = _closed_form_real_count(p, q)
     exp_imag = _closed_form_imaginary_count(p, q)
     if real != exp_real:
-        raise ClassificationViolation(
+        raise VerificationFailure(
             f"({p},{q}): found {real} real non-trivial roots, expected {exp_real}"
         )
     if imag != exp_imag:
-        raise ClassificationViolation(
+        raise VerificationFailure(
             f"({p},{q}): found {imag} imaginary non-trivial roots, expected {exp_imag}"
         )
     values = nt.values
@@ -488,7 +488,7 @@ def classify(rs: RootSet, p: int, q: int) -> ClassificationReport:
     met = [r.value for r in nt if r.flags.unit_circle]
     if met:
         worst = min(met, key=lambda v: abs(abs(v) - 1.0))
-        raise ClassificationViolation(
+        raise VerificationFailure(
             f"({p},{q}): non-trivial root {worst} sits on the unit circle "
             f"(gap {abs(abs(worst) - 1.0):.2e})"
         )

@@ -16,12 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    RankUnexpected,
-    ScopeError,
-    SystemInconsistent,
-    ValidationError,
-)
+from .errors import ScopeError, ValidationError, VerificationFailure
 from .reps import expected_class_total
 from .slopes import INFINITY, Slope, distance, validate_filling
 
@@ -94,7 +89,7 @@ def seminorm_profile(p: int, q: int) -> SeminormProfile:
     rng = _require_scope(p, q)
     beta2, a, s_min = _table(p, q, rng)
     if not all(x >= 0 and x % 2 == 0 for x in (*a, s_min)):
-        raise SystemInconsistent(f"({p},{q}): coefficients {a} and s = {s_min} must be even and >= 0")
+        raise VerificationFailure(f"({p},{q}): coefficients {a} and s = {s_min} must be even and >= 0")
     seifert = tuple(
         s_min + _SEIFERT_WEIGHT[sig] * (abs(p - _SEIFERT_CONE[sig] * q) - 1) for sig in (1, 2, 3)
     )
@@ -124,7 +119,7 @@ class CountTable:
 
 def _half(x: int) -> int:
     if x % 2:
-        raise SystemInconsistent(f"{x} must be even in a character count")
+        raise VerificationFailure(f"{x} must be even in a character count")
     return x // 2
 
 
@@ -173,14 +168,14 @@ def seifert_character_counts(prof: SeminormProfile, sigma: int) -> CountTable:
     # dihedral characters sit inside the irreducible column, non-abelian
     # reducible ones inside the reducible column
     if total != irr + reducible:
-        raise SystemInconsistent(
+        raise VerificationFailure(
             f"sigma={sigma}, gcd={key}: character table rows do not sum to the total"
         )
     # lifting: dihedral characters lift once, other non-abelian ones twice
     a_const = 2 * (irr - dihedral + nonab_red) + dihedral
     norm_sigma, s_min = prof.seifert[sigma - 1], prof.s_min
     if norm_sigma != s_min + 2 * a_const:
-        raise SystemInconsistent(
+        raise VerificationFailure(
             f"sigma={sigma}: ||sigma|| = {norm_sigma} but s + 2A = {s_min + 2 * a_const}"
         )
     return CountTable(sigma, total, irr, dihedral, reducible, nonab_red, a_const)
@@ -267,13 +262,13 @@ def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
 
     rank, particular, basis = _solve_exact(rows, rhs)
     if particular is None:
-        raise SystemInconsistent(f"({p},{q}): norm system has no solution")
+        raise VerificationFailure(f"({p},{q}): norm system has no solution")
 
     in_three_four = rng is SlopeRange.TWO_4 and p > 3 * q
     in_four_six = rng is SlopeRange.FOUR_INF and p < 6 * q
     expect_rank4 = in_three_four or in_four_six
     if expect_rank4 != (rank == 4):
-        raise RankUnexpected(f"({p},{q}): rank {rank} where {'4' if expect_rank4 else '3'} expected")
+        raise VerificationFailure(f"({p},{q}): rank {rank} where {'4' if expect_rank4 else '3'} expected")
 
     bound = expected_class_total(p, q)
     if rank == 4:
@@ -282,12 +277,12 @@ def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
         candidates: tuple[int, ...] = ()
         reduction = None
         if sol[3] != bound:
-            raise SystemInconsistent(
+            raise VerificationFailure(
                 f"({p},{q}): unique solution has s = {sol[3]}, class bound {bound}"
             )
     else:
         if len(basis) != 1 or basis[0][3] == 0:
-            raise RankUnexpected(f"({p},{q}): solution line degenerate in s")
+            raise VerificationFailure(f"({p},{q}): solution line degenerate in s")
         null = basis[0]
         sol = [particular[i] + (bound - particular[3]) / null[3] * null[i] for i in range(4)]
         slope = [v / null[3] for v in null]
@@ -298,7 +293,7 @@ def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
             if all((ai - bi * z) % (2 * den) == 0 and ai - bi * z >= 0 for ai, bi in ab)
         )
         if not candidates or candidates[0] != 0:
-            raise SystemInconsistent(f"({p},{q}): z = 0 not admissible, candidates {candidates}")
+            raise VerificationFailure(f"({p},{q}): z = 0 not admissible, candidates {candidates}")
         if len(candidates) == 1:
             reduction = None
         else:
@@ -306,7 +301,7 @@ def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
             # the class count attains its bound, and z = 0
             mirror = Fraction(-p + 4 * q, q)
             if not (mirror < 0 or 0 < mirror < 2):
-                raise SystemInconsistent(
+                raise VerificationFailure(
                     f"({p},{q}): ambiguous candidates {candidates} and no mirror reduction"
                 )
             reduction = f"characterization polynomial symmetry: ({p},{q}) ~ ({-p + 4 * q},{q})"
@@ -315,7 +310,7 @@ def solve_linear_system(prof: SeminormProfile) -> LinearSystemResult:
     a = tuple(int(v) for v in sol[:3])
     s_min = int(sol[3])
     if a != prof.a or s_min != prof.s_min:
-        raise SystemInconsistent(
+        raise VerificationFailure(
             f"({p},{q}): reconstruction {(a, s_min)} differs from the closed form "
             f"{(prof.a, prof.s_min)}"
         )

@@ -1,8 +1,9 @@
 """Machine-checkable verification suites: each suite re-derives one slice
 of the closed-form results for a concrete (p, q).  A suite returns its pass
-details, raises ScopeError when p/q is outside its scope, and raises
-VerificationFailure, or lets the raiser's WhitenormError through, when a
-check fails; run_verify alone turns these into pass / fail / skipped."""
+details.  When p/q is outside its scope it lets through the ScopeError of
+the layer that owns the fact; when a check fails it raises
+VerificationFailure or lets the raiser's WhitenormError through.
+run_verify alone turns these into pass / fail / skipped."""
 
 from __future__ import annotations
 
@@ -37,10 +38,6 @@ class VerificationReport:
         return all(r.status != "fail" for r in self.results)
 
 
-def _degenerate(p: int, q: int) -> bool:
-    return p == 0 or p == 4 * q
-
-
 def suite_resultant(p: int, q: int) -> str:
     """Sylvester determinant vs closed form, palindromicity, monic lead."""
     poly = respq.build_res(p, q).poly
@@ -48,7 +45,7 @@ def suite_resultant(p: int, q: int) -> str:
         raise VerificationFailure("not inversion-symmetric")
     if poly.span and poly[poly.maxdeg] != 1:
         raise VerificationFailure("not monic after normalization")
-    expected_span = 0 if _degenerate(p, q) else 2 * max(abs(p - 2 * q), 2 * q)
+    expected_span = 0 if p in (0, 4 * q) else 2 * max(abs(p - 2 * q), 2 * q)
     if poly.span != expected_span:
         raise VerificationFailure(f"span {poly.span} != {expected_span}")
     return f"span {poly.span}, oracle == closed form under convention '{respq.Y_CONVENTION}'"
@@ -57,8 +54,6 @@ def suite_resultant(p: int, q: int) -> str:
 def suite_symmetries(p: int, q: int) -> str:
     """Trivial-root orders and the four symmetry identities."""
     r = respq.build_res(p, q)
-    if r.is_degenerate:
-        raise ScopeError("degenerate constant, no roots")
     orders = r.trivial_orders
     negation_invariant = respq.check_symmetries(r)
     return (
@@ -72,12 +67,9 @@ def suite_roots(p: int, q: int) -> str:
     count nor the discs need a check here: the root solve returns only
     discs it proved pairwise disjoint, one simple root each, and the exact
     +-1 split, the squarefree test and those discs fix the count at
-    nontrivial_root_bound."""
-    if _degenerate(p, q):
-        raise ScopeError("degenerate constant, no roots")
-    rs = resultant_roots(p, q)
-    rep = classify(rs, p, q)
+    nontrivial_root_bound, which refuses p/q in {0, 4} before the solve."""
     bound = respq.nontrivial_root_bound(p, q)
+    rep = classify(resultant_roots(p, q), p, q)
     return (
         f"{rep.n_nontrivial}/{bound} non-trivial roots, {rep.real_count} real, "
         f"{rep.imaginary_count} imaginary, circle gap {rep.min_unit_circle_gap:.2e}"
@@ -87,9 +79,8 @@ def suite_roots(p: int, q: int) -> str:
 def suite_preps(p: int, q: int) -> str:
     """Reconstruct one representation per class (reps checks every
     residual and the number of classes) and report the worst residual and
-    the faithful points' filling defect."""
-    if _degenerate(p, q):
-        raise ScopeError("characterization polynomial is a unit: no irreducible classes")
+    the faithful points' filling defect.  count_prep_classes refuses p/q
+    in {0, 4}."""
     classes = reps.all_prep_classes(p, q)
     reducible = sum(pr.kind == "reducible" for pr in classes)
     worst = max(v for pr in classes for v in pr.residuals.values())
@@ -149,14 +140,13 @@ def suite_cohomology(p: int, q: int) -> str:
     is a reducible class's s = e^(2 pi i k/|p|), 1 <= k <= (|p| - 1)/2.
     No root is solved."""
     checks = []
-    if not _degenerate(p, q) and respq.nontrivial_root_bound(p, q) > 0:
+    unit = respq.build_res(p, q).span == 0  # res is a unit constant at p/q in {0, 4}
+    if not unit and respq.nontrivial_root_bound(p, q) > 0:
         checks.append("coboundary rank 3 (irreducible)")
     if abs(p) >= 3:
         checks.append("presentation rank 5, det P matches closed form")
-    if p * (p - 4 * q) != 0:
-        cls = cohomology.d1_classification(p, q)
-        checks.append(f"d1 roots all {cls}")
-    if not _degenerate(p, q):
+    if not unit:
+        checks.append(f"d1 roots all {cohomology.d1_classification(p, q)}")
         cohomology.d2_check(p, q)
         checks.append("gcd(res, d2) = 1 mod 2^61 - 1")
     return "; ".join(checks) or "no check applies at p = 0"
@@ -173,17 +163,25 @@ _SUITE_FUNCS = {
 }
 
 
-def run_verify(p: int, q: int, suites: tuple[str, ...]) -> VerificationReport:
-    """Run the named suites on p/q.  A suite that returns passes with its
-    details; one that raises ScopeError (out of its scope: p/q in {0, 4} for
-    the root suites, p even or slope 3 for the seminorm suites) is skipped
-    with the message; one that raises any other WhitenormError fails with
-    it."""
+def select_suites(names: list[str] | tuple[str, ...]) -> tuple[str, ...]:
+    """The suites named, once each in the order given; every suite if the
+    names are none or include "all".  Any other name raises
+    ValidationError, "all" or not."""
+    for name in names:
+        if name not in SUITES and name != "all":
+            raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    return SUITES if not names or "all" in names else tuple(dict.fromkeys(names))
+
+
+def run_verify(p: int, q: int, suites: list[str] | tuple[str, ...]) -> VerificationReport:
+    """Run the suites named (select_suites, which checks every name before
+    any suite runs) on p/q.  A suite that returns passes with its details;
+    one that raises ScopeError (out of its scope: p/q in {0, 4} for the root
+    suites, p even or slope 3 for the seminorm suites) is skipped with the
+    message; one that raises any other WhitenormError fails with it."""
     validate_filling(p, q)
     results = []
-    for name in suites:
-        if name not in _SUITE_FUNCS:
-            raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
+    for name in select_suites(suites):
         try:
             status, details = "pass", _SUITE_FUNCS[name](p, q)
         except ScopeError as exc:

@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package, and every
 public method of a public class, has a caller in the package, its scripts
 or its benchmark: code that only tests reach goes, or moves into the tests
-that use it.  A public method has no leading underscore, or is __call__:
+that use it.  An error class counts as used only where a raise or an
+except of the package names it.  A public method has no leading underscore, or is __call__:
 unlike the operator dunders, which the package's own operators reach, a
 __call__ is an entry point like any named method, so it too needs a caller
 that names it.  And no check of the package is an assert statement, which
@@ -100,6 +101,38 @@ def test_exemptions_are_still_needed():
     for name in EXEMPT:
         assert name in uncalled, name
         assert name in benchmark, name
+
+
+def _raised_or_caught():
+    """The names that a raise or an except clause of the package names: the
+    class raised (or called to build what is raised) and each class caught."""
+    def named(node):
+        if isinstance(node, ast.Call):
+            return named(node.func)
+        if isinstance(node, ast.Tuple):
+            return {n for elt in node.elts for n in named(elt)}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        return {node.id} if isinstance(node, ast.Name) else set()
+
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= named(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= named(node.type)
+    return used
+
+
+def test_every_error_class_is_raised_or_caught():
+    # an import, an annotation or a docstring names a class without using
+    # it: an error type that no raise or except names is an outcome no code
+    # has, and goes
+    classes = [node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    unused = sorted(set(classes) - _raised_or_caught())
+    assert classes and unused == [], f"error classes that no raise or except names: {unused}"
 
 
 def test_no_assert_statements():

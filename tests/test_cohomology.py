@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from whitenorm.cohomology import d1_classification, d1_poly, d2_check, d2_poly
-from whitenorm.errors import CommonRootSuspected, DegenerateCase
+from whitenorm.errors import ScopeError, VerificationFailure
 from whitenorm.laurent import LaurentPoly, det_exact
 from whitenorm.roots import nontrivial_roots, resultant_roots
 
@@ -148,7 +148,7 @@ def test_d1_poly_and_roots():
     assert d1_poly(5, 1) == LaurentPoly({4: 5, 2: -62, 0: 5})
     vals = sorted(_d1_numpy_roots(5, 1).real)
     assert vals[0] == pytest.approx(-vals[3]) and vals[1] == pytest.approx(-vals[2])
-    with pytest.raises(DegenerateCase):
+    with pytest.raises(ScopeError, match=r"^d1 degenerates when p\(p-4q\) = 0$"):
         d1_poly(4, 1)
 
 
@@ -208,5 +208,5 @@ def test_d2_detects_planted_collision(monkeypatch):
     # which is irreducible: (s^2 - 5) d2
     planted = LaurentPoly({2: 1, 0: -5}) * d2_poly()
     monkeypatch.setattr(co, "build_res", lambda p, q: SimpleNamespace(poly=planted))
-    with pytest.raises(CommonRootSuspected, match=r"\(5,1\) .* not certified coprime"):
+    with pytest.raises(VerificationFailure, match=r"\(5,1\) .* not certified coprime"):
         co.d2_check(5, 1)

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from whitenorm.cxhp import HPComplex, hp, hp_float, hp_matmul, hp_matpow
-from whitenorm.errors import CountMismatch, ValidationError, VerificationFailure
+from whitenorm.errors import ScopeError, ValidationError, VerificationFailure
 from whitenorm.reps import (
     GroupWord,
     WORD_L0,
@@ -484,7 +484,7 @@ def test_count_prep_classes():
     assert (lambda c: (c.reducible, c.irreducible, c.total))(count_prep_classes(-1, 1)) == (0, 4, 4)
     assert (lambda c: (c.reducible, c.irreducible, c.total))(count_prep_classes(1, 1)) == (0, 2, 2)
     assert (lambda c: (c.reducible, c.irreducible, c.total))(count_prep_classes(5, 1)) == (4, 4, 8)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScopeError, match="^characterization polynomial is a unit: no irreducible classes$"):
         count_prep_classes(4, 1)
 
 
@@ -524,7 +524,7 @@ def test_count_prep_classes_checks_a_given_root_set():
     rs = resultant_roots(5, 1)
     assert count_prep_classes(5, 1, rootset=rs).irreducible == 4
     short = dataclasses.replace(rs, roots=tuple(r for r in rs if r.value != nontrivial_roots(rs).values[0]))
-    with pytest.raises(CountMismatch, match="3 non-trivial roots in the root set, 4 exactly"):
+    with pytest.raises(VerificationFailure, match="3 non-trivial roots in the root set, 4 exactly"):
         count_prep_classes(5, 1, rootset=short)
 
 

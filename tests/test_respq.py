@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitenorm import respq
-from whitenorm.errors import ResultantIdentityMismatch, ValidationError
+from whitenorm.errors import ScopeError, ValidationError, VerificationFailure
 from whitenorm.laurent import LaurentPoly, sylvester_resultant_t
 from whitenorm.respq import (
     _QUADRIC,
@@ -70,7 +70,7 @@ def test_trivial_root_orders():
     assert build_res(-1, 1).trivial_orders == (0, 2)
     assert build_res(1, 2).trivial_orders == (2, 0)
     assert build_res(2, 1).trivial_orders == (0, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScopeError, match="^degenerate constant, no roots$"):
         build_res(4, 1).trivial_orders
 
 
@@ -93,7 +93,7 @@ def test_nontrivial_root_bounds():
     assert nontrivial_root_bound(5, 1) == 4    # 2|p| - 4|q| - 2
     assert nontrivial_root_bound(2, 1) == 4    # 4|q| for p even
     assert nontrivial_root_bound(65, 16) == 64
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScopeError, match="^degenerate constant, no roots$"):
         nontrivial_root_bound(4, 1)
 
 
@@ -155,7 +155,7 @@ def test_build_res_rejects_tampered_closed_form(monkeypatch):
     monkeypatch.setattr(respq, "_closed_form", lambda p, q: honest(p, q) + LaurentPoly({0: 1}))
     build_res.cache_clear()
     try:
-        with pytest.raises(ResultantIdentityMismatch):
+        with pytest.raises(VerificationFailure, match="^closed form and Sylvester determinant disagree for \\(5, 1\\)"):
             build_res(5, 1)
     finally:
         build_res.cache_clear()
@@ -188,9 +188,7 @@ def test_dickson_cosine_identity():
 def test_symmetry_checker_catches_tampering():
     import dataclasses
 
-    from whitenorm.errors import SymmetryViolation
-
     good = build_res(5, 1)
     tampered = dataclasses.replace(good, poly=good.poly + LaurentPoly({1: 1}))
-    with pytest.raises(SymmetryViolation):
+    with pytest.raises(VerificationFailure, match=r"^s -> 1/s invariance fails for \(5, 1\)$"):
         check_symmetries(tampered)

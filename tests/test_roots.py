@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from whitenorm import respq
 from whitenorm.cohomology import d2_check, d2_poly
 from whitenorm.cxhp import hp, hp_abs, hp_float
-from whitenorm.errors import ClassificationViolation, ConvergenceFailure, ValidationError
+from whitenorm.errors import ConvergenceFailure, ValidationError, VerificationFailure
 from whitenorm.laurent import LaurentPoly, _squarefree, squarefree_refusal
 from whitenorm.respq import build_res
 from whitenorm.roots import (
@@ -550,7 +550,7 @@ def test_classification_examples():
 
 def test_classification_raises_on_planted_violation():
     rs = resultant_roots(2, 1)
-    with pytest.raises(ClassificationViolation):
+    with pytest.raises(VerificationFailure, match=r"^\(5,1\): found 4 real non-trivial roots, expected 0$"):
         classify(rs, 5, 1)  # wrong expectations for this root set
 
 
@@ -564,7 +564,7 @@ def test_classification_rejects_disc_meeting_unit_circle():
     wide = _package(list(build_res(5, 1).quotient), [r.centre for r in nt], nt[0].bits, radii)
     assert [r.flags.unit_circle for r in wide] == [True, False, False, False]
     trivial = [r for r in rs if r.flags.trivial_pm1]
-    with pytest.raises(ClassificationViolation, match="unit circle"):
+    with pytest.raises(VerificationFailure, match="unit circle"):
         classify(dataclasses.replace(rs, roots=tuple(trivial + wide)), 5, 1)
     classify(rs, 5, 1)
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from whitenorm.errors import ScopeError, SystemInconsistent, ValidationError
+from whitenorm.errors import ScopeError, ValidationError, VerificationFailure
 from whitenorm.seminorm import (
     evaluate_norm,
     seifert_character_counts,
@@ -65,11 +65,12 @@ def test_bad_table_raises_system_inconsistent(monkeypatch, capsys):
     table = seminorm_mod._table
     monkeypatch.setattr(seminorm_mod, "_table", lambda p, q, rng: (*table(p, q, rng)[:2], 7))
     seminorm_profile.cache_clear()  # derive again rather than read the cached profile
-    with pytest.raises(SystemInconsistent):
+    with pytest.raises(VerificationFailure, match=r"^\(5,1\): coefficients .* must be even and >= 0$"):
         seminorm_profile(5, 1)
     assert main(["norm", "5", "1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("verification failure: SystemInconsistent: ")
+    assert out == "" and err.startswith("verification failure: VerificationFailure: (5,1): coefficients ")
+    assert err.endswith(" must be even and >= 0\n")
 
 
 def test_minimal_norm_is_norm_of_meridian():
@@ -116,7 +117,7 @@ def test_character_counts_reject_a_planted_seifert_norm():
     # ||1|| is off by 2 must fail the s + 2A identity
     prof = seminorm_profile(5, 1)
     planted = dataclasses.replace(prof, seifert=(prof.seifert[0] + 2, *prof.seifert[1:]))
-    with pytest.raises(SystemInconsistent, match=r"sigma=1: \|\|sigma\|\| = 10 but s \+ 2A = 8"):
+    with pytest.raises(VerificationFailure, match=r"sigma=1: \|\|sigma\|\| = 10 but s \+ 2A = 8"):
         seifert_character_counts(planted, 1)
     for sigma in (2, 3):
         seifert_character_counts(planted, sigma)

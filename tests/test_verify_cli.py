@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import traceback
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,6 @@ import pytest
 from whitenorm.cli import main
 from whitenorm.errors import (
     ConvergenceFailure,
-    CountMismatch,
     ScopeError,
     ValidationError,
     VerificationFailure,
@@ -124,21 +125,42 @@ def test_preps_counts_classes_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_cli_exit_codes(capsys):
-    assert main(["norm", "2", "1"]) == 3      # p even: scope
-    out, err = capsys.readouterr()
-    assert out == ""                          # no partial output
-    assert err == "scope: p even: outside the closed forms\n"
-    assert main(["norm", "3", "1"]) == 3      # slope 3: scope
-    assert capsys.readouterr().err == "scope: slope 3: outside the closed forms\n"
-    assert main(["norm", "6", "2"]) == 1      # not coprime
-    capsys.readouterr()
-    assert main(["roots", "1", "0"]) == 1     # q = 0 is no filling
-    assert main(["respq", "1", "0"]) == 1
-    assert capsys.readouterr().out == ""
-    assert main(["sweep", "--p-min", "1", "--p-max", "1", "--q-max", "1",
-                 "--out", "/nonexistent/dir/x.csv"]) == 4
-    capsys.readouterr()
+def test_cli_exit_codes(capsys, monkeypatch):
+    import whitenorm.cli as cli_mod
+
+    def raising(error):
+        def planted(*args):
+            raise error("planted")
+        return planted
+
+    unknown = "unknown suite 'bogus'; choose from " + ", ".join(SUITES) + " or all"
+    # (argv, exit code, stderr's start, a cli name planted to raise)
+    cases = [
+        ("norm 2 1", 3, "scope: p even: outside the closed forms\n", None),
+        ("norm 3 1", 3, "scope: slope 3: outside the closed forms\n", None),
+        # res is a unit constant at p/q in {0, 4}: a valid filling, with no
+        # irreducible class to count
+        ("preps 4 1", 3, "scope: characterization polynomial is a unit: no irreducible classes\n", None),
+        ("preps 0 1", 3, "scope: characterization polynomial is a unit: no irreducible classes\n", None),
+        ("norm 6 2", 1, "invalid input: filling coefficients (6, 2) are not coprime\n", None),
+        ("roots 1 0", 1, "invalid input: filling requires q > 0, got q = 0\n", None),
+        ("respq 1 0", 1, "invalid input: filling requires q > 0, got q = 0\n", None),
+        ("verify 5 1 --suite bogus", 1, f"invalid input: {unknown}\n", None),
+        ("sweep --p-min 1 --p-max 1 --q-max 1 --out /nonexistent/x.csv", 4,
+         "error: cannot write /nonexistent/x.csv: ", None),
+        ("respq 5 1", 2, "verification failure: VerificationFailure: planted\n",
+         ("build_res", raising(VerificationFailure))),
+        ("roots 5 1", 2, "verification failure: ConvergenceFailure: planted\n",
+         ("resultant_roots", raising(ConvergenceFailure))),
+    ]
+    for argv, code, err, plant in cases:
+        with monkeypatch.context() as m:
+            if plant:
+                m.setattr(cli_mod, *plant)
+            assert main(argv.split()) == code, argv
+        out, got = capsys.readouterr()
+        assert out == "", argv                # no partial output
+        assert got.startswith(err), (argv, got)
 
 
 def test_cli_respq(capsys):
@@ -205,6 +227,23 @@ def test_cli_rejects_unknown_suite_next_to_all(capsys, tmp_path):
     assert main(["sweep", "--p-min", "1", "--p-max", "1", "--q-max", "1",
                  "--out", str(out), "--suite", "resultant,all,nope"]) == 1
     assert not out.exists()
+
+
+def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    import whitenorm.verify as verify_mod
+
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(verify_mod._SUITE_FUNCS, name, lambda p, q, name=name: ran.append(name) or "ran")
+    message = "unknown suite 'bogus'; choose from " + ", ".join(SUITES) + " or all"
+    for suites in [("roots", "bogus"), ("all", "bogus"), ("bogus",)]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_verify(5, 1, suites)
+    assert ran == []
+    # "all", or no name, selects every suite in order
+    for suites in [("roots", "all"), ()]:
+        assert [r.suite for r in run_verify(5, 1, suites).results] == list(SUITES)
+    assert ran == 2 * list(SUITES)
 
 
 def test_cli_verify_exit_two_on_failure(capsys, monkeypatch):
@@ -321,9 +360,17 @@ def test_root_solve_failure_is_cached(monkeypatch):
     resultant_roots.cache_clear()
     try:
         report = run_verify(5, 1, SUITES)
+        # the cached error is raised with only the current call's frames:
+        # its traceback neither grows with each raise nor keeps old frames
+        depths = []
+        for _ in range(3):
+            with pytest.raises(ConvergenceFailure, match="^planted failure$") as info:
+                resultant_roots(5, 1)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
     finally:
         resultant_roots.cache_clear()  # drop the planted failure
     assert len(calls) == 1
+    assert depths[0] == depths[2], depths
     status = {r.suite: r.status for r in report.results}
     assert status["roots"] == status["preps"] == "fail"
     assert status["cohomology"] == "pass"  # it solves no root
@@ -535,10 +582,11 @@ def test_class_count_mismatch_fails_preps(monkeypatch, capsys):
         return dataclasses.replace(c, total=c.total + 2)
 
     monkeypatch.setattr(reps_mod, "count_prep_classes", off_by_two)
-    with pytest.raises(CountMismatch):
+    message = "(5,1): 8 classes chosen up to s ~ 1/s, 10 counted"
+    with pytest.raises(VerificationFailure, match=f"^{re.escape(message)}$"):
         reps_mod.all_prep_classes(5, 1)
     assert main(["preps", "5", "1"]) == 2
-    assert "CountMismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"verification failure: VerificationFailure: {message}\n"
 
 
 _THREADS_CHILD = (
