@@ -140,12 +140,12 @@ def suite_cohomology(p: int, q: int) -> str:
     is a reducible class's s = e^(2 pi i k/|p|), 1 <= k <= (|p| - 1)/2.
     No root is solved."""
     checks = []
-    unit = respq.build_res(p, q).span == 0  # res is a unit constant at p/q in {0, 4}
-    if not unit and respq.nontrivial_root_bound(p, q) > 0:
+    r = respq.build_res(p, q)
+    if not r.is_degenerate and respq.nontrivial_root_bound(p, q) > 0:
         checks.append("coboundary rank 3 (irreducible)")
     if abs(p) >= 3:
         checks.append("presentation rank 5, det P matches closed form")
-    if not unit:
+    if not r.is_degenerate:
         checks.append(f"d1 roots all {cohomology.d1_classification(p, q)}")
         cohomology.d2_check(p, q)
         checks.append("gcd(res, d2) = 1 mod 2^61 - 1")
